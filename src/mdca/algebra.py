@@ -216,7 +216,10 @@ def graded_commutator(d1, d2):
     m = compose(d1.action, d2.action).add(
         compose(d2.action, d1.action).scale(-sgn))
     out = Derivation(d1.of, d1.degree + d2.degree, m)
-    assert out.leibniz_violations() == []
+    bad = out.leibniz_violations()
+    if bad:
+        raise ValueError("graded commutator is not a derivation: Leibniz "
+                         "fails on %r" % (bad[0],))
     return out
 
 

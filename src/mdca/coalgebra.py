@@ -8,8 +8,8 @@ here.  All identities are checked up to a word-length truncation W.
 from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .graded import (GradedBasis, LinearMap, ONE, ZERO, koszul_sign,
-                     vec_axpy, vec_scale)
+from .graded import (GradedBasis, LinearMap, ONE, ZERO, compose,
+                     koszul_sign, vec_axpy, vec_scale)
 from .algebra import multiply
 
 SEP = "|"  # joins an algebra label and a module generator label
@@ -44,11 +44,15 @@ class ModuleSpec:
         # nonzero differential.
         self.diff_sl = LinearMap(
             self.sl_basis, self.sl_basis, -1, dict(diff_l.entries))
+        # the suspended differential as an arity-1 corestriction table
+        self.d0_table = {(g,): self.diff_sl.column(g)
+                         for g in self.sl_basis.labels}
         # per-instance caches for the word-combinatorics hot paths; safe
         # because the basis and the differential are fixed at construction
         self._norm_cache = {}
         self._split_cache = {}
         self._d0_cache = {}
+        self._words_cache = {}
 
     def split(self, label):
         a, x = label.rsplit(SEP, 1)
@@ -75,7 +79,6 @@ class ModuleSpec:
 
     def validation_report(self):
         """dg-module axioms: d_L^2 = 0 and compatibility with d_A."""
-        from .graded import compose
         rep = []
         if not compose(self.diff_l, self.diff_l).is_zero():
             rep.append({"invariant": "module differential squares to zero",
@@ -138,24 +141,30 @@ def word_degree(L, word):
     return sum(L.sl_basis.degree[g] for g in word)
 
 
+def words_of_length(L, n):
+    """All canonical nonvanishing words of length n, sorted as tuples."""
+    hit = L._words_cache.get(n)
+    if hit is None:
+        gens = sorted(L.sl_basis.labels, key=L.word_sort_key)
+        words = set()
+        for combo in combinations_with_replacement(gens, n):
+            sgn, w = normalize_word(L, list(combo))
+            if sgn:
+                words.add(w)
+        hit = L._words_cache[n] = sorted(words)
+    return hit
+
+
 def word_basis(L, policy):
     """All canonical words of length <= W (and degree in the window, if
     one was given), deterministically ordered by (length, degree, word)."""
-    gens = sorted(L.sl_basis.labels, key=L.word_sort_key)
     out = []
     for p in range(policy.W + 1):
-        words = []
-        for combo in combinations_with_replacement(gens, p):
-            sgn, w = normalize_word(L, list(combo))
-            if sgn == 0:
-                continue
-            d = word_degree(L, w)
-            if policy.degree_window is not None:
-                lo, hi = policy.degree_window
-                if not (lo <= d <= hi):
-                    continue
-            words.append((d, w))
-        out += [w for _, w in sorted(set(words))]
+        words = [(word_degree(L, w), w) for w in words_of_length(L, p)]
+        if policy.degree_window is not None:
+            lo, hi = policy.degree_window
+            words = [(d, w) for d, w in words if lo <= d <= hi]
+        out += [w for _, w in sorted(words)]
     return out
 
 
@@ -225,19 +234,9 @@ def apply_corestriction(L, cor, arity, word):
 def apply_d0(L, word):
     """Coderivation extension of the suspended module differential."""
     hit = L._d0_cache.get(word)
-    if hit is not None:
-        return dict(hit)
-    out = {}
-    for sgn, w1, w2 in splittings(L, word, left_size=1):
-        for g, c in L.diff_sl.column(w1[0]).items():
-            s2, w = normalize_word(L, [g] + list(w2))
-            if s2 == 0:
-                continue
-            out[w] = out.get(w, ZERO) + sgn * s2 * c
-            if not out[w]:
-                del out[w]
-    L._d0_cache[word] = out
-    return dict(out)
+    if hit is None:
+        hit = L._d0_cache[word] = apply_corestriction(L, L.d0_table, 1, word)
+    return dict(hit)
 
 
 class Coderivation:
@@ -311,7 +310,8 @@ def check_coalgebra_perturbation(partial, L, policy):
     for j in range(1, policy.W):
         for w in words:
             res = partial.apply_level_vec(j, apply_d0(L, w))
-            vec_axpy(res, ONE, apply_d0_vec(L, partial.apply_level(j, w)))
+            vec_axpy(res, ONE,
+                     partial.apply_level_vec(0, partial.apply_level(j, w)))
             for k in range(1, j):
                 vec_axpy(res, ONE,
                          partial.apply_level_vec(k,
@@ -319,13 +319,6 @@ def check_coalgebra_perturbation(partial, L, policy):
             if res:
                 report.append({"level": j, "word": w, "value": res})
     return report
-
-
-def apply_d0_vec(L, wvec):
-    out = {}
-    for w, c in wvec.items():
-        vec_axpy(out, c, apply_d0(L, w))
-    return out
 
 
 def suspension_sign(degs):

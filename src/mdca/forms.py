@@ -7,12 +7,12 @@ cohomology ranks.
 """
 
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement
 
-from .graded import LinearMap, ONE, ZERO, row_echelon, vec_axpy, vec_scale
+from .graded import (LinearMap, ONE, ZERO, compose, row_echelon, vec_axpy,
+                     vec_scale)
 from .algebra import Derivation, multiply
 from .coalgebra import (TruncationPolicy, apply_d0, normalize_word,
-                        splittings, word_basis, word_degree)
+                        splittings, word_basis, word_degree, words_of_length)
 
 
 class FormTable:
@@ -148,24 +148,6 @@ class TwistingCochain:
                     rep.append({"invariant": "anchor value is a derivation",
                                 "witness": (j, w) + pair})
         return rep
-
-
-def words_of_length(L, n):
-    cache = getattr(L, "_words_cache", None)
-    if cache is None:
-        cache = L._words_cache = {}
-    hit = cache.get(n)
-    if hit is not None:
-        return hit
-    gens = sorted(L.sl_basis.labels, key=L.word_sort_key)
-    out = []
-    for combo in combinations_with_replacement(gens, n):
-        sgn, w = normalize_word(L, list(combo))
-        if sgn:
-            out.append(w)
-    out = sorted(set(out))
-    cache[n] = out
-    return out
 
 
 def constant_form(L, a_vec):
@@ -356,14 +338,13 @@ def is_A_multilinear(f):
     return True, None
 
 
-def multilinear_generators(L, max_len):
-    """A-multilinear generator forms: homogeneous constants and the dual
-    1-forms, together with cup monomials of the latter up to max_len."""
-    out = []
-    for al in L.over.basis.labels:
-        out.append(("const:" + al, constant_form(L, {al: ONE})))
+def dual_monomials(L, max_len):
+    """Cup monomials of the dual 1-forms with 1 to max_len factors, as
+    (sorted generator name tuple, form) pairs; vanishing ones are left
+    out.  Ordered by length, then by the tuple of names."""
     duals = dual_one_forms(L)
     names = sorted(duals)
+    out = []
     level = [((), None)]
     for _ in range(max_len):
         nxt = []
@@ -375,9 +356,19 @@ def multilinear_generators(L, max_len):
                 if g.is_zero():
                     continue
                 nxt.append((key + (xl,), g))
-        for key, g in nxt:
-            out.append(("dual:" + ".".join(key), g))
+        out += nxt
         level = nxt
+    return out
+
+
+def multilinear_generators(L, max_len):
+    """A-multilinear generator forms: homogeneous constants and the dual
+    1-forms, together with cup monomials of the latter up to max_len."""
+    out = []
+    for al in L.over.basis.labels:
+        out.append(("const:" + al, constant_form(L, {al: ONE})))
+    for key, g in dual_monomials(L, max_len):
+        out.append(("dual:" + ".".join(key), g))
     return out
 
 
@@ -477,23 +468,7 @@ def total_differential(f, partial, t, policy):
 def multilinear_basis(L, policy):
     """Basis of the A-multilinear forms of word length up to W: algebra
     basis elements cup dual-generator monomials."""
-    duals = dual_one_forms(L)
-    names = sorted(duals)
-    monos = [("", None)]
-    level = [("", None)]
-    for _ in range(policy.W):
-        nxt = []
-        last = {key: key.split(".")[-1] for key, _ in level if key}
-        for key, form in level:
-            for xl in names:
-                if key and xl < last[key]:
-                    continue
-                g = duals[xl] if form is None else cup(form, duals[xl])
-                if g.is_zero():
-                    continue
-                nxt.append((key + "." + xl if key else xl, g))
-        monos += nxt
-        level = nxt
+    monos = [((), None)] + dual_monomials(L, policy.W)
     out = []
     for al in L.over.basis.labels:
         c = constant_form(L, {al: ONE})
@@ -501,7 +476,7 @@ def multilinear_basis(L, policy):
             g = c if form is None else cup(c, form)
             if g.is_zero():
                 continue
-            out.append(("%s*%s" % (al, key or "1"), g))
+            out.append(("%s*%s" % (al, ".".join(key) or "1"), g))
     return out
 
 
@@ -566,28 +541,20 @@ def twisting_residual(L, t, partial, j, word):
     A = L.over
     wd = word_degree(L, word)
     out = {}
-
-    def axpy_op(c, op_entries):
-        for k, v in op_entries.items():
-            out[k] = out.get(k, ZERO) + c * v
-            if not out[k]:
-                del out[k]
-
     op = t.value(j, word)
     if op is not None:
-        from .graded import compose
-        axpy_op(ONE, compose(A.diff, op).entries)
+        vec_axpy(out, ONE, compose(A.diff, op).entries)
         s = -ONE if (wd - 1) % 2 else ONE
-        axpy_op(-s, compose(op, A.diff).entries)
+        vec_axpy(out, -s, compose(op, A.diff).entries)
     for w2, c in apply_d0(L, word).items():
         op2 = t.value(j, w2)
         if op2 is not None:
-            axpy_op(c, op2.entries)
+            vec_axpy(out, c, op2.entries)
     for k in range(1, j):
         for w2, c in partial.apply_level(j - k, word).items():
             op2 = t.value(k, w2)
             if op2 is not None:
-                axpy_op(c, op2.entries)
+                vec_axpy(out, c, op2.entries)
     for k in range(1, j):
         for sgn, w1, w2 in splittings(L, word, left_size=k):
             op1 = t.value(k, w1)
@@ -595,6 +562,5 @@ def twisting_residual(L, t, partial, j, word):
             if op1 is None or op2 is None:
                 continue
             s = -1 if word_degree(L, w1) % 2 else 1
-            from .graded import compose
-            axpy_op(Q(sgn * s), compose(op1, op2).entries)
+            vec_axpy(out, Q(sgn * s), compose(op1, op2).entries)
     return out

@@ -48,10 +48,6 @@ def vec_sub(u, v):
     return vec_add(u, vec_scale(-ONE, v))
 
 
-def vec_eq(u, v):
-    return vec_sub(u, v) == {}
-
-
 def koszul_sign(perm, degs):
     """Sign of reordering graded items.
 

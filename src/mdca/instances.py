@@ -155,8 +155,6 @@ QUASI_PARAMS = (
 
 
 def quasi_sample():
-    if QUASI_PARAMS is None:
-        raise NotImplementedError("quasi_sample parameters pending")
     preset, lam, dmat, cs = QUASI_PARAMS
     return build_quasi_sample(preset, lam, dmat, cs), TruncationPolicy(4)
 

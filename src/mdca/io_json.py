@@ -37,7 +37,7 @@ from .algebra import AlgebraSpec, validate_algebra
 from .coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                         word_degree)
 from .forms import FormTable, TwistingCochain
-from .graded import GradedBasis, LinearMap, ONE
+from .graded import GradedBasis, LinearMap
 from .structures import (LieRinehartData, MdcaStructure,
                          QuasiLieRinehartData, ShLieRinehartData)
 

@@ -9,18 +9,18 @@ homotopy format and verified the same way.
 """
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 from .graded import (LinearMap, ONE, ZERO, compose, koszul_sign, vec_axpy,
-                     vec_scale)
+                     vec_scale, vec_sub)
 from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, TruncationPolicy,
-                        check_coalgebra_perturbation, normalize_word,
-                        word_basis, word_degree)
+                        check_coalgebra_perturbation,
+                        coderivation_from_brackets, normalize_word,
+                        word_basis, word_degree, words_of_length)
 from .forms import (FormTable, TwistingCochain, build_D, constant_form,
-                    cup, descent_check, dual_one_forms, hom_differential,
-                    is_A_multilinear,
-                    partial_t, square_check, twisting_residual,
-                    words_of_length)
+                    descent_check, dual_one_forms, hom_differential,
+                    partial_t, square_check, twisting_residual)
 
 
 def mult_op(A, a_vec):
@@ -49,16 +49,10 @@ class LieRinehartData:
             L, {1: {(lbl,): op for lbl, op in anchor.items()
                     if not (isinstance(op, LinearMap) and op.is_zero())}})
         table = {k: v for k, v in self.bracket.items() if v}
-        self.partial = coderivation_from_pair_table(L, table)
+        self.partial = coderivation_from_brackets(L, {2: table})
 
     def as_sh(self):
         return ShLieRinehartData(self.L, self.partial, self.anchor)
-
-
-def coderivation_from_pair_table(L, table):
-    from .coalgebra import coderivation_from_brackets
-    return coderivation_from_brackets(L, {2: table}) if table else \
-        Coderivation(L, {})
 
 
 def bracket_eval(L, bracket, g1_vec, g2_vec):
@@ -88,19 +82,29 @@ def check_lie_rinehart(d, policy=None):
     """
     if policy is None:
         policy = TruncationPolicy(3)
-    L = d.L
-    A = L.over
+    return direct_route(d.L, d.partial, d.anchor, policy)
+
+
+def direct_route(L, partial, t, policy):
+    """The axioms of a coderivation and anchor family, checked directly.
+
+    Coderivation perturbation identities, anchor twisting identities,
+    anchor module-linearity and the anomaly law at every level of either
+    family.  Each residual carries route, axiom, witness and value.
+    """
     report = []
-    for r in check_coalgebra_perturbation(d.partial, L, policy):
-        report.append({"axiom": "bracket coderivation squares to zero",
+    for r in check_coalgebra_perturbation(partial, L, policy):
+        report.append({"route": "direct",
+                       "axiom": "bracket coderivation squares to zero",
                        "witness": (r["level"], r["word"]),
                        "value": r["value"]})
-    report += anchor_multilinearity_report(L, d.anchor)
-    for r in check_twisting_cochain(L, d.anchor, d.partial, policy):
-        report.append({"axiom": "anchor twisting identity",
+    for r in check_twisting_cochain(L, t, partial, policy):
+        report.append({"route": "direct", "axiom": "anchor twisting identity",
                        "witness": (r["level"], r["word"]),
                        "value": r["value"]})
-    report += anomaly_report(L, d.partial, d.anchor, 1)
+    report += anchor_multilinearity_report(L, t)
+    for j in sorted(set(partial.cor) | set(t.maps)):
+        report += anomaly_report(L, partial, t, j)
     return report
 
 
@@ -147,8 +151,10 @@ def anchor_multilinearity_report(L, t):
                             A.basis, A.basis, lhs.degree)
                     if lhs != rhs:
                         report.append({
+                            "route": "direct",
                             "axiom": "anchor module-linearity",
-                            "witness": (j, w, slot, al)})
+                            "witness": (j, w, slot, al),
+                            "value": lhs.add(rhs.scale(-ONE)).entries})
     return report
 
 
@@ -175,16 +181,17 @@ def anomaly_report(L, partial, t, j):
                 rhs = {}
                 if op is not None:
                     for bl, c in op.apply({al: ONE}).items():
-                        vec_axpy(rhs, c, sl_mult(L, bl, g2))
+                        vec_axpy(rhs, c, L.a_times_sl({bl: ONE}, {g2: ONE}))
                 s = -ONE if ((sl_sum + 1) % 2 and adeg[al] % 2) else ONE
                 vec_axpy(rhs, s,
-                         a_times_vec(L, al,
-                                     apply_corestriction_args(
-                                         L, partial, j, list(w) + [g2])))
+                         L.a_times_sl({al: ONE},
+                                      apply_corestriction_args(
+                                          L, partial, j, list(w) + [g2])))
                 if lhs != rhs:
-                    report.append({"axiom": "bracket anomaly law",
+                    report.append({"route": "direct",
+                                   "axiom": "bracket anomaly law",
                                    "witness": (j, w, al, g2),
-                                   "value": vec_sub_safe(lhs, rhs)})
+                                   "value": vec_sub(lhs, rhs)})
     return report
 
 
@@ -193,20 +200,6 @@ def apply_corestriction_args(L, partial, j, args):
     if sgn == 0:
         return {}
     return vec_scale(Q(sgn), partial.cor.get(j, {}).get(w, {}))
-
-
-def sl_mult(L, a_label, g_label):
-    return L.a_times_sl({a_label: ONE}, {g_label: ONE})
-
-
-def a_times_vec(L, a_label, vec):
-    return L.a_times_sl({a_label: ONE}, vec)
-
-
-def vec_sub_safe(u, v):
-    out = dict(u)
-    vec_axpy(out, -ONE, v)
-    return out
 
 
 class ShLieRinehartData:
@@ -219,27 +212,13 @@ class ShLieRinehartData:
 def check_sh_lie_rinehart(d, policy):
     """Both verification routes, cross-checked.
 
-    Route one checks the axioms directly: coderivation perturbation
-    identities, anchor twisting identities, anchor module-linearity and
-    the anomaly law at every level.  Route two builds the differential
-    operators on forms and runs the square and descent checks.  The two
-    verdicts must agree; disagreement is itself reported.
+    Route one checks the axioms directly (direct_route).  Route two
+    builds the differential operators on forms and runs the square and
+    descent checks.  The two verdicts must agree; disagreement is itself
+    reported.
     """
     L = d.L
-    direct = []
-    for r in check_coalgebra_perturbation(d.partial, L, policy):
-        direct.append({"route": "direct", "axiom": "perturbation",
-                       "witness": (r["level"], r["word"])})
-    for r in check_twisting_cochain(L, d.t, d.partial, policy):
-        direct.append({"route": "direct", "axiom": "twisting cochain",
-                       "witness": (r["level"], r["word"])})
-    for r in anchor_multilinearity_report(L, d.t):
-        direct.append({"route": "direct", "axiom": r["axiom"],
-                       "witness": r["witness"]})
-    for j in sorted(set(d.partial.cor) | set(d.t.maps)):
-        for r in anomaly_report(L, d.partial, d.t, j):
-            direct.append({"route": "direct", "axiom": r["axiom"],
-                           "witness": r["witness"]})
+    direct = direct_route(L, d.partial, d.t, policy)
     indirect = []
     for r in square_check(L, d.partial, d.t, policy):
         indirect.append({"route": "operators", "axiom": "square",
@@ -551,7 +530,7 @@ class QuasiLieRinehartData:
             rev = self.bracket.get((g2, g1))
             if rev is not None and (g2, g1) != (g1, g2):
                 s = ONE if (ldeg[g1] % 2 and ldeg[g2] % 2) else -ONE
-                if vec_sub_safe(v, vec_scale(s, rev)):
+                if vec_sub(v, vec_scale(s, rev)):
                     rep.append({"invariant": "bracket skewness",
                                 "witness": (g1, g2)})
         return rep
@@ -619,7 +598,6 @@ def quasi_to_sh(q):
     """Homotopy data encoded by a quasi structure: the pairing becomes
     the unary anchor, the extended triple the binary anchor, the bracket
     the binary corestriction and the stripped triple the ternary one."""
-    from .coalgebra import coderivation_from_brackets
     L = q.L
     t1 = {(g,): op for g, op in q.pairing.items()}
     t2 = extend_anchor_level(L, q.triple, 2)
@@ -673,15 +651,6 @@ def multilinear_form_from_bare(L, degree, bare):
     return FormTable(L, degree, vals)
 
 
-def bare_values_of_form(L, f):
-    unit = L.over.unit
-    out = {}
-    for w, v in f.values.items():
-        if all(L.split(g)[0] == unit for g in w):
-            out[tuple(L.split(g)[1] for g in w)] = dict(v)
-    return out
-
-
 def quasi_alt_differential(q, j, degree, bare):
     """Level-one and level-two differentials on alternating tables,
     straight from the pairing, bracket and triple.
@@ -690,7 +659,6 @@ def quasi_alt_differential(q, j, degree, bare):
     bracket sum the bracketed argument is fed back through the table.
     Returns the bare table of the image (a degree - 1 form).
     """
-    from itertools import combinations
     L = q.L
     A = L.over
     unit = A.unit
@@ -781,7 +749,6 @@ def jacobi_defect_identity(q):
     make the suspended word vanish, so they carry no constraint) and
     reports the global sign making them equal (None when everything
     vanishes, or with the mismatch list when no sign works)."""
-    from itertools import combinations
     L = q.L
     unit = L.over.unit
     t2 = extend_anchor_level(L, q.triple, 2)
@@ -814,11 +781,11 @@ def jacobi_defect_identity(q):
     if all(not lhs and not rhs for _, lhs, rhs in results):
         return {"sign": None, "mismatches": []}
     for s in (ONE, -ONE):
-        if all(not vec_sub_safe(lhs, vec_scale(s, rhs))
+        if all(not vec_sub(lhs, vec_scale(s, rhs))
                for _, lhs, rhs in results):
             return {"sign": int(s), "mismatches": []}
     return {"sign": None,
             "mismatches": [{"triple": t, "lhs": lhs, "rhs": rhs}
                            for t, lhs, rhs in results
-                           if vec_sub_safe(lhs, rhs)
-                           or vec_sub_safe(lhs, vec_scale(-ONE, rhs))]}
+                           if vec_sub(lhs, rhs)
+                           or vec_sub(lhs, vec_scale(-ONE, rhs))]}

@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+import mdca
 from mdca.algebra import (AlgebraSpec, Derivation, derivation_space,
                           exterior_algebra, graded_commutator, multiply,
                           rational_algebra, truncated_polynomial,
@@ -156,3 +159,24 @@ def test_every_solved_derivation_satisfies_leibniz():
 def test_rejects_missing_unit():
     with pytest.raises(ValueError):
         AlgebraSpec(GradedBasis([("a", 0)]), "1", {})
+
+
+def test_graded_commutator_rejects_non_derivation():
+    # 1 -> x is not a derivation, so the commutator breaks Leibniz; the
+    # refusal must survive python -O
+    A = truncated_polynomial("x", 3)
+    d1 = Derivation(A, 0, {("x", "1"): 1})
+    d2 = Derivation(A, 0, {("x", "x"): 1, ("x^2", "x^2"): 2})
+    with pytest.raises(ValueError, match="not a derivation"):
+        graded_commutator(d1, d2)
+
+
+def test_library_has_no_assert_statements():
+    # an assert vanishes under python -O, so checks raise explicitly
+    src = pathlib.Path(mdca.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

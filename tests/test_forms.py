@@ -436,6 +436,17 @@ def test_cohomology_sl2():
     assert not ranks[-1]["flagged"] and not ranks[-2]["flagged"]
 
 
+def test_cohomology_abelian_plane_with_dotted_generator_name():
+    # a generator label may contain the "." that joins monomial names;
+    # the product monomial must still be in the basis
+    L = ModuleSpec(QQ, GradedBasis([("a.z", 0), ("b", 0)]))
+    policy = TruncationPolicy(3, degree_window=(-3, 1))
+    ranks = cohomology_ranks(L, Coderivation(L, {}), TwistingCochain(L, {}),
+                             policy)
+    assert {d: r["rank"] for d, r in ranks.items()
+            if not r["flagged"]} == {0: 1, -1: 2, -2: 1}
+
+
 def test_cohomology_window_flagging():
     policy = TruncationPolicy(3, degree_window=(-2, 0))
     ranks = cohomology_ranks(SL2, SL2_PARTIAL, SL2_T, policy)

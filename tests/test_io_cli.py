@@ -169,10 +169,6 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["check", str(bad)]) == 2
-    monkeypatch.setenv("MDCA_THREADS", "zero")
-    assert cli.main(["check", "catalog:sl2"]) == 2
-    monkeypatch.setenv("MDCA_THREADS", "2")
-    assert cli.main(["check", "catalog:sl2"]) == 0
     capsys.readouterr()
 
 
@@ -219,3 +215,34 @@ def test_quasi_sample_defect_identity_holds():
     out = jacobi_defect_identity(q)
     assert out["mismatches"] == []
     assert out["sign"] == -1
+
+
+def test_negative_window_spellings_agree(capsys):
+    # exterior_pair has negative file degrees; argparse would read a bare
+    # "-2..3" as an option
+    outs = []
+    for argv in (["--window", "-2..3"], ["--window=-2..3"],
+                 ["--win", "-2..3"]):
+        code = cli.main(["cohomology", "catalog:exterior_pair", "--W", "3"]
+                        + argv)
+        outs.append((code, [line for line in
+                            capsys.readouterr().out.splitlines()
+                            if not line.startswith("elapsed:")]))
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0][0] == 0
+    assert "betti:" in outs[0][1]
+
+
+def test_roundtrip_states_what_it_certifies(capsys, tmp_path):
+    # jacobi_violator fails check, yet its tables round trip exactly:
+    # the report must say that the identities were not certified here
+    out_file = tmp_path / "rt.json"
+    assert cli.main(["roundtrip", "catalog:jacobi_violator",
+                     "--json", str(out_file)]) == 0
+    text = capsys.readouterr().out
+    assert ("certifies: build/extract/rebuild agreement only; the "
+            "identities are certified by mdca check") in text.splitlines()
+    report = json.loads(out_file.read_text())
+    assert report["certifies"] == cli.ROUNDTRIP_SCOPE
+    assert cli.main(["check", "catalog:jacobi_violator"]) == 1
+    assert "certifies" not in capsys.readouterr().out

@@ -271,3 +271,26 @@ def test_jacobi_defect_trivial_for_ordinary_pair():
     q = tp2_as_quasi()
     out = jacobi_defect_identity(q)
     assert out["mismatches"] == []
+
+
+# ------------------------------------------------------ one direct route
+
+@pytest.mark.parametrize("case", ["jacobi_violator", "scaled_anchor"])
+def test_lie_rinehart_check_is_the_direct_route(case):
+    if case == "jacobi_violator":
+        L, partial, _ = jacobi_violator()
+        table = {args: dict(v) for j, tab in partial.cor.items()
+                 for args, v in tab.items()}
+        d = LieRinehartData(L, table, {})
+    else:
+        ok = tp2_data()
+        d = LieRinehartData(ok.L, ok.bracket,
+                            {w[0]: op.scale(2)
+                             for w, op in ok.anchor.maps[1].items()})
+    policy = TruncationPolicy(3)
+    rep = check_lie_rinehart(d, policy)
+    assert rep
+    assert rep == [r for r in check_sh_lie_rinehart(d.as_sh(), policy)
+                   if r["route"] == "direct"]
+    assert all(set(r) == {"route", "axiom", "witness", "value"}
+               for r in rep)
