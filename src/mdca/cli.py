@@ -12,8 +12,8 @@ Verbs:
 Paths may name a file or a built-in example as catalog:<name>.  Exit
 codes: 0 all identities hold, 1 some identity fails, 2 unusable input.
 Degree windows may be negative: --window -2..3 and --window=-2..3 both
-work.  Each residual of the direct route carries route, axiom, witness
-and value.
+work.  Each residual of the direct route, and each square residual of
+the operator route, carries route, axiom, witness and value.
 """
 
 import argparse
@@ -132,8 +132,9 @@ def run_check(inst, policy):
         sh, flags = extract_structure(data, policy)
         residuals = [{"axiom": "table consistency", "witness": r}
                      for r in flags]
-        residuals += [{"axiom": "square",
-                       "witness": (r["level"], r["form"], r["word"])}
+        residuals += [{"route": "operators", "axiom": "square",
+                       "witness": (r["level"], r["form"], r["word"]),
+                       "value": r["value"]}
                       for r in square_check(data.L, sh.partial, sh.t,
                                             policy)]
     return residuals

@@ -301,21 +301,18 @@ class Coderivation:
 def check_coalgebra_perturbation(partial, L, policy):
     """Level-by-level residuals of the filtered perturbation identities.
 
-    For each level j the operator d0 @ del^j + del^j @ d0 +
-    sum_k del^k @ del^(j-k) is evaluated on every basis word of length
-    up to W; nonzero values are reported with their witnesses.
+    For each level j the operator sum_k del^k @ del^(j-k) over k = 0..j,
+    with del^0 the word differential d0, is evaluated on every basis word
+    of length up to W; nonzero values are reported with their witnesses.
     """
     report = []
     words = word_basis(L, TruncationPolicy(policy.W))
     for j in range(1, policy.W):
         for w in words:
-            res = partial.apply_level_vec(j, apply_d0(L, w))
-            vec_axpy(res, ONE,
-                     partial.apply_level_vec(0, partial.apply_level(j, w)))
-            for k in range(1, j):
-                vec_axpy(res, ONE,
-                         partial.apply_level_vec(k,
-                                                 partial.apply_level(j - k, w)))
+            res = {}
+            for k in range(j + 1):
+                vec_axpy(res, ONE, partial.apply_level_vec(
+                    k, partial.apply_level(j - k, w)))
             if res:
                 report.append({"level": j, "word": w, "value": res})
     return report

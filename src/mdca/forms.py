@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from .graded import (LinearMap, ONE, ZERO, compose, row_echelon, vec_axpy,
                      vec_scale)
 from .algebra import Derivation, multiply
-from .coalgebra import (TruncationPolicy, apply_d0, normalize_word,
+from .coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                         splittings, word_basis, word_degree, words_of_length)
 
 
@@ -206,42 +206,23 @@ def cup(f, g):
 
 
 def hom_differential(f):
-    """D0(f) = d_A after f, plus (-1)^(|f|+1) f after the word
-    differential."""
-    L = f.L
-    A = L.over
-    sgn = ONE if (f.degree + 1) % 2 == 0 else -ONE
-    # candidate words: the support itself (algebra-differential term) and
-    # every word the suspended differential can map into the support
-    candidates = set(f.values)
-    rev = {}
-    for (tg, sg), c in L.diff_sl.entries.items():
-        if c:
-            rev.setdefault(tg, []).append(sg)
-    for u in f.values:
-        for i, g in enumerate(u):
-            for sg in rev.get(g, ()):
-                s2, w = normalize_word(
-                    L, list(u[:i]) + [sg] + list(u[i + 1:]))
-                if s2:
-                    candidates.add(w)
-    vals = {}
-    for w in candidates:
-        acc = A.diff.apply(f.value(w))
-        vec_axpy(acc, sgn, f.eval_vec(apply_d0(L, w)))
-        if acc:
-            vals[w] = acc
-    return FormTable(L, f.degree - 1, vals)
+    """D0(f) = d_A after f, plus the level-0 bracket operator: (-1)^(|f|+1)
+    f after the word differential."""
+    vals = {w: f.L.over.diff.apply(v) for w, v in f.values.items()}
+    return FormTable(f.L, f.degree - 1, vals).add(
+        partial_bra(f, Coderivation(f.L, {}), 0))
 
 
 def partial_bra(f, partial, j):
-    """Bracket operator: (-1)^(|f|+1) f after the level-j coderivation."""
+    """Bracket operator: (-1)^(|f|+1) f after the level-j coderivation;
+    level 0 is the word differential."""
     L = f.L
     sgn = ONE if (f.degree + 1) % 2 == 0 else -ONE
     # candidate words: replace one slot of a support word by any
     # corestriction key whose value contains that slot's generator
     by_value_gen = {}
-    for wc, vec in partial.cor.get(j, {}).items():
+    table = L.d0_table if j == 0 else partial.cor.get(j, {})
+    for wc, vec in table.items():
         for g, c in vec.items():
             if c:
                 by_value_gen.setdefault(g, []).append(wc)
@@ -412,6 +393,23 @@ def ambient_basis_forms(L, policy):
     return out
 
 
+def level_differentials(L, partial, t, W):
+    """D_0 .. D_(W-1) as tables of sparse columns: table[j][(w, a)] is
+    D_j(delta_(a@w)) as {(word, label): coefficient}, for every word w up
+    to length W (whatever the degree window: images leave it) and every
+    level with |w| + j <= W.  D_j raises word length by exactly j
+    (bigrade_check), so the columns left out land beyond W."""
+    table = [{} for _ in range(W)]
+    for _, f in ambient_basis_forms(L, TruncationPolicy(W)):
+        [(w, vec)] = f.values.items()
+        key = (w, next(iter(vec)))
+        for j in range(min(W, W - len(w) + 1)):
+            g = build_D(f, partial, t, j)
+            table[j][key] = {(w2, a2): c for w2, v in g.values.items()
+                             for a2, c in v.items()}
+    return table
+
+
 def square_check(L, partial, t, policy):
     """Level-by-level residuals of D squared.
 
@@ -419,25 +417,38 @@ def square_check(L, partial, t, policy):
     every ambient dual-basis form and every multilinear generator form;
     nonzero values within the word window are reported with witnesses.
     """
+    return square_residuals(
+        L, level_differentials(L, partial, t, policy.W), policy)
+
+
+def square_residuals(L, table, policy):
+    """square_check on a level_differentials table: the column of the sum
+    of D_k D_(j-k) is computed once per dual-basis form, and each probe
+    combines such columns.  Words are sorted within a (level, form)."""
+    W = policy.W
+    probes = ambient_basis_forms(L, policy) + multilinear_generators(L, W)
+    squares = {}
     report = []
-    forms = ambient_basis_forms(L, policy)
-    forms += multilinear_generators(L, policy.W)
-    seen = set()
-    for j in range(policy.W):
-        for name, f in forms:
-            res = None
-            for k in range(j + 1):
-                g = build_D(build_D(f, partial, t, j - k), partial, t, k)
-                res = g if res is None else res.add(g)
-            for w, v in res.values.items():
-                if len(w) > policy.W:
+    for j in range(W):
+        for name, f in probes:
+            res = {}
+            for w, vec in f.values.items():
+                if len(w) + j > W:
                     continue
-                key = (j, name, w)
-                if key in seen:
-                    continue
-                seen.add(key)
+                for al, c in vec.items():
+                    sq = squares.get((j, w, al))
+                    if sq is None:
+                        sq = squares[(j, w, al)] = {}
+                        for k in range(j + 1):
+                            for key, c2 in table[j - k][(w, al)].items():
+                                vec_axpy(sq, c2, table[k][key])
+                    vec_axpy(res, c, sq)
+            by_word = {}
+            for (w, al), c in res.items():
+                by_word.setdefault(w, {})[al] = c
+            for w in sorted(by_word):
                 report.append({"level": j, "form": name, "word": w,
-                               "value": v})
+                               "value": by_word[w]})
     return report
 
 
@@ -457,14 +468,6 @@ def bigrade_check(L, partial, t, policy):
     return report
 
 
-def total_differential(f, partial, t, policy):
-    out = None
-    for j in range(policy.W):
-        g = build_D(f, partial, t, j)
-        out = g if out is None else out.add(g)
-    return out
-
-
 def multilinear_basis(L, policy):
     """Basis of the A-multilinear forms of word length up to W: algebra
     basis elements cup dual-generator monomials."""
@@ -480,11 +483,6 @@ def multilinear_basis(L, policy):
     return out
 
 
-def form_coordinates(f, coords):
-    """Flatten a form to the (word, algebra label) coordinate list."""
-    return [f.values.get(w, {}).get(al, ZERO) for w, al in coords]
-
-
 def cohomology_ranks(L, partial, t, policy):
     """Betti numbers over Q of the A-multilinear form complex, within the
     word-length truncation and optional degree window.
@@ -493,7 +491,8 @@ def cohomology_ranks(L, partial, t, policy):
     the window boundary are flagged as unreliable since differentials may
     enter or leave the window.
     """
-    if square_check(L, partial, t, policy):
+    table = level_differentials(L, partial, t, policy.W)
+    if square_residuals(L, table, policy):
         raise ValueError("total differential does not square to zero "
                          "within the truncation window")
     basis = multilinear_basis(L, policy)
@@ -504,17 +503,21 @@ def cohomology_ranks(L, partial, t, policy):
     window = policy.degree_window
     if window is None and degrees:
         window = (degrees[0], degrees[-1])
-    coords = [(w, al) for w in word_basis(L, TruncationPolicy(policy.W))
-              for al in L.over.basis.labels]
+    # the (word, label) coordinates of every form on words up to W
+    coords = {key: i for i, key in enumerate(table[0])}
     ranks = {}
 
     def differential_rank(d):
         # rank of the total differential out of degree d
-        fs = by_degree.get(d, [])
         rows = []
-        for f in fs:
-            g = total_differential(f, partial, t, policy)
-            rows.append(form_coordinates(g, coords))
+        for f in by_degree.get(d, []):
+            row = [ZERO] * len(coords)
+            for w, vec in f.values.items():
+                for al, c in vec.items():
+                    for columns in table:
+                        for key, c2 in columns.get((w, al), {}).items():
+                            row[coords[key]] += c * c2
+            rows.append(row)
         if not rows:
             return 0
         return len(row_echelon(rows, len(coords)))
@@ -546,11 +549,7 @@ def twisting_residual(L, t, partial, j, word):
         vec_axpy(out, ONE, compose(A.diff, op).entries)
         s = -ONE if (wd - 1) % 2 else ONE
         vec_axpy(out, -s, compose(op, A.diff).entries)
-    for w2, c in apply_d0(L, word).items():
-        op2 = t.value(j, w2)
-        if op2 is not None:
-            vec_axpy(out, c, op2.entries)
-    for k in range(1, j):
+    for k in range(1, j + 1):
         for w2, c in partial.apply_level(j - k, word).items():
             op2 = t.value(k, w2)
             if op2 is not None:

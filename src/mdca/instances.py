@@ -19,10 +19,10 @@ Entries:
                    module is not free (x^2 * x d/dx = x * x^2 d/dx), so
                    this is a free presentation mapping onto it, kept as a
                    documented boundary case of the freeness assumption.
-  quasi_sample     machine-derived structure with a nonzero module
-                   differential and a nonzero trilinear defect; the
-                   coefficients were found by the committed solver script
-                   (tools/solve_quasi.py) and are re-verified by tests.
+  quasi_sample     structure with a nonzero module differential and a
+                   nonzero trilinear defect; given its bracket, anchor
+                   weights and differential, tools/solve_quasi.py solves
+                   for exactly its triple coefficients (tested).
 """
 
 from fractions import Fraction as Q
@@ -142,8 +142,8 @@ def truncated_poly():
     return LieRinehartData(L, table, anchor), TruncationPolicy(4)
 
 
-# Parameters of quasi_sample, found by tools/solve_quasi.py and pinned
-# here; the derivation is re-verified by the test suite.
+# Parameters of quasi_sample; the triple is the unique solution of the
+# affine system of tools/solve_quasi.py for the other three (tested).
 QUASI_PARAMS = (
     {("x", "y"): {"1|x": ONE},           # generator bracket; its Jacobi
      ("y", "z"): {"1|y": ONE},           # sum on (x, y, z) is -x, matched

@@ -222,7 +222,8 @@ def check_sh_lie_rinehart(d, policy):
     indirect = []
     for r in square_check(L, d.partial, d.t, policy):
         indirect.append({"route": "operators", "axiom": "square",
-                         "witness": (r["level"], r["form"], r["word"])})
+                         "witness": (r["level"], r["form"], r["word"]),
+                         "value": r["value"]})
     for j in range(policy.W):
         rep = descent_check(L, d.partial, d.t, j, policy)
         for r in rep["violations"]:

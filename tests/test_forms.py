@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
                           graded_commutator, multiply, rational_algebra,
@@ -12,9 +16,9 @@ from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
 from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
                         bigrade_check, build_D, cohomology_ranks,
                         constant_form, cup, descent_check, dual_one_forms,
-                        hom_differential, is_A_multilinear, partial_bra,
-                        partial_t, square_check, twisting_residual,
-                        words_of_length)
+                        hom_differential, is_A_multilinear,
+                        level_differentials, partial_bra, partial_t,
+                        square_check, twisting_residual, words_of_length)
 from mdca.graded import GradedBasis, LinearMap, ONE, vec_axpy, vec_scale
 
 
@@ -542,3 +546,56 @@ def test_residual_controls_operator_anticommutators():
                 rhs = residual_pairing(L, t, partial, j, a_label, words)
                 for w in words:
                     assert lhs.value(w) == rhs.get(w, {})
+
+
+# ---------------------------------------------- level differential table
+
+TABLE_W = 3
+
+
+def table_case(make):
+    L, partial, t = make()
+    return L, partial, t, level_differentials(L, partial, t, TABLE_W)
+
+
+TABLE_CASES = {"exterior_pair": table_case(exterior_pair),
+               "tp2": table_case(tp2), "dg_anchor": table_case(dg_anchor)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(TABLE_CASES)), st.integers(0, 2**32 - 1))
+def test_level_table_matches_build_D(name, seed):
+    # D_j is linear and raises word length by exactly j, so its columns
+    # at the dual-basis forms give D_j of any form on words up to W
+    L, partial, t, table = TABLE_CASES[name]
+    rng = random.Random(seed)
+    f = random_form(rng, L, rng.choice([-2, -1, 0, 1]), TABLE_W)
+    for j in range(TABLE_W):
+        got = {}
+        for w, vec in f.values.items():
+            for al, c in vec.items():
+                vec_axpy(got, c, table[j].get((w, al), {}))
+        want = {(w, al): c
+                for w, v in build_D(f, partial, t, j).values.items()
+                if len(w) <= TABLE_W for al, c in v.items()}
+        assert got == want
+
+
+def test_square_residual_order_is_independent_of_hash_seed():
+    # residual words are sorted within each (level, form), so the report
+    # does not follow the string hash
+    code = ("from mdca.coalgebra import TruncationPolicy\n"
+            "from mdca.forms import square_check\n"
+            "from test_forms import tp2\n"
+            "L, partial, t = tp2(scale=2)\n"
+            "print(square_check(L, partial, t, TruncationPolicy(3)))\n")
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(here, os.pardir, "src"), here])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] != "[]\n"
+    assert outs[0] == outs[1]

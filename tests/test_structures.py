@@ -2,12 +2,15 @@ from fractions import Fraction as Q
 
 import pytest
 
+from mdca import cli
 from mdca.algebra import (Derivation, exterior_algebra, graded_commutator,
                           multiply, rational_algebra, truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets)
-from mdca.forms import TwistingCochain, build_D, constant_form
+from mdca.forms import TwistingCochain, build_D, constant_form, square_check
 from mdca.graded import GradedBasis, LinearMap, ONE
+from mdca.instances import catalog_entry
+from mdca.io_json import ParsedInstance
 from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
                              ShLieRinehartData, build_maurer_cartan,
                              build_quasi_mc, check_lie_rinehart,
@@ -294,3 +297,19 @@ def test_lie_rinehart_check_is_the_direct_route(case):
                    if r["route"] == "direct"]
     assert all(set(r) == {"route", "axiom", "witness", "value"}
                for r in rep)
+
+
+def test_square_residuals_carry_their_value():
+    d, _ = catalog_entry("jacobi_violator")
+    sh = d.as_sh()
+    policy = TruncationPolicy(4)
+    values = {(r["level"], r["form"], r["word"]): r["value"]
+              for r in square_check(sh.L, sh.partial, sh.t, policy)}
+    m = build_maurer_cartan(sh, policy)
+    for rep in (check_sh_lie_rinehart(sh, policy),
+                cli.run_check(ParsedInstance("mdca", m, policy), policy)):
+        square = [r for r in rep if r["axiom"] == "square"]
+        assert square
+        for r in square:
+            assert r["route"] == "operators"
+            assert r["value"] == values[r["witness"]]

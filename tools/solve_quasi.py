@@ -12,20 +12,20 @@ Run from the repository root:  python3 tools/solve_quasi.py
 """
 
 import itertools
+import os
 import sys
 import time
 from fractions import Fraction as Q
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
-from mdca.algebra import exterior_algebra
-from mdca.coalgebra import (ModuleSpec, TruncationPolicy,
-                            check_coalgebra_perturbation)
-from mdca.graded import GradedBasis, LinearMap, ONE
-from mdca.structures import (QuasiLieRinehartData, build_quasi_mc,
-                             check_sh_lie_rinehart, check_twisting_cochain,
-                             extend_anchor_level, extend_bracket_table,
-                             jacobi_defect_identity, quasi_to_sh)
+from mdca.coalgebra import TruncationPolicy, check_coalgebra_perturbation
+from mdca.graded import ONE, kernel_of_rows, row_echelon
+from mdca.instances import build_quasi_sample
+from mdca.structures import (build_quasi_mc, check_sh_lie_rinehart,
+                             check_twisting_cochain, jacobi_defect_identity,
+                             quasi_to_sh)
 
 GENS = ("x", "y", "z")
 TRIPLE_KEYS = (("x", "y"), ("x", "z"), ("y", "z"))
@@ -43,33 +43,14 @@ BRACKET_PRESETS = {
 }
 
 
-def build_quasi(preset, lam, dmat, cs):
-    A = exterior_algebra([("th", -1)])
-    diff = {}
-    for i, gi in enumerate(GENS):
-        for j, gj in enumerate(GENS):
-            if dmat[i][j]:
-                diff[("th|" + gj, "1|" + gi)] = Q(dmat[i][j])
-    # the induced basis is needed to key the differential, so build twice
-    L = ModuleSpec(A, GradedBasis([(g, 0) for g in GENS]))
-    L = ModuleSpec(A, GradedBasis([(g, 0) for g in GENS]),
-                   LinearMap(L.l_basis, L.l_basis, -1, diff))
-    pairing_gens = {}
-    for i, g in enumerate(GENS):
-        if lam[i]:
-            pairing_gens[g] = LinearMap(A.basis, A.basis, 0,
-                                        {("th", "th"): Q(lam[i])})
-    base = {(g,): op for g, op in pairing_gens.items()}
-    pairing = {w[0]: op for w, op in
-               extend_anchor_level(L, base, 1).items()}
-    bracket = extend_bracket_table(L, pairing_gens,
-                                   BRACKET_PRESETS[preset])
-    triple = {}
-    for k, c in zip(TRIPLE_KEYS, cs):
-        if c:
-            triple[k] = LinearMap(A.basis, A.basis, 1,
-                                  {("1", "th"): Q(c)})
-    return QuasiLieRinehartData(L, bracket, pairing, triple)
+def build_quasi(bracket, lam, dmat, cs):
+    """The quasi structure of a generator bracket table, anchor weights
+    lam(x, y, z), a differential matrix (rows = source generator) and
+    triple coefficients c(xy, xz, yz)."""
+    return build_quasi_sample(
+        bracket, dict(zip(GENS, lam)),
+        {gi: dict(zip(GENS, row)) for gi, row in zip(GENS, dmat)},
+        dict(zip(TRIPLE_KEYS, cs)))
 
 
 def residual_vector(q, W, affine_only=False):
@@ -92,19 +73,19 @@ def residual_vector(q, W, affine_only=False):
     return vec
 
 
-def solve_affine(preset, lam, dmat, W=4):
+def solve_affine(bracket, lam, dmat, W=4):
     """Triple coefficients with r0 + sum_i c_i (r_i - r0) = 0.
 
     Yields every consistent assignment over a small grid of the free
-    coefficients; each is re-checked numerically before being yielded.
+    coefficients; each is re-checked exactly before being yielded.
     """
-    r0 = residual_vector(build_quasi(preset, lam, dmat, (0, 0, 0)), W,
+    r0 = residual_vector(build_quasi(bracket, lam, dmat, (0, 0, 0)), W,
                          affine_only=True)
     cols = []
     for i in range(3):
         cs = [0, 0, 0]
         cs[i] = 1
-        ri = residual_vector(build_quasi(preset, lam, dmat, tuple(cs)), W,
+        ri = residual_vector(build_quasi(bracket, lam, dmat, tuple(cs)), W,
                              affine_only=True)
         cols.append({k: ri.get(k, Q(0)) - r0.get(k, Q(0))
                      for k in set(r0) | set(ri)})
@@ -112,41 +93,27 @@ def solve_affine(preset, lam, dmat, W=4):
                   key=repr)
     rows = [[cols[0].get(k, Q(0)), cols[1].get(k, Q(0)),
              cols[2].get(k, Q(0)), -r0.get(k, Q(0))] for k in keys]
-    # reduced row echelon form over the rationals
-    pivots = []
-    for row in rows:
-        for coli, piv in pivots:
-            if row[coli]:
-                f = row[coli]
-                row = [rv - f * pv for rv, pv in zip(row, piv)]
-        lead = next((i for i in range(3) if row[i]), None)
-        if lead is None:
-            if row[3]:
-                return  # inconsistent
-            continue
-        row = [v / row[lead] for v in row]
-        for coli, piv in pivots:
-            if piv[lead]:
-                f = piv[lead]
-                piv[:] = [pv - f * rv for pv, rv in zip(piv, row)]
-        pivots.append((lead, list(row)))
-    fixed = {lead for lead, _ in pivots}
-    free = [i for i in range(3) if i not in fixed]
+    # reduced row echelon form of the augmented system
+    pivots = row_echelon(rows, 4)
+    if 3 in pivots:
+        return  # inconsistent
+    free = [i for i in range(3) if i not in pivots]
     for choice in itertools.product((1, 0, -1, 2, -2), repeat=len(free)):
         sol = [Q(0)] * 3
         for i, v in zip(free, choice):
             sol[i] = Q(v)
-        for lead, piv in pivots:
-            sol[lead] = piv[3] - sum(piv[j] * sol[j] for j in free)
+        for row, lead in zip(rows, pivots):
+            sol[lead] = (row[3] - sum(row[j] * sol[j] for j in free)) \
+                / row[lead]
         if not any(sol):
             continue
-        check = build_quasi(preset, lam, dmat, tuple(sol))
+        check = build_quasi(bracket, lam, dmat, tuple(sol))
         if not residual_vector(check, W, affine_only=True):
             yield tuple(sol)
 
 
-def verify(preset, lam, dmat, cs):
-    q = build_quasi(preset, lam, dmat, cs)
+def verify(bracket, lam, dmat, cs):
+    q = build_quasi(bracket, lam, dmat, cs)
     rep = q.validation_report()
     if rep:
         return None, ["validation: %r" % rep]
@@ -167,18 +134,17 @@ def as_matrix(vals):
     return tuple(tuple(vals[3 * i:3 * i + 3]) for i in range(3))
 
 
-def differential_kernel(preset, lam):
+def differential_kernel(bracket, lam):
     """The differential matrices compatible with the bracket and anchor.
 
     The level-1 coderivation identity is homogeneous linear in the matrix
     entries; returns a basis of its exact solution space.
     """
-    from mdca.graded import kernel_of_rows
     cols = []
     for e in range(9):
         vals = [0] * 9
         vals[e] = 1
-        r = residual_vector(build_quasi(preset, lam, as_matrix(vals),
+        r = residual_vector(build_quasi(bracket, lam, as_matrix(vals),
                                         (0, 0, 0)), 3)
         cols.append({k: v for k, v in r.items()
                      if k[0] == "p" and k[1] == 1})
@@ -195,7 +161,8 @@ def main():
     tried = 0
     for preset in BRACKET_PRESETS:
         for lam in lam_grid:
-            basis = differential_kernel(preset, lam)
+            bracket = BRACKET_PRESETS[preset]
+            basis = differential_kernel(bracket, lam)
             if not basis:
                 continue
             points = set()
@@ -211,9 +178,9 @@ def main():
                     break
             for v in sorted(points):
                 dmat = as_matrix(list(v))
-                for cs in solve_affine(preset, lam, dmat):
+                for cs in solve_affine(bracket, lam, dmat):
                     tried += 1
-                    result, problems = verify(preset, lam, dmat, cs)
+                    result, problems = verify(bracket, lam, dmat, cs)
                     if problems:
                         print("near miss %s lam=%s d=%s c=%s: %s"
                               % (preset, lam, dmat, cs, problems[0]),
@@ -222,8 +189,7 @@ def main():
                     q, jac = result
                     print("SOLUTION after %d full verifications (%.0fs)"
                           % (tried, time.time() - t0))
-                    print("  bracket preset:", preset,
-                          BRACKET_PRESETS[preset])
+                    print("  bracket preset:", preset, bracket)
                     print("  anchor weights lam(x,y,z):", lam)
                     print("  differential matrix (rows = source gen):",
                           dmat)
