@@ -148,35 +148,38 @@ def tables_of(m):
 
 
 def run_roundtrip(inst, policy):
-    residuals = []
+    """mdca input: extract, rebuild and compare the tables.  Other input:
+    build, extract and compare the extracted coderivation and anchor with
+    the given ones; extraction already rebuilds every generator table
+    from them and compares it with the built one, so with equal data a
+    rebuild could only repeat the build."""
     if isinstance(inst.data, MdcaStructure):
         m = inst.data
         sh, flags = extract_structure(m, policy)
-        residuals += [{"stage": "extract", "witness": r} for r in flags]
-    else:
-        sh = as_homotopy(inst)
+        residuals = [{"stage": "extract", "witness": r} for r in flags]
         try:
-            m = build_maurer_cartan(sh, policy)
+            m2 = build_maurer_cartan(sh, policy)
         except ValueError as e:
-            return [{"stage": "build", "witness": str(e)}]
-        back, flags = extract_structure(m, policy)
-        residuals += [{"stage": "extract", "witness": r} for r in flags]
-        if back.partial.cor != sh.partial.cor:
-            residuals.append({"stage": "extract",
-                              "witness": "coderivation tables differ"})
-        t_pairs = [({j: {w: op.entries for w, op in tab.items()}
-                     for j, tab in s.t.maps.items()}) for s in (back, sh)]
-        if t_pairs[0] != t_pairs[1]:
-            residuals.append({"stage": "extract",
-                              "witness": "anchor tables differ"})
-        sh = back
+            return residuals + [{"stage": "rebuild", "witness": str(e)}]
+        if tables_of(m) != tables_of(m2):
+            residuals.append({"stage": "rebuild",
+                              "witness": "differential tables differ"})
+        return residuals
+    sh = as_homotopy(inst)
     try:
-        m2 = build_maurer_cartan(sh, policy)
+        m = build_maurer_cartan(sh, policy)
     except ValueError as e:
-        return residuals + [{"stage": "rebuild", "witness": str(e)}]
-    if tables_of(m) != tables_of(m2):
-        residuals.append({"stage": "rebuild",
-                          "witness": "differential tables differ"})
+        return [{"stage": "build", "witness": str(e)}]
+    back, flags = extract_structure(m, policy)
+    residuals = [{"stage": "extract", "witness": r} for r in flags]
+    if back.partial.cor != sh.partial.cor:
+        residuals.append({"stage": "extract",
+                          "witness": "coderivation tables differ"})
+    t_pairs = [({j: {w: op.entries for w, op in tab.items()}
+                 for j, tab in s.t.maps.items()}) for s in (back, sh)]
+    if t_pairs[0] != t_pairs[1]:
+        residuals.append({"stage": "extract",
+                          "witness": "anchor tables differ"})
     return residuals
 
 

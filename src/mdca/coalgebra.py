@@ -137,6 +137,29 @@ def normalize_word(L, gens):
     return out
 
 
+def stripped_slots(L, word, start_degree):
+    """The module-linearity rule, slot by slot: for every slot whose
+    algebra coefficient a is not the unit, yields (slot, a, sign, bare).
+
+    bare is the canonical word with that slot's coefficient replaced by
+    the unit (None when it vanishes), and sign is the Koszul sign of
+    moving a across start_degree and the earlier slots times the sign of
+    sorting bare.  A module-linear value satisfies
+    value(word) = sign * a * value(bare), with value(None) = 0.
+    """
+    A = L.over
+    pre = start_degree
+    for slot, g in enumerate(word):
+        a, x = L.split(g)
+        if a != A.unit:
+            sgn, bare = normalize_word(
+                L, word[:slot] + (L.pair(A.unit, x),) + word[slot + 1:])
+            if A.basis.degree[a] % 2 and pre % 2:
+                sgn = -sgn
+            yield slot, a, Q(sgn), bare
+        pre += L.sl_basis.degree[g]
+
+
 def word_degree(L, word):
     return sum(L.sl_basis.degree[g] for g in word)
 

@@ -12,7 +12,8 @@ from .graded import (LinearMap, ONE, ZERO, compose, row_echelon, vec_axpy,
                      vec_scale)
 from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, TruncationPolicy, normalize_word,
-                        splittings, word_basis, word_degree, words_of_length)
+                        splittings, stripped_slots, word_basis, word_degree,
+                        words_of_length)
 
 
 class FormTable:
@@ -278,44 +279,21 @@ def build_D(f, partial, t, j):
 
 
 def is_A_multilinear(f):
-    """True iff scaling any slot by an algebra element pulls out with the
-    Koszul sign of moving it across the form and the earlier slots.
+    """True iff every slot's algebra coefficient pulls out with the
+    Koszul sign of moving it across the form and the earlier slots
+    (coalgebra.stripped_slots); a bare word that vanishes in the
+    coalgebra forces the value zero.
 
     Returns (verdict, witness); the witness names (word, slot, scalar).
     """
     L = f.L
-    A = L.over
-    adeg = A.basis.degree
     for n in f.support_lengths():
-        if n == 0:
-            continue
         for w in words_of_length(L, n):
-            for slot in range(n):
-                prefix = f.degree + sum(L.sl_degree(w[k]) for k in range(slot))
-                for al in A.basis.labels:
-                    scaled = L.a_times_sl({al: ONE}, {w[slot]: ONE})
-                    lhs = {}
-                    for gl, c in scaled.items():
-                        args = list(w)
-                        args[slot] = gl
-                        vec_axpy(lhs, c, f.eval(args))
-                    s = -ONE if (adeg[al] % 2 and prefix % 2) else ONE
-                    rhs = vec_scale(s, multiply(A, {al: ONE}, f.value(w)))
-                    if lhs != rhs:
-                        return False, {"word": w, "slot": slot, "scalar": al}
-                # the slot value must also be determined by the bare
-                # generator: strip its scalar part and compare.  The bare
-                # word may vanish in the coalgebra (repeated generators of
-                # odd suspended degree), in which case the value here must
-                # be zero -- scaling canonical words alone never sees this.
-                a, x = L.split(w[slot])
-                if a != A.unit:
-                    bare = list(w)
-                    bare[slot] = L.pair(A.unit, x)
-                    s = -ONE if (adeg[a] % 2 and prefix % 2) else ONE
-                    rhs = vec_scale(s, multiply(A, {a: ONE}, f.eval(bare)))
-                    if f.value(w) != rhs:
-                        return False, {"word": w, "slot": slot, "scalar": a}
+            for slot, a, sgn, bare in stripped_slots(L, w, f.degree):
+                rhs = vec_scale(sgn, multiply(L.over, {a: ONE},
+                                              f.values.get(bare, {})))
+                if f.values.get(w, {}) != rhs:
+                    return False, {"word": w, "slot": slot, "scalar": a}
     return True, None
 
 
@@ -523,9 +501,10 @@ def cohomology_ranks(L, partial, t, policy):
         return len(row_echelon(rows, len(coords)))
 
     lo, hi = window if window is not None else (0, -1)
+    rank = {d: differential_rank(d) for d in range(lo, hi + 2)}
     for d in range(lo, hi + 1):
         dim = len(by_degree.get(d, []))
-        betti = dim - differential_rank(d) - differential_rank(d + 1)
+        betti = dim - rank[d] - rank[d + 1]
         # boundary degrees are unreliable: differentials may enter or
         # leave the window or the word-length truncation
         flagged = d in (lo, hi)

@@ -381,14 +381,19 @@ def _parse_structure(doc, L):
                         raise InstanceError(
                             "%s.%s" % (locus, name),
                             "form is not degree homogeneous")
-                    base = (L.over.basis.degree.get(name)
-                            if key == "constants" else
-                            -L.a_basis.degree.get(name, 0) - 1)
-                    if base is None:
+                    gen_deg = (L.over.basis if key == "constants"
+                               else L.a_basis).degree.get(name)
+                    if gen_deg is None:
                         raise InstanceError(locus,
                                             "unknown generator %r" % name)
-                    deg = (degs.pop() if degs else base - 1 - int(j))
-                    side[int(j)][name] = FormTable(L, deg, vals)
+                    base = gen_deg if key == "constants" else -gen_deg - 1
+                    # D_j has degree -1 at every level
+                    if degs and degs != {base - 1}:
+                        raise InstanceError(
+                            "%s.%s" % (locus, name),
+                            "form of degree %d, expected %d"
+                            % (degs.pop(), base - 1))
+                    side[int(j)][name] = FormTable(L, base - 1, vals)
             return side
         return MdcaStructure(L, tables("constants"), tables("duals"))
     except InstanceError:

@@ -17,7 +17,8 @@ from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, TruncationPolicy,
                         check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
-                        word_basis, word_degree, words_of_length)
+                        stripped_slots, word_basis, word_degree,
+                        words_of_length)
 from .forms import (FormTable, TwistingCochain, build_D, constant_form,
                     descent_check, dual_one_forms, hom_differential,
                     partial_t, square_check, twisting_residual)
@@ -122,39 +123,26 @@ def check_twisting_cochain(L, t, partial, policy):
 
 
 def anchor_multilinearity_report(L, t):
-    """Each anchor level must satisfy the Koszul rule for scaling any
-    slot by an algebra element (the family has degree -1)."""
+    """Each anchor level must satisfy the module-linearity rule of a
+    degree -1 family (coalgebra.stripped_slots): the value on a word is
+    the Koszul-signed coefficient of any slot times the value on the word
+    with that slot made bare, and zero when the bare word vanishes."""
     A = L.over
-    adeg = A.basis.degree
     report = []
-    for j in t.levels() or [1]:
+    for j in t.levels():
         for w in words_of_length(L, j):
-            for slot in range(j):
-                prefix = -1 + sum(L.sl_degree(w[k]) for k in range(slot))
-                for al in A.basis.labels:
-                    scaled = L.a_times_sl({al: ONE}, {w[slot]: ONE})
-                    lhs = LinearMap.zero(
-                        A.basis, A.basis,
-                        adeg[al] + word_degree(L, w) - 1)
-                    for gl, c in scaled.items():
-                        sgn, w2 = normalize_word(
-                            L, list(w[:slot]) + [gl] + list(w[slot + 1:]))
-                        if sgn == 0:
-                            continue
-                        op = t.value(j, w2)
-                        if op is not None:
-                            lhs = lhs.add(op.scale(Q(sgn) * c))
-                    s = -ONE if (adeg[al] % 2 and prefix % 2) else ONE
-                    op = t.value(j, w)
-                    rhs = compose(mult_op(A, {al: ONE}), op).scale(s) \
-                        if op is not None else lhs.zero(
-                            A.basis, A.basis, lhs.degree)
-                    if lhs != rhs:
-                        report.append({
-                            "route": "direct",
-                            "axiom": "anchor module-linearity",
-                            "witness": (j, w, slot, al),
-                            "value": lhs.add(rhs.scale(-ONE)).entries})
+            op = t.value(j, w)
+            for slot, a, sgn, bare in stripped_slots(L, w, -1):
+                diff = dict(op.entries) if op is not None else {}
+                op2 = t.value(j, bare)
+                if op2 is not None:
+                    vec_axpy(diff, -sgn,
+                             compose(mult_op(A, {a: ONE}), op2).entries)
+                if diff:
+                    report.append({"route": "direct",
+                                   "axiom": "anchor module-linearity",
+                                   "witness": (j, w, slot, a),
+                                   "value": diff})
     return report
 
 

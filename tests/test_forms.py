@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdca import forms
 from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
                           graded_commutator, multiply, rational_algebra,
                           truncated_polynomial)
@@ -17,9 +18,13 @@ from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
                         bigrade_check, build_D, cohomology_ranks,
                         constant_form, cup, descent_check, dual_one_forms,
                         hom_differential, is_A_multilinear,
-                        level_differentials, partial_bra, partial_t,
-                        square_check, twisting_residual, words_of_length)
-from mdca.graded import GradedBasis, LinearMap, ONE, vec_axpy, vec_scale
+                        level_differentials, multilinear_basis,
+                        partial_bra, partial_t, square_check,
+                        twisting_residual, words_of_length)
+from mdca.graded import (GradedBasis, LinearMap, ONE, row_echelon, vec_axpy,
+                         vec_scale)
+from mdca.instances import catalog_entry
+from mdca.structures import multilinear_form_from_bare
 
 
 QQ = rational_algebra()
@@ -356,6 +361,43 @@ def test_multilinearity_failure_witnessed():
     assert not ok and wit["word"] is not None
 
 
+def oracle_case(name):
+    L = catalog_entry(name)[0].L
+    policy = TruncationPolicy(3)
+    ambient, multi = {}, {}
+    for side, fs in ((ambient, ambient_basis_forms(L, policy)),
+                     (multi, multilinear_basis(L, policy))):
+        for _, f in fs:
+            side.setdefault(f.degree, []).append(f)
+    return L, ambient, multi
+
+
+ORACLE_CASES = {name: oracle_case(name)
+                for name in ("exterior_pair", "truncated_poly",
+                             "quasi_sample")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_CASES)), st.integers(0, 2**32 - 1))
+def test_multilinearity_agrees_with_the_bare_value_oracle(name, seed):
+    # a form is module-multilinear iff it is the multilinear extension of
+    # its own values on bare words (every coefficient the unit)
+    L, ambient, multi = ORACLE_CASES[name]
+    rng = random.Random(seed)
+    degree = rng.choice(sorted(multi))
+    pool = multi[degree]
+    if rng.random() < 0.5:
+        pool = pool + ambient[degree]
+    f = FormTable(L, degree, {})
+    for h in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
+        f = f.add(h.scale(Q(rng.randint(-3, 3), rng.randint(1, 3))))
+    unit = L.over.unit
+    bare = {tuple(L.split(g)[1] for g in w): v for w, v in f.values.items()
+            if all(L.split(g)[0] == unit for g in w)}
+    oracle = f == multilinear_form_from_bare(L, degree, bare)
+    assert is_A_multilinear(f)[0] == oracle
+
+
 # --------------------------------------------------------- descent checks
 
 def test_descent_trivial_base():
@@ -449,6 +491,23 @@ def test_cohomology_abelian_plane_with_dotted_generator_name():
                              policy)
     assert {d: r["rank"] for d, r in ranks.items()
             if not r["flagged"]} == {0: 1, -1: 2, -2: 1}
+
+
+def test_cohomology_row_reduces_each_degree_once(monkeypatch):
+    # the rank out of degree d + 1 is the rank into degree d: sl2 at W=4
+    # with window (-4, 1) has forms in 4 degrees, so 4 reductions
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(len(rows))
+        return row_echelon(rows, ncols)
+
+    monkeypatch.setattr(forms, "row_echelon", counting)
+    ranks = cohomology_ranks(SL2, SL2_PARTIAL, SL2_T,
+                             TruncationPolicy(4, degree_window=(-4, 1)))
+    assert {d: r["rank"] for d, r in ranks.items()} == {
+        1: 0, 0: 1, -1: 0, -2: 0, -3: 1, -4: 0}
+    assert len(calls) == 4
 
 
 def test_cohomology_window_flagging():

@@ -14,8 +14,9 @@ from mdca.coalgebra import TruncationPolicy
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import (InstanceError, emit_instance, parse_instance_text,
                           q_to_str, str_to_q)
-from mdca.structures import (build_quasi_mc, check_sh_lie_rinehart,
-                             jacobi_defect_identity, quasi_to_sh)
+from mdca.structures import (build_maurer_cartan, build_quasi_mc,
+                             check_sh_lie_rinehart, jacobi_defect_identity,
+                             quasi_to_sh)
 
 
 # ------------------------------------------------------------- rationals
@@ -246,3 +247,59 @@ def test_roundtrip_states_what_it_certifies(capsys, tmp_path):
     assert report["certifies"] == cli.ROUNDTRIP_SCOPE
     assert cli.main(["check", "catalog:jacobi_violator"]) == 1
     assert "certifies" not in capsys.readouterr().out
+
+
+# ------------------------------------------------- emitted mdca instances
+
+def emitted_mdca(name):
+    inst = parse_instance_text(emit_instance(*catalog_entry(name)))
+    m = build_maurer_cartan(cli.as_homotopy(inst), inst.policy)
+    return json.loads(emit_instance(m, inst.policy))
+
+
+# exit codes of check, roundtrip and cohomology: only jacobi_violator
+# breaks an identity, and its tables still round trip
+MDCA_EXITS = {name: (1, 0, 1) if name == "jacobi_violator" else (0, 0, 0)
+              for name in catalog_names()}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_emitted_mdca_files_run_every_verb(name, tmp_path, capsys):
+    # tables that are empty at some level (sl2 has no constant terms)
+    # must still get the degree of D_j, which is -1 at every level
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(emitted_mdca(name)))
+    exits = tuple(cli.main([verb, str(p)])
+                  for verb in ("check", "roundtrip", "cohomology"))
+    assert exits == MDCA_EXITS[name]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, rows, fragment", [
+    # D_1 of the dual 1-form of e has degree -2, not -1
+    ("e", [[["1|e"], "1", "1"]], "form of degree -1, expected -2"),
+    ("w", [], "unknown generator 'w'"),
+])
+def test_bad_mdca_table_exits_2(name, rows, fragment, tmp_path, capsys):
+    doc = emitted_mdca("sl2")
+    doc["structure"]["duals"]["1"][name] = rows
+    expect_error(doc, fragment)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["check", str(p)]) == 2
+    assert "structure.duals[1]" in capsys.readouterr().err
+
+
+def test_roundtrip_builds_once(monkeypatch, capsys):
+    # extraction rebuilds every generator table and compares it with the
+    # built one, so roundtrip of non-mdca input builds once
+    calls = []
+
+    def counting(sh, policy):
+        calls.append(policy.W)
+        return build_maurer_cartan(sh, policy)
+
+    monkeypatch.setattr(cli, "build_maurer_cartan", counting)
+    assert cli.main(["roundtrip", "catalog:exterior_pair"]) == 0
+    assert calls == [4]
+    capsys.readouterr()

@@ -12,7 +12,8 @@ from mdca.graded import GradedBasis, LinearMap, ONE
 from mdca.instances import catalog_entry
 from mdca.io_json import ParsedInstance
 from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
-                             ShLieRinehartData, build_maurer_cartan,
+                             ShLieRinehartData, anchor_multilinearity_report,
+                             build_maurer_cartan,
                              build_quasi_mc, check_lie_rinehart,
                              check_sh_lie_rinehart, check_twisting_cochain,
                              extend_anchor_level, extend_bracket_table,
@@ -135,6 +136,24 @@ def test_check_lie_rinehart_flags_non_multilinear_anchor():
     bad = LieRinehartData(d.L, d.bracket, anchor)
     rep = check_lie_rinehart(bad)
     assert any(r["axiom"] == "anchor module-linearity" for r in rep)
+
+
+def test_anchor_on_a_vanishing_bare_word_is_not_module_linear():
+    # (th|x, 1|x) strips to (1|x, 1|x), which vanishes (x has odd
+    # suspended degree): a linear anchor must be zero there, and no
+    # rescaling of canonical words reaches that constraint
+    q, _ = catalog_entry("quasi_sample")
+    sh = quasi_to_sh(q)
+    L, A = sh.L, sh.L.over
+    assert anchor_multilinearity_report(L, sh.t) == []
+    maps = {j: dict(tab) for j, tab in sh.t.maps.items()}
+    w = ("th|x", "1|x")
+    extra = LinearMap(A.basis, A.basis, 0, {("th", "th"): ONE})
+    maps[2][w] = maps[2][w].add(extra) if w in maps[2] else extra
+    rep = anchor_multilinearity_report(L, TwistingCochain(L, maps))
+    assert rep
+    assert {r["witness"] for r in rep} == {(2, w, 0, "th")}
+    assert all(r["axiom"] == "anchor module-linearity" for r in rep)
 
 
 def test_check_lie_rinehart_flags_broken_anomaly():
