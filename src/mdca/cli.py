@@ -13,7 +13,9 @@ Paths may name a file or a built-in example as catalog:<name>.  Exit
 codes: 0 all identities hold, 1 some identity fails, 2 unusable input.
 Degree windows may be negative: --window -2..3 and --window=-2..3 both
 work.  Each residual of the direct route, and each square residual of
-the operator route, carries route, axiom, witness and value.
+the operator route, carries route, axiom, witness and value.  Quasi data
+that fails its own validation gets those residuals and exit 1 from every
+verb; cohomology fails with exit 1 only when D does not square to zero.
 """
 
 import argparse
@@ -25,7 +27,7 @@ import time
 from fractions import Fraction
 
 from .coalgebra import TruncationPolicy
-from .forms import cohomology_ranks, square_check
+from .forms import SquareResidualError, cohomology_ranks, square_check
 from .instances import catalog_entry, catalog_names
 from .io_json import (InstanceError, emit_instance, parse_instance,
                       parse_instance_text, q_to_str)
@@ -116,27 +118,28 @@ def as_homotopy(inst):
     return sh
 
 
+def validation_residuals(inst):
+    """Quasi data must pass its own validation before quasi_to_sh can
+    convert it; every verb reports these residuals the same way."""
+    if not isinstance(inst.data, QuasiLieRinehartData):
+        return []
+    return [{"axiom": "quasi validation", "witness": r}
+            for r in inst.data.validation_report()]
+
+
 def run_check(inst, policy):
     data = inst.data
-    residuals = []
     if isinstance(data, LieRinehartData):
-        residuals = check_lie_rinehart(data, policy)
-    elif isinstance(data, ShLieRinehartData):
-        residuals = check_sh_lie_rinehart(data, policy)
-    elif isinstance(data, QuasiLieRinehartData):
-        residuals = [{"axiom": "quasi validation", "witness": r}
-                     for r in data.validation_report()]
-        if not residuals:
-            residuals = check_sh_lie_rinehart(quasi_to_sh(data), policy)
-    else:
-        sh, flags = extract_structure(data, policy)
-        residuals = [{"axiom": "table consistency", "witness": r}
-                     for r in flags]
-        residuals += [{"route": "operators", "axiom": "square",
-                       "witness": (r["level"], r["form"], r["word"]),
-                       "value": r["value"]}
-                      for r in square_check(data.L, sh.partial, sh.t,
-                                            policy)]
+        return check_lie_rinehart(data, policy)
+    if not isinstance(data, MdcaStructure):
+        return check_sh_lie_rinehart(as_homotopy(inst), policy)
+    sh, flags = extract_structure(data, policy)
+    residuals = [{"axiom": "table consistency", "witness": r}
+                 for r in flags]
+    residuals += [{"route": "operators", "axiom": "square",
+                   "witness": (r["level"], r["form"], r["word"]),
+                   "value": r["value"]}
+                  for r in square_check(data.L, sh.partial, sh.t, policy)]
     return residuals
 
 
@@ -268,30 +271,24 @@ def main(argv=None):
         inst = load(args.path, args.kind)
         policy = policy_for(inst, args)
         t0 = time.time()
-        if args.verb in ("check", "roundtrip"):
+        report = {"kind": inst.kind, "W": policy.W}
+        residuals = validation_residuals(inst)
+        if not residuals and args.verb == "cohomology":
+            try:
+                report["betti"] = run_cohomology(inst, policy)
+            except SquareResidualError as e:
+                residuals = [str(e)]
+        elif not residuals:
             run = run_check if args.verb == "check" else run_roundtrip
             residuals = run(inst, policy)
-            report = {"verdict": "pass" if not residuals else "fail",
-                      "kind": inst.kind, "W": policy.W,
-                      "residuals": residuals,
-                      "timing_seconds": time.time() - t0}
-            if args.verb == "roundtrip":
-                report["certifies"] = ROUNDTRIP_SCOPE
-            render(report, args)
-            return 0 if not residuals else 1
-        # cohomology
-        try:
-            betti = run_cohomology(inst, policy)
-        except ValueError as e:
-            report = {"verdict": "fail", "kind": inst.kind,
-                      "W": policy.W, "residuals": [str(e)],
-                      "timing_seconds": time.time() - t0}
-            render(report, args)
-            return 1
-        report = {"verdict": "pass", "kind": inst.kind, "W": policy.W,
-                  "betti": betti, "timing_seconds": time.time() - t0}
+        if "betti" not in report:
+            report["residuals"] = residuals
+        if args.verb == "roundtrip":
+            report["certifies"] = ROUNDTRIP_SCOPE
+        report["verdict"] = "fail" if residuals else "pass"
+        report["timing_seconds"] = time.time() - t0
         render(report, args)
-        return 0
+        return 1 if residuals else 0
     except (UsageError, InstanceError, FileNotFoundError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -322,41 +322,44 @@ def dual_monomials(L, max_len):
 
 def multilinear_generators(L, max_len):
     """A-multilinear generator forms: homogeneous constants and the dual
-    1-forms, together with cup monomials of the latter up to max_len."""
+    1-forms, together with cup monomials of the latter up to max_len, as
+    (name, key, form); the key ("const", label) or ("dual", generator
+    names) stays unique where names collide (1-form of `a.z`, monomial
+    a z)."""
     out = []
     for al in L.over.basis.labels:
-        out.append(("const:" + al, constant_form(L, {al: ONE})))
+        out.append(("const:" + al, ("const", al),
+                    constant_form(L, {al: ONE})))
     for key, g in dual_monomials(L, max_len):
-        out.append(("dual:" + ".".join(key), g))
+        out.append(("dual:" + ".".join(key), ("dual", key), g))
     return out
 
 
 def descent_check(L, partial, t, j, policy):
     """Does the level-j differential preserve A-multilinearity?
 
-    Applies it to every multilinear generator form of word length at most
-    W - j; violations of the sum are reported, and for j >= 1 the two
-    summands are additionally probed individually (for genuine anchor
-    data each one fails on its own while the sum descends).
+    Applies it once to every multilinear generator form of word length at
+    most W - j and reports violations of the image; for j >= 1 the image
+    is the sum of the bracket and anchor summands, each applied once and
+    also probed alone (for genuine anchor data each one fails while the
+    sum descends).  "images" holds the images by generator key.
     """
-    max_len = max(policy.W - j, 0)
-    violations = []
-    bra_fails = []
-    t_fails = []
-    for name, f in multilinear_generators(L, max_len):
-        ok, wit = is_A_multilinear(build_D(f, partial, t, j))
-        if not ok:
-            violations.append({"form": name, "witness": wit})
-        if j >= 1:
-            ok_b, wit_b = is_A_multilinear(partial_bra(f, partial, j))
-            if not ok_b:
-                bra_fails.append({"form": name, "witness": wit_b})
-            ok_t, wit_t = is_A_multilinear(partial_t(f, t, j))
-            if not ok_t:
-                t_fails.append({"form": name, "witness": wit_t})
-    return {"violations": violations,
-            "bracket_summand_failures": bra_fails,
-            "anchor_summand_failures": t_fails}
+    rep = {"violations": [], "bracket_summand_failures": [],
+           "anchor_summand_failures": [], "images": {}}
+    for name, key, f in multilinear_generators(L, max(policy.W - j, 0)):
+        if j == 0:
+            probes = [("violations", hom_differential(f))]
+        else:
+            bra, tt = partial_bra(f, partial, j), partial_t(f, t, j)
+            probes = [("violations", bra.add(tt)),
+                      ("bracket_summand_failures", bra),
+                      ("anchor_summand_failures", tt)]
+        rep["images"][key] = probes[0][1]
+        for kind, g in probes:
+            ok, wit = is_A_multilinear(g)
+            if not ok:
+                rep[kind].append({"form": name, "witness": wit})
+    return rep
 
 
 def ambient_basis_forms(L, policy):
@@ -404,7 +407,8 @@ def square_residuals(L, table, policy):
     of D_k D_(j-k) is computed once per dual-basis form, and each probe
     combines such columns.  Words are sorted within a (level, form)."""
     W = policy.W
-    probes = ambient_basis_forms(L, policy) + multilinear_generators(L, W)
+    probes = ambient_basis_forms(L, policy) + [
+        (name, f) for name, _, f in multilinear_generators(L, W)]
     squares = {}
     report = []
     for j in range(W):
@@ -461,6 +465,10 @@ def multilinear_basis(L, policy):
     return out
 
 
+class SquareResidualError(ValueError):
+    """cohomology_ranks refuses: D does not square to zero."""
+
+
 def cohomology_ranks(L, partial, t, policy):
     """Betti numbers over Q of the A-multilinear form complex, within the
     word-length truncation and optional degree window.
@@ -471,8 +479,8 @@ def cohomology_ranks(L, partial, t, policy):
     """
     table = level_differentials(L, partial, t, policy.W)
     if square_residuals(L, table, policy):
-        raise ValueError("total differential does not square to zero "
-                         "within the truncation window")
+        raise SquareResidualError("total differential does not square to "
+                                  "zero within the truncation window")
     basis = multilinear_basis(L, policy)
     by_degree = {}
     for name, f in basis:

@@ -34,7 +34,7 @@ import re
 from fractions import Fraction as Q
 
 from .algebra import AlgebraSpec, validate_algebra
-from .coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
+from .coalgebra import (SEP, Coderivation, ModuleSpec, TruncationPolicy,
                         word_degree)
 from .forms import FormTable, TwistingCochain
 from .graded import GradedBasis, LinearMap
@@ -250,6 +250,11 @@ def _parse_module(doc, A):
     sec = _need(doc, "module", "instance")
     gens = _parse_generators(_need(sec, "generators", "module", list),
                              "module.generators")
+    for n, (label, _) in enumerate(gens):
+        # induced labels "a|x" are split at their last separator
+        if SEP in label:
+            raise InstanceError("module.generators[%d]" % n, "label %r "
+                                "contains %r" % (label, SEP))
     L0 = ModuleSpec(A, GradedBasis(gens))
     diff = _parse_map(sec.get("diff", []), L0.l_basis, -1, "module.diff")
     L = ModuleSpec(A, GradedBasis(gens), diff)
@@ -362,13 +367,20 @@ def _parse_structure(doc, L):
             return QuasiLieRinehartData(
                 L, bracket, {g: op for (g,), op in pairing.items()},
                 triple)
-        # mdca
-        def tables(key):
+        # mdca: both sides at the same levels, and at every level a table
+        # for every algebra basis label and every module generator
+        def tables(key, names):
             side = {}
             for j, tabs in _need(sec, key, "structure", dict).items():
                 locus = "structure.%s[%s]" % (key, j)
                 if not j.isdigit():
                     raise InstanceError(locus, "levels are integers")
+                if not isinstance(tabs, dict):
+                    raise InstanceError(locus, "expected an object")
+                for name in names:
+                    if name not in tabs:
+                        raise InstanceError(locus, "missing table for "
+                                            "generator %r" % name)
                 side[int(j)] = {}
                 for name, rows in tabs.items():
                     vals = _parse_vec_rows(rows, 1, L,
@@ -395,7 +407,16 @@ def _parse_structure(doc, L):
                             % (degs.pop(), base - 1))
                     side[int(j)][name] = FormTable(L, base - 1, vals)
             return side
-        return MdcaStructure(L, tables("constants"), tables("duals"))
+        on_constants = tables("constants", A.basis.labels)
+        on_duals = tables("duals", [x for x, _ in L.a_basis.gens])
+        unmatched = sorted(set(on_constants) ^ set(on_duals))
+        if unmatched:
+            j = unmatched[0]
+            have, miss = (("constants", "duals") if j in on_constants
+                          else ("duals", "constants"))
+            raise InstanceError("structure.%s[%d]" % (miss, j),
+                                "missing level (structure.%s has it)" % have)
+        return MdcaStructure(L, on_constants, on_duals)
     except InstanceError:
         raise
     except ValueError as e:

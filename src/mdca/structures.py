@@ -17,8 +17,7 @@ from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, TruncationPolicy,
                         check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
-                        stripped_slots, word_basis, word_degree,
-                        words_of_length)
+                        stripped_slots, word_degree, words_of_length)
 from .forms import (FormTable, TwistingCochain, build_D, constant_form,
                     descent_check, dual_one_forms, hom_differential,
                     partial_t, square_check, twisting_residual)
@@ -110,12 +109,13 @@ def direct_route(L, partial, t, policy):
 
 
 def check_twisting_cochain(L, t, partial, policy):
-    """Level-by-level residuals of the anchor family on every basis word
-    up to the truncation; a genuine twisting cochain reports nothing."""
+    """Level-by-level residuals of the anchor family up to the truncation.
+    Every term of the level-j residual pairs anchor values of total
+    length j, so it is evaluated on the words of length j only; a genuine
+    twisting cochain reports nothing."""
     report = []
-    words = word_basis(L, TruncationPolicy(policy.W))
     for j in range(1, policy.W + 1):
-        for w in words:
+        for w in words_of_length(L, j):
             res = twisting_residual(L, t, partial, j, w)
             if res:
                 report.append({"level": j, "word": w, "value": res})
@@ -243,24 +243,22 @@ class MdcaStructure:
 def build_maurer_cartan(d, policy):
     """Generator tables of the level differentials on multilinear forms.
 
-    Refuses when some level fails to preserve module-multilinearity.
+    Refuses when some level fails to preserve module-multilinearity.  The
+    tables are the images of the constants and dual 1-forms computed by
+    that descent check.
     """
     L = d.L
     on_constants = {}
     on_duals = {}
-    duals = dual_one_forms(L)
     for j in range(policy.W):
         rep = descent_check(L, d.partial, d.t, j, policy)
         if rep["violations"]:
             raise ValueError("level %d does not preserve multilinearity: %r"
                              % (j, rep["violations"][0]))
-        on_constants[j] = {}
-        for al in L.over.basis.labels:
-            on_constants[j][al] = build_D(
-                constant_form(L, {al: ONE}), d.partial, d.t, j)
-        on_duals[j] = {}
-        for xl, form in duals.items():
-            on_duals[j][xl] = build_D(form, d.partial, d.t, j)
+        im = rep["images"]
+        on_constants[j] = {al: im[("const", al)]
+                           for al in L.over.basis.labels}
+        on_duals[j] = {xl: im[("dual", (xl,))] for xl, _ in L.a_basis.gens}
     return MdcaStructure(L, on_constants, on_duals)
 
 
@@ -285,11 +283,8 @@ def extract_structure(m, policy):
             wd = word_degree(L, w)
             ent = {}
             for al in A.basis.labels:
-                form = m.on_constants[j].get(al)
-                if form is None:
-                    continue
                 s = -ONE if (adeg[al] % 2 and wd % 2) else ONE
-                for bl, c in form.value(w).items():
+                for bl, c in m.on_constants[j][al].value(w).items():
                     ent[(bl, al)] = s * c
             op = LinearMap(A.basis, A.basis, wd - 1, ent)
             if not op.is_zero():
@@ -325,14 +320,11 @@ def extract_structure(m, policy):
         for al in A.basis.labels:
             rebuilt = build_D(constant_form(L, {al: ONE}),
                               sh.partial, sh.t, j)
-            given = m.on_constants[j].get(al)
-            if given is not None and rebuilt != given:
+            if rebuilt != m.on_constants[j][al]:
                 flags.append({"flag": "constants table not reproduced",
                               "witness": (j, al)})
         for xl, eps in duals.items():
-            rebuilt = build_D(eps, sh.partial, sh.t, j)
-            given = m.on_duals[j].get(xl)
-            if given is not None and rebuilt != given:
+            if build_D(eps, sh.partial, sh.t, j) != m.on_duals[j][xl]:
                 flags.append({"flag": "dual table not reproduced",
                               "witness": (j, xl)})
     return sh, flags

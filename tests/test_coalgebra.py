@@ -2,14 +2,18 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdca.algebra import rational_algebra
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             apply_d0, brackets_from_coderivation,
                             check_coalgebra_perturbation,
                             coderivation_from_brackets, normalize_word,
-                            shuffle_diagonal, word_basis)
-from mdca.graded import GradedBasis, LinearMap, ONE
+                            shuffle_diagonal, word_basis, word_degree,
+                            words_of_length)
+from mdca.graded import GradedBasis, LinearMap, ONE, vec_axpy
+from mdca.instances import catalog_entry
+from mdca.structures import quasi_to_sh
 
 
 QQ = rational_algebra()
@@ -249,6 +253,55 @@ def test_perturbation_report_jacobi_violator():
     expect = {(g("x"),): Q(-1), (g("y"),): Q(-1), (g("z"),): Q(-1)}
     neg = {k: -v for k, v in expect.items()}
     assert val in (expect, neg)
+
+
+def entry_coderivation(name):
+    data = catalog_entry(name)[0]
+    sh = quasi_to_sh(data) if hasattr(data, "triple") else data
+    return sh.L, sh.partial.cor
+
+
+# quasi_sample has a nonzero module differential, so level 0 takes part
+PERTURBED = {name: entry_coderivation(name)
+             for name in ("exterior_pair", "truncated_poly", "quasi_sample")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PERTURBED)), st.sampled_from([3, 4]),
+       st.integers(0, 2**32 - 1))
+def test_perturbation_levels_agree_with_every_word(name, W, seed):
+    # the level-j part of the square is a coderivation, so checking it on
+    # the words of length j + 1 finds exactly the levels that fail on
+    # some word up to W
+    L, base = PERTURBED[name]
+    rng = random.Random(seed)
+    cor = {}
+    if rng.random() < 0.5:
+        cor = {j: {w: dict(v) for w, v in tab.items()}
+               for j, tab in base.items()}
+    for j in (1, 2):
+        for _ in range(rng.randint(0, 2)):
+            w = rng.choice(words_of_length(L, j + 1))
+            targets = [x for x in L.sl_basis.labels
+                       if L.sl_degree(x) == word_degree(L, w) - 1]
+            if targets:
+                vec = cor.setdefault(j, {}).setdefault(w, {})
+                x = rng.choice(targets)
+                vec[x] = vec.get(x, 0) + Q(rng.randint(-2, 2),
+                                           rng.randint(1, 2))
+    p = Coderivation(L, cor)
+    report = check_coalgebra_perturbation(p, L, TruncationPolicy(W))
+    failing = set()
+    for j in range(1, W):
+        for w in word_basis(L, TruncationPolicy(W)):
+            res = {}
+            for k in range(j + 1):
+                vec_axpy(res, ONE, p.apply_level_vec(k, p.apply_level(j - k,
+                                                                      w)))
+            if res:
+                failing.add(j)
+    assert {r["level"] for r in report} == failing
+    assert all(len(r["word"]) == r["level"] + 1 for r in report)
 
 
 def test_brackets_round_trip_sl2():

@@ -303,3 +303,85 @@ def test_roundtrip_builds_once(monkeypatch, capsys):
     assert cli.main(["roundtrip", "catalog:exterior_pair"]) == 0
     assert calls == [4]
     capsys.readouterr()
+
+
+def run_verbs(doc, tmp_path, capsys):
+    """Exit codes of check, roundtrip and cohomology on a document, with
+    the output of each."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    out = []
+    for verb in ("check", "roundtrip", "cohomology"):
+        code = cli.main([verb, str(p)])
+        out.append((code, capsys.readouterr()))
+    return out
+
+
+@pytest.mark.parametrize("name, side, level, gen, fragment", [
+    ("sl2", "duals", "1", "e", "missing table for generator 'e'"),
+    ("sl2", "duals", "3", None, "missing level"),
+    ("exterior_pair", "constants", "1", None, "missing level"),
+    ("exterior_pair", "constants", "1", "q.r",
+     "missing table for generator 'q.r'"),
+])
+def test_mdca_file_with_missing_tables_exits_2(name, side, level, gen,
+                                               fragment, tmp_path, capsys):
+    # without the table, extraction died with a KeyError or skipped the
+    # missing constants and passed
+    doc = emitted_mdca(name)
+    tabs = doc["structure"][side]
+    if gen is None:
+        del tabs[level]
+    else:
+        del tabs[level][gen]
+    expect_error(doc, fragment)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert "structure.%s[%s]" % (side, level) in out.err
+        assert fragment in out.err
+
+
+def test_invalid_quasi_data_fails_every_verb_alike(tmp_path, capsys):
+    # a degree 0 triple: every verb reports the quasi validation residual
+    # with exit 1, before the conversion to homotopy data can refuse it
+    doc = json.loads(emit_instance(*catalog_entry("quasi_sample")))
+    doc["structure"]["triple"] = [["y", "z", "th", "th", "1"]]
+    runs = run_verbs(doc, tmp_path, capsys)
+    assert [code for code, _ in runs] == [1, 1, 1]
+    blocks = []
+    for _, out in runs:
+        lines = out.out.splitlines()
+        assert "verdict: fail" in lines
+        start = lines.index("residuals:")
+        blocks.append([ln for ln in lines[start:]
+                       if not ln.startswith("elapsed:")])
+    assert blocks[0] == blocks[1] == blocks[2]
+    assert '"invariant": "triple degree",' in "\n".join(blocks[0])
+
+
+def test_cohomology_reports_only_the_square_refusal(monkeypatch, capsys):
+    # the refusal of a D that does not square to zero is a verdict (exit
+    # 1); any other ValueError is not turned into one
+    assert cli.main(["cohomology", "catalog:jacobi_violator"]) == 1
+    assert "does not square to zero" in capsys.readouterr().out
+
+    def broken(*args):
+        raise ValueError("not a verdict")
+
+    monkeypatch.setattr(cli, "cohomology_ranks", broken)
+    with pytest.raises(ValueError, match="not a verdict"):
+        cli.main(["cohomology", "catalog:sl2"])
+
+
+def test_module_label_with_separator_exits_2(tmp_path, capsys):
+    # induced labels "a|x" are split at the last "|", so a module label
+    # containing one cannot be told apart
+    text = emit_instance(*catalog_entry("heisenberg"))
+    doc = json.loads(text.replace('"1|z"', '"1|z|w"'))
+    for row in doc["module"]["generators"]:
+        if row["label"] == "z":
+            row["label"] = "z|w"
+    expect_error(doc, "module.generators[2]")
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert "label 'z|w' contains '|'" in out.err

@@ -2,12 +2,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mdca import cli
+from mdca import cli, forms, structures
 from mdca.algebra import (Derivation, exterior_algebra, graded_commutator,
                           multiply, rational_algebra, truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
-                            coderivation_from_brackets)
-from mdca.forms import TwistingCochain, build_D, constant_form, square_check
+                            coderivation_from_brackets, words_of_length)
+from mdca.forms import (TwistingCochain, build_D, constant_form, cup,
+                        dual_one_forms, multilinear_generators, square_check)
 from mdca.graded import GradedBasis, LinearMap, ONE
 from mdca.instances import catalog_entry
 from mdca.io_json import ParsedInstance
@@ -332,3 +333,67 @@ def test_square_residuals_carry_their_value():
         for r in square:
             assert r["route"] == "operators"
             assert r["value"] == values[r["witness"]]
+
+
+# ------------------------------------------- each generator built once
+
+def test_dual_table_of_a_dotted_generator_is_its_own():
+    # the 1-form of the generator `a.z` and the monomial of `a` and `z`
+    # are both named dual:a.z; the table of `a.z` must be D_j of its own
+    # dual 1-form (here D_1 of it is nonzero, D_1 of the monomial is zero)
+    L = ModuleSpec(rational_algebra(),
+                   GradedBasis([("a", 0), ("z", 0), ("a.z", 0)]))
+    sh = LieRinehartData(L, {(g("a"), g("z")): {g("a.z"): ONE}}, {}).as_sh()
+    policy = TruncationPolicy(3)
+    m = build_maurer_cartan(sh, policy)
+    duals = dual_one_forms(L)
+    for j in range(policy.W):
+        assert m.on_duals[j]["a.z"] == build_D(duals["a.z"], sh.partial,
+                                               sh.t, j)
+    monomial = cup(duals["a"], duals["z"])
+    assert not m.on_duals[1]["a.z"].is_zero()
+    assert build_D(monomial, sh.partial, sh.t, 1).is_zero()
+
+
+def test_build_applies_each_summand_once_per_generator(monkeypatch):
+    # descent_check computes the image of every generator once, from one
+    # bracket and one anchor summand; the tables are read from it
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append((name, args[-1]))  # the level comes last
+            return fn(*args)
+        return wrapped
+
+    for name in ("partial_bra", "partial_t", "build_D"):
+        monkeypatch.setattr(forms, name, counting(name, getattr(forms,
+                                                                name)))
+    monkeypatch.setattr(structures, "build_D",
+                        counting("build_D", structures.build_D))
+    sh = ShLieRinehartData(*exterior_pair())
+    policy = TruncationPolicy(3)
+    build_maurer_cartan(sh, policy)
+    assert not [c for c in calls if c[0] == "build_D"]
+    for j in range(1, policy.W):
+        n = len(multilinear_generators(sh.L, policy.W - j))
+        assert calls.count(("partial_bra", j)) == n
+        assert calls.count(("partial_t", j)) == n
+
+
+def test_twisting_check_visits_each_word_of_its_level_once(monkeypatch):
+    # the level-j residual can only be nonzero on words of length j
+    calls = []
+    real = structures.twisting_residual
+
+    def counting(L, t, partial, j, word):
+        calls.append((j, word))
+        return real(L, t, partial, j, word)
+
+    monkeypatch.setattr(structures, "twisting_residual", counting)
+    L, partial, t = exterior_pair()
+    W = 4
+    assert check_twisting_cochain(L, t, partial, TruncationPolicy(W)) == []
+    assert len(calls) == sum(len(words_of_length(L, j))
+                             for j in range(1, W + 1))
+    assert all(len(w) == j for j, w in calls)
