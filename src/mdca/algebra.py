@@ -134,19 +134,18 @@ class Derivation:
     def is_zero(self):
         return self.action.is_zero()
 
-    def leibniz_violations(self):
+    def leibniz_defect(self, i, j):
+        """d(ij) - d(i) j - (-1)^(|d||i|) i d(j) on basis elements."""
         A = self.of
-        deg = A.basis.degree
-        bad = []
-        for i in A.basis.labels:
-            for j in A.basis.labels:
-                lhs = self(A.prod_basis(i, j))
-                rhs = multiply(A, self({i: ONE}), {j: ONE})
-                sgn = -ONE if (self.degree % 2 and deg[i] % 2) else ONE
-                vec_axpy(rhs, sgn, multiply(A, {i: ONE}, self({j: ONE})))
-                if lhs != rhs:
-                    bad.append((i, j))
-        return bad
+        out = self(A.prod_basis(i, j))
+        vec_axpy(out, -ONE, multiply(A, self({i: ONE}), {j: ONE}))
+        sgn = ONE if (self.degree % 2 and A.basis.degree[i] % 2) else -ONE
+        return vec_axpy(out, sgn, multiply(A, {i: ONE}, self({j: ONE})))
+
+    def leibniz_violations(self):
+        labels = self.of.basis.labels
+        return [(i, j) for i in labels for j in labels
+                if self.leibniz_defect(i, j)]
 
 
 def derivation_space(A, deg):

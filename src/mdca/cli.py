@@ -12,10 +12,14 @@ Verbs:
 Paths may name a file or a built-in example as catalog:<name>.  Exit
 codes: 0 all identities hold, 1 some identity fails, 2 unusable input.
 Degree windows may be negative: --window -2..3 and --window=-2..3 both
-work.  Each residual of the direct route, and each square residual of
-the operator route, carries route, axiom, witness and value.  Quasi data
+work; a window selects cohomology degrees, never the square check.  Each
+residual of the direct and operator routes carries route, axiom, witness
+and value; the operator route checks that every anchor value is a
+derivation of A, then probes D squared on the dual-basis forms on words
+of length at most 2 (the cup generators and their products).  Quasi data
 that fails its own validation gets those residuals and exit 1 from every
-verb; cohomology fails with exit 1 only when D does not square to zero.
+verb.  cohomology fails with exit 1 on mdca tables extraction does not
+reproduce, a non-derivation anchor, or a D that does not square to zero.
 """
 
 import argparse
@@ -27,15 +31,14 @@ import time
 from fractions import Fraction
 
 from .coalgebra import TruncationPolicy
-from .forms import SquareResidualError, cohomology_ranks, square_check
+from .forms import SquareResidualError, cohomology_ranks
 from .instances import catalog_entry, catalog_names
 from .io_json import (InstanceError, emit_instance, parse_instance,
                       parse_instance_text, q_to_str)
 from .structures import (LieRinehartData, MdcaStructure,
-                         QuasiLieRinehartData, ShLieRinehartData,
-                         build_maurer_cartan, check_lie_rinehart,
-                         check_sh_lie_rinehart, extract_structure,
-                         quasi_to_sh)
+                         QuasiLieRinehartData, build_maurer_cartan,
+                         check_lie_rinehart, check_sh_lie_rinehart,
+                         extract_structure, operator_route, quasi_to_sh)
 
 
 ROUNDTRIP_SCOPE = ("build/extract/rebuild agreement only; the identities "
@@ -102,20 +105,22 @@ def policy_for(inst, args):
 
 
 def as_homotopy(inst):
-    """The homotopy form of any structure kind (module differential,
-    coderivation, anchor family)."""
+    """The homotopy form of Lie-Rinehart, homotopy and quasi data."""
     data = inst.data
     if isinstance(data, LieRinehartData):
         return data.as_sh()
-    if isinstance(data, ShLieRinehartData):
-        return data
     if isinstance(data, QuasiLieRinehartData):
         return quasi_to_sh(data)
-    sh, flags = extract_structure(data, inst.policy)
-    if flags:
-        raise UsageError("structure tables are inconsistent: %r"
-                         % (flags[0],))
-    return sh
+    return data
+
+
+def extracted(inst, policy):
+    """The homotopy form of any kind, with a table consistency residual
+    for each mdca table that extraction does not reproduce."""
+    if not isinstance(inst.data, MdcaStructure):
+        return as_homotopy(inst), []
+    sh, flags = extract_structure(inst.data, policy)
+    return sh, [{"axiom": "table consistency", "witness": r} for r in flags]
 
 
 def validation_residuals(inst):
@@ -133,14 +138,8 @@ def run_check(inst, policy):
         return check_lie_rinehart(data, policy)
     if not isinstance(data, MdcaStructure):
         return check_sh_lie_rinehart(as_homotopy(inst), policy)
-    sh, flags = extract_structure(data, policy)
-    residuals = [{"axiom": "table consistency", "witness": r}
-                 for r in flags]
-    residuals += [{"route": "operators", "axiom": "square",
-                   "witness": (r["level"], r["form"], r["word"]),
-                   "value": r["value"]}
-                  for r in square_check(data.L, sh.partial, sh.t, policy)]
-    return residuals
+    sh, residuals = extracted(inst, policy)
+    return residuals + operator_route(data.L, sh.partial, sh.t, policy)
 
 
 def tables_of(m):
@@ -187,11 +186,17 @@ def run_roundtrip(inst, policy):
 
 
 def run_cohomology(inst, policy):
-    sh = as_homotopy(inst)
-    ranks = cohomology_ranks(sh.L, sh.partial, sh.t, policy)
+    """(residuals, Betti numbers); a failure has no Betti numbers."""
+    sh, residuals = extracted(inst, policy)
+    if residuals:
+        return residuals, None
+    try:
+        ranks = cohomology_ranks(sh.L, sh.partial, sh.t, policy)
+    except SquareResidualError as e:
+        return [str(e)], None
     # report in file degrees (upper convention)
-    return {str(-d): {"rank": r["rank"], "boundary_flag": r["flagged"]}
-            for d, r in sorted(ranks.items(), reverse=True)}
+    return [], {str(-d): {"rank": r["rank"], "boundary_flag": r["flagged"]}
+                for d, r in sorted(ranks.items(), reverse=True)}
 
 
 def render(report, args):
@@ -274,10 +279,9 @@ def main(argv=None):
         report = {"kind": inst.kind, "W": policy.W}
         residuals = validation_residuals(inst)
         if not residuals and args.verb == "cohomology":
-            try:
-                report["betti"] = run_cohomology(inst, policy)
-            except SquareResidualError as e:
-                residuals = [str(e)]
+            residuals, betti = run_cohomology(inst, policy)
+            if betti is not None:
+                report["betti"] = betti
         elif not residuals:
             run = run_check if args.verb == "check" else run_roundtrip
             residuals = run(inst, policy)

@@ -179,15 +179,12 @@ def words_of_length(L, n):
 
 
 def word_basis(L, policy):
-    """All canonical words of length <= W (and degree in the window, if
-    one was given), deterministically ordered by (length, degree, word)."""
+    """All canonical words of length <= W, deterministically ordered by
+    (length, degree, word); the degree window plays no part."""
     out = []
     for p in range(policy.W + 1):
-        words = [(word_degree(L, w), w) for w in words_of_length(L, p)]
-        if policy.degree_window is not None:
-            lo, hi = policy.degree_window
-            words = [(d, w) for d, w in words if lo <= d <= hi]
-        out += [w for _, w in sorted(words)]
+        out += sorted(words_of_length(L, p),
+                      key=lambda w: (word_degree(L, w), w))
     return out
 
 

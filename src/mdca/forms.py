@@ -2,8 +2,8 @@
 
 Forms are sparse tables word -> algebra element; the cup product, the
 Hom-differential and the bracket/anchor operators all live here, together
-with A-multilinearity tests, square and bigrading checks and windowed
-cohomology ranks.
+with A-multilinearity tests, the descent check, the square check on the
+cup generators and windowed cohomology ranks.
 """
 
 from fractions import Fraction as Q
@@ -140,14 +140,16 @@ class TwistingCochain:
         return op.apply(a_vec)
 
     def validation_report(self):
-        """Every anchor value must be a derivation of A."""
+        """Every anchor value must be a derivation of A; the value of a
+        violation is its Leibniz defect (Derivation.leibniz_defect)."""
         rep = []
         for j, table in self.maps.items():
             for w, op in table.items():
                 d = Derivation(self.L.over, op.degree, op)
                 for pair in d.leibniz_violations():
                     rep.append({"invariant": "anchor value is a derivation",
-                                "witness": (j, w) + pair})
+                                "witness": (j, w) + pair,
+                                "value": d.leibniz_defect(*pair)})
         return rep
 
 
@@ -374,80 +376,50 @@ def ambient_basis_forms(L, policy):
     return out
 
 
-def level_differentials(L, partial, t, W):
-    """D_0 .. D_(W-1) as tables of sparse columns: table[j][(w, a)] is
-    D_j(delta_(a@w)) as {(word, label): coefficient}, for every word w up
-    to length W (whatever the degree window: images leave it) and every
-    level with |w| + j <= W.  D_j raises word length by exactly j
-    (bigrade_check), so the columns left out land beyond W."""
-    table = [{} for _ in range(W)]
-    for _, f in ambient_basis_forms(L, TruncationPolicy(W)):
-        [(w, vec)] = f.values.items()
-        key = (w, next(iter(vec)))
-        for j in range(min(W, W - len(w) + 1)):
-            g = build_D(f, partial, t, j)
-            table[j][key] = {(w2, a2): c for w2, v in g.values.items()
-                             for a2, c in v.items()}
-    return table
+def live_levels(L, partial, t, W):
+    """live[j] is False when D_j is zero: no differential at level 0, no
+    corestriction or anchor table at a higher level."""
+    return [not (L.over.diff.is_zero() and L.diff_l.is_zero())] + [
+        bool(partial.cor.get(j) or t.maps.get(j)) for j in range(1, W)]
 
 
 def square_check(L, partial, t, policy):
-    """Level-by-level residuals of D squared.
+    """Level-by-level residuals of D squared, probed on the cup
+    generators.
 
-    For each level j the sum of D_k D_(j-k) over k = 0..j is applied to
-    every ambient dual-basis form and every multilinear generator form;
-    nonzero values within the word window are reported with witnesses.
+    When every anchor value is a derivation of A (the anchor premise,
+    TwistingCochain.validation_report), each D_j is a derivation of the
+    cup product, and so is the level-j part of D squared, the sum of
+    D_k D_(j-k).  It vanishes on every form on words up to W iff it
+    vanishes on the generators: the constants and the 1-forms.  The
+    probes are the dual-basis forms on words w of length at most 2 (the
+    length-2 ones, products of generators, check the Leibniz rule at run
+    time), at the levels j < W with |w| + j <= W, whatever the degree
+    window.  D_i of a probe is computed once; terms with a zero factor
+    (live_levels) are skipped.  Residuals {level, form, word, value} are
+    level-major, with words sorted within each (level, form).
     """
-    return square_residuals(
-        L, level_differentials(L, partial, t, policy.W), policy)
-
-
-def square_residuals(L, table, policy):
-    """square_check on a level_differentials table: the column of the sum
-    of D_k D_(j-k) is computed once per dual-basis form, and each probe
-    combines such columns.  Words are sorted within a (level, form)."""
     W = policy.W
-    probes = ambient_basis_forms(L, policy) + [
-        (name, f) for name, _, f in multilinear_generators(L, W)]
-    squares = {}
-    report = []
-    for j in range(W):
-        for name, f in probes:
+    live = live_levels(L, partial, t, W)
+    by_level = [[] for _ in range(W)]
+    for name, f in ambient_basis_forms(L, TruncationPolicy(2)):
+        [w] = f.values
+        levels = range(min(W, W - len(w) + 1))
+        images = {}
+        for j in levels:
             res = {}
-            for w, vec in f.values.items():
-                if len(w) + j > W:
+            for k in range(j + 1):
+                if not (live[k] and live[j - k]):
                     continue
-                for al, c in vec.items():
-                    sq = squares.get((j, w, al))
-                    if sq is None:
-                        sq = squares[(j, w, al)] = {}
-                        for k in range(j + 1):
-                            for key, c2 in table[j - k][(w, al)].items():
-                                vec_axpy(sq, c2, table[k][key])
-                    vec_axpy(res, c, sq)
-            by_word = {}
-            for (w, al), c in res.items():
-                by_word.setdefault(w, {})[al] = c
-            for w in sorted(by_word):
-                report.append({"level": j, "form": name, "word": w,
-                               "value": by_word[w]})
-    return report
-
-
-def bigrade_check(L, partial, t, policy):
-    """Each level-j differential must raise word length by exactly j on
-    every ambient dual-basis form (the complementary degree shift then
-    follows from homogeneity)."""
-    report = []
-    for name, f in ambient_basis_forms(L, policy):
-        p = f.support_lengths()[0] if f.support_lengths() else 0
-        for j in range(policy.W):
-            g = build_D(f, partial, t, j)
-            for w in g.values:
-                if len(w) != p + j:
-                    report.append({"level": j, "form": name, "word": w,
-                                   "expected_length": p + j})
-    return report
+                if j - k not in images:
+                    images[j - k] = build_D(f, partial, t, j - k)
+                for w2, v in build_D(images[j - k], partial, t,
+                                     k).values.items():
+                    vec_axpy(res.setdefault(w2, {}), ONE, v)
+            by_level[j] += [{"level": j, "form": name, "word": w2,
+                             "value": res[w2]}
+                            for w2 in sorted(res) if res[w2]]
+    return [r for level in by_level for r in level]
 
 
 def multilinear_basis(L, policy):
@@ -466,47 +438,54 @@ def multilinear_basis(L, policy):
 
 
 class SquareResidualError(ValueError):
-    """cohomology_ranks refuses: D does not square to zero."""
+    """cohomology_ranks refuses: an anchor value is not a derivation of
+    A, or D does not square to zero on the cup generators."""
 
 
 def cohomology_ranks(L, partial, t, policy):
     """Betti numbers over Q of the A-multilinear form complex, within the
     word-length truncation and optional degree window.
 
-    Refuses when the square check reports nonzero residuals; degrees at
-    the window boundary are flagged as unreliable since differentials may
-    enter or leave the window.
+    Refuses when the anchor premise of square_check fails or the square
+    check reports residuals.  The row of a basis form f on words of
+    length p is the sum of D_j f over the levels j < W with p + j <= W,
+    over only the (word, label) columns some row of its degree hits.
+    Degrees at the window boundary are flagged as unreliable since
+    differentials may enter or leave the window.
     """
-    table = level_differentials(L, partial, t, policy.W)
-    if square_residuals(L, table, policy):
+    premise = t.validation_report()
+    if premise:
+        raise SquareResidualError("anchor value is not a derivation: %r"
+                                  % (premise[0]["witness"],))
+    if square_check(L, partial, t, policy):
         raise SquareResidualError("total differential does not square to "
                                   "zero within the truncation window")
-    basis = multilinear_basis(L, policy)
+    W = policy.W
+    live = live_levels(L, partial, t, W)
     by_degree = {}
-    for name, f in basis:
+    for _, f in multilinear_basis(L, policy):
         by_degree.setdefault(f.degree, []).append(f)
     degrees = sorted(by_degree)
     window = policy.degree_window
     if window is None and degrees:
         window = (degrees[0], degrees[-1])
-    # the (word, label) coordinates of every form on words up to W
-    coords = {key: i for i, key in enumerate(table[0])}
     ranks = {}
 
     def differential_rank(d):
-        # rank of the total differential out of degree d
+        # rank of the total differential out of degree d; D_j raises the
+        # word length by exactly j, so the levels never share a column
         rows = []
         for f in by_degree.get(d, []):
-            row = [ZERO] * len(coords)
-            for w, vec in f.values.items():
-                for al, c in vec.items():
-                    for columns in table:
-                        for key, c2 in columns.get((w, al), {}).items():
-                            row[coords[key]] += c * c2
-            rows.append(row)
+            [p] = f.support_lengths()
+            rows.append({(w, al): c
+                         for j in range(min(W, W - p + 1)) if live[j]
+                         for w, v in build_D(f, partial, t, j).values.items()
+                         for al, c in v.items()})
         if not rows:
             return 0
-        return len(row_echelon(rows, len(coords)))
+        cols = sorted({key for row in rows for key in row})
+        return len(row_echelon([[row.get(key, ZERO) for key in cols]
+                                for row in rows], len(cols)))
 
     lo, hi = window if window is not None else (0, -1)
     rank = {d: differential_rank(d) for d in range(lo, hi + 2)}

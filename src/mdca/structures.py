@@ -190,6 +190,21 @@ def apply_corestriction_args(L, partial, j, args):
     return vec_scale(Q(sgn), partial.cor.get(j, {}).get(w, {}))
 
 
+def operator_route(L, partial, t, policy):
+    """The anchor premise (every anchor value is a derivation of A, so
+    each D_j is a derivation of the cup product) and the square check on
+    the cup generators that rests on it, as route/axiom/witness/value
+    residuals."""
+    report = [{"route": "operators", "axiom": r["invariant"],
+               "witness": r["witness"], "value": r["value"]}
+              for r in t.validation_report()]
+    report += [{"route": "operators", "axiom": "square",
+                "witness": (r["level"], r["form"], r["word"]),
+                "value": r["value"]}
+               for r in square_check(L, partial, t, policy)]
+    return report
+
+
 class ShLieRinehartData:
     def __init__(self, L, partial, t):
         self.L = L
@@ -201,17 +216,13 @@ def check_sh_lie_rinehart(d, policy):
     """Both verification routes, cross-checked.
 
     Route one checks the axioms directly (direct_route).  Route two
-    builds the differential operators on forms and runs the square and
-    descent checks.  The two verdicts must agree; disagreement is itself
-    reported.
+    builds the differential operators on forms and runs the operator
+    route (operator_route) and the descent checks.  The two verdicts must
+    agree; disagreement is itself reported.
     """
     L = d.L
     direct = direct_route(L, d.partial, d.t, policy)
-    indirect = []
-    for r in square_check(L, d.partial, d.t, policy):
-        indirect.append({"route": "operators", "axiom": "square",
-                         "witness": (r["level"], r["form"], r["word"]),
-                         "value": r["value"]})
+    indirect = operator_route(L, d.partial, d.t, policy)
     for j in range(policy.W):
         rep = descent_check(L, d.partial, d.t, j, policy)
         for r in rep["violations"]:

@@ -64,6 +64,14 @@ def test_word_basis_single_odd_generator():
     assert word_basis(L, TruncationPolicy(3)) == [(), (g("x"),)]
 
 
+def test_word_basis_ignores_the_degree_window():
+    # the window selects cohomology degrees; it never drops words
+    L = module([("x", 0), ("y", 1)])
+    words = word_basis(L, TruncationPolicy(4))
+    assert word_basis(L, TruncationPolicy(4, degree_window=(-4, 1))) == words
+    assert max(len(w) for w in words) == 4
+
+
 def test_word_basis_sl2_counts():
     words = word_basis(SL2, TruncationPolicy(2))
     by_len = {}

@@ -8,23 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdca import forms
-from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
-                          graded_commutator, multiply, rational_algebra,
-                          truncated_polynomial)
+from mdca.algebra import (AlgebraSpec, Derivation, derivation_space,
+                          exterior_algebra, graded_commutator, multiply,
+                          rational_algebra, truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets, word_basis,
                             word_degree)
 from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
-                        bigrade_check, build_D, cohomology_ranks,
-                        constant_form, cup, descent_check, dual_one_forms,
-                        hom_differential, is_A_multilinear,
-                        level_differentials, multilinear_basis,
-                        partial_bra, partial_t, square_check,
-                        twisting_residual, words_of_length)
+                        build_D, cohomology_ranks, constant_form, cup,
+                        descent_check, dual_one_forms, hom_differential,
+                        is_A_multilinear, multilinear_basis, partial_bra,
+                        partial_t, square_check, twisting_residual,
+                        words_of_length)
 from mdca.graded import (GradedBasis, LinearMap, ONE, row_echelon, vec_axpy,
                          vec_scale)
 from mdca.instances import catalog_entry
-from mdca.structures import multilinear_form_from_bare
+from mdca.structures import multilinear_form_from_bare, quasi_to_sh
 
 
 QQ = rational_algebra()
@@ -460,6 +459,14 @@ def test_square_check_jacobi_violation():
     assert hits[0]["value"] in ({"1": ONE}, {"1": -ONE})
 
 
+def test_degree_window_never_narrows_the_square_check():
+    L, partial, t = jacobi_violator()
+    rep = square_check(L, partial, t, TruncationPolicy(4))
+    assert rep
+    assert square_check(L, partial, t,
+                        TruncationPolicy(4, degree_window=(0, 0))) == rep
+
+
 def test_bigrade_check():
     assert bigrade_check(SL2, SL2_PARTIAL, SL2_T, TruncationPolicy(3)) == []
     L, partial, t = exterior_pair()
@@ -508,6 +515,21 @@ def test_cohomology_row_reduces_each_degree_once(monkeypatch):
     assert {d: r["rank"] for d, r in ranks.items()} == {
         1: 0, 0: 1, -1: 0, -2: 0, -3: 1, -4: 0}
     assert len(calls) == 4
+
+
+def test_cohomology_reduces_only_the_columns_rows_hit(monkeypatch):
+    widths = []
+
+    def recording(rows, ncols):
+        widths.append(ncols)
+        assert all(any(row[c] for row in rows) for c in range(ncols))
+        return row_echelon(rows, ncols)
+
+    monkeypatch.setattr(forms, "row_echelon", recording)
+    ranks = cohomology_ranks(SL2, SL2_PARTIAL, SL2_T, TruncationPolicy(3))
+    assert {d: r["rank"] for d, r in ranks.items()} == {
+        0: 1, -1: 0, -2: 0, -3: 1}
+    assert widths
 
 
 def test_cohomology_window_flagging():
@@ -605,6 +627,126 @@ def test_residual_controls_operator_anticommutators():
                 rhs = residual_pairing(L, t, partial, j, a_label, words)
                 for w in words:
                     assert lhs.value(w) == rhs.get(w, {})
+
+
+# ------------------------------------------------- full-ambient oracles
+
+def level_differentials(L, partial, t, W):
+    """D_0 .. D_(W-1) as tables of sparse columns: table[j][(w, a)] is
+    D_j(delta_(a@w)) as {(word, label): coefficient}, for every word w up
+    to length W and every level with |w| + j <= W.  D_j raises word
+    length by exactly j (bigrade_check), so the columns left out land
+    beyond W."""
+    table = [{} for _ in range(W)]
+    for _, f in ambient_basis_forms(L, TruncationPolicy(W)):
+        [(w, vec)] = f.values.items()
+        key = (w, next(iter(vec)))
+        for j in range(min(W, W - len(w) + 1)):
+            g = build_D(f, partial, t, j)
+            table[j][key] = {(w2, a2): c for w2, v in g.values.items()
+                             for a2, c in v.items()}
+    return table
+
+
+def bigrade_check(L, partial, t, policy):
+    """Each level-j differential must raise word length by exactly j on
+    every ambient dual-basis form (the complementary degree shift then
+    follows from homogeneity)."""
+    report = []
+    for name, f in ambient_basis_forms(L, policy):
+        p = f.support_lengths()[0] if f.support_lengths() else 0
+        for j in range(policy.W):
+            g = build_D(f, partial, t, j)
+            for w in g.values:
+                if len(w) != p + j:
+                    report.append({"level": j, "form": name, "word": w,
+                                   "expected_length": p + j})
+    return report
+
+
+def failing_square_levels(L, partial, t, W):
+    """The levels j < W at which the sum of D_k D_(j-k) is nonzero on
+    some dual-basis form on words w up to W with |w| + j <= W, read from
+    the full level table."""
+    table = level_differentials(L, partial, t, W)
+    failing = set()
+    for j in range(W):
+        for key in table[j]:
+            sq = {}
+            for k in range(j + 1):
+                for key2, c in table[j - k][key].items():
+                    vec_axpy(sq, c, table[k][key2])
+            if sq:
+                failing.add(j)
+                break
+    return failing
+
+
+def catalog_homotopy(name):
+    data = catalog_entry(name)[0]
+    if hasattr(data, "as_sh"):
+        return data.as_sh()
+    return quasi_to_sh(data) if hasattr(data, "triple") else data
+
+
+# quasi_sample has a nonzero module differential and two anchor levels
+SQUARE_CASES = {name: catalog_homotopy(name)
+                for name in ("exterior_pair", "truncated_poly",
+                             "quasi_sample")}
+
+
+def perturbed(rng, sh):
+    """Random rational level-1/2 corestriction and anchor perturbations;
+    each anchor perturbation is a derivation of A, so the premise of the
+    generator square check holds."""
+    L = sh.L
+    A = L.over
+    cor = {j: {w: dict(v) for w, v in tab.items()}
+           for j, tab in sh.partial.cor.items()}
+    maps = {j: dict(tab) for j, tab in sh.t.maps.items()}
+    for j in (1, 2):
+        for _ in range(rng.randint(0, 2)):
+            w = rng.choice(words_of_length(L, j + 1))
+            targets = [x for x in L.sl_basis.labels
+                       if L.sl_degree(x) == word_degree(L, w) - 1]
+            if targets:
+                vec = cor.setdefault(j, {}).setdefault(w, {})
+                x = rng.choice(targets)
+                vec[x] = vec.get(x, 0) + Q(rng.randint(-2, 2),
+                                           rng.randint(1, 2))
+        for _ in range(rng.randint(0, 1)):
+            w = rng.choice(words_of_length(L, j))
+            space = derivation_space(A, word_degree(L, w) - 1)
+            if space:
+                op = rng.choice(space).action.scale(
+                    Q(rng.randint(-2, 2), rng.randint(1, 2)))
+                old = maps.setdefault(j, {}).get(w)
+                maps[j][w] = op if old is None else old.add(op)
+    return L, Coderivation(L, cor), TwistingCochain(L, maps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SQUARE_CASES)), st.sampled_from([3, 4]),
+       st.integers(0, 2**32 - 1))
+def test_generator_square_levels_agree_with_the_full_table(name, W, seed):
+    # with derivation anchor values the level-j part of D squared is a
+    # derivation of the cup product, so probing the cup generators finds
+    # exactly the levels that fail on some dual-basis form up to W
+    L, partial, t = perturbed(random.Random(seed), SQUARE_CASES[name])
+    assert t.validation_report() == []
+    report = square_check(L, partial, t, TruncationPolicy(W))
+    assert ({r["level"] for r in report}
+            == failing_square_levels(L, partial, t, W))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(SQUARE_CASES)), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+def test_level_differentials_are_cup_derivations(name, j, seed):
+    # D_j (f cup g) = D_j f cup g + (-1)^|f| f cup D_j g
+    sh = SQUARE_CASES[name]
+    assert_cup_derivation(lambda f: build_D(f, sh.partial, sh.t, j), sh.L,
+                          random.Random(seed), [-2, -1, 0, 1])
 
 
 # ---------------------------------------------- level differential table

@@ -385,3 +385,14 @@ def test_module_label_with_separator_exits_2(tmp_path, capsys):
     for code, out in run_verbs(doc, tmp_path, capsys):
         assert code == 2
         assert "label 'z|w' contains '|'" in out.err
+
+
+def test_inconsistent_mdca_file_gets_one_verdict(tmp_path, capsys):
+    # a constants table extraction cannot reproduce is a table
+    # consistency failure (exit 1) for every verb, not an input error
+    doc = emitted_mdca("exterior_pair")
+    doc["structure"]["constants"]["2"]["q"].append([["1|u"], "1", "1"])
+    out = run_verbs(doc, tmp_path, capsys)
+    assert [code for code, _ in out] == [1, 1, 1]
+    assert "table consistency" in out[2][1].out
+    assert "constants table not reproduced" in out[2][1].out

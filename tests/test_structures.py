@@ -7,11 +7,12 @@ from mdca.algebra import (Derivation, exterior_algebra, graded_commutator,
                           multiply, rational_algebra, truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets, words_of_length)
-from mdca.forms import (TwistingCochain, build_D, constant_form, cup,
-                        dual_one_forms, multilinear_generators, square_check)
+from mdca.forms import (SquareResidualError, TwistingCochain, build_D,
+                        cohomology_ranks, constant_form, cup, dual_one_forms,
+                        multilinear_generators, square_check)
 from mdca.graded import GradedBasis, LinearMap, ONE
 from mdca.instances import catalog_entry
-from mdca.io_json import ParsedInstance
+from mdca.io_json import ParsedInstance, emit_instance
 from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
                              ShLieRinehartData, anchor_multilinearity_report,
                              build_maurer_cartan,
@@ -397,3 +398,53 @@ def test_twisting_check_visits_each_word_of_its_level_once(monkeypatch):
     assert len(calls) == sum(len(words_of_length(L, j))
                              for j in range(1, W + 1))
     assert all(len(w) == j for j, w in calls)
+
+
+# ------------------------------------------------------ anchor premise
+
+def non_derivation_anchor():
+    """Rank-1 module e over Q[x]/(x^3) whose anchor N kills 1 and x and
+    fixes x^2, which is not a derivation (N(x x) = x^2, N(x) x = 0), with
+    the bracket [a e, b e] = (a N(b) - b N(a)) e."""
+    A = truncated_polynomial("x", 3)
+    L = ModuleSpec(A, GradedBasis([("e", 0)]))
+    N = LinearMap(A.basis, A.basis, 0, {("x^2", "x^2"): ONE})
+    bracket = {}
+    for a in A.basis.labels:
+        for b in A.basis.labels:
+            v = multiply(A, {a: ONE}, N.apply({b: ONE}))
+            vec = multiply(A, {b: ONE}, N.apply({a: ONE}))
+            v = {k: v.get(k, 0) - vec.get(k, 0) for k in set(v) | set(vec)}
+            bracket[(L.pair(a, "e"), L.pair(b, "e"))] = {
+                L.pair(k, "e"): c for k, c in v.items() if c}
+    return LieRinehartData(L, bracket, {"1|e": N})
+
+
+def test_operator_route_names_a_non_derivation_anchor():
+    # D_j is a derivation of the cup product only when every anchor value
+    # is a derivation of A; the operator route reports that premise
+    sh = non_derivation_anchor().as_sh()
+    policy = TruncationPolicy(4)
+    rep = check_sh_lie_rinehart(sh, policy)
+    premise = [r for r in rep if r["axiom"] == "anchor value is a derivation"]
+    assert premise == [{"route": "operators",
+                        "axiom": "anchor value is a derivation",
+                        "witness": (1, ("1|e",), "x", "x"),
+                        "value": {"x^2": ONE}}]
+    assert all(r["axiom"] != "route agreement" for r in rep)
+    m = build_maurer_cartan(sh, policy)
+    rep = cli.run_check(ParsedInstance("mdca", m, policy), policy)
+    assert [r["witness"] for r in rep
+            if r["axiom"] == "anchor value is a derivation"] == [
+                (1, ("1|e",), "x", "x")]
+
+
+def test_cohomology_refuses_a_non_derivation_anchor(tmp_path, capsys):
+    d = non_derivation_anchor()
+    sh = d.as_sh()
+    with pytest.raises(SquareResidualError, match="not a derivation"):
+        cohomology_ranks(sh.L, sh.partial, sh.t, TruncationPolicy(3))
+    p = tmp_path / "n.json"
+    p.write_text(emit_instance(d, TruncationPolicy(3)))
+    assert cli.main(["cohomology", str(p)]) == 1
+    assert "anchor value is not a derivation" in capsys.readouterr().out
