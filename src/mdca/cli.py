@@ -19,7 +19,9 @@ derivation of A, then probes D squared on the dual-basis forms on words
 of length at most 2 (the cup generators and their products).  Quasi data
 that fails its own validation gets those residuals and exit 1 from every
 verb.  cohomology fails with exit 1 on mdca tables extraction does not
-reproduce, a non-derivation anchor, or a D that does not square to zero.
+reproduce, a non-derivation anchor, or a D that does not square to zero;
+the last two give a refused line and the operator-route residuals of
+check.
 """
 
 import argparse
@@ -31,14 +33,14 @@ import time
 from fractions import Fraction
 
 from .coalgebra import TruncationPolicy
-from .forms import SquareResidualError, cohomology_ranks
+from .forms import SquareResidualError, cohomology_ranks, operator_route
 from .instances import catalog_entry, catalog_names
 from .io_json import (InstanceError, emit_instance, parse_instance,
                       parse_instance_text, q_to_str)
 from .structures import (LieRinehartData, MdcaStructure,
                          QuasiLieRinehartData, build_maurer_cartan,
                          check_lie_rinehart, check_sh_lie_rinehart,
-                         extract_structure, operator_route, quasi_to_sh)
+                         extract_structure, quasi_to_sh)
 
 
 ROUNDTRIP_SCOPE = ("build/extract/rebuild agreement only; the identities "
@@ -186,17 +188,20 @@ def run_roundtrip(inst, policy):
 
 
 def run_cohomology(inst, policy):
-    """(residuals, Betti numbers); a failure has no Betti numbers."""
+    """(residuals, report fields): the Betti numbers, or on a refusal of
+    the operator route its reason; the residuals have the schema of
+    check."""
     sh, residuals = extracted(inst, policy)
     if residuals:
-        return residuals, None
+        return residuals, {}
     try:
         ranks = cohomology_ranks(sh.L, sh.partial, sh.t, policy)
     except SquareResidualError as e:
-        return [str(e)], None
+        return e.residuals, {"refused": str(e)}
     # report in file degrees (upper convention)
-    return [], {str(-d): {"rank": r["rank"], "boundary_flag": r["flagged"]}
-                for d, r in sorted(ranks.items(), reverse=True)}
+    return [], {"betti": {str(-d): {"rank": r["rank"],
+                                    "boundary_flag": r["flagged"]}
+                          for d, r in sorted(ranks.items(), reverse=True)}}
 
 
 def render(report, args):
@@ -206,8 +211,9 @@ def render(report, args):
             fh.write("\n")
     print("verdict: %s" % report["verdict"])
     print("certified up to word length %d" % report["W"])
-    if "certifies" in report:
-        print("certifies: %s" % report["certifies"])
+    for key in ("certifies", "refused"):
+        if key in report:
+            print("%s: %s" % (key, report[key]))
     for key in ("residuals", "betti"):
         if key in report:
             print("%s:" % key)
@@ -279,9 +285,8 @@ def main(argv=None):
         report = {"kind": inst.kind, "W": policy.W}
         residuals = validation_residuals(inst)
         if not residuals and args.verb == "cohomology":
-            residuals, betti = run_cohomology(inst, policy)
-            if betti is not None:
-                report["betti"] = betti
+            residuals, fields = run_cohomology(inst, policy)
+            report.update(fields)
         elif not residuals:
             run = run_check if args.verb == "check" else run_roundtrip
             residuals = run(inst, policy)

@@ -300,6 +300,13 @@ class Coderivation:
     def levels(self):
         return sorted(self.cor)
 
+    def live(self, j):
+        """False when level j is zero on every word: level 0 with a zero
+        module differential, or a higher level with no corestriction
+        table.  The direct route, square_check and cohomology_ranks
+        skip the terms with such a zero factor."""
+        return not self.L.diff_l.is_zero() if j == 0 else j in self.cor
+
     def apply_level(self, j, word):
         if j == 0:
             return apply_d0(self.L, word)
@@ -325,12 +332,20 @@ def check_coalgebra_perturbation(partial, L, policy):
     with del^0 the word differential d0, is a coderivation lowering word
     length by j, so it vanishes iff its corestriction does: it is
     evaluated on the words of length j + 1, which are the witnesses.
+    Only the terms with both factors live (Coderivation.live) are
+    evaluated, and a level with no such term enumerates no words: a zero
+    factor makes its term zero on every word, so the residuals are those
+    of the full sum.
     """
     report = []
     for j in range(1, policy.W):
+        terms = [k for k in range(j + 1)
+                 if partial.live(k) and partial.live(j - k)]
+        if not terms:
+            continue
         for w in words_of_length(L, j + 1):
             res = {}
-            for k in range(j + 1):
+            for k in terms:
                 vec_axpy(res, ONE, partial.apply_level_vec(
                     k, partial.apply_level(j - k, w)))
             if res:

@@ -3,7 +3,7 @@
 Forms are sparse tables word -> algebra element; the cup product, the
 Hom-differential and the bracket/anchor operators all live here, together
 with A-multilinearity tests, the descent check, the square check on the
-cup generators and windowed cohomology ranks.
+cup generators (the operator route) and windowed cohomology ranks.
 """
 
 from fractions import Fraction as Q
@@ -377,10 +377,14 @@ def ambient_basis_forms(L, policy):
 
 
 def live_levels(L, partial, t, W):
-    """live[j] is False when D_j is zero: no differential at level 0, no
-    corestriction or anchor table at a higher level."""
-    return [not (L.over.diff.is_zero() and L.diff_l.is_zero())] + [
-        bool(partial.cor.get(j) or t.maps.get(j)) for j in range(1, W)]
+    """live[j] is False when D_j is zero: at level 0 when the algebra
+    differential is zero and level 0 of the coderivation is not live, at
+    a higher level when that level of the coderivation is not live
+    (Coderivation.live) and the anchor has no table there.  square_check
+    and cohomology_ranks skip the terms with a zero factor, which
+    contribute nothing."""
+    return [not L.over.diff.is_zero() or partial.live(0)] + [
+        partial.live(j) or j in t.maps for j in range(1, W)]
 
 
 def square_check(L, partial, t, policy):
@@ -437,29 +441,52 @@ def multilinear_basis(L, policy):
     return out
 
 
+def operator_route(L, partial, t, policy):
+    """The anchor premise (every anchor value is a derivation of A, so
+    each D_j is a derivation of the cup product) and the square check on
+    the cup generators that rests on it, as route/axiom/witness/value
+    residuals."""
+    report = [{"route": "operators", "axiom": r["invariant"],
+               "witness": r["witness"], "value": r["value"]}
+              for r in t.validation_report()]
+    report += [{"route": "operators", "axiom": "square",
+                "witness": (r["level"], r["form"], r["word"]),
+                "value": r["value"]}
+               for r in square_check(L, partial, t, policy)]
+    return report
+
+
 class SquareResidualError(ValueError):
     """cohomology_ranks refuses: an anchor value is not a derivation of
-    A, or D does not square to zero on the cup generators."""
+    A, or D does not square to zero on the cup generators.  residuals
+    holds every operator_route residual, in the schema check reports."""
+
+    def __init__(self, message, residuals):
+        super().__init__(message)
+        self.residuals = residuals
 
 
 def cohomology_ranks(L, partial, t, policy):
     """Betti numbers over Q of the A-multilinear form complex, within the
     word-length truncation and optional degree window.
 
-    Refuses when the anchor premise of square_check fails or the square
-    check reports residuals.  The row of a basis form f on words of
-    length p is the sum of D_j f over the levels j < W with p + j <= W,
-    over only the (word, label) columns some row of its degree hits.
+    Refuses with every operator_route residual when the anchor premise
+    of square_check fails or the square check reports residuals.  The
+    row of a basis form f on words of length p is the sum of D_j f over
+    the levels j < W with p + j <= W, over only the (word, label)
+    columns some row of its degree hits.
     Degrees at the window boundary are flagged as unreliable since
     differentials may enter or leave the window.
     """
-    premise = t.validation_report()
-    if premise:
+    residuals = operator_route(L, partial, t, policy)
+    if residuals:
+        # operator_route lists the premise residuals first
+        if residuals[0]["axiom"] == "square":
+            raise SquareResidualError(
+                "total differential does not square to zero within the "
+                "truncation window", residuals)
         raise SquareResidualError("anchor value is not a derivation: %r"
-                                  % (premise[0]["witness"],))
-    if square_check(L, partial, t, policy):
-        raise SquareResidualError("total differential does not square to "
-                                  "zero within the truncation window")
+                                  % (residuals[0]["witness"],), residuals)
     W = policy.W
     live = live_levels(L, partial, t, W)
     by_degree = {}
@@ -506,6 +533,12 @@ def twisting_residual(L, t, partial, j, word):
     of the algebra differential with the level-j value, plus the value on
     the differentiated word, plus the values on the bracketed word, plus
     the composite of two lower anchor values over every splitting.
+    Only terms with no zero factor are evaluated: the bracketed-word sum
+    runs over the anchor levels k <= j with level j - k of the
+    coderivation live (Coderivation.live), and the splitting sum over
+    the anchor levels k < j with an anchor table at j - k too.  A
+    skipped term has an empty anchor level or a zero coderivation level
+    as a factor, so it is zero.
     """
     A = L.over
     wd = word_degree(L, word)
@@ -515,12 +548,16 @@ def twisting_residual(L, t, partial, j, word):
         vec_axpy(out, ONE, compose(A.diff, op).entries)
         s = -ONE if (wd - 1) % 2 else ONE
         vec_axpy(out, -s, compose(op, A.diff).entries)
-    for k in range(1, j + 1):
+    for k in t.levels():
+        if k > j or not partial.live(j - k):
+            continue
         for w2, c in partial.apply_level(j - k, word).items():
             op2 = t.value(k, w2)
             if op2 is not None:
                 vec_axpy(out, c, op2.entries)
-    for k in range(1, j):
+    for k in t.levels():
+        if k >= j or j - k not in t.maps:
+            continue
         for sgn, w1, w2 in splittings(L, word, left_size=k):
             op1 = t.value(k, w1)
             op2 = t.value(j - k, w2)

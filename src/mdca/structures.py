@@ -20,7 +20,7 @@ from .coalgebra import (Coderivation, TruncationPolicy,
                         stripped_slots, word_degree, words_of_length)
 from .forms import (FormTable, TwistingCochain, build_D, constant_form,
                     descent_check, dual_one_forms, hom_differential,
-                    partial_t, square_check, twisting_residual)
+                    operator_route, partial_t, twisting_residual)
 
 
 def mult_op(A, a_vec):
@@ -188,21 +188,6 @@ def apply_corestriction_args(L, partial, j, args):
     if sgn == 0:
         return {}
     return vec_scale(Q(sgn), partial.cor.get(j, {}).get(w, {}))
-
-
-def operator_route(L, partial, t, policy):
-    """The anchor premise (every anchor value is a derivation of A, so
-    each D_j is a derivation of the cup product) and the square check on
-    the cup generators that rests on it, as route/axiom/witness/value
-    residuals."""
-    report = [{"route": "operators", "axiom": r["invariant"],
-               "witness": r["witness"], "value": r["value"]}
-              for r in t.validation_report()]
-    report += [{"route": "operators", "axiom": "square",
-                "witness": (r["level"], r["form"], r["word"]),
-                "value": r["value"]}
-               for r in square_check(L, partial, t, policy)]
-    return report
 
 
 class ShLieRinehartData:

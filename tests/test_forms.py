@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,8 @@ from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
 from mdca.graded import (GradedBasis, LinearMap, ONE, row_echelon, vec_axpy,
                          vec_scale)
 from mdca.instances import catalog_entry
-from mdca.structures import multilinear_form_from_bare, quasi_to_sh
+from mdca.structures import (LieRinehartData, check_lie_rinehart,
+                             multilinear_form_from_bare, quasi_to_sh)
 
 
 QQ = rational_algebra()
@@ -538,6 +540,71 @@ def test_cohomology_window_flagging():
     assert sorted(ranks) == [-2, -1, 0]
     assert ranks[-2]["flagged"] and ranks[0]["flagged"]
     assert not ranks[-1]["flagged"]
+
+
+def inverse(P):
+    """Inverse of a square rational matrix, None when it is singular:
+    Gauss-Jordan on [P | 1] pivots on the columns of P alone."""
+    n = len(P)
+    rows = [list(r) + [Q(int(i == j)) for j in range(n)]
+            for i, r in enumerate(P)]
+    if row_echelon(rows, 2 * n) != list(range(n)):
+        return None
+    return [[x / rows[i][i] for x in rows[i][n:]] for i in range(n)]
+
+
+def change_of_basis(d, P, Pinv):
+    """The Lie algebra d in the basis e'_i = sum_a P[a][i] e_a: the
+    bracket of e'_i and e'_j, written back in the primed basis."""
+    labels = d.L.l_basis.labels
+
+    def bracket(u, v):
+        out = dict(d.bracket.get((u, v), {}))
+        return out or {k: -c for k, c in d.bracket.get((v, u), {}).items()}
+
+    table = {}
+    for i, j in combinations(range(len(labels)), 2):
+        vec = {}
+        for a, u in enumerate(labels):
+            for b, v in enumerate(labels):
+                if P[a][i] and P[b][j]:
+                    vec_axpy(vec, P[a][i] * P[b][j], bracket(u, v))
+        new = {labels[k]: sum(Pinv[k][c] * vec.get(w, 0)
+                              for c, w in enumerate(labels))
+               for k in range(len(labels))}
+        new = {k: c for k, c in new.items() if c}
+        if new:
+            table[(labels[i], labels[j])] = new
+    return LieRinehartData(d.L, table, {})
+
+
+def catalog_ranks(name, W):
+    sh = catalog_entry(name)[0].as_sh()
+    return cohomology_ranks(sh.L, sh.partial, sh.t, TruncationPolicy(W))
+
+
+BASIS_W = 3
+BASIS_RANKS = {name: catalog_ranks(name, BASIS_W)
+               for name in ("sl2", "heisenberg")}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(BASIS_RANKS)), st.integers(0, 2**32 - 1))
+def test_betti_numbers_are_invariant_under_a_change_of_basis(name, seed):
+    rng = random.Random(seed)
+    d = catalog_entry(name)[0]
+    n = len(d.L.l_basis.labels)
+    Pinv = None
+    while Pinv is None:
+        P = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        Pinv = inverse(P)
+    d2 = change_of_basis(d, P, Pinv)
+    policy = TruncationPolicy(BASIS_W)
+    assert check_lie_rinehart(d2, policy) == []
+    sh = d2.as_sh()
+    assert (cohomology_ranks(sh.L, sh.partial, sh.t, policy)
+            == BASIS_RANKS[name])
 
 
 def test_cohomology_exterior_line_pair():
