@@ -12,16 +12,20 @@ Verbs:
 Paths may name a file or a built-in example as catalog:<name>.  Exit
 codes: 0 all identities hold, 1 some identity fails, 2 unusable input.
 Degree windows may be negative: --window -2..3 and --window=-2..3 both
-work; a window selects cohomology degrees, never the square check.  Each
-residual of the direct and operator routes carries route, axiom, witness
-and value; the operator route checks that every anchor value is a
-derivation of A, then probes D squared on the dual-basis forms on words
-of length at most 2 (the cup generators and their products).  Quasi data
-that fails its own validation gets those residuals and exit 1 from every
-verb.  cohomology fails with exit 1 on mdca tables extraction does not
-reproduce, a non-derivation anchor, or a D that does not square to zero;
-the last two give a refused line and the operator-route residuals of
-check.
+work; a window selects cohomology degrees, never the square check.  W
+must be at least 2.  check runs the direct route on plain Lie-Rinehart
+data, and both routes with route agreement on every other kind (mdca
+tables are extracted first).  Each residual carries route, axiom,
+witness and value; the operator route checks that every anchor value is
+a derivation of A, then probes D squared on the dual-basis forms on
+words of length at most 2 (the cup generators and their products), and
+the descent of each level on the cup generators (the constants and the
+dual 1-forms).  Quasi data that fails its own validation gets those
+residuals and exit 1 from every verb.  cohomology fails with exit 1 on
+mdca tables extraction does not reproduce, a non-derivation anchor, a D
+that does not square to zero, or a level that does not preserve
+multilinearity; the last three give a refused line and the
+operator-route residuals of check.
 """
 
 import argparse
@@ -33,7 +37,7 @@ import time
 from fractions import Fraction
 
 from .coalgebra import TruncationPolicy
-from .forms import SquareResidualError, cohomology_ranks, operator_route
+from .forms import SquareResidualError, cohomology_ranks
 from .instances import catalog_entry, catalog_names
 from .io_json import (InstanceError, emit_instance, parse_instance,
                       parse_instance_text, q_to_str)
@@ -103,7 +107,10 @@ def policy_for(inst, args):
         # file/report degrees are upper: negate and swap for the
         # internal homological convention
         window = (-hi, -lo)
-    return TruncationPolicy(W, window)
+    try:
+        return TruncationPolicy(W, window)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def as_homotopy(inst):
@@ -118,11 +125,14 @@ def as_homotopy(inst):
 
 def extracted(inst, policy):
     """The homotopy form of any kind, with a table consistency residual
-    for each mdca table that extraction does not reproduce."""
+    for each mdca table that extraction does not reproduce; its value is
+    the file table minus the rebuilt one."""
     if not isinstance(inst.data, MdcaStructure):
         return as_homotopy(inst), []
     sh, flags = extract_structure(inst.data, policy)
-    return sh, [{"axiom": "table consistency", "witness": r} for r in flags]
+    return sh, [{"route": "extract", "axiom": "table consistency",
+                 "witness": {"flag": r["flag"], "witness": r["witness"]},
+                 "value": r["value"]} for r in flags]
 
 
 def validation_residuals(inst):
@@ -135,13 +145,12 @@ def validation_residuals(inst):
 
 
 def run_check(inst, policy):
-    data = inst.data
-    if isinstance(data, LieRinehartData):
-        return check_lie_rinehart(data, policy)
-    if not isinstance(data, MdcaStructure):
-        return check_sh_lie_rinehart(as_homotopy(inst), policy)
+    """Plain Lie-Rinehart data: the direct route.  Every other kind: both
+    routes with route agreement, on the homotopy form (extracted)."""
+    if isinstance(inst.data, LieRinehartData):
+        return check_lie_rinehart(inst.data, policy)
     sh, residuals = extracted(inst, policy)
-    return residuals + operator_route(data.L, sh.partial, sh.t, policy)
+    return residuals + check_sh_lie_rinehart(sh, policy)
 
 
 def tables_of(m):

@@ -2,14 +2,15 @@
 
 Forms are sparse tables word -> algebra element; the cup product, the
 Hom-differential and the bracket/anchor operators all live here, together
-with A-multilinearity tests, the descent check, the square check on the
-cup generators (the operator route) and windowed cohomology ranks.
+with A-multilinearity tests, the operator route (the anchor premise, and
+the descent and square checks on the cup generators it makes exact) and
+windowed cohomology ranks, which the operator route must pass first.
 """
 
 from fractions import Fraction as Q
 
 from .graded import (LinearMap, ONE, ZERO, compose, row_echelon, vec_axpy,
-                     vec_scale)
+                     vec_scale, vec_sub)
 from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                         splittings, stripped_slots, word_basis, word_degree,
@@ -292,11 +293,25 @@ def is_A_multilinear(f):
     for n in f.support_lengths():
         for w in words_of_length(L, n):
             for slot, a, sgn, bare in stripped_slots(L, w, f.degree):
-                rhs = vec_scale(sgn, multiply(L.over, {a: ONE},
-                                              f.values.get(bare, {})))
-                if f.values.get(w, {}) != rhs:
+                if f.values.get(w, {}) != stripped_value(f, a, sgn, bare):
                     return False, {"word": w, "slot": slot, "scalar": a}
     return True, None
+
+
+def stripped_value(f, a, sgn, bare):
+    """sign * a * f(bare): the value module-linearity asks of f on a word
+    with one slot stripped (coalgebra.stripped_slots)."""
+    return vec_scale(sgn, multiply(f.L.over, {a: ONE},
+                                   f.values.get(bare, {})))
+
+
+def multilinearity_defect(f, witness):
+    """f(w) - sign * a * f(bare) at the word and slot of a witness of
+    is_A_multilinear; nonzero exactly where the rule fails."""
+    w = witness["word"]
+    for slot, a, sgn, bare in stripped_slots(f.L, w, f.degree):
+        if slot == witness["slot"]:
+            return vec_sub(f.value(w), stripped_value(f, a, sgn, bare))
 
 
 def dual_monomials(L, max_len):
@@ -337,18 +352,23 @@ def multilinear_generators(L, max_len):
     return out
 
 
-def descent_check(L, partial, t, j, policy):
+def descent_check(L, partial, t, j):
     """Does the level-j differential preserve A-multilinearity?
 
-    Applies it once to every multilinear generator form of word length at
-    most W - j and reports violations of the image; for j >= 1 the image
-    is the sum of the bracket and anchor summands, each applied once and
-    also probed alone (for genuine anchor data each one fails while the
-    sum descends).  "images" holds the images by generator key.
+    Probed on the cup generators, the constants and the dual 1-forms.
+    Under the anchor premise (TwistingCochain.validation_report) D_j and
+    both of its summands are derivations of the cup product, and cup
+    products of multilinear forms are multilinear, so each preserves
+    multilinearity iff it does so on the generators.  For j >= 1 the
+    image is the sum of the bracket and anchor summands, each applied
+    once and also probed alone (for genuine anchor data each one fails
+    while the sum descends).  A failure carries the generator's name, the
+    witness of is_A_multilinear and its multilinearity_defect as value;
+    "images" holds the images by generator key.
     """
     rep = {"violations": [], "bracket_summand_failures": [],
            "anchor_summand_failures": [], "images": {}}
-    for name, key, f in multilinear_generators(L, max(policy.W - j, 0)):
+    for name, key, f in multilinear_generators(L, 1):
         if j == 0:
             probes = [("violations", hom_differential(f))]
         else:
@@ -360,7 +380,8 @@ def descent_check(L, partial, t, j, policy):
         for kind, g in probes:
             ok, wit = is_A_multilinear(g)
             if not ok:
-                rep[kind].append({"form": name, "witness": wit})
+                rep[kind].append({"form": name, "witness": wit,
+                                  "value": multilinearity_defect(g, wit)})
     return rep
 
 
@@ -443,9 +464,11 @@ def multilinear_basis(L, policy):
 
 def operator_route(L, partial, t, policy):
     """The anchor premise (every anchor value is a derivation of A, so
-    each D_j is a derivation of the cup product) and the square check on
-    the cup generators that rests on it, as route/axiom/witness/value
-    residuals."""
+    each D_j is a derivation of the cup product), then the two checks on
+    the cup generators that rest on it: D squares to zero (square_check)
+    and each level j < W preserves multilinearity (descent_check).
+    Residuals carry route, axiom, witness and value, in that order of
+    axioms."""
     report = [{"route": "operators", "axiom": r["invariant"],
                "witness": r["witness"], "value": r["value"]}
               for r in t.validation_report()]
@@ -453,13 +476,18 @@ def operator_route(L, partial, t, policy):
                 "witness": (r["level"], r["form"], r["word"]),
                 "value": r["value"]}
                for r in square_check(L, partial, t, policy)]
+    report += [{"route": "operators", "axiom": "descent",
+                "witness": (j, r["form"], r["witness"]), "value": r["value"]}
+               for j in range(policy.W)
+               for r in descent_check(L, partial, t, j)["violations"]]
     return report
 
 
 class SquareResidualError(ValueError):
     """cohomology_ranks refuses: an anchor value is not a derivation of
-    A, or D does not square to zero on the cup generators.  residuals
-    holds every operator_route residual, in the schema check reports."""
+    A, D does not square to zero on the cup generators, or some level
+    does not preserve multilinearity on them.  residuals holds every
+    operator_route residual, in the schema check reports."""
 
     def __init__(self, message, residuals):
         super().__init__(message)
@@ -471,20 +499,25 @@ def cohomology_ranks(L, partial, t, policy):
     word-length truncation and optional degree window.
 
     Refuses with every operator_route residual when the anchor premise
-    of square_check fails or the square check reports residuals.  The
-    row of a basis form f on words of length p is the sum of D_j f over
-    the levels j < W with p + j <= W, over only the (word, label)
+    fails, D does not square to zero, or some level does not preserve
+    multilinearity; the message names the first of these that fails.
+    The row of a basis form f on words of length p is the sum of D_j f
+    over the levels j < W with p + j <= W, over only the (word, label)
     columns some row of its degree hits.
     Degrees at the window boundary are flagged as unreliable since
     differentials may enter or leave the window.
     """
     residuals = operator_route(L, partial, t, policy)
     if residuals:
-        # operator_route lists the premise residuals first
+        # operator_route lists premise, square, then descent residuals
         if residuals[0]["axiom"] == "square":
             raise SquareResidualError(
                 "total differential does not square to zero within the "
                 "truncation window", residuals)
+        if residuals[0]["axiom"] == "descent":
+            raise SquareResidualError(
+                "level %d does not preserve multilinearity"
+                % residuals[0]["witness"][0], residuals)
         raise SquareResidualError("anchor value is not a derivation: %r"
                                   % (residuals[0]["witness"],), residuals)
     W = policy.W

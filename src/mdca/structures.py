@@ -202,17 +202,12 @@ def check_sh_lie_rinehart(d, policy):
 
     Route one checks the axioms directly (direct_route).  Route two
     builds the differential operators on forms and runs the operator
-    route (operator_route) and the descent checks.  The two verdicts must
-    agree; disagreement is itself reported.
+    route (operator_route: the anchor premise, then the square and
+    descent checks on the cup generators).  The two verdicts must agree;
+    disagreement is itself reported.
     """
-    L = d.L
-    direct = direct_route(L, d.partial, d.t, policy)
-    indirect = operator_route(L, d.partial, d.t, policy)
-    for j in range(policy.W):
-        rep = descent_check(L, d.partial, d.t, j, policy)
-        for r in rep["violations"]:
-            indirect.append({"route": "operators", "axiom": "descent",
-                             "witness": (j, r["form"], r["witness"])})
+    direct = direct_route(d.L, d.partial, d.t, policy)
+    indirect = operator_route(d.L, d.partial, d.t, policy)
     agree = (not direct) == (not indirect)
     report = direct + indirect
     if not agree:
@@ -247,10 +242,12 @@ def build_maurer_cartan(d, policy):
     on_constants = {}
     on_duals = {}
     for j in range(policy.W):
-        rep = descent_check(L, d.partial, d.t, j, policy)
+        rep = descent_check(L, d.partial, d.t, j)
         if rep["violations"]:
+            r = rep["violations"][0]
             raise ValueError("level %d does not preserve multilinearity: %r"
-                             % (j, rep["violations"][0]))
+                             % (j, {"form": r["form"],
+                                    "witness": r["witness"]}))
         im = rep["images"]
         on_constants[j] = {al: im[("const", al)]
                            for al in L.over.basis.labels}
@@ -265,7 +262,9 @@ def extract_structure(m, policy):
     The level-j anchor is the adjoint of the action on constants; the
     level-j bracket corestriction is recovered from the action on the
     dual 1-forms after subtracting the anchor operator, through the dual
-    basis pairing.  Exact and total for a free module.
+    basis pairing.  Exact and total for a free module.  Returns (data,
+    flags); a flag names each generator table the extracted data does not
+    rebuild, with the given table minus the rebuilt one as its value.
     """
     L = m.L
     A = L.over
@@ -313,16 +312,16 @@ def extract_structure(m, policy):
     sh = ShLieRinehartData(L, Coderivation(L, cor), t)
     flags = []
     for j in m.levels():
-        for al in A.basis.labels:
-            rebuilt = build_D(constant_form(L, {al: ONE}),
-                              sh.partial, sh.t, j)
-            if rebuilt != m.on_constants[j][al]:
-                flags.append({"flag": "constants table not reproduced",
-                              "witness": (j, al)})
-        for xl, eps in duals.items():
-            if build_D(eps, sh.partial, sh.t, j) != m.on_duals[j][xl]:
-                flags.append({"flag": "dual table not reproduced",
-                              "witness": (j, xl)})
+        probes = ([("constants", al, constant_form(L, {al: ONE}),
+                    m.on_constants[j][al]) for al in A.basis.labels]
+                  + [("dual", xl, eps, m.on_duals[j][xl])
+                     for xl, eps in duals.items()])
+        for side, name, f, given in probes:
+            rebuilt = build_D(f, sh.partial, sh.t, j)
+            if rebuilt != given:
+                flags.append({"flag": "%s table not reproduced" % side,
+                              "witness": (j, name),
+                              "value": given.add(rebuilt.scale(-ONE)).values})
     return sh, flags
 
 

@@ -78,7 +78,7 @@ def test_jacobi_violator_exits_one(capsys):
 
 def test_level_one_descends_but_summands_do_not():
     sh, _ = as_homotopy("exterior_pair")
-    rep = descent_check(sh.L, sh.partial, sh.t, 1, TruncationPolicy(3))
+    rep = descent_check(sh.L, sh.partial, sh.t, 1)
     assert rep["violations"] == []
     assert rep["bracket_summand_failures"]
     assert rep["anchor_summand_failures"]

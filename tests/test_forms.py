@@ -402,7 +402,7 @@ def test_multilinearity_agrees_with_the_bare_value_oracle(name, seed):
 # --------------------------------------------------------- descent checks
 
 def test_descent_trivial_base():
-    rep = descent_check(SL2, SL2_PARTIAL, SL2_T, 1, TruncationPolicy(3))
+    rep = descent_check(SL2, SL2_PARTIAL, SL2_T, 1)
     assert rep["violations"] == []
     assert rep["bracket_summand_failures"] == []
     assert rep["anchor_summand_failures"] == []
@@ -410,7 +410,7 @@ def test_descent_trivial_base():
 
 def test_descent_exterior_pair():
     L, partial, t = exterior_pair()
-    rep = descent_check(L, partial, t, 1, TruncationPolicy(3))
+    rep = descent_check(L, partial, t, 1)
     assert rep["violations"] == []
     # for genuine anchor data the summands fail individually
     assert rep["anchor_summand_failures"]
@@ -425,7 +425,7 @@ def test_descent_fails_for_non_multilinear_anchor():
     bad[key] = bad[key].add(
         LinearMap(L.over.basis, L.over.basis, 0, {("x", "x"): ONE}))
     tbad = TwistingCochain(L, {1: bad})
-    rep = descent_check(L, partial, tbad, 1, TruncationPolicy(2))
+    rep = descent_check(L, partial, tbad, 1)
     assert rep["violations"]
 
 

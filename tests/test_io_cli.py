@@ -373,6 +373,16 @@ def test_cohomology_reports_only_the_square_refusal(monkeypatch, capsys):
         cli.main(["cohomology", "catalog:sl2"])
 
 
+@pytest.mark.parametrize("W", ["1", "0", "-3"])
+@pytest.mark.parametrize("verb", ["check", "roundtrip", "cohomology"])
+def test_W_below_two_is_a_usage_error(verb, W, capsys):
+    # it was an uncaught ValueError traceback, with the exit code 1 of a
+    # failing identity
+    assert cli.main([verb, "catalog:sl2", "--W", W]) == 2
+    err = capsys.readouterr().err
+    assert "W must be at least 2" in err
+
+
 def test_module_label_with_separator_exits_2(tmp_path, capsys):
     # induced labels "a|x" are split at the last "|", so a module label
     # containing one cannot be told apart
@@ -396,3 +406,11 @@ def test_inconsistent_mdca_file_gets_one_verdict(tmp_path, capsys):
     assert [code for code, _ in out] == [1, 1, 1]
     assert "table consistency" in out[2][1].out
     assert "constants table not reproduced" in out[2][1].out
+    # the residual has the schema of the routes: the file table minus the
+    # rebuilt one is its value
+    for _, run in (out[0], out[2]):
+        report = run.out
+        body = json.loads(report[report.index("residuals:") + 10:
+                                 report.index("elapsed:")])
+        assert body[0]["route"] == "extract"
+        assert body[0]["value"] == {"1|u": {"1": "1"}}
