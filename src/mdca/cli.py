@@ -56,19 +56,20 @@ class UsageError(Exception):
 
 
 def jsonable(x):
+    """JSON form of a report: a dict with tuple keys becomes a sorted list
+    of [[parts...], value] rows, like the wire format, since labels may
+    contain any separator a joined key could use."""
     if isinstance(x, Fraction):
         return q_to_str(x)
     if isinstance(x, dict):
-        return {jsonable_key(k): jsonable(v) for k, v in x.items()}
+        if not any(isinstance(k, tuple) for k in x):
+            return {str(k): jsonable(v) for k, v in x.items()}
+        rows = [[[str(p) for p in (k if isinstance(k, tuple) else (k,))],
+                 jsonable(v)] for k, v in x.items()]
+        return sorted(rows, key=lambda r: r[0])
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     return x
-
-
-def jsonable_key(k):
-    if isinstance(k, tuple):
-        return ".".join(str(p) for p in k)
-    return str(k)
 
 
 def load(path, kind):
@@ -113,23 +114,18 @@ def policy_for(inst, args):
         raise UsageError(str(e))
 
 
-def as_homotopy(inst):
-    """The homotopy form of Lie-Rinehart, homotopy and quasi data."""
+def extracted(inst, policy):
+    """The homotopy form of any kind of input, with a table consistency
+    residual for each mdca table that extraction does not reproduce; its
+    value is the file table minus the rebuilt one."""
     data = inst.data
     if isinstance(data, LieRinehartData):
-        return data.as_sh()
+        return data.as_sh(), []
     if isinstance(data, QuasiLieRinehartData):
-        return quasi_to_sh(data)
-    return data
-
-
-def extracted(inst, policy):
-    """The homotopy form of any kind, with a table consistency residual
-    for each mdca table that extraction does not reproduce; its value is
-    the file table minus the rebuilt one."""
-    if not isinstance(inst.data, MdcaStructure):
-        return as_homotopy(inst), []
-    sh, flags = extract_structure(inst.data, policy)
+        return quasi_to_sh(data), []
+    if not isinstance(data, MdcaStructure):
+        return data, []
+    sh, flags = extract_structure(data, policy)
     return sh, [{"route": "extract", "axiom": "table consistency",
                  "witness": {"flag": r["flag"], "witness": r["witness"]},
                  "value": r["value"]} for r in flags]
@@ -178,7 +174,7 @@ def run_roundtrip(inst, policy):
             residuals.append({"stage": "rebuild",
                               "witness": "differential tables differ"})
         return residuals
-    sh = as_homotopy(inst)
+    sh = extracted(inst, policy)[0]
     try:
         m = build_maurer_cartan(sh, policy)
     except ValueError as e:

@@ -265,8 +265,10 @@ def _parse_module(doc, A):
     return L
 
 
-def _parse_vec_rows(rows, keylen, L, locus, word_keys=False):
-    """Rows [key..., target, rational] grouped into {key: vector}."""
+def _parse_vec_rows(rows, keylen, L, targets, locus, word_keys=False):
+    """Rows [key..., target, rational] grouped into {key: vector}.  Keys
+    are induced labels, or one word of them; targets are labels of the
+    given degree table."""
     out = {}
     for n, row in enumerate(rows or []):
         here = "%s[%d]" % (locus, n)
@@ -274,14 +276,15 @@ def _parse_vec_rows(rows, keylen, L, locus, word_keys=False):
             raise InstanceError(here, "expected %d fields" % (keylen + 2))
         key = row[:keylen]
         if word_keys:
-            w = key[0]
-            if not isinstance(w, list):
+            if not isinstance(key[0], list):
                 raise InstanceError(here, "expected a word list")
-            key = [tuple(w)]
-            for lbl in w:
-                if lbl not in L.l_basis.degree:
-                    raise InstanceError(here, "unknown label %r" % (lbl,))
+            key = [tuple(key[0])]
         tgt, c = row[keylen], row[keylen + 1]
+        for lbl in (key[0] if word_keys else key):
+            if lbl not in L.l_basis.degree:
+                raise InstanceError(here, "unknown label %r" % (lbl,))
+        if tgt not in targets:
+            raise InstanceError(here, "unknown label %r" % (tgt,))
         key = tuple(key) if keylen > 1 or word_keys else key[0]
         vec = out.setdefault(key, {})
         if tgt in vec:
@@ -290,14 +293,19 @@ def _parse_vec_rows(rows, keylen, L, locus, word_keys=False):
     return out
 
 
-def _parse_ops(rows, keylen, A, locus):
-    """Rows [key..., target, source, rational] grouped into operators."""
+def _parse_ops(rows, keylen, A, locus, keys=None):
+    """Rows [key..., target, source, rational] grouped into operators;
+    with keys given, every key part must be one of them."""
     grouped = {}
     for n, row in enumerate(rows or []):
         here = "%s[%d]" % (locus, n)
         if not (isinstance(row, list) and len(row) == keylen + 3):
             raise InstanceError(here, "expected %d fields" % (keylen + 3))
         key = tuple(row[:keylen])
+        if keys is not None:
+            for lbl in key:
+                if lbl not in keys:
+                    raise InstanceError(here, "unknown label %r" % (lbl,))
         t, s, c = row[keylen:]
         for lbl in (t, s):
             if lbl not in A.basis.degree:
@@ -326,14 +334,9 @@ def _parse_structure(doc, L):
     try:
         if kind == "lie_rinehart":
             bracket = _parse_vec_rows(sec.get("bracket", []), 2, L,
-                                      "structure.bracket")
-            for (g1, g2), vec in bracket.items():
-                for lbl in (g1, g2) + tuple(vec):
-                    if lbl not in L.l_basis.degree:
-                        raise InstanceError("structure.bracket",
-                                            "unknown label %r" % (lbl,))
+                                      L.l_basis.degree, "structure.bracket")
             anchor = _parse_ops(sec.get("anchor", []), 1, A,
-                                "structure.anchor")
+                                "structure.anchor", L.l_basis.degree)
             return LieRinehartData(L, bracket,
                                    {g: op for (g,), op in anchor.items()})
         if kind == "sh_lie_rinehart":
@@ -343,8 +346,8 @@ def _parse_structure(doc, L):
                 locus = "structure.coderivations[%s]" % j
                 if not j.isdigit():
                     raise InstanceError(locus, "levels are integers")
-                cor[int(j)] = _parse_vec_rows(rows, 1, L, locus,
-                                              word_keys=True)
+                cor[int(j)] = _parse_vec_rows(rows, 1, L, L.l_basis.degree,
+                                              locus, word_keys=True)
                 cor[int(j)] = {k[0]: v for k, v in cor[int(j)].items()}
             maps = {}
             for j, rows in _need(sec, "twisting", "structure",
@@ -359,11 +362,11 @@ def _parse_structure(doc, L):
                                      TwistingCochain(L, maps))
         if kind == "quasi":
             bracket = _parse_vec_rows(sec.get("bracketQ", []), 2, L,
-                                      "structure.bracketQ")
+                                      L.l_basis.degree, "structure.bracketQ")
             pairing = _parse_ops(sec.get("pairing", []), 1, A,
-                                 "structure.pairing")
+                                 "structure.pairing", L.l_basis.degree)
             triple = _parse_ops(sec.get("triple", []), 2, A,
-                                "structure.triple")
+                                "structure.triple", L.a_basis.degree)
             return QuasiLieRinehartData(
                 L, bracket, {g: op for (g,), op in pairing.items()},
                 triple)
@@ -383,7 +386,7 @@ def _parse_structure(doc, L):
                                             "generator %r" % name)
                 side[int(j)] = {}
                 for name, rows in tabs.items():
-                    vals = _parse_vec_rows(rows, 1, L,
+                    vals = _parse_vec_rows(rows, 1, L, A.basis.degree,
                                            "%s.%s" % (locus, name),
                                            word_keys=True)
                     vals = {k[0]: v for k, v in vals.items()}

@@ -6,6 +6,13 @@ inverse extraction recovers brackets and anchors from such an algebra.
 Quasi data (a base algebra in non-positive homological degrees with an
 induced module, a pairing and a trilinear operation) are converted to the
 homotopy format and verified the same way.
+
+Values on laden words (some slot's algebra coefficient is not the unit)
+are built from the values on bare words by one law each: anchors and
+forms by module-linearity (extend_linearly, on coalgebra.stripped_slots),
+corestrictions by the anomaly law (extend_corestriction).  The checkers
+(anomaly_report, anchor_multilinearity_report, forms.is_A_multilinear)
+do not call these extenders, so they test them.
 """
 
 from fractions import Fraction as Q
@@ -17,7 +24,8 @@ from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, TruncationPolicy,
                         check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
-                        stripped_slots, word_degree, words_of_length)
+                        stripped_slots, suspension_sign, word_degree,
+                        words_of_length)
 from .forms import (FormTable, TwistingCochain, build_D, constant_form,
                     descent_check, dual_one_forms, hom_differential,
                     operator_route, partial_t, twisting_residual)
@@ -325,122 +333,113 @@ def extract_structure(m, policy):
     return sh, flags
 
 
+def extend_linearly(L, start_degree, bare, n, times):
+    """Values on the canonical words of length n from the values on bare
+    words, by the module-linearity rule (coalgebra.stripped_slots): a
+    word takes sign * a * value(bare) at its first laden slot.
+
+    bare maps tuples of module generator names (a bare word in canonical
+    order: by suspended degree, then name) to values; times(a, sign,
+    value) scales a value by sign times the algebra basis element a.
+    Words whose bare word has no value are left out.
+    """
+    for key in bare:
+        for x in key:
+            if x not in L.a_basis.degree:
+                raise ValueError("bare value on %r names no generator %r"
+                                 % (key, x))
+    unit = L.over.unit
+    vals = {}
+    # a word with k laden slots reads a stripped word with k - 1
+    for w in sorted(words_of_length(L, n),
+                    key=lambda w: sum(L.split(g)[0] != unit for g in w)):
+        for _, a, sgn, stripped in stripped_slots(L, w, start_degree):
+            if stripped in vals:
+                vals[w] = times(a, sgn, vals[stripped])
+            break
+        else:
+            key = tuple(L.split(g)[1] for g in w)
+            if key in bare:
+                vals[w] = bare[key]
+    return vals
+
+
 def extend_anchor_level(L, base, j):
     """Operators given on bare generator tuples, extended to every
-    canonical word by the Koszul scaling rule of a degree -1 family.
+    canonical word of length j by the module-linearity rule of a degree
+    -1 family (extend_linearly)."""
+    A = L.over
+    table = extend_linearly(L, -1, base, j, lambda a, s, op: compose(
+        mult_op(A, {a: ONE}), op).scale(s))
+    return {w: op for w, op in table.items() if not op.is_zero()}
 
-    base maps tuples of module generator names (sorted by suspended
-    degree, then name) to operators on the base algebra.
+
+def extend_corestriction(L, anchor, bare, n):
+    """The arity-n corestriction on every canonical word, from its values
+    on the bare words and the level n - 1 anchor, by the anomaly law that
+    anomaly_report checks.
+
+    The last laden slot moves to the end with the suspended Koszul sign;
+    its coefficient a then splits off into the anchor term t(rest)(a) x
+    plus (-1)^(|a| (|rest| + 1)) a times the value on the word with that
+    slot made bare.  anchor: {canonical word of length n - 1: operator on
+    A}; bare: {canonical bare word of length n: sL vector}.
     """
     A = L.over
-    adeg = A.basis.degree
+    memo = {}
+
+    def cor(args):
+        if args in memo:
+            return memo[args]
+        laden = [i for i, g in enumerate(args) if L.split(g)[0] != A.unit]
+        if not laden:
+            sgn, w = normalize_word(L, list(args))
+            res = vec_scale(Q(sgn), bare.get(w, {}))
+        elif laden[-1] < n - 1:
+            i = laden[-1]
+            e = L.sl_degree(args[i]) * word_degree(L, args[i + 1:])
+            res = vec_scale(-ONE if e % 2 else ONE,
+                            cor(args[:i] + args[i + 1:] + args[i:i + 1]))
+        else:
+            a, x = L.split(args[-1])
+            rest = args[:-1]
+            res = {}
+            sgn, w = normalize_word(L, list(rest))
+            op = anchor.get(w) if sgn else None
+            if op is not None:
+                for b, c in op.apply({a: ONE}).items():
+                    vec_axpy(res, sgn * c, {L.pair(b, x): ONE})
+            e = A.basis.degree[a] * (word_degree(L, rest) + 1)
+            vec_axpy(res, -ONE if e % 2 else ONE, L.a_times_sl(
+                {a: ONE}, cor(rest + (L.pair(A.unit, x),))))
+        memo[args] = res
+        return res
+
     table = {}
-    for w in words_of_length(L, j):
-        sign, coeff, key = strip_word(L, w, -1)
-        if sign is None:
-            continue
-        op = base.get(key)
-        if op is None or op.is_zero() or not coeff:
-            continue
-        full = compose(mult_op(A, coeff), op).scale(sign)
-        if not full.is_zero():
-            table[w] = full
+    for w in words_of_length(L, n):
+        v = cor(w)
+        if v:
+            table[w] = v
     return table
-
-
-def strip_word(L, w, start_degree):
-    """Pull the algebra coefficients out of a word, left to right.
-
-    Returns (sign, product of coefficients, sorted generator name tuple);
-    sign is None when a repeated generator of odd suspended degree makes
-    the stripped word vanish.
-    """
-    A = L.over
-    adeg = A.basis.degree
-    sign = ONE
-    pre = start_degree
-    a_parts, x_parts = [], []
-    for g in w:
-        b, x = L.split(g)
-        if adeg[b] % 2 and pre % 2:
-            sign = -sign
-        a_parts.append(b)
-        x_parts.append(x)
-        pre += L.a_basis.degree[x] + 1
-    n = len(w)
-    sdegs = [L.a_basis.degree[x] + 1 for x in x_parts]
-    for i in range(n):
-        for k in range(i + 1, n):
-            if x_parts[i] == x_parts[k] and sdegs[i] % 2:
-                return None, None, None
-    perm = sorted(range(n), key=lambda i: (sdegs[i], x_parts[i]))
-    sign *= Q(koszul_sign(perm, sdegs))
-    key = tuple(x_parts[i] for i in perm)
-    coeff = {A.unit: ONE}
-    for b in a_parts:
-        coeff = multiply(A, coeff, {b: ONE})
-    return sign, coeff, key
 
 
 def extend_bracket_table(L, pairing, gen_bracket):
     """Full bracket table on the induced basis from generator brackets
-    and the level-1 anchor, through the scaling anomaly and skewness.
+    and the level-1 anchor: the generator brackets are suspended,
+    extended by extend_corestriction and desuspended.
 
     pairing: {generator name: operator on A}; gen_bracket: {(name, name):
     module element as an induced-basis vector}.
     """
-    A = L.over
-    adeg = A.basis.degree
-    ldeg = L.l_basis.degree
-    unit = A.unit
-    memo = {}
-
-    def bare_lookup(x1, x2):
-        d1 = L.a_basis.degree[x1]
-        d2 = L.a_basis.degree[x2]
-        if (x1, x2) in gen_bracket:
-            return dict(gen_bracket[(x1, x2)])
-        if (x2, x1) in gen_bracket:
-            s = ONE if (d1 % 2 and d2 % 2) else -ONE
-            return vec_scale(s, gen_bracket[(x2, x1)])
-        return {}
-
-    def bra(g1, g2):
-        key = (g1, g2)
-        if key in memo:
-            return memo[key]
-        a1, x1 = L.split(g1)
-        a2, x2 = L.split(g2)
-        if a2 != unit:
-            res = {}
-            base_op = pairing.get(x1)
-            # desuspending moves the anchor term across the first slot
-            sl1 = -ONE if ldeg[g1] % 2 else ONE
-            if a1 == unit and base_op is not None:
-                for b, c in base_op.apply({a2: ONE}).items():
-                    vec_axpy(res, sl1 * c, {L.pair(b, x2): ONE})
-            elif base_op is not None:
-                s1 = -ONE if adeg[a1] % 2 else ONE
-                val = multiply(A, {a1: ONE}, base_op.apply({a2: ONE}))
-                for b, c in val.items():
-                    vec_axpy(res, sl1 * s1 * c, {L.pair(b, x2): ONE})
-            s = -ONE if (ldeg[g1] % 2 and adeg[a2] % 2) else ONE
-            rec = bra(g1, L.pair(unit, x2))
-            vec_axpy(res, s, L.a_times_sl({a2: ONE}, rec))
-        elif a1 != unit:
-            s = ONE if (ldeg[g1] % 2 and ldeg[g2] % 2) else -ONE
-            res = vec_scale(s, bra(g2, g1))
-        else:
-            res = bare_lookup(x1, x2)
-        memo[key] = res
-        return res
-
-    table = {}
-    for w in words_of_length(L, 2):
-        v = bra(w[0], w[1])
-        if v:
-            table[w] = v
-    return table
+    unit = L.over.unit
+    bare = coderivation_from_brackets(L, {2: {
+        (L.pair(unit, x1), L.pair(unit, x2)): v
+        for (x1, x2), v in gen_bracket.items()}}).cor.get(1, {})
+    anchor = extend_anchor_level(
+        L, {(x,): op for x, op in pairing.items()}, 1)
+    return {w: vec_scale(Q(suspension_sign(
+                [L.l_basis.degree[g] for g in w])), v)
+            for w, v in extend_corestriction(L, anchor, bare, 2).items()}
 
 
 class QuasiLieRinehartData:
@@ -512,68 +511,12 @@ class QuasiLieRinehartData:
         return rep
 
 
-def three_bracket_table(q, t2_table):
-    """Level-two corestriction on suspended triples, built from the
-    extended binary anchor by the scaling anomaly law: stripping an
-    algebra coefficient off the last slot produces the anchor term plus
-    the Koszul-signed scaled value, and laden slots commute to the last
-    position with the graded-symmetric suspended sign.
-
-    Returns (table on canonical words, evaluator on label triples).
-    """
-    L = q.L
-    A = L.over
-    adeg = A.basis.degree
-    unit = A.unit
-    memo = {}
-
-    def sl(g):
-        return L.sl_degree(g)
-
-    def t2_val(g1, g2):
-        sgn, w = normalize_word(L, [g1, g2])
-        if sgn == 0:
-            return None, 0
-        return t2_table.get(w), sgn
-
-    def cor3(g1, g2, g3):
-        key = (g1, g2, g3)
-        if key in memo:
-            return memo[key]
-        a3, x3 = L.split(g3)
-        if a3 != unit:
-            res = {}
-            op, sgn = t2_val(g1, g2)
-            if op is not None:
-                for b, c in op.apply({a3: ONE}).items():
-                    vec_axpy(res, Q(sgn) * c, {L.pair(b, x3): ONE})
-            s = -ONE if ((sl(g1) + sl(g2) + 1) % 2
-                         and adeg[a3] % 2) else ONE
-            rec = cor3(g1, g2, L.pair(unit, x3))
-            vec_axpy(res, s, L.a_times_sl({a3: ONE}, rec))
-        elif L.split(g2)[0] != unit:
-            s = -ONE if (sl(g2) % 2 and sl(g3) % 2) else ONE
-            res = vec_scale(s, cor3(g1, g3, g2))
-        elif L.split(g1)[0] != unit:
-            s = -ONE if (sl(g1) % 2 and sl(g2) % 2) else ONE
-            res = vec_scale(s, cor3(g2, g1, g3))
-        else:
-            res = {}
-        memo[key] = res
-        return res
-
-    table = {}
-    for w in words_of_length(L, 3):
-        v = cor3(*w)
-        if v:
-            table[w] = v
-    return table, cor3
-
-
 def quasi_to_sh(q):
     """Homotopy data encoded by a quasi structure: the pairing becomes
-    the unary anchor, the extended triple the binary anchor, the bracket
-    the binary corestriction and the stripped triple the ternary one."""
+    the unary anchor, the extended triple the binary anchor and the
+    bracket the binary corestriction; the ternary corestriction is zero
+    on bare words and extends by the anomaly law against the binary
+    anchor."""
     L = q.L
     t1 = {(g,): op for g, op in q.pairing.items()}
     t2 = extend_anchor_level(L, q.triple, 2)
@@ -582,7 +525,7 @@ def quasi_to_sh(q):
         v = bracket_eval(L, q.bracket, {w[0]: ONE}, {w[1]: ONE})
         if v:
             pair_table[w] = v
-    triple_table, _ = three_bracket_table(q, t2)
+    triple_table = extend_corestriction(L, t2, {}, 3)
     cor = {}
     if pair_table:
         cor.update(coderivation_from_brackets(L, {2: pair_table}).cor)
@@ -610,20 +553,13 @@ def alt_lookup(bare, names):
 
 def multilinear_form_from_bare(L, degree, bare):
     """The base-multilinear form with the given values on bare generator
-    words, extended to all words by the Koszul scaling rule."""
+    words, extended to all words by the module-linearity rule
+    (extend_linearly)."""
+    A = L.over
     vals = {}
-    lengths = sorted({len(k) for k in bare})
-    for n in lengths:
-        for w in words_of_length(L, n):
-            sign, coeff, key = strip_word(L, w, degree)
-            if sign is None:
-                continue
-            v = bare.get(key)
-            if not v or not coeff:
-                continue
-            val = vec_scale(sign, multiply(L.over, coeff, v))
-            if val:
-                vals[w] = val
+    for n in sorted({len(k) for k in bare}):
+        vals.update(extend_linearly(L, degree, bare, n, lambda a, s, v:
+                                    vec_scale(s, multiply(A, {a: ONE}, v))))
     return FormTable(L, degree, vals)
 
 
@@ -727,8 +663,7 @@ def jacobi_defect_identity(q):
     vanishes, or with the mismatch list when no sign works)."""
     L = q.L
     unit = L.over.unit
-    t2 = extend_anchor_level(L, q.triple, 2)
-    _, cor3 = three_bracket_table(q, t2)
+    partial = quasi_to_sh(q).partial
     gens = sorted(x for x, _ in L.a_basis.gens)
 
     def bare(x):
@@ -752,7 +687,8 @@ def jacobi_defect_identity(q):
                 for g2, c2 in args[1].items():
                     for g3, c3 in args[2].items():
                         vec_axpy(rhs, s * c1 * c2 * c3,
-                                 cor3(g1, g2, g3))
+                                 apply_corestriction_args(
+                                     L, partial, 2, [g1, g2, g3]))
         results.append((trip, lhs, rhs))
     if all(not lhs and not rhs for _, lhs, rhs in results):
         return {"sign": None, "mismatches": []}

@@ -6,6 +6,7 @@ instance.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -249,11 +250,24 @@ def test_roundtrip_states_what_it_certifies(capsys, tmp_path):
     assert "certifies" not in capsys.readouterr().out
 
 
+def test_tuple_keys_stay_distinct_and_recoverable():
+    # labels may contain ".", so joined keys could collide: ("q.r", "q")
+    # and ("q", "r.q") both joined to "q.r.q"
+    keys = {("q.r", "q"): Fraction(1), ("q", "r.q"): Fraction(2)}
+    rows = cli.jsonable(keys)
+    assert rows == [[["q", "r.q"], "2"], [["q.r", "q"], "1"]]
+    assert {tuple(k): v for k, v in rows} == {k: cli.jsonable(v)
+                                              for k, v in keys.items()}
+    # string keys stay as they are
+    assert cli.jsonable({"q.r": {"1|u": Fraction(1, 2)}}) == \
+        {"q.r": {"1|u": "1/2"}}
+
+
 # ------------------------------------------------- emitted mdca instances
 
 def emitted_mdca(name):
     inst = parse_instance_text(emit_instance(*catalog_entry(name)))
-    m = build_maurer_cartan(cli.as_homotopy(inst), inst.policy)
+    m = build_maurer_cartan(cli.extracted(inst, inst.policy)[0], inst.policy)
     return json.loads(emit_instance(m, inst.policy))
 
 
@@ -341,6 +355,22 @@ def test_mdca_file_with_missing_tables_exits_2(name, side, level, gen,
         assert fragment in out.err
 
 
+@pytest.mark.parametrize("section, row, locus", [
+    ("pairing", ["1|nope", "th", "th", "1"], "structure.pairing["),
+    ("bracketQ", ["1|x", "1|nope", "1|x", "1"], "structure.bracketQ["),
+    ("triple", ["nope", "x", "1", "th", "5"], "structure.triple["),
+])
+def test_quasi_rows_naming_unknown_labels_exit_2(section, row, locus,
+                                                 tmp_path, capsys):
+    # an unknown induced label (pairing, bracketQ) or module generator
+    # (triple) is unusable input for every verb, named at its row
+    doc = json.loads(emit_instance(*catalog_entry("quasi_sample")))
+    doc["structure"][section].append(row)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert locus in out.err and "nope" in out.err
+
+
 def test_invalid_quasi_data_fails_every_verb_alike(tmp_path, capsys):
     # a degree 0 triple: every verb reports the quasi validation residual
     # with exit 1, before the conversion to homotopy data can refuse it
@@ -413,4 +443,5 @@ def test_inconsistent_mdca_file_gets_one_verdict(tmp_path, capsys):
         body = json.loads(report[report.index("residuals:") + 10:
                                  report.index("elapsed:")])
         assert body[0]["route"] == "extract"
-        assert body[0]["value"] == {"1|u": {"1": "1"}}
+        # keyed by the word ("1|u",): a row [[parts...], value]
+        assert body[0]["value"] == [[["1|u"], {"1": "1"}]]
