@@ -3,10 +3,13 @@
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Vectors over a basis are sparse dicts ``{label: Fraction}`` with no zero
 entries stored.  Grading is homological throughout; differentials have
-degree -1.
+degree -1.  Row reduction (``row_echelon``) eliminates over the integers,
+fraction-free, and writes back the reduced row echelon form as
+``Fraction``s with every pivot 1.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 Q = Fraction
@@ -184,28 +187,61 @@ def compose(f, g):
 def row_echelon(rows, ncols):
     """In-place exact row reduction; returns list of pivot column indices.
 
-    Pivoting is deterministic: first nonzero entry in column order, so
-    kernel bases are reproducible run to run.
+    ``rows`` holds ``ncols`` rationals each.  On return they are the
+    reduced row echelon form as ``Fraction``s: row ``r`` has its pivot,
+    equal to 1, in the ``r``-th returned column, zeros in every other
+    pivot column, and the rows after the rank are zero.  Pivoting is
+    deterministic: first nonzero entry in column order, so kernel bases
+    are reproducible run to run.
+
+    The elimination itself runs on integers.  Each row is scaled to
+    clear its denominators, Bareiss forward elimination divides every
+    update exactly by the previous pivot, and back-substitution keeps
+    each updated row primitive (its entries divided by their gcd).
     """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     piv_cols = []
     r = 0
+    prev = 1
     for c in range(ncols):
         pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
+        for i in range(r, len(m)):
+            if m[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c] / p
-                for j in range(c, ncols):
-                    rows[i][j] -= f * rows[r][j]
+        m[r], m[pr] = m[pr], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            low = m[i]
+            a = low[c]
+            # Sylvester's identity: every entry stays a minor of the
+            # input, so the division by the previous pivot is exact
+            m[i] = [(p * x - a * y) // prev for x, y in zip(low, top)]
+        prev = p
         piv_cols.append(c)
         r += 1
+    for k in range(r - 1, -1, -1):
+        pc = piv_cols[k]
+        g = gcd(*m[k]) if m[k][pc] > 0 else -gcd(*m[k])
+        top = m[k] = [x // g for x in m[k]]
+        p = top[pc]
+        for i in range(k):
+            a = m[i][pc]
+            if a:
+                low = [p * x - a * y for x, y in zip(m[i], top)]
+                g = gcd(*low)
+                m[i] = [x // g for x in low]
+    for i, pc in enumerate(piv_cols):
+        p = m[i][pc]
+        rows[i] = [Fraction(x, p) if x else ZERO for x in m[i]]
+    for i in range(r, len(rows)):
+        rows[i] = [ZERO] * ncols
     return piv_cols
 
 
@@ -214,14 +250,16 @@ def kernel_of_rows(rows, ncols):
     rows = [list(row) for row in rows]
     piv_cols = row_echelon(rows, ncols)
     rank = len(piv_cols)
-    free = [c for c in range(ncols) if c not in piv_cols]
+    pivots = set(piv_cols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [ZERO] * ncols
         v[fc] = ONE
         for r, pc in enumerate(piv_cols):
             if rows[r][fc]:
-                v[pc] = -rows[r][fc] / rows[r][pc]
+                v[pc] = -rows[r][fc]
         basis.append(v)
     return rank, basis
 

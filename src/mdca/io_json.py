@@ -194,6 +194,21 @@ def _parse_generators(rows, locus):
     return gens
 
 
+def _known(lbl, table, here):
+    """A row field that must be one of the labels of ``table``."""
+    if not isinstance(lbl, str) or lbl not in table:
+        raise InstanceError(here, "unknown label %r" % (lbl,))
+
+
+def _word(field, table, here):
+    """The word field of a row, as a tuple of labels of ``table``."""
+    if not isinstance(field, list):
+        raise InstanceError(here, "expected a word list")
+    for lbl in field:
+        _known(lbl, table, here)
+    return tuple(field)
+
+
 def _parse_map(rows, basis, degree, locus):
     entries = {}
     for n, row in enumerate(rows or []):
@@ -202,8 +217,7 @@ def _parse_map(rows, basis, degree, locus):
             raise InstanceError(here, "expected [target, source, rational]")
         t, s, c = row
         for lbl in (t, s):
-            if lbl not in basis.degree:
-                raise InstanceError(here, "unknown label %r" % (lbl,))
+            _known(lbl, basis.degree, here)
         key = (t, s)
         if key in entries:
             raise InstanceError(here, "duplicate entry %r" % (key,))
@@ -231,8 +245,7 @@ def _parse_algebra(doc):
             raise InstanceError(here, "expected [a, b, c, rational]")
         a, b, k, c = row
         for lbl in (a, b, k):
-            if lbl not in basis.degree:
-                raise InstanceError(here, "unknown label %r" % (lbl,))
+            _known(lbl, basis.degree, here)
         vec = mult.setdefault((a, b), {})
         if k in vec:
             raise InstanceError(here, "duplicate product entry")
@@ -274,18 +287,14 @@ def _parse_vec_rows(rows, keylen, L, targets, locus, word_keys=False):
         here = "%s[%d]" % (locus, n)
         if not (isinstance(row, list) and len(row) == keylen + 2):
             raise InstanceError(here, "expected %d fields" % (keylen + 2))
-        key = row[:keylen]
         if word_keys:
-            if not isinstance(key[0], list):
-                raise InstanceError(here, "expected a word list")
-            key = [tuple(key[0])]
+            key = _word(row[0], L.l_basis.degree, here)
+        else:
+            for lbl in row[:keylen]:
+                _known(lbl, L.l_basis.degree, here)
+            key = tuple(row[:keylen]) if keylen > 1 else row[0]
         tgt, c = row[keylen], row[keylen + 1]
-        for lbl in (key[0] if word_keys else key):
-            if lbl not in L.l_basis.degree:
-                raise InstanceError(here, "unknown label %r" % (lbl,))
-        if tgt not in targets:
-            raise InstanceError(here, "unknown label %r" % (tgt,))
-        key = tuple(key) if keylen > 1 or word_keys else key[0]
+        _known(tgt, targets, here)
         vec = out.setdefault(key, {})
         if tgt in vec:
             raise InstanceError(here, "duplicate entry for %r" % (tgt,))
@@ -293,23 +302,24 @@ def _parse_vec_rows(rows, keylen, L, targets, locus, word_keys=False):
     return out
 
 
-def _parse_ops(rows, keylen, A, locus, keys=None):
+def _parse_ops(rows, keylen, A, locus, keys=None, word_keys=False):
     """Rows [key..., target, source, rational] grouped into operators;
-    with keys given, every key part must be one of them."""
+    with keys given, every key part must be one of them.  With word_keys
+    the one key part is a word of keys."""
     grouped = {}
     for n, row in enumerate(rows or []):
         here = "%s[%d]" % (locus, n)
         if not (isinstance(row, list) and len(row) == keylen + 3):
             raise InstanceError(here, "expected %d fields" % (keylen + 3))
         key = tuple(row[:keylen])
-        if keys is not None:
+        if word_keys:
+            key = (_word(row[0], keys, here),)
+        elif keys is not None:
             for lbl in key:
-                if lbl not in keys:
-                    raise InstanceError(here, "unknown label %r" % (lbl,))
+                _known(lbl, keys, here)
         t, s, c = row[keylen:]
         for lbl in (t, s):
-            if lbl not in A.basis.degree:
-                raise InstanceError(here, "unknown label %r" % (lbl,))
+            _known(lbl, A.basis.degree, here)
         ent = grouped.setdefault(key, {})
         if (t, s) in ent:
             raise InstanceError(here, "duplicate operator entry")
@@ -348,15 +358,14 @@ def _parse_structure(doc, L):
                     raise InstanceError(locus, "levels are integers")
                 cor[int(j)] = _parse_vec_rows(rows, 1, L, L.l_basis.degree,
                                               locus, word_keys=True)
-                cor[int(j)] = {k[0]: v for k, v in cor[int(j)].items()}
             maps = {}
             for j, rows in _need(sec, "twisting", "structure",
                                  dict).items():
                 locus = "structure.twisting[%s]" % j
                 if not j.isdigit():
                     raise InstanceError(locus, "levels are integers")
-                ops = _parse_ops([[tuple(r[0])] + r[1:] for r in rows], 1,
-                                 A, locus)
+                ops = _parse_ops(rows, 1, A, locus, L.l_basis.degree,
+                                 word_keys=True)
                 maps[int(j)] = {w: op for (w,), op in ops.items()}
             return ShLieRinehartData(L, Coderivation(L, cor),
                                      TwistingCochain(L, maps))
@@ -389,7 +398,6 @@ def _parse_structure(doc, L):
                     vals = _parse_vec_rows(rows, 1, L, A.basis.degree,
                                            "%s.%s" % (locus, name),
                                            word_keys=True)
-                    vals = {k[0]: v for k, v in vals.items()}
                     degs = {L.over.basis.degree[al] - word_degree(L, w)
                             for w, vec in vals.items() for al in vec}
                     if len(degs) > 1:

@@ -221,7 +221,9 @@ def check_sh_lie_rinehart(d, policy):
     if not agree:
         report.append({"route": "cross-check",
                        "axiom": "route agreement",
-                       "witness": (len(direct), len(indirect))})
+                       "witness": (len(direct), len(indirect)),
+                       "value": {"direct": len(direct),
+                                 "operators": len(indirect)}})
     return report
 
 

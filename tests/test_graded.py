@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdca.graded import (GradedBasis, LinearMap, compose, kernel_of_rows,
-                         koszul_sign, rank_and_kernel, vec_add, vec_sub)
+                         koszul_sign, rank_and_kernel, row_echelon, vec_add,
+                         vec_sub)
 
 
 def brute_sign(perm, degs):
@@ -164,3 +165,71 @@ def test_kernel_of_rows_deterministic():
     r2 = kernel_of_rows(rows, 3)
     assert r1 == r2
     assert r1[0] == 1
+
+
+def gauss_jordan(rows, ncols):
+    """Oracle: Fraction Gauss-Jordan with the same pivot rule (first
+    nonzero entry in column order), pivots left unnormalised."""
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / p
+                for j in range(c, ncols):
+                    rows[i][j] -= f * rows[r][j]
+        piv_cols.append(c)
+        r += 1
+    return piv_cols
+
+
+# row scales far beyond machine words, in numerator and in denominator
+SCALES = (Q(1), Q(-1), Q(2**200 + 1, 3), Q(5, 2**199 + 1))
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Combinations of at most `rank` random rows, so most matrices are
+    rank deficient, with some columns zeroed and rows scaled."""
+    ncols = draw(st.integers(0, 6))
+    nrows = draw(st.integers(0, 6))
+    rank = draw(st.integers(0, 4))
+    basis = [draw(st.lists(SMALL, min_size=ncols, max_size=ncols))
+             for _ in range(rank)]
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(SMALL, min_size=rank, max_size=rank))
+        scale = draw(st.sampled_from(SCALES))
+        rows.append([Q(0) if c in zero_cols else
+                     scale * sum((k * b[c] for k, b in zip(coeffs, basis)),
+                                 Q(0))
+                     for c in range(ncols)])
+    return rows, ncols
+
+
+@given(rational_matrices())
+def test_row_echelon_matches_fraction_gauss_jordan(case):
+    rows, ncols = case
+    oracle = [list(r) for r in rows]
+    pivots = gauss_jordan(oracle, ncols)
+    got = [list(r) for r in rows]
+    assert row_echelon(got, ncols) == pivots
+    reduced = [[x / row[pc] for x in row] for row, pc in zip(oracle, pivots)]
+    zero = [[Q(0)] * ncols] * (len(rows) - len(pivots))
+    assert got == reduced + zero
+    kernel = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Q(0)] * ncols
+            v[fc] = Q(1)
+            for row, pc in zip(oracle, pivots):
+                v[pc] = -row[fc] / row[pc]
+            kernel.append(v)
+    assert kernel_of_rows(rows, ncols) == (len(pivots), kernel)

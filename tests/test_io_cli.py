@@ -371,6 +371,26 @@ def test_quasi_rows_naming_unknown_labels_exit_2(section, row, locus,
         assert locus in out.err and "nope" in out.err
 
 
+@pytest.mark.parametrize("section, row, fragment", [
+    ("twisting", 5, "expected 4 fields"),
+    # a word written as a string was split into its characters
+    ("twisting", ["1|u", "x", "x", "1"], "expected a word list"),
+    # a label that is a list was looked up in a dict: TypeError, exit 1
+    ("twisting", [["1|u"], ["x"], "x", "1"], "unknown label ['x']"),
+    ("coderivations", [["1|u"], ["1|u"], "1"], "unknown label ['1|u']"),
+])
+def test_sh_rows_of_the_wrong_shape_exit_2(section, row, fragment, tmp_path,
+                                           capsys):
+    data, policy = catalog_entry("truncated_poly")
+    doc = json.loads(emit_instance(data.as_sh(), policy))
+    rows = doc["structure"][section]["1"]
+    rows.append(row)
+    locus = "structure.%s[1][%d]" % (section, len(rows) - 1)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert "%s: %s" % (locus, fragment) in out.err
+
+
 def test_invalid_quasi_data_fails_every_verb_alike(tmp_path, capsys):
     # a degree 0 triple: every verb reports the quasi validation residual
     # with exit 1, before the conversion to homotopy data can refuse it

@@ -421,6 +421,21 @@ def non_derivation_anchor():
     return LieRinehartData(L, bracket, {"1|e": N})
 
 
+def test_route_disagreement_carries_both_residual_counts(monkeypatch):
+    # an operator route that misses the Jacobi failure the direct route
+    # finds is itself a residual; its value holds the two counts
+    sh = catalog_entry("jacobi_violator")[0].as_sh()
+    policy = TruncationPolicy(4)
+    monkeypatch.setattr(structures, "operator_route", lambda *args: [])
+    rep = check_sh_lie_rinehart(sh, policy)
+    n = len(rep) - 1
+    assert n > 0 and all(r["route"] == "direct" for r in rep[:n])
+    assert rep[n] == {"route": "cross-check",
+                      "axiom": "route agreement",
+                      "witness": (n, 0),
+                      "value": {"direct": n, "operators": 0}}
+
+
 def test_operator_route_names_a_non_derivation_anchor():
     # D_j is a derivation of the cup product only when every anchor value
     # is a derivation of A; the operator route reports that premise
