@@ -1,16 +1,18 @@
 """Graded symmetric coalgebra on the suspension of a free dg module.
 
 Words are canonically sorted multisets of suspension generators; the
-shuffle diagonal, coderivation extensions and the bracket dictionary live
-here.  All identities are checked up to a word-length truncation W.
+shuffle diagonal, coderivation extensions and the coderivation of a
+bracket table live here.  All identities are checked up to a word-length
+truncation W; the perturbation identities run on an integer copy of the
+coderivation (Coderivation.scaled).
 """
 
 from fractions import Fraction as Q
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement
 
 from .graded import (GradedBasis, LinearMap, ONE, ZERO, compose,
-                     koszul_sign, vec_axpy, vec_scale)
-from .algebra import multiply
+                     denominator, int_multiple, koszul_sign, vec_axpy,
+                     vec_scale)
 
 SEP = "|"  # joins an algebra label and a module generator label
 
@@ -47,6 +49,10 @@ class ModuleSpec:
         # the suspended differential as an arity-1 corestriction table
         self.d0_table = {(g,): self.diff_sl.column(g)
                          for g in self.sl_basis.labels}
+        # delta of the integer tables of the direct route: clears the
+        # denominators of level 0, the module and algebra differentials
+        self.d0_denominator = denominator(chain(
+            diff_l.entries.values(), over.diff.entries.values()))
         # per-instance caches for the word-combinatorics hot paths; safe
         # because the basis and the differential are fixed at construction
         self._norm_cache = {}
@@ -67,14 +73,19 @@ class ModuleSpec:
     def word_sort_key(self, label):
         return (self.sl_basis.degree[label], label)
 
-    def a_times_sl(self, a_vec, sl_vec):
-        """A-module action on sL, through the structure constants."""
+    def a_times_sl(self, a_vec, sl_vec, mult=None):
+        """A-module action on sL, through the structure constants mult
+        {(a, b): {c: coefficient}}: those of the algebra by default, or
+        an integer multiple of them (the anomaly law of the direct
+        route), whose products then come out scaled by that multiple."""
+        if mult is None:
+            mult = self.over.mult
         out = {}
         for g, c in sl_vec.items():
             b, x = self.split(g)
-            prod = multiply(self.over, a_vec, {b: ONE})
-            for m, cm in prod.items():
-                vec_axpy(out, c * cm, {self.pair(m, x): ONE})
+            for a, ca in a_vec.items():
+                vec_axpy(out, c * ca, {self.pair(m, x): cm for m, cm
+                                       in mult.get((a, b), {}).items()})
         return out
 
     def validation_report(self):
@@ -233,7 +244,8 @@ def apply_corestriction(L, cor, arity, word):
 
     Output is {word: coefficient}: pick every arity-subset, apply the
     corestriction, multiply the value back into the remaining factors and
-    renormalize.
+    renormalize.  Only signs multiply the table's coefficients, so an
+    integer table gives integer coefficients.
     """
     out = {}
     for sgn, w1, w2 in splittings(L, word, left_size=arity):
@@ -244,10 +256,7 @@ def apply_corestriction(L, cor, arity, word):
             s2, w = normalize_word(L, [g] + list(w2))
             if s2 == 0:
                 continue
-            k = w
-            out[k] = out.get(k, ZERO) + sgn * s2 * c
-            if not out[k]:
-                del out[k]
+            vec_axpy(out, sgn * s2, {w: c})
     return out
 
 
@@ -264,7 +273,8 @@ class Coderivation:
 
     cor[j] maps canonical words of length j+1 to sL elements; the level-j
     part lowers word length by j.  The j = 0 part always comes from the
-    module differential and is not stored here.
+    module differential and is not stored here.  denominator is the
+    least common denominator of every level.
     """
 
     def __init__(self, L, cor):
@@ -293,9 +303,15 @@ class Coderivation:
                     clean[w] = v
             if clean:
                 self.cor[j] = clean
+        self.denominator = denominator(
+            c for tab in self.cor.values() for v in tab.values()
+            for c in v.values())
         # the corestriction tables are fixed after construction, so the
         # action on any one word can be cached
         self._apply_cache = {}
+        # level 0 of an integer copy (scaled); None reads L.d0_table
+        self._d0 = None
+        self._scaled = None
 
     def levels(self):
         return sorted(self.cor)
@@ -308,13 +324,13 @@ class Coderivation:
         return not self.L.diff_l.is_zero() if j == 0 else j in self.cor
 
     def apply_level(self, j, word):
-        if j == 0:
+        if j == 0 and self._d0 is None:
             return apply_d0(self.L, word)
         key = (j, word)
         hit = self._apply_cache.get(key)
         if hit is None:
-            hit = apply_corestriction(self.L, self.cor.get(j, {}),
-                                      j + 1, word)
+            table = self._d0 if j == 0 else self.cor.get(j, {})
+            hit = apply_corestriction(self.L, table, j + 1, word)
             self._apply_cache[key] = hit
         return dict(hit)
 
@@ -323,6 +339,23 @@ class Coderivation:
         for w, c in wvec.items():
             vec_axpy(out, c, self.apply_level(j, w))
         return out
+
+    def scaled(self, delta, lam):
+        """The same coderivation on Python ints: level k, level 0 (the
+        module differential) included, times delta * lam**k.  delta must
+        clear L.d0_denominator and lam the denominator of every level.
+        The direct route evaluates its identities on this copy, through
+        apply_level; it is built on first use and kept for one (delta,
+        lam) at a time, for the life of this coderivation."""
+        if self._scaled is None or self._scaled[0] != (delta, lam):
+            s = Coderivation(self.L, {})
+            s.cor = {j: {w: int_multiple(delta * lam ** j, v)
+                         for w, v in tab.items()}
+                     for j, tab in self.cor.items()}
+            s._d0 = {w: int_multiple(delta, v)
+                     for w, v in self.L.d0_table.items() if v}
+            self._scaled = ((delta, lam), s)
+        return self._scaled[1]
 
 
 def check_coalgebra_perturbation(partial, L, policy):
@@ -336,20 +369,31 @@ def check_coalgebra_perturbation(partial, L, policy):
     evaluated, and a level with no such term enumerates no words: a zero
     factor makes its term zero on every word, so the residuals are those
     of the full sum.
+
+    The sum runs on the integer copy partial.scaled(delta, lam), with
+    delta = L.d0_denominator and lam = partial.denominator.  Every term
+    has one factor at level k and one at level j - k, so it comes out
+    delta**2 * lam**j times its rational value, and so does the sum: a
+    residual is zero iff its integer one is, and its value is divided
+    back once.  The value is an sL element, keyed by label.
     """
+    delta, lam = L.d0_denominator, partial.denominator
+    scaled = partial.scaled(delta, lam)
     report = []
     for j in range(1, policy.W):
         terms = [k for k in range(j + 1)
                  if partial.live(k) and partial.live(j - k)]
         if not terms:
             continue
+        scale = delta * delta * lam ** j
         for w in words_of_length(L, j + 1):
             res = {}
             for k in terms:
-                vec_axpy(res, ONE, partial.apply_level_vec(
-                    k, partial.apply_level(j - k, w)))
+                vec_axpy(res, 1, scaled.apply_level_vec(
+                    k, scaled.apply_level(j - k, w)))
             if res:
-                report.append({"level": j, "word": w, "value": res})
+                report.append({"level": j, "word": w, "value": {
+                    g: Q(c, scale) for (g,), c in res.items()}})
     return report
 
 
@@ -359,39 +403,6 @@ def suspension_sign(degs):
     n = len(degs)
     e = sum((n - 1 - i) * degs[i] for i in range(n))
     return -1 if e % 2 else 1
-
-
-def brackets_from_coderivation(partial, n):
-    """The n-ary bracket on the Q-basis of L encoded by the coderivation.
-
-    Returns {basis label tuple: L-element}; tuples run over all ordered
-    n-tuples with nonzero bracket.  The value is the desuspension of the
-    symmetrized coderivation corestriction, including the 1/n! factor.
-    """
-    L = partial.L
-    out = {}
-    labels = L.l_basis.labels
-    fact = Q(1)
-    for i in range(2, n + 1):
-        fact *= i
-    for tup in combinations_with_replacement(sorted(labels), n):
-        for args in set(permutations(tup)):
-            degs = [L.l_basis.degree[g] for g in args]
-            ssgn = suspension_sign(degs)
-            acc = {}
-            sdegs = [d + 1 for d in degs]
-            for perm in permutations(range(n)):
-                psgn = koszul_sign(list(perm), sdegs)
-                nsgn, w = normalize_word(L, [args[i] for i in perm])
-                if nsgn == 0:
-                    continue
-                val = partial.cor.get(n - 1, {}).get(w)
-                if not val:
-                    continue
-                vec_axpy(acc, Q(psgn * nsgn * ssgn) / fact, val)
-            if acc:
-                out[args] = acc
-    return out
 
 
 def coderivation_from_brackets(L, brackets):

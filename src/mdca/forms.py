@@ -8,9 +8,10 @@ windowed cohomology ranks, which the operator route must pass first.
 """
 
 from fractions import Fraction as Q
+from math import lcm
 
-from .graded import (LinearMap, ONE, ZERO, compose, row_echelon, vec_axpy,
-                     vec_scale, vec_sub)
+from .graded import (LinearMap, ONE, ZERO, compose_axpy, denominator,
+                     row_echelon, vec_axpy, vec_scale, vec_sub)
 from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                         splittings, stripped_slots, word_basis, word_degree,
@@ -99,7 +100,8 @@ class TwistingCochain:
     words to degree word-degree-minus-one operators on A.
 
     The family as a whole is a degree -1 element; each individual value is
-    stored as a LinearMap on the algebra basis.
+    stored as a LinearMap on the algebra basis.  denominator is the least
+    common denominator of every value.
     """
 
     def __init__(self, L, maps):
@@ -127,9 +129,26 @@ class TwistingCochain:
                     clean[w] = op
             if clean:
                 self.maps[j] = clean
+        self.denominator = denominator(
+            c for tab in self.maps.values() for op in tab.values()
+            for c in op.entries.values())
+        self._scaled = None
 
     def levels(self):
         return sorted(self.maps)
+
+    def scaled(self, delta, lam):
+        """(diff, maps): the algebra differential times delta and each
+        level k times delta * lam**k, as integer columns (LinearMap.
+        int_columns) by level and word.  Built on first use and kept for
+        one (delta, lam) at a time, for the life of this family."""
+        if self._scaled is None or self._scaled[0] != (delta, lam):
+            maps = {j: {w: op.int_columns(delta * lam ** j)
+                        for w, op in tab.items()}
+                    for j, tab in self.maps.items()}
+            self._scaled = ((delta, lam),
+                            (self.L.over.diff.int_columns(delta), maps))
+        return self._scaled[1]
 
     def value(self, j, word):
         return self.maps.get(j, {}).get(word)
@@ -559,6 +578,17 @@ def cohomology_ranks(L, partial, t, policy):
     return ranks
 
 
+def integer_tables(L, partial, t):
+    """(delta, lam, coderivation, (diff, maps)): the integer copies on
+    which the anchor identities of the direct route run.  delta clears
+    level 0 (L.d0_denominator) and lam every higher level of both
+    families, so level k of each is scaled by delta * lam**k
+    (Coderivation.scaled, TwistingCochain.scaled)."""
+    delta = L.d0_denominator
+    lam = lcm(partial.denominator, t.denominator)
+    return delta, lam, partial.scaled(delta, lam), t.scaled(delta, lam)
+
+
 def twisting_residual(L, t, partial, j, word):
     """Level-j residual of the anchor family as an operator on A.
 
@@ -572,30 +602,35 @@ def twisting_residual(L, t, partial, j, word):
     the anchor levels k < j with an anchor table at j - k too.  A
     skipped term has an empty anchor level or a zero coderivation level
     as a factor, so it is zero.
+
+    The terms are evaluated on integer_tables.  Each pairs two factors
+    whose levels add up to j, the algebra differential counting as level
+    0, so each comes out delta**2 * lam**j times its rational value; the
+    sum is divided back once.
     """
-    A = L.over
+    delta, lam, scaled, (diff, maps) = integer_tables(L, partial, t)
     wd = word_degree(L, word)
     out = {}
-    op = t.value(j, word)
+    op = maps.get(j, {}).get(word)
     if op is not None:
-        vec_axpy(out, ONE, compose(A.diff, op).entries)
-        s = -ONE if (wd - 1) % 2 else ONE
-        vec_axpy(out, -s, compose(op, A.diff).entries)
-    for k in t.levels():
-        if k > j or not partial.live(j - k):
+        compose_axpy(out, 1, diff, op)
+        compose_axpy(out, 1 if (wd - 1) % 2 else -1, op, diff)
+    for k in sorted(maps):
+        if k > j or not scaled.live(j - k):
             continue
-        for w2, c in partial.apply_level(j - k, word).items():
-            op2 = t.value(k, w2)
-            if op2 is not None:
-                vec_axpy(out, c, op2.entries)
-    for k in t.levels():
-        if k >= j or j - k not in t.maps:
+        for w2, c in scaled.apply_level(j - k, word).items():
+            for s, col in maps[k].get(w2, {}).items():
+                vec_axpy(out.setdefault(s, {}), c, col)
+    for k in sorted(maps):
+        if k >= j or j - k not in maps:
             continue
         for sgn, w1, w2 in splittings(L, word, left_size=k):
-            op1 = t.value(k, w1)
-            op2 = t.value(j - k, w2)
+            op1 = maps[k].get(w1)
+            op2 = maps[j - k].get(w2)
             if op1 is None or op2 is None:
                 continue
             s = -1 if word_degree(L, w1) % 2 else 1
-            vec_axpy(out, Q(sgn * s), compose(op1, op2).entries)
-    return out
+            compose_axpy(out, sgn * s, op1, op2)
+    scale = delta * delta * lam ** j
+    return {(tt, s): Q(c, scale) for s, col in out.items()
+            for tt, c in col.items()}

@@ -6,6 +6,10 @@ entries stored.  Grading is homological throughout; differentials have
 degree -1.  Row reduction (``row_echelon``) eliminates over the integers,
 fraction-free, and writes back the reduced row echelon form as
 ``Fraction``s with every pivot 1.
+
+The vector helpers and ``compose_axpy`` are type-generic: Python ints in
+give ints out, so a loop over tables scaled to integers
+(``int_multiple``) never builds a ``Fraction``.
 """
 
 from fractions import Fraction
@@ -19,14 +23,7 @@ ONE = Fraction(1)
 
 
 def vec_add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, ZERO) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return vec_axpy(dict(u), 1, v)
 
 
 def vec_scale(c, u):
@@ -34,12 +31,14 @@ def vec_scale(c, u):
         return {}
     return {k: c * x for k, x in u.items()}
 
+
 def vec_axpy(out, c, u):
     """In-place out += c*u for accumulation loops."""
     if not c:
         return out
     for k, x in u.items():
-        s = out.get(k, ZERO) + c * x
+        s = out.get(k)
+        s = c * x if s is None else s + c * x
         if s:
             out[k] = s
         else:
@@ -48,7 +47,25 @@ def vec_axpy(out, c, u):
 
 
 def vec_sub(u, v):
-    return vec_add(u, vec_scale(-ONE, v))
+    return vec_axpy(dict(u), -1, v)
+
+
+def denominator(coeffs):
+    """Least common denominator of an iterable of rationals (1 if empty)."""
+    return lcm(*{c.denominator for c in coeffs})
+
+
+def int_multiple(s, vec):
+    """s times a vector of rationals, as Python ints; s must be a multiple
+    of every denominator (denominator), else ValueError."""
+    out = {}
+    for k, c in vec.items():
+        q, r = divmod(s, c.denominator)
+        if r:
+            raise ValueError("%r does not clear the denominator of %r"
+                             % (s, c))
+        out[k] = c.numerator * q
+    return out
 
 
 def koszul_sign(perm, degs):
@@ -139,6 +156,11 @@ class LinearMap:
     def column(self, s):
         return dict(self._cols.get(s, {}))
 
+    def int_columns(self, s):
+        """s times this map, by integer columns {source: {target: int}}
+        (int_multiple)."""
+        return {src: int_multiple(s, col) for src, col in self._cols.items()}
+
     def is_zero(self):
         return not self.entries
 
@@ -165,23 +187,26 @@ class LinearMap:
                          {k: c * v for k, v in self.entries.items()})
 
 
+def compose_axpy(out, c, f_cols, g_cols):
+    """In-place out += c * (f after g), every map by its columns
+    {source: {target: coefficient}}; columns of out may be left empty."""
+    for s, col in g_cols.items():
+        acc = out.setdefault(s, {})
+        for m, x in col.items():
+            f_col = f_cols.get(m)
+            if f_col:
+                vec_axpy(acc, c * x, f_col)
+    return out
+
+
 def compose(f, g):
     """f after g; degrees add."""
     if g.target != f.source:
         raise ValueError("basis mismatch: g.target != f.source")
-    ent = {}
-    for (m, s), c in g.entries.items():
-        col = f._cols.get(m)
-        if not col:
-            continue
-        for t, c2 in col.items():
-            k = (t, s)
-            v = ent.get(k, ZERO) + c2 * c
-            if v:
-                ent[k] = v
-            else:
-                ent.pop(k, None)
-    return LinearMap(g.source, f.target, f.degree + g.degree, ent)
+    cols = compose_axpy({}, 1, f._cols, g._cols)
+    return LinearMap(g.source, f.target, f.degree + g.degree,
+                     {(t, s): c for s, col in cols.items()
+                      for t, c in col.items()})
 
 
 def row_echelon(rows, ncols):
@@ -262,26 +287,3 @@ def kernel_of_rows(rows, ncols):
                 v[pc] = -rows[r][fc]
         basis.append(v)
     return rank, basis
-
-
-def rank_and_kernel(f, degree_window):
-    """Per-source-degree (rank, kernel basis) of a LinearMap, exact.
-
-    Returns {degree: (rank, [kernel vectors over f.source])} for each degree
-    in the inclusive window.
-    """
-    dmin, dmax = degree_window
-    out = {}
-    for d in range(dmin, dmax + 1):
-        src = f.source.labels_of_degree(d)
-        tgt = f.target.labels_of_degree(d + f.degree)
-        rows = [[f.entries.get((t, s), ZERO) for s in src] for t in tgt]
-        if not src:
-            out[d] = (0, [])
-            continue
-        if not rows:
-            rows = [[ZERO] * len(src)]
-        rank, kb = kernel_of_rows(rows, len(src))
-        vecs = [{s: c for s, c in zip(src, v) if c} for v in kb]
-        out[d] = (rank, vecs)
-    return out

@@ -209,6 +209,15 @@ def _word(field, table, here):
     return tuple(field)
 
 
+def _level(key, locus):
+    """A level key as emission writes it: ASCII decimal digits with no
+    leading zero, so that no two keys name the same level."""
+    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise InstanceError(locus, "level key %r is not a canonical "
+                            "decimal integer" % (key,))
+    return int(key)
+
+
 def _parse_map(rows, basis, degree, locus):
     entries = {}
     for n, row in enumerate(rows or []):
@@ -354,19 +363,16 @@ def _parse_structure(doc, L):
             for j, rows in _need(sec, "coderivations", "structure",
                                  dict).items():
                 locus = "structure.coderivations[%s]" % j
-                if not j.isdigit():
-                    raise InstanceError(locus, "levels are integers")
-                cor[int(j)] = _parse_vec_rows(rows, 1, L, L.l_basis.degree,
-                                              locus, word_keys=True)
+                cor[_level(j, locus)] = _parse_vec_rows(
+                    rows, 1, L, L.l_basis.degree, locus, word_keys=True)
             maps = {}
             for j, rows in _need(sec, "twisting", "structure",
                                  dict).items():
                 locus = "structure.twisting[%s]" % j
-                if not j.isdigit():
-                    raise InstanceError(locus, "levels are integers")
+                level = _level(j, locus)
                 ops = _parse_ops(rows, 1, A, locus, L.l_basis.degree,
                                  word_keys=True)
-                maps[int(j)] = {w: op for (w,), op in ops.items()}
+                maps[level] = {w: op for (w,), op in ops.items()}
             return ShLieRinehartData(L, Coderivation(L, cor),
                                      TwistingCochain(L, maps))
         if kind == "quasi":
@@ -385,15 +391,14 @@ def _parse_structure(doc, L):
             side = {}
             for j, tabs in _need(sec, key, "structure", dict).items():
                 locus = "structure.%s[%s]" % (key, j)
-                if not j.isdigit():
-                    raise InstanceError(locus, "levels are integers")
+                level = _level(j, locus)
                 if not isinstance(tabs, dict):
                     raise InstanceError(locus, "expected an object")
                 for name in names:
                     if name not in tabs:
                         raise InstanceError(locus, "missing table for "
                                             "generator %r" % name)
-                side[int(j)] = {}
+                side[level] = {}
                 for name, rows in tabs.items():
                     vals = _parse_vec_rows(rows, 1, L, A.basis.degree,
                                            "%s.%s" % (locus, name),
@@ -416,7 +421,7 @@ def _parse_structure(doc, L):
                             "%s.%s" % (locus, name),
                             "form of degree %d, expected %d"
                             % (degs.pop(), base - 1))
-                    side[int(j)][name] = FormTable(L, base - 1, vals)
+                    side[level][name] = FormTable(L, base - 1, vals)
             return side
         on_constants = tables("constants", A.basis.labels)
         on_duals = tables("duals", [x for x, _ in L.a_basis.gens])
@@ -461,8 +466,18 @@ class ParsedInstance:
 
 
 def parse_instance_text(text, where="instance"):
+    def unique_keys(pairs):
+        # json.loads keeps the last of two equal keys, so a second level
+        # "1" would replace the first
+        obj = {}
+        for key, val in pairs:
+            if key in obj:
+                raise InstanceError(where, "duplicate key %r" % (key,))
+            obj[key] = val
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise InstanceError(where, "malformed JSON: %s" % e)
     if not isinstance(doc, dict):

@@ -18,8 +18,8 @@ do not call these extenders, so they test them.
 from fractions import Fraction as Q
 from itertools import combinations
 
-from .graded import (LinearMap, ONE, ZERO, compose, koszul_sign, vec_axpy,
-                     vec_scale, vec_sub)
+from .graded import (LinearMap, ONE, ZERO, compose, denominator,
+                     int_multiple, koszul_sign, vec_axpy, vec_scale, vec_sub)
 from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, TruncationPolicy,
                         check_coalgebra_perturbation,
@@ -28,7 +28,8 @@ from .coalgebra import (Coderivation, TruncationPolicy,
                         words_of_length)
 from .forms import (FormTable, TwistingCochain, build_D, constant_form,
                     descent_check, dual_one_forms, hom_differential,
-                    operator_route, partial_t, twisting_residual)
+                    integer_tables, operator_route, partial_t,
+                    twisting_residual)
 
 
 def mult_op(A, a_vec):
@@ -99,6 +100,14 @@ def direct_route(L, partial, t, policy):
     Coderivation perturbation identities, anchor twisting identities,
     anchor module-linearity and the anomaly law at every level of either
     family.  Each residual carries route, axiom, witness and value.
+
+    The perturbation, twisting and anomaly identities are homogeneous
+    under scaling level k by delta * lam**k (and the structure constants
+    by mu), so they run on integer copies of the tables and divide each
+    residual back (check_coalgebra_perturbation, forms.twisting_residual,
+    anomaly_report).  Module-linearity compares t_j(w) with a * t_j(bare),
+    where only the second side has a product in A, so it stays on
+    Fractions.
     """
     report = []
     for r in check_coalgebra_perturbation(partial, L, policy):
@@ -157,37 +166,46 @@ def anchor_multilinearity_report(L, t):
 def anomaly_report(L, partial, t, j):
     """Scaling the last bracket slot by an algebra element produces the
     anchor term plus the Koszul-signed scaled bracket; violations on all
-    (word, algebra element, generator) triples are reported."""
+    (word, algebra element, generator) triples are reported.
+
+    The law is checked on integer_tables, with the algebra's structure
+    constants scaled by mu, their least common denominator.  Every term
+    has one level-j factor (the corestriction or the anchor) and one
+    product in A, so it comes out mu * delta * lam**j times its rational
+    value; the residual is divided back once.
+    """
     A = L.over
     adeg = A.basis.degree
+    delta, lam, scaled, (_, maps) = integer_tables(L, partial, t)
+    mu = denominator(c for v in A.mult.values() for c in v.values())
+    mult = {k: int_multiple(mu, v) for k, v in A.mult.items()}
+    scale = mu * delta * lam ** j
+    anchor = maps.get(j, {})
     report = []
     for w in words_of_length(L, j):
-        op = t.value(j, w)
+        op = anchor.get(w, {})
         # Koszul exponent of moving the scalar out of the last slot: its
         # degree times (degree -1 of the family plus the earlier slots)
         sl_sum = sum(L.sl_degree(gl) for gl in w)
         for al in A.basis.labels:
             for g2 in L.l_basis.labels:
-                scaled = L.a_times_sl({al: ONE}, {g2: ONE})
                 lhs = {}
-                for gl, c in scaled.items():
-                    vec_axpy(lhs, c,
-                             apply_corestriction_args(
-                                 L, partial, j, list(w) + [gl]))
+                for gl, c in L.a_times_sl({al: 1}, {g2: 1}, mult).items():
+                    vec_axpy(lhs, c, apply_corestriction_args(
+                        L, scaled, j, list(w) + [gl]))
                 rhs = {}
-                if op is not None:
-                    for bl, c in op.apply({al: ONE}).items():
-                        vec_axpy(rhs, c, L.a_times_sl({bl: ONE}, {g2: ONE}))
-                s = -ONE if ((sl_sum + 1) % 2 and adeg[al] % 2) else ONE
-                vec_axpy(rhs, s,
-                         L.a_times_sl({al: ONE},
-                                      apply_corestriction_args(
-                                          L, partial, j, list(w) + [g2])))
+                for bl, c in op.get(al, {}).items():
+                    vec_axpy(rhs, c, L.a_times_sl({bl: 1}, {g2: 1}, mult))
+                s = -1 if ((sl_sum + 1) % 2 and adeg[al] % 2) else 1
+                vec_axpy(rhs, s, L.a_times_sl(
+                    {al: 1}, apply_corestriction_args(
+                        L, scaled, j, list(w) + [g2]), mult))
                 if lhs != rhs:
                     report.append({"route": "direct",
                                    "axiom": "bracket anomaly law",
                                    "witness": (j, w, al, g2),
-                                   "value": vec_sub(lhs, rhs)})
+                                   "value": {g: Q(c, scale) for g, c
+                                             in vec_sub(lhs, rhs).items()}})
     return report
 
 
@@ -195,7 +213,7 @@ def apply_corestriction_args(L, partial, j, args):
     sgn, w = normalize_word(L, args)
     if sgn == 0:
         return {}
-    return vec_scale(Q(sgn), partial.cor.get(j, {}).get(w, {}))
+    return vec_scale(sgn, partial.cor.get(j, {}).get(w, {}))
 
 
 class ShLieRinehartData:

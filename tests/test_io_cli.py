@@ -391,6 +391,38 @@ def test_sh_rows_of_the_wrong_shape_exit_2(section, row, fragment, tmp_path,
         assert "%s: %s" % (locus, fragment) in out.err
 
 
+@pytest.mark.parametrize("key", ["01", "\u00b2"])
+@pytest.mark.parametrize("section", ["coderivations", "twisting",
+                                     "constants", "duals"])
+def test_non_canonical_level_keys_exit_2(section, key, tmp_path, capsys):
+    # "01" named level 1 and replaced it: with "01": [] added to its
+    # coderivations, jacobi_violator passed; "\u00b2" died in int()
+    if section in ("constants", "duals"):
+        doc = emitted_mdca("jacobi_violator")
+        doc["structure"][section][key] = {}
+    else:
+        data, policy = catalog_entry("jacobi_violator")
+        doc = json.loads(emit_instance(data.as_sh(), policy))
+        doc["structure"][section][key] = []
+    expect_error(doc, "level key %r is not a canonical decimal integer"
+                 % key)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert "structure.%s[%s]" % (section, key) in out.err
+
+
+def test_a_key_written_twice_exits_2(tmp_path, capsys):
+    # a second "1" after the first replaced it: jacobi_violator passed
+    data, policy = catalog_entry("jacobi_violator")
+    text = emit_instance(data.as_sh(), policy)
+    end = text.rindex("}", 0, text.index('"kind": "sh_lie_rinehart"'))
+    p = tmp_path / "twice.json"
+    p.write_text(text[:end] + ', "1": []' + text[end:])
+    for verb in ("check", "roundtrip", "cohomology"):
+        assert cli.main([verb, str(p)]) == 2
+        assert "duplicate key '1'" in capsys.readouterr().err
+
+
 def test_invalid_quasi_data_fails_every_verb_alike(tmp_path, capsys):
     # a degree 0 triple: every verb reports the quasi validation residual
     # with exit 1, before the conversion to homotopy data can refuse it

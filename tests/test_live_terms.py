@@ -1,10 +1,14 @@
-"""The direct route evaluates only terms whose factors are all live.
+"""The direct route: only live terms, on integer-scaled tables.
 
 A term of a perturbation or twisting identity with a zero factor (an
 empty corestriction or anchor level, or level 0 with a zero module
 differential) is zero, so skipping it must leave every residual as it
-is.  The all-terms oracles below evaluate every term, as the identities
-are written.
+is.  The direct route also evaluates its three identities on integer
+copies of the tables (level k scaled by delta * lam**k, the structure
+constants by mu) and divides each residual back.  The oracles below
+evaluate every term, as the identities are written, in Fraction
+arithmetic on the given tables; residual lists, witnesses and values
+must be equal, on data with denominators at every level.
 """
 
 import random
@@ -14,13 +18,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdca import cli, coalgebra, forms
-from mdca.coalgebra import (Coderivation, TruncationPolicy,
-                            check_coalgebra_perturbation, splittings,
-                            word_degree, words_of_length)
+from mdca.algebra import AlgebraSpec, multiply
+from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
+                            check_coalgebra_perturbation, normalize_word,
+                            splittings, word_degree, words_of_length)
 from mdca.forms import TwistingCochain
-from mdca.graded import LinearMap, ONE, compose, vec_axpy
+from mdca.graded import (GradedBasis, LinearMap, ONE, compose, vec_axpy,
+                         vec_sub)
 from mdca.instances import catalog_entry
-from mdca.structures import check_twisting_cochain, quasi_to_sh
+from mdca.structures import (LieRinehartData, ShLieRinehartData,
+                             anomaly_report, check_twisting_cochain,
+                             direct_route, quasi_to_sh)
+from test_forms import change_of_basis, dg_anchor, inverse
 
 
 def catalog_homotopy(name):
@@ -34,7 +43,8 @@ def catalog_homotopy(name):
 
 def all_terms_perturbation(partial, L, W):
     """Residuals of sum_k del^k del^(j-k) over every k = 0..j, on the
-    words of length j + 1, for every level j < W."""
+    words of length j + 1, for every level j < W; values keyed by
+    label."""
     report = []
     for j in range(1, W):
         for w in words_of_length(L, j + 1):
@@ -43,7 +53,8 @@ def all_terms_perturbation(partial, L, W):
                 vec_axpy(res, ONE, partial.apply_level_vec(
                     k, partial.apply_level(j - k, w)))
             if res:
-                report.append({"level": j, "word": w, "value": res})
+                report.append({"level": j, "word": w, "value": {
+                    g: c for (g,), c in res.items()}})
     return report
 
 
@@ -83,13 +94,120 @@ def all_terms_twisting(L, t, partial, W):
     return report
 
 
+def a_times(L, a_label, sl_vec):
+    """a times an sL vector through algebra.multiply."""
+    out = {}
+    for g, c in sl_vec.items():
+        b, x = L.split(g)
+        for m, cm in multiply(L.over, {a_label: ONE}, {b: ONE}).items():
+            vec_axpy(out, c * cm, {L.pair(m, x): ONE})
+    return out
+
+
+def corestriction_on(L, partial, j, args):
+    sgn, w = normalize_word(L, args)
+    if sgn == 0:
+        return {}
+    return {g: sgn * c for g, c in partial.cor.get(j, {}).get(w, {}).items()}
+
+
+def anomaly_oracle(L, partial, t, j):
+    """The anomaly law on every (word, algebra element, generator) at
+    level j, in Fraction arithmetic on the given tables."""
+    A = L.over
+    adeg = A.basis.degree
+    report = []
+    for w in words_of_length(L, j):
+        op = t.value(j, w)
+        sl_sum = sum(L.sl_degree(gl) for gl in w)
+        for al in A.basis.labels:
+            for g2 in L.l_basis.labels:
+                lhs = {}
+                for gl, c in a_times(L, al, {g2: ONE}).items():
+                    vec_axpy(lhs, c, corestriction_on(L, partial, j,
+                                                      list(w) + [gl]))
+                rhs = {}
+                if op is not None:
+                    for bl, c in op.apply({al: ONE}).items():
+                        vec_axpy(rhs, c, a_times(L, bl, {g2: ONE}))
+                s = -ONE if ((sl_sum + 1) % 2 and adeg[al] % 2) else ONE
+                vec_axpy(rhs, s, a_times(L, al, corestriction_on(
+                    L, partial, j, list(w) + [g2])))
+                if lhs != rhs:
+                    report.append({"route": "direct",
+                                   "axiom": "bracket anomaly law",
+                                   "witness": (j, w, al, g2),
+                                   "value": vec_sub(lhs, rhs)})
+    return report
+
+
+# ------------------------------------------------------------------ data
+
+def rational_copy(sh, c, d):
+    """sh over a copy of its algebra with each basis element b replaced
+    by c[b] * b (the unit kept), with both differentials times d and
+    level k of the coderivation and the anchor family times d**(1 - k).
+    The first change is a change of basis; the second multiplies each
+    identity at level j by a power of d.  So valid data stay valid, now
+    with denominators at level 0, in the structure constants and at the
+    higher levels."""
+    L, A = sh.L, sh.L.over
+
+    def f(a):
+        return Q(c.get(a, 1))
+
+    def alg(words):
+        out = ONE
+        for w in words:
+            out *= f(L.split(w)[0])
+        return out
+
+    mult = {(a, b): {m: v * f(a) * f(b) / f(m) for m, v in vec.items()}
+            for (a, b), vec in A.mult.items()}
+    A2 = AlgebraSpec(A.basis, A.unit, mult, LinearMap(
+        A.basis, A.basis, -1, {(t_, s_): v * d * f(s_) / f(t_)
+                               for (t_, s_), v in A.diff.entries.items()}))
+    L2 = ModuleSpec(A2, L.a_basis, LinearMap(
+        L.l_basis, L.l_basis, -1, {(t_, s_): v * d * alg([s_]) / alg([t_])
+                                   for (t_, s_), v
+                                   in L.diff_l.entries.items()}))
+    cor = {j: {w: {g: v * d ** (1 - j) * alg(w) / alg([g])
+                   for g, v in vec.items()} for w, vec in tab.items()}
+           for j, tab in sh.partial.cor.items()}
+    maps = {j: {w: {(t_, s_): v * d ** (1 - j) * alg(w) * f(s_) / f(t_)
+                    for (t_, s_), v in op.entries.items()}
+                for w, op in tab.items()} for j, tab in sh.t.maps.items()}
+    return ShLieRinehartData(L2, Coderivation(L2, cor),
+                             TwistingCochain(L2, maps))
+
+
+def dg_anchor_homotopy():
+    return ShLieRinehartData(*dg_anchor())
+
+
 # quasi_sample has a nonzero module differential, so level 0 takes part
 CASES = {name: catalog_homotopy(name)
          for name in ("exterior_pair", "truncated_poly", "quasi_sample")}
+# dg_anchor has a nonzero algebra differential; the rational copies have
+# denominators at level 0 (delta), in the structure constants (mu) and at
+# the higher levels (lam)
+RATIONAL = {
+    "quasi_sample, rational": rational_copy(
+        CASES["quasi_sample"], {"th": Q(2, 5)}, Q(2, 3)),
+    "truncated_poly, rational": rational_copy(
+        CASES["truncated_poly"], {"x": Q(1, 2), "x^2": Q(1, 3)}, Q(3, 2)),
+    "dg_anchor, rational": rational_copy(
+        dg_anchor_homotopy(), {"t": Q(3, 7)}, Q(5, 11)),
+}
+ALL_CASES = dict(CASES, dg_anchor=dg_anchor_homotopy(), **RATIONAL)
+
+# each level draws its own denominators, coprime to the other levels',
+# so a wrong power of lam or a missing delta changes some value
+DENOMINATORS = {1: (1, 3, 2**61 - 1), 2: (1, 5, 7), 3: (1, 11, 13)}
 
 
-def random_q(rng):
-    return Q(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
+def random_q(rng, level=1):
+    return Q(rng.choice([-2, -1, 1, 2]), rng.choice(DENOMINATORS[level]))
 
 
 def perturbed(rng, sh):
@@ -114,7 +232,7 @@ def perturbed(rng, sh):
             if targets:
                 vec = cor.setdefault(j, {}).setdefault(w, {})
                 x = rng.choice(targets)
-                vec[x] = vec.get(x, 0) + random_q(rng)
+                vec[x] = vec.get(x, 0) + random_q(rng, j)
         for _ in range(rng.randint(0, 2)):
             w = rng.choice(words_of_length(L, j))
             shift = word_degree(L, w) - 1
@@ -123,7 +241,7 @@ def perturbed(rng, sh):
             if pairs:
                 ent = maps.setdefault(j, {}).setdefault(w, {})
                 pair = rng.choice(pairs)
-                ent[pair] = ent.get(pair, 0) + random_q(rng)
+                ent[pair] = ent.get(pair, 0) + random_q(rng, j)
     t = TwistingCochain(L, {j: {w: LinearMap(A.basis, A.basis,
                                              word_degree(L, w) - 1, ent)
                                 for w, ent in tab.items()}
@@ -131,22 +249,77 @@ def perturbed(rng, sh):
     return L, Coderivation(L, cor), t
 
 
+def anomaly_levels(partial, t):
+    return sorted(set(partial.cor) | set(t.maps))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(CASES)), st.sampled_from([3, 4]),
+@given(st.sampled_from(sorted(ALL_CASES)), st.sampled_from([3, 4]),
        st.integers(0, 2**32 - 1))
 def test_perturbation_residuals_equal_the_all_terms_oracle(name, W, seed):
-    L, partial, _ = perturbed(random.Random(seed), CASES[name])
+    L, partial, _ = perturbed(random.Random(seed), ALL_CASES[name])
     assert (check_coalgebra_perturbation(partial, L, TruncationPolicy(W))
             == all_terms_perturbation(partial, L, W))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(CASES)), st.sampled_from([3, 4]),
+@given(st.sampled_from(sorted(ALL_CASES)), st.sampled_from([3, 4]),
        st.integers(0, 2**32 - 1))
 def test_twisting_residuals_equal_the_all_terms_oracle(name, W, seed):
-    L, partial, t = perturbed(random.Random(seed), CASES[name])
+    L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
     assert (check_twisting_cochain(L, t, partial, TruncationPolicy(W))
             == all_terms_twisting(L, t, partial, W))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ALL_CASES)), st.integers(0, 2**32 - 1))
+def test_anomaly_residuals_equal_the_all_terms_oracle(name, seed):
+    L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
+    for j in anomaly_levels(partial, t):
+        assert anomaly_report(L, partial, t, j) == anomaly_oracle(
+            L, partial, t, j)
+
+
+def witnesses(sh):
+    return [(r["axiom"], r["witness"])
+            for r in direct_route(sh.L, sh.partial, sh.t,
+                                  TruncationPolicy(4))]
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+def test_rational_copies_fail_where_their_originals_fail(name):
+    assert witnesses(RATIONAL[name]) == witnesses(
+        ALL_CASES[name.split(",")[0]])
+
+
+def test_the_rational_copies_have_every_kind_of_denominator():
+    scales = set()
+    for sh in RATIONAL.values():
+        mult = sh.L.over.mult
+        if sh.L.d0_denominator > 1:
+            scales.add("delta")
+        if max(sh.partial.denominator, sh.t.denominator) > 1:
+            scales.add("lam")
+        if any(c.denominator > 1 for v in mult.values() for c in v.values()):
+            scales.add("mu")
+    assert scales == {"delta", "lam", "mu"}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
+def test_the_perturbed_data_fail_every_identity(name):
+    # the oracle comparisons above also compare nonzero residuals
+    failed = set()
+    for seed in range(30):
+        L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
+        policy = TruncationPolicy(3)
+        if check_coalgebra_perturbation(partial, L, policy):
+            failed.add("perturbation")
+        if check_twisting_cochain(L, t, partial, policy):
+            failed.add("twisting")
+        if any(anomaly_report(L, partial, t, j)
+               for j in anomaly_levels(partial, t)):
+            failed.add("anomaly")
+    assert failed == {"perturbation", "twisting", "anomaly"}
 
 
 # ---------------------------------------------------------- call counts
@@ -189,3 +362,85 @@ def test_twisting_residual_reads_nothing_without_an_anchor(monkeypatch):
     assert check_twisting_cochain(sh.L, sh.t, sh.partial,
                                   TruncationPolicy(W)) == []
     assert calls == []
+
+
+# ------------------------------------------------ integer loops, counted
+
+def sl2_pair_in_a_rational_basis():
+    """sl2 + sl2 in a random rational basis: big enough that evaluating
+    its terms in Fractions builds many more Fractions than its table has
+    entries."""
+    sl2 = catalog_entry("sl2")[0]
+    names = [x for x, _ in sl2.L.a_basis.gens]
+    L = ModuleSpec(sl2.L.over, GradedBasis(
+        [(x + n, 0) for n in ("", "2") for x in names]))
+    table = {}
+    for (u, v), vec in sl2.bracket.items():
+        table[(u, v)] = vec
+        table[(u + "2", v + "2")] = {k + "2": c for k, c in vec.items()}
+    rng = random.Random(7)
+    Pinv = None
+    while Pinv is None:
+        P = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+             for _ in range(6)]
+        Pinv = inverse(P)
+    return change_of_basis(LieRinehartData(L, table, {}), P, Pinv).as_sh()
+
+
+def identities(L, partial, t, W):
+    """The three identities of the direct route that run on integers."""
+    policy = TruncationPolicy(W)
+    return (check_coalgebra_perturbation(partial, L, policy)
+            + check_twisting_cochain(L, t, partial, policy)
+            + [r for j in anomaly_levels(partial, t)
+               for r in anomaly_report(L, partial, t, j)])
+
+
+def fractions_built(monkeypatch, run):
+    count = [0]
+    real = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return real(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Q, "__new__", counting)
+        out = run()
+    return count[0], out
+
+
+@pytest.mark.parametrize("data", ["sl2 + sl2", "truncated_poly",
+                                  "perturbed"])
+def test_the_integer_loops_build_no_fraction_per_term(data, monkeypatch):
+    # a fallback to Fraction arithmetic builds one per term or more; the
+    # integer loops build one per residual entry, when dividing back
+    if data == "sl2 + sl2":
+        sh = sl2_pair_in_a_rational_basis()
+        L, partial, t = sh.L, sh.partial, sh.t
+    elif data == "truncated_poly":
+        sh = RATIONAL["truncated_poly, rational"]
+        L, partial, t = sh.L, sh.partial, sh.t
+    else:
+        L, partial, t = perturbed(random.Random(3),
+                                  RATIONAL["quasi_sample, rational"])
+    assert max(L.d0_denominator, partial.denominator, t.denominator) > 1
+    count, report = fractions_built(
+        monkeypatch, lambda: identities(L, partial, t, 5))
+    assert report == identities(L, partial, t, 5)
+    assert (report == []) == (data != "perturbed")
+    entries = (sum(len(v) for tab in partial.cor.values()
+                   for v in tab.values())
+               + sum(len(op.entries) for tab in t.maps.values()
+                     for op in tab.values()))
+    assert count <= entries + sum(len(r["value"]) for r in report)
+
+
+def test_direct_route_on_lie_data_builds_no_fraction_per_term(monkeypatch):
+    sh = sl2_pair_in_a_rational_basis()
+    assert sh.partial.denominator > 1
+    count, report = fractions_built(monkeypatch, lambda: direct_route(
+        sh.L, sh.partial, sh.t, TruncationPolicy(5)))
+    assert report == []
+    assert count <= sum(len(v) for tab in sh.partial.cor.values()
+                        for v in tab.values())
