@@ -323,14 +323,21 @@ class Coderivation:
         skip the terms with such a zero factor."""
         return not self.L.diff_l.is_zero() if j == 0 else j in self.cor
 
+    def corestriction(self, j):
+        """The level-j corestriction table; level 0 is the suspended
+        module differential (L.d0_table, or its integer copy)."""
+        if j:
+            return self.cor.get(j, {})
+        return self.L.d0_table if self._d0 is None else self._d0
+
     def apply_level(self, j, word):
         if j == 0 and self._d0 is None:
             return apply_d0(self.L, word)
         key = (j, word)
         hit = self._apply_cache.get(key)
         if hit is None:
-            table = self._d0 if j == 0 else self.cor.get(j, {})
-            hit = apply_corestriction(self.L, table, j + 1, word)
+            hit = apply_corestriction(self.L, self.corestriction(j), j + 1,
+                                      word)
             self._apply_cache[key] = hit
         return dict(hit)
 
@@ -358,7 +365,7 @@ class Coderivation:
         return self._scaled[1]
 
 
-def check_coalgebra_perturbation(partial, L, policy):
+def check_coalgebra_perturbation(partial, L, policy, lam):
     """Level-by-level residuals of the filtered perturbation identities.
 
     For each level j the operator sum_k del^k @ del^(j-k) over k = 0..j,
@@ -371,13 +378,16 @@ def check_coalgebra_perturbation(partial, L, policy):
     of the full sum.
 
     The sum runs on the integer copy partial.scaled(delta, lam), with
-    delta = L.d0_denominator and lam = partial.denominator.  Every term
-    has one factor at level k and one at level j - k, so it comes out
-    delta**2 * lam**j times its rational value, and so does the sum: a
-    residual is zero iff its integer one is, and its value is divided
-    back once.  The value is an sL element, keyed by label.
+    delta = L.d0_denominator and lam a multiple of partial.denominator:
+    the lam of forms.integer_tables, so that the anchor identities and
+    the operator route share the one copy (Coderivation.scaled keeps
+    one).  Every term has one factor at level k and one at level j - k,
+    so it comes out delta**2 * lam**j times its rational value, and so
+    does the sum: a residual is zero iff its integer one is, whatever
+    the lam, and its value is divided back once.  The value is an sL
+    element, keyed by label.
     """
-    delta, lam = L.d0_denominator, partial.denominator
+    delta = L.d0_denominator
     scaled = partial.scaled(delta, lam)
     report = []
     for j in range(1, policy.W):

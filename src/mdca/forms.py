@@ -1,20 +1,32 @@
 """Convolution algebra of A-valued forms on the symmetric coalgebra.
 
 Forms are sparse tables word -> algebra element; the cup product, the
-Hom-differential and the bracket/anchor operators all live here, together
-with A-multilinearity tests, the operator route (the anchor premise, and
-the descent and square checks on the cup generators it makes exact) and
-windowed cohomology ranks, which the operator route must pass first.
+level differentials D_j and their bracket and anchor halves all live
+here, together with A-multilinearity tests, the operator route (the
+anchor premise, and the descent and square checks on the cup generators
+it makes exact) and windowed cohomology ranks, which the operator route
+must pass first.
+
+Every reader of D_j (build_D, partial_bra, partial_t, square_check,
+cohomology_ranks) goes through one LevelTable per structure, kept with
+its anchor family (TwistingCochain.level_table).  The table runs on the
+integer copies of integer_tables: level j >= 1 is scaled by
+delta * lam**j, level 0 (the algebra and word differentials) by delta.
+So the table holds delta * lam**j * D_j, and each reader divides back
+once: build_D by delta * lam**j (times the lcm of its input's
+denominators), square_check each residual by delta**2 * lam**j, and
+cohomology_ranks not at all: it scales the levels of each row alike and
+makes the row primitive, which leaves the ranks of D.
 """
 
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 
-from .graded import (LinearMap, ONE, ZERO, compose_axpy, denominator,
-                     row_echelon, vec_axpy, vec_scale, vec_sub)
+from .graded import (LinearMap, ONE, compose_axpy, denominator,
+                     int_multiple, row_echelon, vec_axpy, vec_scale, vec_sub)
 from .algebra import Derivation, multiply
-from .coalgebra import (Coderivation, TruncationPolicy, normalize_word,
-                        splittings, stripped_slots, word_basis, word_degree,
+from .coalgebra import (TruncationPolicy, normalize_word, splittings,
+                        stripped_slots, word_basis, word_degree,
                         words_of_length)
 
 
@@ -133,6 +145,7 @@ class TwistingCochain:
             c for tab in self.maps.values() for op in tab.values()
             for c in op.entries.values())
         self._scaled = None
+        self._table = None
 
     def levels(self):
         return sorted(self.maps)
@@ -149,6 +162,19 @@ class TwistingCochain:
             self._scaled = ((delta, lam),
                             (self.L.over.diff.int_columns(delta), maps))
         return self._scaled[1]
+
+    def level_table(self, partial):
+        """The LevelTable of D_j for this family and the coderivation
+        partial.  Built on first use and kept for one coderivation at a
+        time, for the life of this family; the table holds no reference
+        back to the family.  A table for another coderivation keeps the
+        anchor parts of the one it replaces when both run on the same
+        (delta, lam): those read only this family."""
+        if self._table is None or self._table[0] is not partial:
+            previous = self._table and self._table[1]
+            self._table = (partial,
+                           LevelTable(self.L, partial, self, previous))
+        return self._table[1]
 
     def value(self, j, word):
         return self.maps.get(j, {}).get(word)
@@ -228,76 +254,162 @@ def cup(f, g):
     return FormTable(L, f.degree + g.degree, vals)
 
 
-def hom_differential(f):
-    """D0(f) = d_A after f, plus the level-0 bracket operator: (-1)^(|f|+1)
-    f after the word differential."""
-    vals = {w: f.L.over.diff.apply(v) for w, v in f.values.items()}
-    return FormTable(f.L, f.degree - 1, vals).add(
-        partial_bra(f, Coderivation(f.L, {}), 0))
+class LevelTable:
+    """D_j on the dual-basis forms delta_(u,a), on integer_tables.
 
+    Level j >= 1 is scaled by delta * lam**j and level 0 by delta
+    (scale).  D_j of delta_(u,a) is the transpose of two parts of data on
+    the word u, which do not depend on the label a:
+      * the bracket part {w: coefficient of u in the scaled del_j(w)},
+        over the words w that a corestriction key holding a generator of
+        u reaches (level 0: the word differential);
+      * the anchor part, (w, columns of the anchor value on w1,
+        multiplicity, parity of w1) for every anchor key w1 at level j
+        with w = w1 u nonvanishing; the multiplicity sums the signs of
+        the splittings of w with right factor u.  The algebra
+        differential is the anchor value on the empty word at level 0,
+        as in the twisting identity.
+    Both parts are built on first use, so del_j(w) is read once per
+    (level, word); apply builds the column of each label from them with
+    the Koszul signs of the form degree |a| - |u|.  The table keeps the
+    integer copies, not the structure they were made from; it takes over
+    the anchor parts of the previous table of the same family when both
+    run on one (delta, lam).
+    """
 
-def partial_bra(f, partial, j):
-    """Bracket operator: (-1)^(|f|+1) f after the level-j coderivation;
-    level 0 is the word differential."""
-    L = f.L
-    sgn = ONE if (f.degree + 1) % 2 == 0 else -ONE
-    # candidate words: replace one slot of a support word by any
-    # corestriction key whose value contains that slot's generator
-    by_value_gen = {}
-    table = L.d0_table if j == 0 else partial.cor.get(j, {})
-    for wc, vec in table.items():
-        for g, c in vec.items():
-            if c:
-                by_value_gen.setdefault(g, []).append(wc)
-    candidates = set()
-    for u in f.values:
+    def __init__(self, L, partial, t, previous=None):
+        self.L = L
+        self.delta, self.lam, self._partial, (self._diff, self._maps) = (
+            integer_tables(L, partial, t))
+        self._keys = {}
+        self._parts = {}
+        same = previous and (previous.delta, previous.lam) == (self.delta,
+                                                               self.lam)
+        self._anchor = previous._anchor if same else {}
+
+    def scale(self, j):
+        return self.delta * self.lam ** j
+
+    def _bracket_part(self, j, u):
+        L = self.L
+        keys = self._keys.get(j)
+        if keys is None:
+            keys = self._keys[j] = {}
+            for wc, vec in self._partial.corestriction(j).items():
+                for g in vec:
+                    keys.setdefault(g, []).append(wc)
+        words = set()
         for i, g in enumerate(u):
-            if i and u[i] == u[i - 1]:
+            if i and g == u[i - 1]:
                 continue
-            for wc in by_value_gen.get(g, ()):
-                s2, w = normalize_word(
-                    L, list(wc) + list(u[:i]) + list(u[i + 1:]))
-                if s2:
-                    candidates.add(w)
-    vals = {}
-    for w in candidates:
-        acc = vec_scale(sgn, f.eval_vec(partial.apply_level(j, w)))
-        if acc:
-            vals[w] = acc
-    return FormTable(L, f.degree - 1, vals)
+            for wc in keys.get(g, ()):
+                sgn, w = normalize_word(L, list(wc + u[:i] + u[i + 1:]))
+                if sgn:
+                    words.add(w)
+        part = {}
+        for w in words:
+            c = self._partial.apply_level(j, w).get(u)
+            if c:
+                part[w] = c
+        return part
+
+    def _anchor_part(self, j, u):
+        part = self._anchor.get((j, u))
+        if part is not None:
+            return part
+        L = self.L
+        level = {(): self._diff} if j == 0 else self._maps.get(j, {})
+        part = []
+        for w1, cols in level.items():
+            sgn, w = normalize_word(L, list(w1 + u))
+            if not (sgn and cols):
+                continue
+            m = sum(s for s, _, right in splittings(L, w, left_size=j)
+                    if right == u)
+            if m:
+                part.append((w, cols, m, word_degree(L, w1) % 2))
+        self._anchor[(j, u)] = part
+        return part
+
+    def parts(self, j, u):
+        """(parity of u, bracket part, anchor part) of level j at u."""
+        key = (j, u)
+        hit = self._parts.get(key)
+        if hit is None:
+            hit = self._parts[key] = (word_degree(self.L, u) % 2,
+                                      self._bracket_part(j, u),
+                                      self._anchor_part(j, u))
+        return hit
+
+    def apply(self, j, vec, out, bracket=True, anchor=True):
+        """out += the scaled D_j, or one half of it, of the form with
+        integer values vec {u: {a: c}}; out is keyed the same way and may
+        keep empty values.  Returns out."""
+        adeg = self.L.over.basis.degree
+        for u, col in vec.items():
+            if not col:
+                continue
+            odd_u, bra, anc = self.parts(j, u)
+            if not bracket:
+                bra = ()
+            if not anchor:
+                anc = ()
+            for a, c in col.items():
+                odd = (adeg[a] + odd_u) % 2
+                if bra:
+                    # (-1)^(|f| + 1) f after del_j
+                    s = c if odd else -c
+                    for w, x in bra.items():
+                        acc = out.setdefault(w, {})
+                        v = acc.get(a, 0) + s * x
+                        if v:
+                            acc[a] = v
+                        else:
+                            del acc[a]
+                for w, cols, m, odd_w1 in anc:
+                    src = cols.get(a)
+                    if src:
+                        vec_axpy(out.setdefault(w, {}),
+                                 -m * c if odd and odd_w1 else m * c, src)
+        return out
 
 
-def partial_t(f, t, j):
-    """Anchor operator: apply the level-j anchor value on the left factor
-    of every splitting to the form value on the right factor."""
-    L = f.L
-    level = t.maps.get(j, {})
-    candidates = set()
-    for u in f.values:
-        for w1 in level:
-            s2, w = normalize_word(L, list(w1) + list(u))
-            if s2:
-                candidates.add(w)
-    vals = {}
-    for w in candidates:
-        acc = {}
-        for sgn, w1, w2 in splittings(L, w, left_size=j):
-            v = f.values.get(w2)
-            if not v:
-                continue
-            s = -1 if (f.degree % 2 and word_degree(L, w1) % 2) else 1
-            vec_axpy(acc, Q(sgn * s), t.apply(j, w1, v))
-        if acc:
-            vals[w] = acc
-    return FormTable(L, f.degree - 1, vals)
+def level_image(f, partial, t, j, bracket=True, anchor=True):
+    """D_j f, or one half of it, read off the LevelTable: f is scaled to
+    integers by the lcm of its denominators, the columns of its
+    dual-basis forms are summed on integers, and the sum is divided back
+    once by that lcm times delta * lam**j."""
+    table = t.level_table(partial)
+    den = denominator(c for v in f.values.values() for c in v.values())
+    out = table.apply(j, {u: int_multiple(den, v)
+                          for u, v in f.values.items()}, {},
+                      bracket, anchor)
+    scale = den * table.scale(j)
+    return FormTable(f.L, f.degree - 1, {
+        w: {b: Q(c, scale) for b, c in v.items()}
+        for w, v in out.items() if v})
+
+
+def partial_bra(f, partial, t, j):
+    """Bracket half of D_j: (-1)^(|f|+1) f after the level-j
+    coderivation; level 0 is the word differential."""
+    return level_image(f, partial, t, j, anchor=False)
+
+
+def partial_t(f, partial, t, j):
+    """Anchor half of D_j: apply the level-j anchor value on the left
+    factor of every splitting to the form value on the right factor,
+    with the Koszul sign of moving the form across it; level 0 is the
+    algebra differential after f."""
+    return level_image(f, partial, t, j, bracket=False)
 
 
 def build_D(f, partial, t, j):
-    """Level-j differential: the Hom-differential at level 0, bracket plus
-    anchor operator at the higher levels."""
-    if j == 0:
-        return hom_differential(f)
-    return partial_bra(f, partial, j).add(partial_t(f, t, j))
+    """Level-j differential: the bracket half plus the anchor half, at
+    level 0 the Hom-differential.  One pass over the LevelTable of
+    (partial, t) (level_image), divided back once by delta * lam**j times
+    the lcm of the denominators of f."""
+    return level_image(f, partial, t, j)
 
 
 def is_A_multilinear(f):
@@ -378,23 +490,22 @@ def descent_check(L, partial, t, j):
     Under the anchor premise (TwistingCochain.validation_report) D_j and
     both of its summands are derivations of the cup product, and cup
     products of multilinear forms are multilinear, so each preserves
-    multilinearity iff it does so on the generators.  For j >= 1 the
-    image is the sum of the bracket and anchor summands, each applied
-    once and also probed alone (for genuine anchor data each one fails
-    while the sum descends).  A failure carries the generator's name, the
-    witness of is_A_multilinear and its multilinearity_defect as value;
-    "images" holds the images by generator key.
+    multilinearity iff it does so on the generators.  The image is the
+    sum of the bracket and anchor halves (partial_bra, partial_t), each
+    applied once; for j >= 1 each is also probed alone (for genuine
+    anchor data each one fails while the sum descends).  A failure
+    carries the generator's name, the witness of is_A_multilinear and
+    its multilinearity_defect as value; "images" holds the images by
+    generator key.
     """
     rep = {"violations": [], "bracket_summand_failures": [],
            "anchor_summand_failures": [], "images": {}}
     for name, key, f in multilinear_generators(L, 1):
-        if j == 0:
-            probes = [("violations", hom_differential(f))]
-        else:
-            bra, tt = partial_bra(f, partial, j), partial_t(f, t, j)
-            probes = [("violations", bra.add(tt)),
-                      ("bracket_summand_failures", bra),
-                      ("anchor_summand_failures", tt)]
+        bra, tt = partial_bra(f, partial, t, j), partial_t(f, partial, t, j)
+        probes = [("violations", bra.add(tt))]
+        if j:
+            probes += [("bracket_summand_failures", bra),
+                       ("anchor_summand_failures", tt)]
         rep["images"][key] = probes[0][1]
         for kind, g in probes:
             ok, wit = is_A_multilinear(g)
@@ -404,16 +515,23 @@ def descent_check(L, partial, t, j):
     return rep
 
 
-def ambient_basis_forms(L, policy):
-    """Dual basis of the space of forms on words up to length W."""
-    out = []
-    adeg = L.over.basis.degree
+def dual_basis_probes(L, policy):
+    """(name, word, label) of the dual-basis forms delta_(w,a) on the
+    words up to length W, in word_basis order: the probes of
+    square_check (W = 2) and of ambient_basis_forms, under one name."""
     for w in word_basis(L, policy):
-        wd = word_degree(L, w)
+        at = "*".join(w) if w else "1"
         for al in L.over.basis.labels:
-            name = "delta:%s@%s" % (al, "*".join(w) if w else "1")
-            out.append((name, FormTable(L, adeg[al] - wd, {w: {al: ONE}})))
-    return out
+            yield "delta:%s@%s" % (al, at), w, al
+
+
+def ambient_basis_forms(L, policy):
+    """Dual basis of the space of forms on words up to length W.  No
+    check of the library enumerates it; the benchmark's square_check
+    observer counts with it, and the tests' oracles probe with it."""
+    adeg = L.over.basis.degree
+    return [(name, FormTable(L, adeg[al] - word_degree(L, w), {w: {al: ONE}}))
+            for name, w, al in dual_basis_probes(L, policy)]
 
 
 def live_levels(L, partial, t, W):
@@ -442,27 +560,31 @@ def square_check(L, partial, t, policy):
     window.  D_i of a probe is computed once; terms with a zero factor
     (live_levels) are skipped.  Residuals {level, form, word, value} are
     level-major, with words sorted within each (level, form).
+
+    The sums run on the LevelTable, where level i holds delta * lam**i
+    times D_i, so every term D_k D_(j-k) comes out delta**2 * lam**j
+    times its rational value; each residual is divided back once.
     """
     W = policy.W
     live = live_levels(L, partial, t, W)
+    table = t.level_table(partial)
     by_level = [[] for _ in range(W)]
-    for name, f in ambient_basis_forms(L, TruncationPolicy(2)):
-        [w] = f.values
-        levels = range(min(W, W - len(w) + 1))
+    for name, w, al in dual_basis_probes(L, TruncationPolicy(2)):
+        probe = {w: {al: 1}}
         images = {}
-        for j in levels:
+        for j in range(min(W, W - len(w) + 1)):
             res = {}
             for k in range(j + 1):
                 if not (live[k] and live[j - k]):
                     continue
                 if j - k not in images:
-                    images[j - k] = build_D(f, partial, t, j - k)
-                for w2, v in build_D(images[j - k], partial, t,
-                                     k).values.items():
-                    vec_axpy(res.setdefault(w2, {}), ONE, v)
-            by_level[j] += [{"level": j, "form": name, "word": w2,
-                             "value": res[w2]}
-                            for w2 in sorted(res) if res[w2]]
+                    images[j - k] = table.apply(j - k, probe, {})
+                table.apply(k, images[j - k], res)
+            scale = table.delta * table.scale(j)
+            by_level[j] += [
+                {"level": j, "form": name, "word": w2,
+                 "value": {b: Q(c, scale) for b, c in res[w2].items()}}
+                for w2 in sorted(res) if res[w2]]
     return [r for level in by_level for r in level]
 
 
@@ -522,7 +644,14 @@ def cohomology_ranks(L, partial, t, policy):
     multilinearity; the message names the first of these that fails.
     The row of a basis form f on words of length p is the sum of D_j f
     over the levels j < W with p + j <= W, over only the (word, label)
-    columns some row of its degree hits.
+    columns some row of its degree hits.  The rows are read off the
+    LevelTable as integers: with m the lcm of the denominators of f and
+    J its top level, level j of the table, delta * lam**j D_j (m f), is
+    taken lam**(J - j) times, so the row is m * delta * lam**J times the
+    row of D, and it is divided by the gcd of its entries.  A primitive
+    integer row is the smallest integer multiple of the rational one, so
+    the ranks are those of D and row_echelon meets no larger integers
+    than on the rational rows.
     Degrees at the window boundary are flagged as unreliable since
     differentials may enter or leave the window.
     """
@@ -541,6 +670,7 @@ def cohomology_ranks(L, partial, t, policy):
                                   % (residuals[0]["witness"],), residuals)
     W = policy.W
     live = live_levels(L, partial, t, W)
+    table = t.level_table(partial)
     by_degree = {}
     for _, f in multilinear_basis(L, policy):
         by_degree.setdefault(f.degree, []).append(f)
@@ -556,14 +686,22 @@ def cohomology_ranks(L, partial, t, policy):
         rows = []
         for f in by_degree.get(d, []):
             [p] = f.support_lengths()
-            rows.append({(w, al): c
-                         for j in range(min(W, W - p + 1)) if live[j]
-                         for w, v in build_D(f, partial, t, j).values.items()
-                         for al, c in v.items()})
+            m = denominator(c for v in f.values.values() for c in v.values())
+            vec = {u: int_multiple(m, v) for u, v in f.values.items()}
+            top = min(W, W - p + 1) - 1
+            row = {}
+            for j in range(top + 1):
+                if live[j]:
+                    s = table.lam ** (top - j)
+                    for w, v in table.apply(j, vec, {}).items():
+                        for al, c in v.items():
+                            row[(w, al)] = s * c
+            g = gcd(*row.values()) or 1
+            rows.append({key: c // g for key, c in row.items()})
         if not rows:
             return 0
         cols = sorted({key for row in rows for key in row})
-        return len(row_echelon([[row.get(key, ZERO) for key in cols]
+        return len(row_echelon([[row.get(key, 0) for key in cols]
                                 for row in rows], len(cols)))
 
     lo, hi = window if window is not None else (0, -1)
@@ -580,7 +718,8 @@ def cohomology_ranks(L, partial, t, policy):
 
 def integer_tables(L, partial, t):
     """(delta, lam, coderivation, (diff, maps)): the integer copies on
-    which the anchor identities of the direct route run.  delta clears
+    which the identities of the direct route and the LevelTable of the
+    operator route run, one (delta, lam) per structure.  delta clears
     level 0 (L.d0_denominator) and lam every higher level of both
     families, so level k of each is scaled by delta * lam**k
     (Coderivation.scaled, TwistingCochain.scaled)."""

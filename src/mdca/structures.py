@@ -27,9 +27,8 @@ from .coalgebra import (Coderivation, TruncationPolicy,
                         stripped_slots, suspension_sign, word_degree,
                         words_of_length)
 from .forms import (FormTable, TwistingCochain, build_D, constant_form,
-                    descent_check, dual_one_forms, hom_differential,
-                    integer_tables, operator_route, partial_t,
-                    twisting_residual)
+                    descent_check, dual_one_forms, integer_tables,
+                    operator_route, partial_t, twisting_residual)
 
 
 def mult_op(A, a_vec):
@@ -105,12 +104,15 @@ def direct_route(L, partial, t, policy):
     under scaling level k by delta * lam**k (and the structure constants
     by mu), so they run on integer copies of the tables and divide each
     residual back (check_coalgebra_perturbation, forms.twisting_residual,
-    anomaly_report).  Module-linearity compares t_j(w) with a * t_j(bare),
+    anomaly_report).  All three, and the operator route, share the one
+    (delta, lam) of forms.integer_tables, so each family has one integer
+    copy.  Module-linearity compares t_j(w) with a * t_j(bare),
     where only the second side has a product in A, so it stays on
     Fractions.
     """
     report = []
-    for r in check_coalgebra_perturbation(partial, L, policy):
+    lam = integer_tables(L, partial, t)[1]
+    for r in check_coalgebra_perturbation(partial, L, policy, lam):
         report.append({"route": "direct",
                        "axiom": "bracket coderivation squares to zero",
                        "witness": (r["level"], r["word"]),
@@ -316,13 +318,17 @@ def extract_structure(m, policy):
             t_maps[j] = table
     t = TwistingCochain(L, t_maps)
     duals = dual_one_forms(L)
+    # the anchor half of D_j does not read the coderivation; its parts
+    # pass on to the table of sh.partial (TwistingCochain.level_table)
+    no_brackets = Coderivation(L, {})
     cor = {}
     for j in m.levels():
         if j == 0:
             continue
         level = {}
         for xl, eps in duals.items():
-            phi = m.on_duals[j][xl].add(partial_t(eps, t, j).scale(-ONE))
+            phi = m.on_duals[j][xl].add(
+                partial_t(eps, no_brackets, t, j).scale(-ONE))
             s = -ONE if (eps.degree + 1) % 2 else ONE
             for w, val in phi.values.items():
                 if len(w) != j + 1:
@@ -660,8 +666,8 @@ def build_quasi_mc(q, policy):
             built = (m.on_constants if kind == "constants"
                      else m.on_duals)[j][name]
             if j == 0:
-                direct = hom_differential(
-                    multilinear_form_from_bare(L, degree, bare))
+                direct = build_D(multilinear_form_from_bare(L, degree, bare),
+                                 sh.partial, sh.t, 0)
             elif j <= 2:
                 direct = multilinear_form_from_bare(
                     L, degree - 1, quasi_alt_differential(q, j, degree, bare))

@@ -1,0 +1,109 @@
+"""The Fraction reference for the level differentials D_j.
+
+These are the candidate-enumeration operators the library used before
+the level table (forms.LevelTable): each call enumerates the words its
+image can reach and sums Fractions there, straight from the definitions.
+The oracles of the tests read D_j from here, so that they compare the
+table with an independent computation, not with itself.
+"""
+
+from fractions import Fraction as Q
+
+from mdca.coalgebra import (Coderivation, TruncationPolicy, normalize_word,
+                            splittings, word_degree)
+from mdca.forms import FormTable, ambient_basis_forms
+from mdca.graded import ONE, vec_axpy, vec_scale
+
+
+def reference_bra(f, partial, j):
+    """Bracket operator: (-1)^(|f|+1) f after the level-j coderivation;
+    level 0 is the word differential."""
+    L = f.L
+    sgn = ONE if (f.degree + 1) % 2 == 0 else -ONE
+    # candidate words: replace one slot of a support word by any
+    # corestriction key whose value contains that slot's generator
+    by_value_gen = {}
+    table = L.d0_table if j == 0 else partial.cor.get(j, {})
+    for wc, vec in table.items():
+        for g, c in vec.items():
+            if c:
+                by_value_gen.setdefault(g, []).append(wc)
+    candidates = set()
+    for u in f.values:
+        for i, g in enumerate(u):
+            if i and u[i] == u[i - 1]:
+                continue
+            for wc in by_value_gen.get(g, ()):
+                s2, w = normalize_word(
+                    L, list(wc) + list(u[:i]) + list(u[i + 1:]))
+                if s2:
+                    candidates.add(w)
+    vals = {}
+    for w in candidates:
+        acc = vec_scale(sgn, f.eval_vec(partial.apply_level(j, w)))
+        if acc:
+            vals[w] = acc
+    return FormTable(L, f.degree - 1, vals)
+
+
+def reference_t(f, t, j):
+    """Anchor operator: apply the level-j anchor value on the left factor
+    of every splitting to the form value on the right factor; level 0 is
+    the algebra differential after f, the anchor value on the empty
+    word."""
+    L = f.L
+    if j == 0:
+        return FormTable(L, f.degree - 1, {
+            w: L.over.diff.apply(v) for w, v in f.values.items()})
+    level = t.maps.get(j, {})
+    candidates = set()
+    for u in f.values:
+        for w1 in level:
+            s2, w = normalize_word(L, list(w1) + list(u))
+            if s2:
+                candidates.add(w)
+    vals = {}
+    for w in candidates:
+        acc = {}
+        for sgn, w1, w2 in splittings(L, w, left_size=j):
+            v = f.values.get(w2)
+            if not v:
+                continue
+            s = -1 if (f.degree % 2 and word_degree(L, w1) % 2) else 1
+            vec_axpy(acc, Q(sgn * s), t.apply(j, w1, v))
+        if acc:
+            vals[w] = acc
+    return FormTable(L, f.degree - 1, vals)
+
+
+def hom_differential(f):
+    """D0(f) = d_A after f, plus the level-0 bracket operator: (-1)^(|f|+1)
+    f after the word differential."""
+    return reference_t(f, None, 0).add(
+        reference_bra(f, Coderivation(f.L, {}), 0))
+
+
+def reference_D(f, partial, t, j):
+    """Level-j differential: bracket plus anchor operator."""
+    return reference_bra(f, partial, j).add(reference_t(f, t, j))
+
+
+def reference_square_check(L, partial, t, W):
+    """The residuals of forms.square_check, with every D_j from
+    reference_D: the sum of D_k D_(j-k) on the dual-basis forms on words
+    of length at most 2, at the levels j < W with |w| + j <= W, each
+    term in Fractions."""
+    by_level = [[] for _ in range(W)]
+    for name, f in ambient_basis_forms(L, TruncationPolicy(2)):
+        [w] = f.values
+        for j in range(min(W, W - len(w) + 1)):
+            res = {}
+            for k in range(j + 1):
+                g = reference_D(reference_D(f, partial, t, j - k),
+                                partial, t, k)
+                for w2, v in g.values.items():
+                    vec_axpy(res.setdefault(w2, {}), ONE, v)
+            by_level[j] += [{"level": j, "form": name, "word": w2,
+                             "value": res[w2]}
+                            for w2 in sorted(res) if res[w2]]
+    return [r for level in by_level for r in level]

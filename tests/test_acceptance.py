@@ -60,7 +60,8 @@ def test_square_zero_under_ten_seconds():
 def test_jacobi_violator_level_two_residual():
     sh, _ = as_homotopy("jacobi_violator")
     rep = check_coalgebra_perturbation(sh.partial, sh.L,
-                                       TruncationPolicy(4))
+                                       TruncationPolicy(4),
+                                       sh.partial.denominator)
     word = ("1|x", "1|y", "1|z")
     hits = [r for r in rep if r["level"] == 2 and r["word"] == word]
     assert hits

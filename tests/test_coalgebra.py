@@ -231,12 +231,14 @@ def test_d0_preserves_length_and_squares_to_zero():
 
 def test_perturbation_report_abelian():
     p = Coderivation(SL2, {})
-    assert check_coalgebra_perturbation(p, SL2, TruncationPolicy(4)) == []
+    assert check_coalgebra_perturbation(p, SL2, TruncationPolicy(4),
+                                        p.denominator) == []
 
 
 def test_perturbation_report_sl2():
     p = sl2_partial()
-    assert check_coalgebra_perturbation(p, SL2, TruncationPolicy(4)) == []
+    assert check_coalgebra_perturbation(p, SL2, TruncationPolicy(4),
+                                        p.denominator) == []
 
 
 def jacobi_violator():
@@ -251,7 +253,8 @@ def jacobi_violator():
 
 def test_perturbation_report_jacobi_violator():
     L, p = jacobi_violator()
-    rep = check_coalgebra_perturbation(p, L, TruncationPolicy(4))
+    rep = check_coalgebra_perturbation(p, L, TruncationPolicy(4),
+                                       p.denominator)
     assert rep
     hits = [r for r in rep if r["word"] == (g("x"), g("y"), g("z"))]
     assert len(hits) == 1 and hits[0]["level"] == 2
@@ -298,7 +301,8 @@ def test_perturbation_levels_agree_with_every_word(name, W, seed):
                 vec[x] = vec.get(x, 0) + Q(rng.randint(-2, 2),
                                            rng.randint(1, 2))
     p = Coderivation(L, cor)
-    report = check_coalgebra_perturbation(p, L, TruncationPolicy(W))
+    report = check_coalgebra_perturbation(p, L, TruncationPolicy(W),
+                                          p.denominator)
     failing = set()
     for j in range(1, W):
         for w in word_basis(L, TruncationPolicy(W)):

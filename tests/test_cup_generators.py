@@ -22,14 +22,14 @@ from mdca.algebra import derivation_space
 from mdca.coalgebra import TruncationPolicy, word_degree, words_of_length
 from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
                         build_D, constant_form, cup, descent_check,
-                        dual_one_forms, hom_differential, is_A_multilinear,
-                        multilinear_basis, multilinear_generators,
-                        partial_bra, partial_t)
+                        dual_one_forms, is_A_multilinear, multilinear_basis,
+                        multilinear_generators)
 from mdca.graded import LinearMap, ONE
 from mdca.instances import catalog_entry
 from mdca.io_json import emit_instance
 from mdca.structures import MdcaStructure, ShLieRinehartData
 
+from operator_reference import hom_differential, reference_bra, reference_t
 from test_live_terms import CASES, perturbed, random_q
 
 KINDS = ("violations", "bracket_summand_failures", "anchor_summand_failures")
@@ -40,13 +40,14 @@ KINDS = ("violations", "bracket_summand_failures", "anchor_summand_failures")
 def all_monomial_descent(L, partial, t, j, W):
     """The kinds of probe that fail at level j over the former probe
     set: the constants and every cup monomial of the dual 1-forms with
-    at most W - j factors."""
+    at most W - j factors, with the summands from the Fraction
+    reference."""
     failing = set()
     for _, _, f in multilinear_generators(L, W - j):
         if j == 0:
             probes = [("violations", hom_differential(f))]
         else:
-            bra, tt = partial_bra(f, partial, j), partial_t(f, t, j)
+            bra, tt = reference_bra(f, partial, j), reference_t(f, t, j)
             probes = [("violations", bra.add(tt)),
                       ("bracket_summand_failures", bra),
                       ("anchor_summand_failures", tt)]

@@ -17,14 +17,15 @@ from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             word_degree)
 from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
                         build_D, cohomology_ranks, constant_form, cup,
-                        descent_check, dual_one_forms, hom_differential,
-                        is_A_multilinear, multilinear_basis, partial_bra,
-                        partial_t, square_check, twisting_residual,
-                        words_of_length)
+                        descent_check, dual_one_forms, is_A_multilinear,
+                        multilinear_basis, partial_bra, partial_t,
+                        square_check, twisting_residual, words_of_length)
 from mdca.graded import (GradedBasis, LinearMap, ONE, koszul_sign,
                          row_echelon, vec_axpy, vec_scale)
 from mdca.instances import catalog_entry
 from mdca.structures import LieRinehartData, check_lie_rinehart, quasi_to_sh
+
+from operator_reference import reference_D
 
 
 QQ = rational_algebra()
@@ -194,7 +195,7 @@ def test_bracket_operator_matches_classical_formula():
     labels = SL2.l_basis.labels
     for m in (1, 2):
         f = random_form(rng, SL2, -m, m)
-        out = partial_bra(f, SL2_PARTIAL, 1)
+        out = partial_bra(f, SL2_PARTIAL, SL2_T, 1)
         n = m + 1
         import itertools
         for args in itertools.product(labels, repeat=n):
@@ -218,7 +219,7 @@ def test_anchor_operator_matches_classical_formula():
     import itertools
     for m in (0, 1, 2):
         f = random_form(rng, L, -m, m)
-        out = partial_t(f, t, 1)
+        out = partial_t(f, partial, t, 1)
         n = m + 1
         for args in itertools.product(labels, repeat=n):
             acc = {}
@@ -277,6 +278,12 @@ def dg_line():
     return ModuleSpec(A, GradedBasis([("x", 0), ("y", 1)]), diff)
 
 
+def hom_differential(f):
+    """D_0 of the library: build_D at level 0, which reads the module and
+    algebra differentials and neither family's tables."""
+    return build_D(f, Coderivation(f.L, {}), TwistingCochain(f.L, {}), 0)
+
+
 def test_hom_differential_two_dim_oracle():
     L = dg_line()
     phi = FormTable(L, -1, {(("1|x"),): {"1": ONE}})
@@ -319,21 +326,22 @@ def test_operators_are_cup_derivations():
     L, partial, t = exterior_pair()
     degrees = [-2, -1, 0, 1]
     assert_cup_derivation(hom_differential, L, rng, degrees)
-    assert_cup_derivation(lambda f: partial_bra(f, partial, 1),
+    assert_cup_derivation(lambda f: partial_bra(f, partial, t, 1),
                           L, rng, degrees)
-    assert_cup_derivation(lambda f: partial_t(f, t, 1), L, rng, degrees)
+    assert_cup_derivation(lambda f: partial_t(f, partial, t, 1), L, rng,
+                          degrees)
     assert_cup_derivation(lambda f: build_D(f, partial, t, 1),
                           L, rng, degrees)
     Ld, pd, td = dg_anchor()
     assert_cup_derivation(hom_differential, Ld, rng, [-1, 0, 1], 3)
-    assert_cup_derivation(lambda f: partial_t(f, td, 1), Ld, rng,
+    assert_cup_derivation(lambda f: partial_t(f, pd, td, 1), Ld, rng,
                           [-1, 0, 1], 3)
 
 
 def test_anchor_on_constants_is_adjoint():
     L, partial, t = exterior_pair()
     for al, ad in L.over.basis.gens:
-        f = partial_t(constant_form(L, {al: ONE}), t, 1)
+        f = partial_t(constant_form(L, {al: ONE}), partial, t, 1)
         for w in words_of_length(L, 1):
             s = -ONE if (ad % 2 and word_degree(L, w) % 2) else ONE
             assert f.value(w) == vec_scale(s, t.apply(1, w, {al: ONE}))
@@ -739,15 +747,15 @@ def test_residual_controls_operator_anticommutators():
         for a_label in L.over.basis.labels:
             a = constant_form(L, {a_label: ONE})
             for j in (1, 2):
-                lhs = hom_differential(partial_t(a, t, j)).add(
-                    partial_t(hom_differential(a), t, j))
+                lhs = hom_differential(partial_t(a, partial, t, j)).add(
+                    partial_t(hom_differential(a), partial, t, j))
                 for k in range(1, j):
-                    lhs = lhs.add(
-                        partial_bra(partial_t(a, t, j - k), partial, k))
-                    lhs = lhs.add(
-                        partial_t(partial_bra(a, partial, k), t, j - k))
-                    lhs = lhs.add(
-                        partial_t(partial_t(a, t, j - k), t, k))
+                    lhs = lhs.add(partial_bra(
+                        partial_t(a, partial, t, j - k), partial, t, k))
+                    lhs = lhs.add(partial_t(
+                        partial_bra(a, partial, t, k), partial, t, j - k))
+                    lhs = lhs.add(partial_t(
+                        partial_t(a, partial, t, j - k), partial, t, k))
                 rhs = residual_pairing(L, t, partial, j, a_label, words)
                 for w in words:
                     assert lhs.value(w) == rhs.get(w, {})
@@ -758,15 +766,15 @@ def test_residual_controls_operator_anticommutators():
 def level_differentials(L, partial, t, W):
     """D_0 .. D_(W-1) as tables of sparse columns: table[j][(w, a)] is
     D_j(delta_(a@w)) as {(word, label): coefficient}, for every word w up
-    to length W and every level with |w| + j <= W.  D_j raises word
-    length by exactly j (bigrade_check), so the columns left out land
-    beyond W."""
+    to length W and every level with |w| + j <= W, from the Fraction
+    reference (operator_reference).  D_j raises word length by exactly j
+    (bigrade_check), so the columns left out land beyond W."""
     table = [{} for _ in range(W)]
     for _, f in ambient_basis_forms(L, TruncationPolicy(W)):
         [(w, vec)] = f.values.items()
         key = (w, next(iter(vec)))
         for j in range(min(W, W - len(w) + 1)):
-            g = build_D(f, partial, t, j)
+            g = reference_D(f, partial, t, j)
             table[j][key] = {(w2, a2): c for w2, v in g.values.items()
                              for a2, c in v.items()}
     return table
@@ -775,12 +783,12 @@ def level_differentials(L, partial, t, W):
 def bigrade_check(L, partial, t, policy):
     """Each level-j differential must raise word length by exactly j on
     every ambient dual-basis form (the complementary degree shift then
-    follows from homogeneity)."""
+    follows from homogeneity); D_j from the Fraction reference."""
     report = []
     for name, f in ambient_basis_forms(L, policy):
         p = f.support_lengths()[0] if f.support_lengths() else 0
         for j in range(policy.W):
-            g = build_D(f, partial, t, j)
+            g = reference_D(f, partial, t, j)
             for w in g.values:
                 if len(w) != p + j:
                     report.append({"level": j, "form": name, "word": w,
@@ -791,7 +799,7 @@ def bigrade_check(L, partial, t, policy):
 def failing_square_levels(L, partial, t, W):
     """The levels j < W at which the sum of D_k D_(j-k) is nonzero on
     some dual-basis form on words w up to W with |w| + j <= W, read from
-    the full level table."""
+    the full level table of the Fraction reference."""
     table = level_differentials(L, partial, t, W)
     failing = set()
     for j in range(W):
@@ -890,8 +898,9 @@ TABLE_CASES = {"exterior_pair": table_case(exterior_pair),
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(TABLE_CASES)), st.integers(0, 2**32 - 1))
 def test_level_table_matches_build_D(name, seed):
-    # D_j is linear and raises word length by exactly j, so its columns
-    # at the dual-basis forms give D_j of any form on words up to W
+    # D_j is linear and raises word length by exactly j, so the columns
+    # of the reference at the dual-basis forms give D_j of any form on
+    # words up to W
     L, partial, t, table = TABLE_CASES[name]
     rng = random.Random(seed)
     f = random_form(rng, L, rng.choice([-2, -1, 0, 1]), TABLE_W)

@@ -8,10 +8,15 @@ copies of the tables (level k scaled by delta * lam**k, the structure
 constants by mu) and divides each residual back.  The oracles below
 evaluate every term, as the identities are written, in Fraction
 arithmetic on the given tables; residual lists, witnesses and values
-must be equal, on data with denominators at every level.
+must be equal, on data with denominators at every level.  The same holds
+for the level differentials D_j of the operator route, which read one
+integer table (forms.LevelTable), against the Fraction reference in
+operator_reference.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -22,14 +27,20 @@ from mdca.algebra import AlgebraSpec, multiply
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             check_coalgebra_perturbation, normalize_word,
                             splittings, word_degree, words_of_length)
-from mdca.forms import TwistingCochain
+from mdca.forms import (TwistingCochain, build_D, cohomology_ranks,
+                        integer_tables, operator_route, partial_bra,
+                        partial_t, square_check)
 from mdca.graded import (GradedBasis, LinearMap, ONE, compose, vec_axpy,
                          vec_sub)
 from mdca.instances import catalog_entry
 from mdca.structures import (LieRinehartData, ShLieRinehartData,
-                             anomaly_report, check_twisting_cochain,
-                             direct_route, quasi_to_sh)
-from test_forms import change_of_basis, dg_anchor, inverse
+                             anomaly_report, build_maurer_cartan,
+                             check_sh_lie_rinehart, check_twisting_cochain,
+                             direct_route, extract_structure, quasi_to_sh)
+from operator_reference import (reference_bra, reference_square_check,
+                                reference_t)
+from test_forms import (TABLE_CASES, change_of_basis, dg_anchor, inverse,
+                        random_form)
 
 
 def catalog_homotopy(name):
@@ -258,7 +269,8 @@ def anomaly_levels(partial, t):
        st.integers(0, 2**32 - 1))
 def test_perturbation_residuals_equal_the_all_terms_oracle(name, W, seed):
     L, partial, _ = perturbed(random.Random(seed), ALL_CASES[name])
-    assert (check_coalgebra_perturbation(partial, L, TruncationPolicy(W))
+    assert (check_coalgebra_perturbation(partial, L, TruncationPolicy(W),
+                                         partial.denominator)
             == all_terms_perturbation(partial, L, W))
 
 
@@ -312,7 +324,8 @@ def test_the_perturbed_data_fail_every_identity(name):
     for seed in range(30):
         L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
         policy = TruncationPolicy(3)
-        if check_coalgebra_perturbation(partial, L, policy):
+        if check_coalgebra_perturbation(partial, L, policy,
+                                        partial.denominator):
             failed.add("perturbation")
         if check_twisting_cochain(L, t, partial, policy):
             failed.add("twisting")
@@ -390,7 +403,8 @@ def sl2_pair_in_a_rational_basis():
 def identities(L, partial, t, W):
     """The three identities of the direct route that run on integers."""
     policy = TruncationPolicy(W)
-    return (check_coalgebra_perturbation(partial, L, policy)
+    return (check_coalgebra_perturbation(partial, L, policy,
+                                         integer_tables(L, partial, t)[1])
             + check_twisting_cochain(L, t, partial, policy)
             + [r for j in anomaly_levels(partial, t)
                for r in anomaly_report(L, partial, t, j)])
@@ -444,3 +458,145 @@ def test_direct_route_on_lie_data_builds_no_fraction_per_term(monkeypatch):
     assert report == []
     assert count <= sum(len(v) for tab in sh.partial.cor.values()
                         for v in tab.values())
+
+
+@pytest.mark.parametrize("data", ["sl2 + sl2", "perturbed"])
+def test_the_square_check_builds_no_fraction_per_term(data, monkeypatch):
+    # the square check sums D_k D_(j-k) on the integer level table and
+    # builds one Fraction per residual entry, when dividing back
+    if data == "sl2 + sl2":
+        sh = sl2_pair_in_a_rational_basis()
+        L, partial, t = sh.L, sh.partial, sh.t
+    else:
+        L, partial, t = perturbed(random.Random(3),
+                                  RATIONAL["quasi_sample, rational"])
+    assert max(L.d0_denominator, partial.denominator, t.denominator) > 1
+    policy = TruncationPolicy(5 if data == "sl2 + sl2" else 3)
+    count, report = fractions_built(
+        monkeypatch, lambda: square_check(L, partial, t, policy))
+    assert report == reference_square_check(L, partial, t, policy.W)
+    assert (report == []) == (data != "perturbed")
+    entries = (sum(len(v) for tab in partial.cor.values()
+                   for v in tab.values())
+               + sum(len(op.entries) for tab in t.maps.values()
+                     for op in tab.values()))
+    assert count <= entries + sum(len(r["value"]) for r in report)
+
+
+# --------------------------- the level table against the Fraction reference
+
+# TABLE_CASES hold dg_anchor (a nonzero d_A); the rational copies are
+# perturbed with random_q denominators at every level
+LEVEL_CASES = dict({name: case[:3] for name, case in TABLE_CASES.items()},
+                   **{name: None for name in RATIONAL})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LEVEL_CASES)), st.integers(0, 2**32 - 1))
+def test_the_level_table_halves_equal_the_fraction_reference(name, seed):
+    rng = random.Random(seed)
+    if LEVEL_CASES[name] is None:
+        L, partial, t = perturbed(rng, RATIONAL[name])
+    else:
+        L, partial, t = LEVEL_CASES[name]
+    degree = rng.choice([-2, -1, 0, 1])
+    f = random_form(rng, L, degree, 2).scale(random_q(rng, 1)).add(
+        random_form(rng, L, degree, 2).scale(random_q(rng, 2)))
+    W = 4
+    for j in range(W):
+        bra, tt = partial_bra(f, partial, t, j), partial_t(f, partial, t, j)
+        assert bra == reference_bra(f, partial, j)
+        assert tt == reference_t(f, t, j)
+        assert build_D(f, partial, t, j) == bra.add(tt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ALL_CASES)), st.integers(0, 2**32 - 1))
+def test_square_residuals_equal_the_fraction_reference(name, seed):
+    L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
+    assert (square_check(L, partial, t, TruncationPolicy(3))
+            == reference_square_check(L, partial, t, 3))
+
+
+# ------------------------------------------ one integer copy per structure
+
+def test_a_check_builds_one_integer_copy_of_the_coderivation(monkeypatch):
+    # the coderivation of rational truncated_poly has denominator 2, its
+    # anchor 4: the perturbation identity, the anchor identities and the
+    # operator route all run on the copy scaled by lam = 4
+    sh = rational_copy(CASES["truncated_poly"], {"x": Q(1, 2), "x^2": Q(1, 3)},
+                       Q(3, 2))
+    assert (sh.partial.denominator, sh.t.denominator) == (2, 4)
+    built = []
+    real = Coderivation.scaled
+
+    def recording(self, delta, lam):
+        before = self._scaled
+        out = real(self, delta, lam)
+        if self._scaled is not before:
+            built.append((delta, lam))
+        return out
+
+    monkeypatch.setattr(Coderivation, "scaled", recording)
+    assert check_sh_lie_rinehart(sh, TruncationPolicy(4)) == []
+    assert built == [(sh.L.d0_denominator, 4)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ALL_CASES)), st.integers(0, 2**32 - 1))
+def test_direct_route_perturbation_residuals_on_the_shared_scale(name, seed):
+    # the direct route scales the coderivation by the lam of the anchor
+    # identities; its perturbation residuals are those of the oracle
+    L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
+    got = [{"level": r["witness"][0], "word": r["witness"][1],
+            "value": r["value"]}
+           for r in direct_route(L, partial, t, TruncationPolicy(3))
+           if r["axiom"] == "bracket coderivation squares to zero"]
+    assert got == all_terms_perturbation(partial, L, 3)
+
+
+@pytest.mark.parametrize("name", ["truncated_poly", "exterior_pair"])
+def test_extraction_computes_each_anchor_part_once(name, monkeypatch):
+    # extract_structure reads the anchor half before the coderivation
+    # exists; the table of the extracted coderivation takes those parts
+    # over instead of splitting the same words again
+    sh = catalog_homotopy(name)
+    policy = TruncationPolicy(4)
+    m = build_maurer_cartan(sh, policy)
+    parts = {}
+    real = forms.LevelTable._anchor_part
+
+    def recording(self, j, u):
+        part = real(self, j, u)
+        parts.setdefault((j, u), []).append(part)
+        return part
+
+    monkeypatch.setattr(forms.LevelTable, "_anchor_part", recording)
+    back, flags = extract_structure(m, policy)
+    assert flags == [] and back.t.maps
+    # the parts of the constants (u = ()) are read only by the rebuild
+    assert any(u for _, u in parts)
+    assert any(len(got) > 1 for got in parts.values())
+    assert all(got[0] is part for got in parts.values() for part in got)
+
+
+# ------------------------------------------------------- memory lifetime
+
+def test_the_level_table_keeps_no_cycle_through_its_structure():
+    # the table kept with the anchor family refers to integer copies, not
+    # to the family, so the family is freed without the cycle collector
+    def run():
+        sh = catalog_homotopy("exterior_pair")
+        policy = TruncationPolicy(3)
+        assert operator_route(sh.L, sh.partial, sh.t, policy) == []
+        cohomology_ranks(sh.L, sh.partial, sh.t, policy)
+        assert sh.t._table is not None
+        return weakref.ref(sh.t)
+
+    gc.collect()
+    gc.disable()
+    try:
+        ref = run()
+        assert ref() is None
+    finally:
+        gc.enable()
