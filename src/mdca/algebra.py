@@ -35,9 +35,6 @@ class AlgebraSpec:
     def prod_basis(self, i, j):
         return self.mult.get((i, j), {})
 
-    def one(self):
-        return {self.unit: ONE}
-
 
 def multiply(A, a, b):
     """Bilinear extension of the structure constants to elements."""

@@ -1,15 +1,16 @@
 """Convolution algebra of A-valued forms on the symmetric coalgebra.
 
-Forms are sparse tables word -> algebra element; the cup product, the
-level differentials D_j and their bracket and anchor halves all live
-here, together with A-multilinearity tests, the operator route (the
-anchor premise, and the descent and square checks on the cup generators
-it makes exact) and windowed cohomology ranks, which the operator route
-must pass first.
+Forms are sparse tables word -> algebra element; the cup product and
+the level differentials D_j live here, together with A-multilinearity
+tests, the operator route (the anchor premise, and the descent and
+square checks on the cup generators it makes exact) and windowed
+cohomology ranks, which the operator route must pass first.  D_j is the
+sum of a bracket and an anchor operator, but only the sum is defined on
+multilinear forms, so only the sum is computed.
 
-Every reader of D_j (build_D, partial_bra, partial_t, square_check,
-cohomology_ranks) goes through one LevelTable per structure, kept with
-its anchor family (TwistingCochain.level_table).  The table runs on the
+Every reader of D_j (build_D, square_check, cohomology_ranks) goes
+through one LevelTable per structure, kept with its anchor family
+(TwistingCochain.level_table).  The table runs on the
 integer copies of integer_tables: level j >= 1 is scaled by
 delta * lam**j, level 0 (the algebra and word differentials) by delta.
 So the table holds delta * lam**j * D_j, and each reader divides back
@@ -341,19 +342,15 @@ class LevelTable:
                                       self._anchor_part(j, u))
         return hit
 
-    def apply(self, j, vec, out, bracket=True, anchor=True):
-        """out += the scaled D_j, or one half of it, of the form with
-        integer values vec {u: {a: c}}; out is keyed the same way and may
-        keep empty values.  Returns out."""
+    def apply(self, j, vec, out):
+        """out += the scaled D_j of the form with integer values vec
+        {u: {a: c}}; out is keyed the same way and may keep empty values.
+        Returns out."""
         adeg = self.L.over.basis.degree
         for u, col in vec.items():
             if not col:
                 continue
             odd_u, bra, anc = self.parts(j, u)
-            if not bracket:
-                bra = ()
-            if not anchor:
-                anc = ()
             for a, c in col.items():
                 odd = (adeg[a] + odd_u) % 2
                 if bra:
@@ -374,42 +371,21 @@ class LevelTable:
         return out
 
 
-def level_image(f, partial, t, j, bracket=True, anchor=True):
-    """D_j f, or one half of it, read off the LevelTable: f is scaled to
-    integers by the lcm of its denominators, the columns of its
-    dual-basis forms are summed on integers, and the sum is divided back
-    once by that lcm times delta * lam**j."""
+def build_D(f, partial, t, j):
+    """Level-j differential: the bracket operator plus the anchor
+    operator, at level 0 the Hom-differential.  Read off the LevelTable
+    of (partial, t): f is scaled to integers by the lcm of its
+    denominators, the columns of its dual-basis forms are summed on
+    integers, and the sum is divided back once by that lcm times
+    delta * lam**j."""
     table = t.level_table(partial)
     den = denominator(c for v in f.values.values() for c in v.values())
     out = table.apply(j, {u: int_multiple(den, v)
-                          for u, v in f.values.items()}, {},
-                      bracket, anchor)
+                          for u, v in f.values.items()}, {})
     scale = den * table.scale(j)
     return FormTable(f.L, f.degree - 1, {
         w: {b: Q(c, scale) for b, c in v.items()}
         for w, v in out.items() if v})
-
-
-def partial_bra(f, partial, t, j):
-    """Bracket half of D_j: (-1)^(|f|+1) f after the level-j
-    coderivation; level 0 is the word differential."""
-    return level_image(f, partial, t, j, anchor=False)
-
-
-def partial_t(f, partial, t, j):
-    """Anchor half of D_j: apply the level-j anchor value on the left
-    factor of every splitting to the form value on the right factor,
-    with the Koszul sign of moving the form across it; level 0 is the
-    algebra differential after f."""
-    return level_image(f, partial, t, j, bracket=False)
-
-
-def build_D(f, partial, t, j):
-    """Level-j differential: the bracket half plus the anchor half, at
-    level 0 the Hom-differential.  One pass over the LevelTable of
-    (partial, t) (level_image), divided back once by delta * lam**j times
-    the lcm of the denominators of f."""
-    return level_image(f, partial, t, j)
 
 
 def is_A_multilinear(f):
@@ -487,31 +463,22 @@ def descent_check(L, partial, t, j):
     """Does the level-j differential preserve A-multilinearity?
 
     Probed on the cup generators, the constants and the dual 1-forms.
-    Under the anchor premise (TwistingCochain.validation_report) D_j and
-    both of its summands are derivations of the cup product, and cup
-    products of multilinear forms are multilinear, so each preserves
-    multilinearity iff it does so on the generators.  The image is the
-    sum of the bracket and anchor halves (partial_bra, partial_t), each
-    applied once; for j >= 1 each is also probed alone (for genuine
-    anchor data each one fails while the sum descends).  A failure
-    carries the generator's name, the witness of is_A_multilinear and
-    its multilinearity_defect as value; "images" holds the images by
+    Under the anchor premise (TwistingCochain.validation_report) D_j is
+    a derivation of the cup product, and cup products of multilinear
+    forms are multilinear, so it preserves multilinearity iff it does so
+    on the generators.  Each generator is probed once: its image under
+    build_D, tested by is_A_multilinear.  A failure carries the
+    generator's name, the witness of is_A_multilinear and its
+    multilinearity_defect as value; "images" holds the images by
     generator key.
     """
-    rep = {"violations": [], "bracket_summand_failures": [],
-           "anchor_summand_failures": [], "images": {}}
+    rep = {"violations": [], "images": {}}
     for name, key, f in multilinear_generators(L, 1):
-        bra, tt = partial_bra(f, partial, t, j), partial_t(f, partial, t, j)
-        probes = [("violations", bra.add(tt))]
-        if j:
-            probes += [("bracket_summand_failures", bra),
-                       ("anchor_summand_failures", tt)]
-        rep["images"][key] = probes[0][1]
-        for kind, g in probes:
-            ok, wit = is_A_multilinear(g)
-            if not ok:
-                rep[kind].append({"form": name, "witness": wit,
-                                  "value": multilinearity_defect(g, wit)})
+        g = rep["images"][key] = build_D(f, partial, t, j)
+        ok, wit = is_A_multilinear(g)
+        if not ok:
+            rep["violations"].append({"form": name, "witness": wit,
+                                      "value": multilinearity_defect(g, wit)})
     return rep
 
 

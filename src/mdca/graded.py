@@ -22,10 +22,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec_add(u, v):
-    return vec_axpy(dict(u), 1, v)
-
-
 def vec_scale(c, u):
     if not c:
         return {}
@@ -140,10 +136,6 @@ class LinearMap:
     @classmethod
     def zero(cls, source, target, degree):
         return cls(source, target, degree, {})
-
-    @classmethod
-    def identity(cls, basis):
-        return cls(basis, basis, 0, {(l, l): ONE for l in basis.labels})
 
     def apply(self, vec):
         out = {}

@@ -135,11 +135,10 @@ def structure_doc(data):
     raise TypeError("unsupported structure object %r" % (type(data),))
 
 
-def emit_instance(data, policy=None):
+def emit_instance(data, policy):
     """Canonical JSON text for a structure object and policy."""
     L = data.L
     A = L.over
-    policy = policy or TruncationPolicy(4)
     window = policy.degree_window
     doc = {
         "algebra": {

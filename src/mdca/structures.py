@@ -21,14 +21,13 @@ from itertools import combinations
 from .graded import (LinearMap, ONE, ZERO, compose, denominator,
                      int_multiple, koszul_sign, vec_axpy, vec_scale, vec_sub)
 from .algebra import Derivation, multiply
-from .coalgebra import (Coderivation, TruncationPolicy,
-                        check_coalgebra_perturbation,
+from .coalgebra import (Coderivation, check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
                         stripped_slots, suspension_sign, word_degree,
                         words_of_length)
 from .forms import (FormTable, TwistingCochain, build_D, constant_form,
                     descent_check, dual_one_forms, integer_tables,
-                    operator_route, partial_t, twisting_residual)
+                    operator_route, twisting_residual)
 
 
 def mult_op(A, a_vec):
@@ -80,7 +79,7 @@ def bracket_eval(L, bracket, g1_vec, g2_vec):
     return out
 
 
-def check_lie_rinehart(d, policy=None):
+def check_lie_rinehart(d, policy):
     """The four equivalent Lie-Rinehart conditions, checked exactly.
 
     Returns a report of violations: the bracket coderivation squares to
@@ -88,8 +87,6 @@ def check_lie_rinehart(d, policy=None):
     the anchor residual vanishes, and the anchor-bracket compatibility
     law holds on every (basis element, algebra element, basis element).
     """
-    if policy is None:
-        policy = TruncationPolicy(3)
     return direct_route(d.L, d.partial, d.anchor, policy)
 
 
@@ -318,8 +315,9 @@ def extract_structure(m, policy):
             t_maps[j] = table
     t = TwistingCochain(L, t_maps)
     duals = dual_one_forms(L)
-    # the anchor half of D_j does not read the coderivation; its parts
-    # pass on to the table of sh.partial (TwistingCochain.level_table)
+    # at j >= 1, D_j of an empty coderivation is the anchor operator
+    # alone; its table parts pass on to the table of sh.partial
+    # (TwistingCochain.level_table)
     no_brackets = Coderivation(L, {})
     cor = {}
     for j in m.levels():
@@ -328,7 +326,7 @@ def extract_structure(m, policy):
         level = {}
         for xl, eps in duals.items():
             phi = m.on_duals[j][xl].add(
-                partial_t(eps, no_brackets, t, j).scale(-ONE))
+                build_D(eps, no_brackets, t, j).scale(-ONE))
             s = -ONE if (eps.degree + 1) % 2 else ONE
             for w, val in phi.values.items():
                 if len(w) != j + 1:
@@ -685,8 +683,20 @@ def jacobi_defect_identity(q):
 
     Evaluates both sides on every triple of distinct generators (repeats
     make the suspended word vanish, so they carry no constraint) and
-    reports the global sign making them equal (None when everything
-    vanishes, or with the mismatch list when no sign works)."""
+    returns the triples where the cyclic sum is not minus the
+    differentiated ternary bracket, as {triple, lhs, rhs}.
+
+    The sign is that of the level-2 perturbation identity d0 del2 +
+    del1 del1 + del2 d0 = 0 on the bare word sx sy sz.  The ternary
+    corestriction vanishes on bare words (quasi_to_sh), so d0 del2 drops
+    out, and del2 d0 is rhs: d0 crosses the earlier slots with their
+    suspended degrees.  Every bare sx is odd, so the unshuffles of sx sy
+    sz into (pair, single) carry the signs +1 for (xy, z), -1 for (xz,
+    y) and +1 for (yz, x), and the binary corestriction of two degree 0
+    elements has suspension sign +1 (coalgebra.suspension_sign).  So
+    del1 del1 is [[x,y],z] - [[x,z],y] + [[y,z],x], which skew-symmetry
+    of the degree 0 bracket makes the cyclic sum lhs, and the identity
+    reads lhs = -rhs."""
     L = q.L
     unit = L.over.unit
     partial = quasi_to_sh(q).partial
@@ -695,7 +705,7 @@ def jacobi_defect_identity(q):
     def bare(x):
         return {L.pair(unit, x): ONE}
 
-    results = []
+    mismatches = []
     for trip in combinations(gens, 3):
         x, y, z = trip
         lhs = {}
@@ -715,15 +725,6 @@ def jacobi_defect_identity(q):
                         vec_axpy(rhs, s * c1 * c2 * c3,
                                  apply_corestriction_args(
                                      L, partial, 2, [g1, g2, g3]))
-        results.append((trip, lhs, rhs))
-    if all(not lhs and not rhs for _, lhs, rhs in results):
-        return {"sign": None, "mismatches": []}
-    for s in (ONE, -ONE):
-        if all(not vec_sub(lhs, vec_scale(s, rhs))
-               for _, lhs, rhs in results):
-            return {"sign": int(s), "mismatches": []}
-    return {"sign": None,
-            "mismatches": [{"triple": t, "lhs": lhs, "rhs": rhs}
-                           for t, lhs, rhs in results
-                           if vec_sub(lhs, rhs)
-                           or vec_sub(lhs, vec_scale(-ONE, rhs))]}
+        if vec_sub(lhs, vec_scale(-ONE, rhs)):
+            mismatches.append({"triple": trip, "lhs": lhs, "rhs": rhs})
+    return mismatches

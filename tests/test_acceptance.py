@@ -21,7 +21,8 @@ from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             word_degree)
 from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
                         build_D, cohomology_ranks, cup, descent_check,
-                        dual_one_forms, is_A_multilinear, square_check,
+                        dual_one_forms, is_A_multilinear,
+                        multilinear_generators, square_check,
                         words_of_length)
 from mdca.graded import GradedBasis, LinearMap, ONE
 from mdca.instances import catalog_entry, catalog_names
@@ -29,6 +30,7 @@ from mdca.structures import (LieRinehartData, build_maurer_cartan,
                              build_quasi_mc, check_sh_lie_rinehart,
                              extract_structure, jacobi_defect_identity,
                              quasi_to_sh)
+from operator_reference import reference_bra, reference_t
 from test_coalgebra import brackets_from_coderivation
 
 VALID_CATALOG = ["abelian", "heisenberg", "sl2", "exterior_pair",
@@ -78,15 +80,23 @@ def test_jacobi_violator_exits_one(capsys):
 # 3 --------------------------------- descent of the sum, not the parts
 
 def test_level_one_descends_but_summands_do_not():
+    # D_1, the bracket operator plus the anchor operator, preserves
+    # multilinearity; for genuine anchor data each operator alone does
+    # not (the Fraction halves of operator_reference)
     sh, _ = as_homotopy("exterior_pair")
     rep = descent_check(sh.L, sh.partial, sh.t, 1)
     assert rep["violations"] == []
-    assert rep["bracket_summand_failures"]
-    assert rep["anchor_summand_failures"]
-    for fail in (rep["bracket_summand_failures"][0],
-                 rep["anchor_summand_failures"][0]):
-        wit = fail["witness"]
-        assert set(wit) == {"word", "slot", "scalar"}
+    failures = {"bracket": [], "anchor": []}
+    for _, key, f in multilinear_generators(sh.L, 1):
+        bra, tt = reference_bra(f, sh.partial, 1), reference_t(f, sh.t, 1)
+        assert bra.add(tt) == rep["images"][key]
+        for half, g in (("bracket", bra), ("anchor", tt)):
+            ok, wit = is_A_multilinear(g)
+            if not ok:
+                failures[half].append(wit)
+    assert failures["bracket"] and failures["anchor"]
+    for wits in failures.values():
+        assert set(wits[0]) == {"word", "slot", "scalar"}
 
 
 # 4 --------------------------------------------------- round trips
@@ -336,6 +346,4 @@ def test_quasi_sample_builders_agree_table_for_table():
 
 def test_quasi_sample_defect_identity():
     q, _ = catalog_entry("quasi_sample")
-    out = jacobi_defect_identity(q)
-    assert out["mismatches"] == []
-    assert out["sign"] == -1
+    assert jacobi_defect_identity(q) == []

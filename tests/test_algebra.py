@@ -34,7 +34,7 @@ def test_validate_names_tampered_pair():
 def test_multiply_unit_and_expansion():
     A = exterior_algebra([("t", -1), ("u", -1)])
     a = {"t": Q(3), "t.u": Q(1, 2)}
-    assert multiply(A, A.one(), a) == a
+    assert multiply(A, {A.unit: ONE}, a) == a
     left = multiply(A, {"1": ONE, "t": ONE}, {"1": ONE, "u": ONE})
     assert left == {"1": ONE, "t": ONE, "u": ONE, "t.u": ONE}
 

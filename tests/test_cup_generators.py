@@ -1,12 +1,12 @@
 """The operator route probes descent on the cup generators only.
 
-Under the anchor premise every D_j, and each of its two summands, is a
-derivation of the cup product; cup products of A-multilinear forms are
-A-multilinear, and the cup product is associative.  So a summand
-preserves multilinearity iff it does so on the constants and the dual
-1-forms.  The properties that argument rests on are tested here, and
-the generator-only descent check is compared with the former probe set
-(every cup monomial of the dual 1-forms), kept below as its oracle.
+Under the anchor premise every D_j is a derivation of the cup product;
+cup products of A-multilinear forms are A-multilinear, and the cup
+product is associative.  So D_j preserves multilinearity iff it does so
+on the constants and the dual 1-forms.  The properties that argument
+rests on are tested here, and the generator-only descent check is
+compared with the former probe set (every cup monomial of the dual
+1-forms), kept below as its oracle.
 The fixture at the end does not descend although D squares to zero;
 every verb and file kind must fail on it.
 """
@@ -29,30 +29,17 @@ from mdca.instances import catalog_entry
 from mdca.io_json import emit_instance
 from mdca.structures import MdcaStructure, ShLieRinehartData
 
-from operator_reference import hom_differential, reference_bra, reference_t
+from operator_reference import reference_D
 from test_live_terms import CASES, perturbed, random_q
-
-KINDS = ("violations", "bracket_summand_failures", "anchor_summand_failures")
-
 
 # ------------------------------------------- the all-monomial oracle
 
 def all_monomial_descent(L, partial, t, j, W):
-    """The kinds of probe that fail at level j over the former probe
+    """Does level j fail to preserve multilinearity over the former probe
     set: the constants and every cup monomial of the dual 1-forms with
-    at most W - j factors, with the summands from the Fraction
-    reference."""
-    failing = set()
-    for _, _, f in multilinear_generators(L, W - j):
-        if j == 0:
-            probes = [("violations", hom_differential(f))]
-        else:
-            bra, tt = reference_bra(f, partial, j), reference_t(f, t, j)
-            probes = [("violations", bra.add(tt)),
-                      ("bracket_summand_failures", bra),
-                      ("anchor_summand_failures", tt)]
-        failing |= {kind for kind, g in probes if not is_A_multilinear(g)[0]}
-    return failing
+    at most W - j factors, with D_j from the Fraction reference."""
+    return any(not is_A_multilinear(reference_D(f, partial, t, j))[0]
+               for _, _, f in multilinear_generators(L, W - j))
 
 
 DERIVATIONS = {}
@@ -100,14 +87,13 @@ def test_generator_descent_equals_the_all_monomial_oracle(name, W, seed):
     if t.validation_report():
         return
     for j in range(W):
-        rep = descent_check(L, partial, t, j)
-        assert ({kind for kind in KINDS if rep[kind]}
+        assert (bool(descent_check(L, partial, t, j)["violations"])
                 == all_monomial_descent(L, partial, t, j, W))
 
 
 def test_the_oracle_comparison_sees_failing_levels():
-    # the random inputs above reach both verdicts of every kind
-    seen = {kind: set() for kind in KINDS}
+    # the random inputs above reach both verdicts
+    seen = set()
     for seed in range(12):
         rng = random.Random(seed)
         name = sorted(CASES)[seed % len(CASES)]
@@ -115,10 +101,8 @@ def test_the_oracle_comparison_sees_failing_levels():
         t = with_derivation_anchor(rng, L, CASES[name].t)
         assert not t.validation_report()
         for j in range(1, 3):
-            rep = descent_check(L, partial, t, j)
-            for kind in KINDS:
-                seen[kind].add(bool(rep[kind]))
-    assert all(v == {True, False} for v in seen.values())
+            seen.add(bool(descent_check(L, partial, t, j)["violations"]))
+    assert seen == {True, False}
 
 
 def test_descent_failures_carry_their_defect():

@@ -4,9 +4,13 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from mdca.graded import (ZERO, GradedBasis, LinearMap, compose,
-                         kernel_of_rows, koszul_sign, row_echelon, vec_add,
+from mdca.graded import (ONE, ZERO, GradedBasis, LinearMap, compose,
+                         kernel_of_rows, koszul_sign, row_echelon, vec_axpy,
                          vec_sub)
+
+
+def identity(basis):
+    return LinearMap(basis, basis, 0, {(x, x): ONE for x in basis.labels})
 
 
 def brute_sign(perm, degs):
@@ -72,8 +76,8 @@ B3 = GradedBasis([("x", 0), ("y", 0), ("z", 0)])
 
 def test_compose_identity_and_zero():
     f = LinearMap(B2, B3, 0, {("x", "a"): Q(2), ("y", "b"): Q(1, 3)})
-    assert compose(LinearMap.identity(B3), f) == f
-    assert compose(f, LinearMap.identity(B2)) == f
+    assert compose(identity(B3), f) == f
+    assert compose(f, identity(B2)) == f
     z = LinearMap.zero(B3, B2, 0)
     assert compose(f, LinearMap.zero(B2, B2, 0)).is_zero()
     assert compose(z, f).source == B2
@@ -140,7 +144,7 @@ def test_rank_and_kernel_zero_and_identity():
     z = LinearMap.zero(B3, B3, 0)
     rk = rank_and_kernel(z, (0, 0))
     assert rk[0][0] == 0 and len(rk[0][1]) == 3
-    rk = rank_and_kernel(LinearMap.identity(B3), (0, 0))
+    rk = rank_and_kernel(identity(B3), (0, 0))
     assert rk[0] == (3, [])
 
 
@@ -176,7 +180,7 @@ def test_exact_arithmetic_round_trip(t):
     a = Q(t[0] * 2**200 + 1, t[1])
     b = Q(t[2], t[3] * 2**199 + 1)
     u, v = {"a": a}, {"a": b}
-    assert vec_sub(vec_add(u, v), v) == u
+    assert vec_sub(vec_axpy(dict(u), 1, v), v) == u
     assert a.denominator > 0
     from math import gcd
     assert gcd(abs(a.numerator), a.denominator) == 1

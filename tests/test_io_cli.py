@@ -211,12 +211,10 @@ def test_quasi_sample_representations_agree():
 
 
 def test_quasi_sample_defect_identity_holds():
-    # the bracket alone violates Jacobi; the differentiated ternary
-    # bracket compensates exactly, with a global sign
+    # the bracket alone violates Jacobi; minus the differentiated ternary
+    # bracket compensates exactly
     q, _ = catalog_entry("quasi_sample")
-    out = jacobi_defect_identity(q)
-    assert out["mismatches"] == []
-    assert out["sign"] == -1
+    assert jacobi_defect_identity(q) == []
 
 
 def test_negative_window_spellings_agree(capsys):

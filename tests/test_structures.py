@@ -11,7 +11,7 @@ from mdca.forms import (SquareResidualError, TwistingCochain, build_D,
                         cohomology_ranks, constant_form, cup, dual_one_forms,
                         multilinear_generators, square_check)
 from mdca.graded import GradedBasis, LinearMap, ONE
-from mdca.instances import catalog_entry
+from mdca.instances import QUASI_PARAMS, build_quasi_sample, catalog_entry
 from mdca.io_json import ParsedInstance, emit_instance
 from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
                              ShLieRinehartData, anchor_multilinearity_report,
@@ -106,8 +106,8 @@ def tp2_data():
 
 
 def test_check_lie_rinehart_passes():
-    assert check_lie_rinehart(sl2_data()) == []
-    assert check_lie_rinehart(tp2_data()) == []
+    assert check_lie_rinehart(sl2_data(), TruncationPolicy(3)) == []
+    assert check_lie_rinehart(tp2_data(), TruncationPolicy(3)) == []
 
 
 def test_check_lie_rinehart_flags_jacobi_failure():
@@ -115,7 +115,7 @@ def test_check_lie_rinehart_flags_jacobi_failure():
     table = {args: dict(v) for j, tab in partial.cor.items()
              for args, v in tab.items()}
     d = LieRinehartData(L, table, {})
-    rep = check_lie_rinehart(d)
+    rep = check_lie_rinehart(d, TruncationPolicy(3))
     assert any(r["axiom"] == "bracket coderivation squares to zero"
                for r in rep)
 
@@ -124,7 +124,7 @@ def test_check_lie_rinehart_flags_scaled_anchor():
     d = tp2_data()
     scaled = {w[0]: op.scale(2) for w, op in d.anchor.maps[1].items()}
     bad = LieRinehartData(d.L, d.bracket, scaled)
-    rep = check_lie_rinehart(bad)
+    rep = check_lie_rinehart(bad, TruncationPolicy(3))
     assert any(r["axiom"] == "anchor twisting identity" for r in rep)
     # the scaled anchor also breaks the anomaly law against the bracket
     assert any(r["axiom"] == "bracket anomaly law" for r in rep)
@@ -136,7 +136,7 @@ def test_check_lie_rinehart_flags_non_multilinear_anchor():
     anchor[("x|u")] = anchor[("x|u")].add(
         LinearMap(d.L.over.basis, d.L.over.basis, 0, {("x", "x"): ONE}))
     bad = LieRinehartData(d.L, d.bracket, anchor)
-    rep = check_lie_rinehart(bad)
+    rep = check_lie_rinehart(bad, TruncationPolicy(3))
     assert any(r["axiom"] == "anchor module-linearity" for r in rep)
 
 
@@ -170,7 +170,7 @@ def test_check_lie_rinehart_flags_broken_anomaly():
             v[g("u")] = v.get(g("u"), Q(0)) + 1
     bad = LieRinehartData(d.L, table, {w[0]: op for w, op in
                                        d.anchor.maps[1].items()})
-    rep = check_lie_rinehart(bad)
+    rep = check_lie_rinehart(bad, TruncationPolicy(3))
     assert any(r["axiom"] == "bracket anomaly law" for r in rep)
 
 
@@ -292,9 +292,20 @@ def test_quasi_mc_representations_agree():
 
 
 def test_jacobi_defect_trivial_for_ordinary_pair():
-    q = tp2_as_quasi()
-    out = jacobi_defect_identity(q)
-    assert out["mismatches"] == []
+    assert jacobi_defect_identity(tp2_as_quasi()) == []
+
+
+def test_jacobi_defect_identity_reports_a_negated_triple():
+    # negating the triple of quasi_sample flips the sign of the
+    # differentiated ternary bracket; the identity fixes its sign, so the
+    # one triple is reported, as check reports the broken identities
+    preset, lam, dmat, cs = QUASI_PARAMS
+    q = build_quasi_sample(preset, lam, dmat,
+                           {k: -c for k, c in cs.items()})
+    [out] = jacobi_defect_identity(q)
+    assert out["triple"] == ("x", "y", "z")
+    assert out["lhs"] == out["rhs"] == {"1|x": -ONE}
+    assert check_sh_lie_rinehart(quasi_to_sh(q), TruncationPolicy(4))
 
 
 # ------------------------------------------------------ one direct route
@@ -356,31 +367,32 @@ def test_dual_table_of_a_dotted_generator_is_its_own():
     assert build_D(monomial, sh.partial, sh.t, 1).is_zero()
 
 
-def test_build_applies_each_summand_once_per_generator(monkeypatch):
-    # descent_check computes the image of every cup generator (constant
-    # or dual 1-form) once, from one bracket and one anchor summand; the
-    # tables are read from it
+def test_build_probes_each_generator_once_per_level(monkeypatch):
+    # descent_check computes D_j of every cup generator (constant or dual
+    # 1-form) once with build_D and tests that image once; the tables are
+    # read from it
     calls = []
+    real_D, real_multilinear = forms.build_D, forms.is_A_multilinear
 
-    def counting(name, fn):
-        def wrapped(*args):
-            calls.append((name, args[-1]))  # the level comes last
-            return fn(*args)
-        return wrapped
+    def build_D_counting(f, partial, t, j):
+        calls.append(("build_D", j))
+        return real_D(f, partial, t, j)
 
-    for name in ("partial_bra", "partial_t", "build_D"):
-        monkeypatch.setattr(forms, name, counting(name, getattr(forms,
-                                                                name)))
-    monkeypatch.setattr(structures, "build_D",
-                        counting("build_D", structures.build_D))
+    def multilinear_counting(f):
+        # tagged with the level of the build_D call it tests
+        calls.append(("is_A_multilinear", calls[-1][1]))
+        return real_multilinear(f)
+
+    monkeypatch.setattr(forms, "build_D", build_D_counting)
+    monkeypatch.setattr(forms, "is_A_multilinear", multilinear_counting)
     sh = ShLieRinehartData(*exterior_pair())
     policy = TruncationPolicy(3)
     build_maurer_cartan(sh, policy)
-    assert not [c for c in calls if c[0] == "build_D"]
     n = len(multilinear_generators(sh.L, 1))
-    for j in range(1, policy.W):
-        assert calls.count(("partial_bra", j)) == n
-        assert calls.count(("partial_t", j)) == n
+    assert len(calls) == 2 * n * policy.W
+    for j in range(policy.W):
+        assert calls.count(("build_D", j)) == n
+        assert calls.count(("is_A_multilinear", j)) == n
 
 
 def test_twisting_check_visits_each_word_of_its_level_once(monkeypatch):

@@ -129,7 +129,10 @@ def verify(bracket, lam, dmat, cs):
     except ValueError as e:
         return None, ["model comparison: %s" % e]
     jac = jacobi_defect_identity(q)
-    return (q, jac), []
+    if jac:
+        return None, ["cyclic bracket vs defect: %d mismatches, first %r"
+                      % (len(jac), jac[0])]
+    return q, []
 
 
 def as_matrix(vals):
@@ -182,13 +185,12 @@ def main():
                 dmat = as_matrix(list(v))
                 for cs in solve_affine(bracket, lam, dmat):
                     tried += 1
-                    result, problems = verify(bracket, lam, dmat, cs)
+                    _, problems = verify(bracket, lam, dmat, cs)
                     if problems:
                         print("near miss %s lam=%s d=%s c=%s: %s"
                               % (preset, lam, dmat, cs, problems[0]),
                               flush=True)
                         continue
-                    q, jac = result
                     print("SOLUTION after %d full verifications (%.0fs)"
                           % (tried, time.time() - t0))
                     print("  bracket preset:", preset, bracket)
@@ -196,7 +198,6 @@ def main():
                     print("  differential matrix (rows = source gen):",
                           dmat)
                     print("  triple coefficients c(xy,xz,yz):", cs)
-                    print("  cyclic bracket vs defect:", jac)
                     return 0
             print("done %s lam=%s: %d kernel dirs, %.0fs"
                   % (preset, lam, len(basis), time.time() - t0),
