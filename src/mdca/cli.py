@@ -2,10 +2,11 @@
 
 Verbs:
   check      run the identity checks appropriate to the structure kind
-  roundtrip  build the differential tables, extract the structure back,
-             rebuild, and require exact agreement in both directions; this
-             certifies build/extract/rebuild agreement only, not the
-             identities, which are certified by check
+  roundtrip  on mdca tables, extract the structure and require that it
+             rebuilds every table exactly; on other input, build the
+             tables once, extract the structure back and require that it
+             equals the input.  This certifies build/extract/rebuild
+             agreement only, not the identities, which check certifies
   cohomology Betti numbers of the multilinear form complex in a window
   catalog    list the built-in examples or emit one as an instance file
 
@@ -14,18 +15,20 @@ codes: 0 all identities hold, 1 some identity fails, 2 unusable input.
 Degree windows may be negative: --window -2..3 and --window=-2..3 both
 work; a window selects cohomology degrees, never the square check.  W
 must be at least 2.  check runs the direct route on plain Lie-Rinehart
-data, and both routes with route agreement on every other kind (mdca
-tables are extracted first).  Each residual carries route, axiom,
-witness and value; the operator route checks that every anchor value is
-a derivation of A, then probes D squared on the dual-basis forms on
-words of length at most 2 (the cup generators and their products), and
-the descent of each level on the cup generators (the constants and the
-dual 1-forms).  Quasi data that fails its own validation gets those
-residuals and exit 1 from every verb.  cohomology fails with exit 1 on
-mdca tables extraction does not reproduce, a non-derivation anchor, a D
-that does not square to zero, or a level that does not preserve
-multilinearity; the last three give a refused line and the
-operator-route residuals of check.
+data, and both routes with route agreement on every other kind.  mdca
+tables are extracted first and compared with the tables the extracted
+data rebuilds, at every level of the file and every level below W; a
+level the file lacks counts as zero tables.  Each residual carries
+route, axiom, witness and value; the operator route checks that every
+anchor value is a derivation of A, then probes D squared on the
+dual-basis forms on words of length at most 2 (the cup generators and
+their products), and the descent of each level on the cup generators
+(the constants and the dual 1-forms).  Quasi data that fails its own
+validation gets those residuals and exit 1 from every verb.  cohomology
+fails with exit 1 on mdca tables the extracted data does not rebuild, a
+non-derivation anchor, a D that does not square to zero, or a level
+that does not preserve multilinearity; the last three give a refused
+line and the operator-route residuals of check.
 """
 
 import argparse
@@ -44,7 +47,7 @@ from .io_json import (InstanceError, emit_instance, parse_instance,
 from .structures import (LieRinehartData, MdcaStructure,
                          QuasiLieRinehartData, build_maurer_cartan,
                          check_lie_rinehart, check_sh_lie_rinehart,
-                         extract_structure, quasi_to_sh)
+                         extract_structure, quasi_to_sh, table_residuals)
 
 
 ROUNDTRIP_SCOPE = ("build/extract/rebuild agreement only; the identities "
@@ -115,9 +118,8 @@ def policy_for(inst, args):
 
 
 def extracted(inst, policy):
-    """The homotopy form of any kind of input, with a table consistency
-    residual for each mdca table that extraction does not reproduce; its
-    value is the file table minus the rebuilt one."""
+    """The homotopy form of any kind of input, with the table consistency
+    residuals of table_residuals for mdca tables."""
     data = inst.data
     if isinstance(data, LieRinehartData):
         return data.as_sh(), []
@@ -125,10 +127,8 @@ def extracted(inst, policy):
         return quasi_to_sh(data), []
     if not isinstance(data, MdcaStructure):
         return data, []
-    sh, flags = extract_structure(data, policy)
-    return sh, [{"route": "extract", "axiom": "table consistency",
-                 "witness": {"flag": r["flag"], "witness": r["witness"]},
-                 "value": r["value"]} for r in flags]
+    sh = extract_structure(data)
+    return sh, table_residuals(data, sh, policy)[0]
 
 
 def validation_residuals(inst):
@@ -149,38 +149,22 @@ def run_check(inst, policy):
     return residuals + check_sh_lie_rinehart(sh, policy)
 
 
-def tables_of(m):
-    return ({j: {n: (f.degree, f.values) for n, f in tab.items()}
-             for j, tab in m.on_constants.items()},
-            {j: {n: (f.degree, f.values) for n, f in tab.items()}
-             for j, tab in m.on_duals.items()})
-
-
 def run_roundtrip(inst, policy):
-    """mdca input: extract, rebuild and compare the tables.  Other input:
-    build, extract and compare the extracted coderivation and anchor with
-    the given ones; extraction already rebuilds every generator table
-    from them and compares it with the built one, so with equal data a
-    rebuild could only repeat the build."""
+    """mdca input: extract, then compare the tables the extracted data
+    rebuilds with the file's, and require that rebuild to descend
+    (table_residuals).  Other input: build the tables once, extract, and
+    compare the extracted coderivation and anchor with the given ones."""
     if isinstance(inst.data, MdcaStructure):
-        m = inst.data
-        sh, flags = extract_structure(m, policy)
-        residuals = [{"stage": "extract", "witness": r} for r in flags]
-        try:
-            m2 = build_maurer_cartan(sh, policy)
-        except ValueError as e:
-            return residuals + [{"stage": "rebuild", "witness": str(e)}]
-        if tables_of(m) != tables_of(m2):
-            residuals.append({"stage": "rebuild",
-                              "witness": "differential tables differ"})
-        return residuals
+        sh = extract_structure(inst.data)
+        residuals, violations = table_residuals(inst.data, sh, policy)
+        return residuals + violations
     sh = extracted(inst, policy)[0]
     try:
         m = build_maurer_cartan(sh, policy)
     except ValueError as e:
         return [{"stage": "build", "witness": str(e)}]
-    back, flags = extract_structure(m, policy)
-    residuals = [{"stage": "extract", "witness": r} for r in flags]
+    back = extract_structure(m)
+    residuals = []
     if back.partial.cor != sh.partial.cor:
         residuals.append({"stage": "extract",
                           "witness": "coderivation tables differ"})

@@ -10,9 +10,8 @@ coderivation (Coderivation.scaled).
 from fractions import Fraction as Q
 from itertools import chain, combinations, combinations_with_replacement
 
-from .graded import (GradedBasis, LinearMap, ONE, ZERO, compose,
-                     denominator, int_multiple, koszul_sign, vec_axpy,
-                     vec_scale)
+from .graded import (GradedBasis, LinearMap, ONE, compose, denominator,
+                     int_multiple, koszul_sign, vec_axpy, vec_scale)
 
 SEP = "|"  # joins an algebra label and a module generator label
 
@@ -225,17 +224,6 @@ def splittings(L, word, left_size=None):
                         tuple(word[i] for i in rest)))
     out = tuple(out)
     L._split_cache[key] = out
-    return out
-
-
-def shuffle_diagonal(L, word):
-    """Delta(word) as {(left, right): coefficient}."""
-    out = {}
-    for sgn, w1, w2 in splittings(L, word):
-        k = (w1, w2)
-        out[k] = out.get(k, ZERO) + sgn
-        if not out[k]:
-            del out[k]
     return out
 
 

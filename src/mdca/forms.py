@@ -78,19 +78,6 @@ class FormTable:
     def value(self, word):
         return dict(self.values.get(word, {}))
 
-    def eval(self, args):
-        """Value on an arbitrary generator tuple, via canonical sorting."""
-        sgn, w = normalize_word(self.L, list(args))
-        if sgn == 0:
-            return {}
-        return vec_scale(Q(sgn), self.values.get(w, {}))
-
-    def eval_vec(self, wvec):
-        out = {}
-        for w, c in wvec.items():
-            vec_axpy(out, c, self.values.get(w, {}))
-        return out
-
     def add(self, other):
         if self.degree != other.degree:
             raise ValueError("adding forms of different degrees")
@@ -179,12 +166,6 @@ class TwistingCochain:
 
     def value(self, j, word):
         return self.maps.get(j, {}).get(word)
-
-    def apply(self, j, word, a_vec):
-        op = self.value(j, word)
-        if op is None:
-            return {}
-        return op.apply(a_vec)
 
     def validation_report(self):
         """Every anchor value must be a derivation of A; the value of a

@@ -310,10 +310,10 @@ def _parse_vec_rows(rows, keylen, L, targets, locus, word_keys=False):
     return out
 
 
-def _parse_ops(rows, keylen, A, locus, keys=None, word_keys=False):
+def _parse_ops(rows, keylen, A, locus, keys, word_keys=False):
     """Rows [key..., target, source, rational] grouped into operators;
-    with keys given, every key part must be one of them.  With word_keys
-    the one key part is a word of keys."""
+    every key part must be one of keys.  With word_keys the one key part
+    is a word of keys."""
     grouped = {}
     for n, row in enumerate(rows or []):
         here = "%s[%d]" % (locus, n)
@@ -322,7 +322,7 @@ def _parse_ops(rows, keylen, A, locus, keys=None, word_keys=False):
         key = tuple(row[:keylen])
         if word_keys:
             key = (_word(row[0], keys, here),)
-        elif keys is not None:
+        else:
             for lbl in key:
                 _known(lbl, keys, here)
         t, s, c = row[keylen:]

@@ -25,9 +25,9 @@ from .coalgebra import (Coderivation, check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
                         stripped_slots, suspension_sign, word_degree,
                         words_of_length)
-from .forms import (FormTable, TwistingCochain, build_D, constant_form,
-                    descent_check, dual_one_forms, integer_tables,
-                    operator_route, twisting_residual)
+from .forms import (FormTable, TwistingCochain, build_D, descent_check,
+                    dual_one_forms, integer_tables, operator_route,
+                    twisting_residual)
 
 
 def mult_op(A, a_vec):
@@ -282,16 +282,16 @@ def build_maurer_cartan(d, policy):
     return MdcaStructure(L, on_constants, on_duals)
 
 
-def extract_structure(m, policy):
+def extract_structure(m):
     """Brackets and anchors from the generator tables of a multi
-    derivation Maurer-Cartan algebra over a free module.
+    derivation Maurer-Cartan algebra over a free module: the inverse of
+    build_maurer_cartan.
 
     The level-j anchor is the adjoint of the action on constants; the
     level-j bracket corestriction is recovered from the action on the
     dual 1-forms after subtracting the anchor operator, through the dual
-    basis pairing.  Exact and total for a free module.  Returns (data,
-    flags); a flag names each generator table the extracted data does not
-    rebuild, with the given table minus the rebuilt one as its value.
+    basis pairing.  Exact and total for a free module.  Whether the
+    extracted data rebuilds the tables is for table_residuals to say.
     """
     L = m.L
     A = L.over
@@ -316,8 +316,8 @@ def extract_structure(m, policy):
     t = TwistingCochain(L, t_maps)
     duals = dual_one_forms(L)
     # at j >= 1, D_j of an empty coderivation is the anchor operator
-    # alone; its table parts pass on to the table of sh.partial
-    # (TwistingCochain.level_table)
+    # alone; its table parts pass on to the table of the extracted
+    # coderivation (TwistingCochain.level_table)
     no_brackets = Coderivation(L, {})
     cor = {}
     for j in m.levels():
@@ -341,20 +341,44 @@ def extract_structure(m, policy):
         level = {w: v for w, v in level.items() if v}
         if level:
             cor[j] = level
-    sh = ShLieRinehartData(L, Coderivation(L, cor), t)
-    flags = []
-    for j in m.levels():
-        probes = ([("constants", al, constant_form(L, {al: ONE}),
-                    m.on_constants[j][al]) for al in A.basis.labels]
-                  + [("dual", xl, eps, m.on_duals[j][xl])
-                     for xl, eps in duals.items()])
-        for side, name, f, given in probes:
-            rebuilt = build_D(f, sh.partial, sh.t, j)
-            if rebuilt != given:
-                flags.append({"flag": "%s table not reproduced" % side,
-                              "witness": (j, name),
-                              "value": given.add(rebuilt.scale(-ONE)).values})
-    return sh, flags
+    return ShLieRinehartData(L, Coderivation(L, cor), t)
+
+
+def table_residuals(m, sh, policy):
+    """(residuals, violations): where the generator tables of m differ
+    from the ones sh rebuilds, and where that rebuild fails to descend.
+
+    The rebuilt tables are the descent_check images, as in
+    build_maurer_cartan, at every level of m and every level below W; a
+    level m lacks counts as zero tables.  A residual has route extract,
+    axiom table consistency, the side and (level, generator) as witness
+    and the table of m minus the rebuilt one as value.  A violation has
+    route extract, axiom descent and the witness and value of the
+    operator route's descent residuals.
+    """
+    L = m.L
+    residuals, violations = [], []
+    for j in sorted(set(m.levels()) | set(range(policy.W))):
+        rep = descent_check(L, sh.partial, sh.t, j)
+        violations += [{"route": "extract", "axiom": "descent",
+                        "witness": (j, r["form"], r["witness"]),
+                        "value": r["value"]} for r in rep["violations"]]
+        im = rep["images"]
+        probes = ([("constants", al, m.on_constants, im[("const", al)])
+                   for al in L.over.basis.labels]
+                  + [("dual", xl, m.on_duals, im[("dual", (xl,))])
+                     for xl, _ in L.a_basis.gens])
+        for side, name, tables, rebuilt in probes:
+            diff = rebuilt.scale(-ONE)
+            if j in tables:
+                diff = tables[j][name].add(diff)
+            if not diff.is_zero():
+                residuals.append({
+                    "route": "extract", "axiom": "table consistency",
+                    "witness": {"flag": "%s table not reproduced" % side,
+                                "witness": (j, name)},
+                    "value": diff.values})
+    return residuals, violations
 
 
 def extend_linearly(L, start_degree, bare, n, times):

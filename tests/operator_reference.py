@@ -15,6 +15,30 @@ from mdca.forms import FormTable, ambient_basis_forms
 from mdca.graded import ONE, vec_axpy, vec_scale
 
 
+def form_eval(f, args):
+    """Value of a form on an arbitrary generator tuple, via canonical
+    sorting."""
+    sgn, w = normalize_word(f.L, list(args))
+    if sgn == 0:
+        return {}
+    return vec_scale(Q(sgn), f.values.get(w, {}))
+
+
+def form_eval_vec(f, wvec):
+    """Value of a form on a linear combination of canonical words."""
+    out = {}
+    for w, c in wvec.items():
+        vec_axpy(out, c, f.values.get(w, {}))
+    return out
+
+
+def anchor_apply(t, j, word, a_vec):
+    """The level-j value of an anchor family on a canonical word, applied
+    to an algebra element; zero where the family has no value."""
+    op = t.value(j, word)
+    return {} if op is None else op.apply(a_vec)
+
+
 def reference_bra(f, partial, j):
     """Bracket operator: (-1)^(|f|+1) f after the level-j coderivation;
     level 0 is the word differential."""
@@ -40,7 +64,7 @@ def reference_bra(f, partial, j):
                     candidates.add(w)
     vals = {}
     for w in candidates:
-        acc = vec_scale(sgn, f.eval_vec(partial.apply_level(j, w)))
+        acc = vec_scale(sgn, form_eval_vec(f, partial.apply_level(j, w)))
         if acc:
             vals[w] = acc
     return FormTable(L, f.degree - 1, vals)
@@ -70,7 +94,7 @@ def reference_t(f, t, j):
             if not v:
                 continue
             s = -1 if (f.degree % 2 and word_degree(L, w1) % 2) else 1
-            vec_axpy(acc, Q(sgn * s), t.apply(j, w1, v))
+            vec_axpy(acc, Q(sgn * s), anchor_apply(t, j, w1, v))
         if acc:
             vals[w] = acc
     return FormTable(L, f.degree - 1, vals)

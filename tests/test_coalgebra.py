@@ -9,9 +9,10 @@ from mdca.algebra import rational_algebra
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             apply_d0, check_coalgebra_perturbation,
                             coderivation_from_brackets, normalize_word,
-                            shuffle_diagonal, suspension_sign, word_basis,
+                            splittings, suspension_sign, word_basis,
                             word_degree, words_of_length)
-from mdca.graded import GradedBasis, LinearMap, ONE, koszul_sign, vec_axpy
+from mdca.graded import (GradedBasis, LinearMap, ONE, ZERO, koszul_sign,
+                         vec_axpy)
 from mdca.instances import catalog_entry
 from mdca.structures import quasi_to_sh
 
@@ -81,6 +82,18 @@ def test_word_basis_sl2_counts():
     assert len(by_len.get(1, [])) == 3
     # three odd generators: squares vanish, C(3,2) = 3 pair words remain
     assert len(by_len.get(2, [])) == 3
+
+
+def shuffle_diagonal(L, word):
+    """Delta(word) as {(left, right): coefficient}, summed over the
+    splittings."""
+    out = {}
+    for sgn, w1, w2 in splittings(L, word):
+        k = (w1, w2)
+        out[k] = out.get(k, ZERO) + sgn
+        if not out[k]:
+            del out[k]
+    return out
 
 
 def test_shuffle_diagonal_counit_and_primitives():

@@ -25,7 +25,8 @@ from mdca.graded import (GradedBasis, LinearMap, ONE, koszul_sign,
 from mdca.instances import catalog_entry
 from mdca.structures import LieRinehartData, check_lie_rinehart, quasi_to_sh
 
-from operator_reference import reference_bra, reference_D, reference_t
+from operator_reference import (anchor_apply, form_eval, reference_bra,
+                                reference_D, reference_t)
 
 
 QQ = rational_algebra()
@@ -205,9 +206,9 @@ def test_bracket_operator_matches_classical_formula():
                     rest = [args[i] for i in range(n) if i not in (j, k)]
                     sgn = Q((-1) ** (j + 1 + k + 1))
                     for bl, bc in sl2_bracket(args[j], args[k]).items():
-                        vec_axpy(acc, sgn * bc, f.eval([bl] + rest))
+                        vec_axpy(acc, sgn * bc, form_eval(f, [bl] + rest))
             acc = vec_scale(Q((-1) ** (n - 1)), acc)
-            assert out.eval(list(args)) == acc
+            assert form_eval(out, args) == acc
 
 
 def test_anchor_operator_matches_classical_formula():
@@ -226,9 +227,10 @@ def test_anchor_operator_matches_classical_formula():
             for i in range(n):
                 rest = [args[k] for k in range(n) if k != i]
                 sgn = Q((-1) ** i)
-                vec_axpy(acc, sgn, t.apply(1, (args[i],), f.eval(rest)))
+                vec_axpy(acc, sgn,
+                         anchor_apply(t, 1, (args[i],), form_eval(f, rest)))
             acc = vec_scale(Q((-1) ** (n - 1)), acc)
-            assert out.eval(list(args)) == acc
+            assert form_eval(out, args) == acc
 
 
 # ------------------------------------------------------------- cup product
@@ -244,12 +246,12 @@ def test_cup_two_one_forms():
     ab = cup(a, b)
     for X in SL2.l_basis.labels:
         for Y in SL2.l_basis.labels:
-            lhs = ab.eval([X, Y])
+            lhs = form_eval(ab, [X, Y])
             rhs = {}
             vec_axpy(rhs, -ONE,
-                     multiply(QQ, a.eval([X]), b.eval([Y])))
+                     multiply(QQ, form_eval(a, [X]), form_eval(b, [Y])))
             vec_axpy(rhs, ONE,
-                     multiply(QQ, b.eval([X]), a.eval([Y])))
+                     multiply(QQ, form_eval(b, [X]), form_eval(a, [Y])))
             assert lhs == rhs
 
 
@@ -344,7 +346,8 @@ def test_anchor_on_constants_is_adjoint():
         f = reference_t(constant_form(L, {al: ONE}), t, 1)
         for w in words_of_length(L, 1):
             s = -ONE if (ad % 2 and word_degree(L, w) % 2) else ONE
-            assert f.value(w) == vec_scale(s, t.apply(1, w, {al: ONE}))
+            assert f.value(w) == vec_scale(s, anchor_apply(t, 1, w,
+                                                           {al: ONE}))
 
 
 # --------------------------------------------------------- multilinearity

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdca import cli
+from mdca import cli, forms, structures
 from mdca.coalgebra import TruncationPolicy
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import (InstanceError, emit_instance, parse_instance_text,
@@ -284,6 +284,12 @@ def test_emitted_mdca_files_run_every_verb(name, tmp_path, capsys):
     exits = tuple(cli.main([verb, str(p)])
                   for verb in ("check", "roundtrip", "cohomology"))
     assert exits == MDCA_EXITS[name]
+    # the file holds the levels 0..3.  The tables are compared at every
+    # level of the file and every level below W, and a level the file
+    # lacks counts as zero tables, which is what the extracted data
+    # rebuilds at level 4
+    for W in ("2", "3", "5"):
+        assert cli.main(["roundtrip", str(p), "--W", W]) == 0
     capsys.readouterr()
 
 
@@ -303,8 +309,8 @@ def test_bad_mdca_table_exits_2(name, rows, fragment, tmp_path, capsys):
 
 
 def test_roundtrip_builds_once(monkeypatch, capsys):
-    # extraction rebuilds every generator table and compares it with the
-    # built one, so roundtrip of non-mdca input builds once
+    # roundtrip of non-mdca input builds the tables, extracts the data
+    # back and compares it with the input; nothing rebuilds the tables
     calls = []
 
     def counting(sh, policy):
@@ -315,6 +321,77 @@ def test_roundtrip_builds_once(monkeypatch, capsys):
     assert cli.main(["roundtrip", "catalog:exterior_pair"]) == 0
     assert calls == [4]
     capsys.readouterr()
+
+
+def test_each_verb_computes_each_table_once(monkeypatch, tmp_path, capsys):
+    # exterior_pair has 6 cup generators, 4 constants and 2 dual 1-forms.
+    # roundtrip at W = 5 builds D_j of each at the levels 0..4 (30 calls)
+    # and extraction reads the anchor operator on the dual 1-forms at the
+    # levels 1..4 (8); a rebuild of the tables would add 30 more.  check
+    # of the mdca file at W = 4 reads the anchor operator (6), rebuilds
+    # the tables to compare them with the file's (24), and runs the
+    # descent check of the operator route (24)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(emitted_mdca("exterior_pair")))
+    calls = []
+    real = forms.build_D
+
+    def counting(f, partial, t, j):
+        calls.append(j)
+        return real(f, partial, t, j)
+
+    for module in (forms, structures):
+        monkeypatch.setattr(module, "build_D", counting)
+    assert cli.main(["roundtrip", "catalog:exterior_pair", "--W", "5"]) == 0
+    assert len(calls) == 38
+    calls.clear()
+    assert cli.main(["check", str(p), "--W", "4"]) == 0
+    assert len(calls) == 54
+    capsys.readouterr()
+
+
+def quasi_sample_without(level, tmp_path):
+    """The emitted mdca file of quasi_sample with one level dropped from
+    both sides."""
+    doc = emitted_mdca("quasi_sample")
+    for side in ("constants", "duals"):
+        del doc["structure"][side][level]
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def printed_residuals(out):
+    return json.loads(out[out.index("residuals:") + len("residuals:"):
+                          out.index("elapsed:")])
+
+
+@pytest.mark.parametrize("W", ["2", "3", "4", "5"])
+def test_an_absent_level_counts_as_zero_tables(W, tmp_path, capsys):
+    # quasi_sample has a module differential, so D_0 is not zero; a file
+    # without level 0 says it is, and every verb reports the level-0
+    # table of the extracted data that differs from zero
+    p = quasi_sample_without("0", tmp_path)
+    for verb in ("check", "roundtrip", "cohomology"):
+        assert cli.main([verb, p, "--W", W]) == 1
+        first = printed_residuals(capsys.readouterr().out)[0]
+        assert first["axiom"] == "table consistency"
+        assert first["route"] == "extract"
+        assert first["witness"]["witness"][0] == 0
+
+
+def test_consistent_tables_of_failing_data_round_trip(tmp_path, capsys):
+    # without level 2 the tables still agree with the data extracted from
+    # them: that data has no level 2 either, so it rebuilds zero tables
+    # there.  But the data breaks the identities from level 2 on.
+    # roundtrip certifies only the agreement (its certifies line), so it
+    # passes while check fails, as on jacobi_violator (MDCA_EXITS)
+    p = quasi_sample_without("2", tmp_path)
+    for W in ("2", "3", "4", "5"):
+        assert cli.main(["roundtrip", p, "--W", W]) == 0
+    for W in ("3", "4", "5"):
+        assert cli.main(["check", p, "--W", W]) == 1
+        assert "table consistency" not in capsys.readouterr().out
 
 
 def run_verbs(doc, tmp_path, capsys):
@@ -489,9 +566,7 @@ def test_inconsistent_mdca_file_gets_one_verdict(tmp_path, capsys):
     # the residual has the schema of the routes: the file table minus the
     # rebuilt one is its value
     for _, run in (out[0], out[2]):
-        report = run.out
-        body = json.loads(report[report.index("residuals:") + 10:
-                                 report.index("elapsed:")])
+        body = printed_residuals(run.out)
         assert body[0]["route"] == "extract"
         # keyed by the word ("1|u",): a row [[parts...], value]
         assert body[0]["value"] == [[["1|u"], {"1": "1"}]]

@@ -35,7 +35,8 @@ from mdca.instances import catalog_entry
 from mdca.structures import (LieRinehartData, ShLieRinehartData,
                              anomaly_report, build_maurer_cartan,
                              check_sh_lie_rinehart, check_twisting_cochain,
-                             direct_route, extract_structure, quasi_to_sh)
+                             direct_route, extract_structure, quasi_to_sh,
+                             table_residuals)
 from operator_reference import (reference_bra, reference_D,
                                 reference_square_check, reference_t)
 from test_forms import (TABLE_CASES, change_of_basis, dg_anchor, inverse,
@@ -563,8 +564,9 @@ def test_direct_route_perturbation_residuals_on_the_shared_scale(name, seed):
 @pytest.mark.parametrize("name", ["truncated_poly", "exterior_pair"])
 def test_extraction_computes_each_anchor_part_once(name, monkeypatch):
     # extract_structure reads the anchor half before the coderivation
-    # exists; the table of the extracted coderivation takes those parts
-    # over instead of splitting the same words again
+    # exists; the table that table_residuals rebuilds from the extracted
+    # coderivation takes those parts over instead of splitting the same
+    # words again
     sh = catalog_homotopy(name)
     policy = TruncationPolicy(4)
     m = build_maurer_cartan(sh, policy)
@@ -577,8 +579,8 @@ def test_extraction_computes_each_anchor_part_once(name, monkeypatch):
         return part
 
     monkeypatch.setattr(forms.LevelTable, "_anchor_part", recording)
-    back, flags = extract_structure(m, policy)
-    assert flags == [] and back.t.maps
+    back = extract_structure(m)
+    assert table_residuals(m, back, policy) == ([], []) and back.t.maps
     # the parts of the constants (u = ()) are read only by the rebuild
     assert any(u for _, u in parts)
     assert any(len(got) > 1 for got in parts.values())

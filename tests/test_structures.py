@@ -8,7 +8,7 @@ from mdca.algebra import (Derivation, exterior_algebra, graded_commutator,
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets, words_of_length)
 from mdca.forms import (SquareResidualError, TwistingCochain, build_D,
-                        cohomology_ranks, constant_form, cup, dual_one_forms,
+                        cohomology_ranks, cup, dual_one_forms,
                         multilinear_generators, square_check)
 from mdca.graded import GradedBasis, LinearMap, ONE
 from mdca.instances import QUASI_PARAMS, build_quasi_sample, catalog_entry
@@ -20,7 +20,7 @@ from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
                              check_sh_lie_rinehart, check_twisting_cochain,
                              extend_anchor_level, extend_bracket_table,
                              extract_structure, jacobi_defect_identity,
-                             quasi_to_sh)
+                             quasi_to_sh, table_residuals)
 
 from test_forms import (SL2, SL2_PARTIAL, SL2_TABLE, derivation_pair,
                         dg_anchor, exterior_pair, jacobi_violator, tp2)
@@ -218,8 +218,8 @@ def roundtrip_case(case, W):
     L, partial, t = case
     d = ShLieRinehartData(L, partial, t)
     m = build_maurer_cartan(d, TruncationPolicy(W))
-    back, flags = extract_structure(m, TruncationPolicy(W))
-    assert flags == []
+    back = extract_structure(m)
+    assert table_residuals(m, back, TruncationPolicy(W)) == ([], [])
     assert back.partial.cor == partial.cor
     assert {j: {w: op.entries for w, op in tab.items()}
             for j, tab in back.t.maps.items()} == \
@@ -252,16 +252,19 @@ def test_build_refuses_non_multilinear_anchor():
 
 def test_extraction_flags_tampered_structure():
     # the level-0 tables are pinned by the differentials, so corrupting
-    # one cannot be absorbed into candidate brackets or anchors
+    # one cannot be absorbed into candidate brackets or anchors: the
+    # rebuilt table differs from the tampered one by the tampering
     L, partial, t = exterior_pair()
     d = ShLieRinehartData(L, partial, t)
     m = build_maurer_cartan(d, TruncationPolicy(2))
     f = m.on_duals[0]["u"]
     from mdca.forms import FormTable
     m.on_duals[0]["u"] = f.add(FormTable(L, f.degree, {("q|u",): {"q.r": 1}}))
-    back, flags = extract_structure(m, TruncationPolicy(2))
-    assert flags
-    assert back is not None
+    back = extract_structure(m)
+    assert table_residuals(m, back, TruncationPolicy(2)) == ([{
+        "route": "extract", "axiom": "table consistency",
+        "witness": {"flag": "dual table not reproduced", "witness": (0, "u")},
+        "value": {("q|u",): {"q.r": 1}}}], [])
 
 
 # ------------------------------------------------------------ quasi layer
