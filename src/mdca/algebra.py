@@ -8,7 +8,8 @@ are solved for exactly from the Leibniz linear system.
 from fractions import Fraction as Q
 
 from .graded import (GradedBasis, LinearMap, ONE, ZERO, compose,
-                     kernel_of_rows, vec_axpy, vec_scale)
+                     denominator, int_multiple, kernel_of_rows, vec_axpy,
+                     vec_scale)
 
 
 class AlgebraSpec:
@@ -47,6 +48,14 @@ def multiply(A, a, b):
                 raise ValueError("unknown label %r" % (j,))
             vec_axpy(out, ci * cj, A.prod_basis(i, j))
     return out
+
+
+def integer_structure_constants(A):
+    """(mu, mult): the least common denominator of the structure
+    constants and the constants times mu, as Python ints, keyed as
+    A.mult.  Products through mult come out mu times their value."""
+    mu = denominator(c for v in A.mult.values() for c in v.values())
+    return mu, {k: int_multiple(mu, v) for k, v in A.mult.items()}
 
 
 def validate_algebra(A):

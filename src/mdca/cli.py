@@ -21,14 +21,18 @@ data rebuilds, at every level of the file and every level below W; a
 level the file lacks counts as zero tables.  Each residual carries
 route, axiom, witness and value; the operator route checks that every
 anchor value is a derivation of A, then probes D squared on the
-dual-basis forms on words of length at most 2 (the cup generators and
-their products), and the descent of each level on the cup generators
-(the constants and the dual 1-forms).  Quasi data that fails its own
-validation gets those residuals and exit 1 from every verb.  cohomology
-fails with exit 1 on mdca tables the extracted data does not rebuild, a
-non-derivation anchor, a D that does not square to zero, or a level
-that does not preserve multilinearity; the last three give a refused
-line and the operator-route residuals of check.
+dual-basis forms on words of length at most 1 (the cup generators), the
+Leibniz rule of each level D_j on pairs of cup generators, and the
+descent of each level on the cup generators (the constants and the dual
+1-forms).  roundtrip of other input names the level and word of the
+first entry where the extracted coderivation or anchor differs from the
+given one.  Quasi data that fails its own validation gets those
+residuals and exit 1 from every verb.  cohomology fails with exit 1 on
+mdca tables the extracted data does not rebuild, a non-derivation
+anchor, a D that does not square to zero, a level that is not a
+derivation of the cup product, or a level that does not preserve
+multilinearity; the last four give a refused line and the
+operator-route residuals of check.
 """
 
 import argparse
@@ -41,10 +45,11 @@ from fractions import Fraction
 
 from .coalgebra import TruncationPolicy
 from .forms import SquareResidualError, cohomology_ranks
+from .graded import vec_sub
 from .instances import catalog_entry, catalog_names
 from .io_json import (InstanceError, emit_instance, parse_instance,
                       parse_instance_text, q_to_str)
-from .structures import (LieRinehartData, MdcaStructure,
+from .structures import (DescentError, LieRinehartData, MdcaStructure,
                          QuasiLieRinehartData, build_maurer_cartan,
                          check_lie_rinehart, check_sh_lie_rinehart,
                          extract_structure, quasi_to_sh, table_residuals)
@@ -149,11 +154,28 @@ def run_check(inst, policy):
     return residuals + check_sh_lie_rinehart(sh, policy)
 
 
+def first_difference(got, want):
+    """(level, word, got minus want) at the first (level, word), in
+    sorted order, where two level tables {j: {word: {key: value}}}
+    differ; None where they agree.  An absent entry counts as zero."""
+    for j in sorted(set(got) | set(want)):
+        a, b = got.get(j, {}), want.get(j, {})
+        for w in sorted(set(a) | set(b)):
+            diff = vec_sub(a.get(w, {}), b.get(w, {}))
+            if diff:
+                return j, w, diff
+    return None
+
+
 def run_roundtrip(inst, policy):
     """mdca input: extract, then compare the tables the extracted data
     rebuilds with the file's, and require that rebuild to descend
     (table_residuals).  Other input: build the tables once, extract, and
-    compare the extracted coderivation and anchor with the given ones."""
+    compare the extracted coderivation and anchor with the given ones;
+    each table that differs gives one residual, its witness the level
+    and word of the first differing entry and its value the extracted
+    entry minus the given one.  A build that does not descend gives the
+    descent residual of the operator route."""
     if isinstance(inst.data, MdcaStructure):
         sh = extract_structure(inst.data)
         residuals, violations = table_residuals(inst.data, sh, policy)
@@ -161,18 +183,25 @@ def run_roundtrip(inst, policy):
     sh = extracted(inst, policy)[0]
     try:
         m = build_maurer_cartan(sh, policy)
-    except ValueError as e:
-        return [{"stage": "build", "witness": str(e)}]
+    except DescentError as e:
+        r = e.violation
+        return [{"route": "roundtrip", "axiom": "descent",
+                 "witness": (e.level, r["form"], r["witness"]),
+                 "value": r["value"]}]
     back = extract_structure(m)
+
+    def anchor_tables(d):
+        return {j: {w: op.entries for w, op in tab.items()}
+                for j, tab in d.t.maps.items()}
+
     residuals = []
-    if back.partial.cor != sh.partial.cor:
-        residuals.append({"stage": "extract",
-                          "witness": "coderivation tables differ"})
-    t_pairs = [({j: {w: op.entries for w, op in tab.items()}
-                 for j, tab in s.t.maps.items()}) for s in (back, sh)]
-    if t_pairs[0] != t_pairs[1]:
-        residuals.append({"stage": "extract",
-                          "witness": "anchor tables differ"})
+    for axiom, got, want in (
+            ("coderivation tables", back.partial.cor, sh.partial.cor),
+            ("anchor tables", anchor_tables(back), anchor_tables(sh))):
+        hit = first_difference(got, want)
+        if hit is not None:
+            residuals.append({"route": "roundtrip", "axiom": axiom,
+                              "witness": hit[:2], "value": hit[2]})
     return residuals
 
 
@@ -270,7 +299,7 @@ def main(argv=None):
 
         inst = load(args.path, args.kind)
         policy = policy_for(inst, args)
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = {"kind": inst.kind, "W": policy.W}
         residuals = validation_residuals(inst)
         if not residuals and args.verb == "cohomology":
@@ -284,7 +313,7 @@ def main(argv=None):
         if args.verb == "roundtrip":
             report["certifies"] = ROUNDTRIP_SCOPE
         report["verdict"] = "fail" if residuals else "pass"
-        report["timing_seconds"] = time.time() - t0
+        report["timing_seconds"] = time.perf_counter() - t0
         render(report, args)
         return 1 if residuals else 0
     except (UsageError, InstanceError, FileNotFoundError) as e:

@@ -175,16 +175,16 @@ def word_degree(L, word):
 
 
 def words_of_length(L, n):
-    """All canonical nonvanishing words of length n, sorted as tuples."""
+    """All canonical nonvanishing words of length n, sorted as tuples.
+    A combination of the generators in canonical order is canonical; it
+    vanishes exactly when an odd generator repeats, next to itself."""
     hit = L._words_cache.get(n)
     if hit is None:
+        deg = L.sl_basis.degree
         gens = sorted(L.sl_basis.labels, key=L.word_sort_key)
-        words = set()
-        for combo in combinations_with_replacement(gens, n):
-            sgn, w = normalize_word(L, list(combo))
-            if sgn:
-                words.add(w)
-        hit = L._words_cache[n] = sorted(words)
+        hit = L._words_cache[n] = sorted(
+            w for w in combinations_with_replacement(gens, n)
+            if not any(a == b and deg[a] % 2 for a, b in zip(w, w[1:])))
     return hit
 
 

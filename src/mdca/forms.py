@@ -2,22 +2,24 @@
 
 Forms are sparse tables word -> algebra element; the cup product and
 the level differentials D_j live here, together with A-multilinearity
-tests, the operator route (the anchor premise, and the descent and
-square checks on the cup generators it makes exact) and windowed
+tests, the operator route (the anchor premise, and the square, Leibniz
+and descent checks on the cup generators it makes exact) and windowed
 cohomology ranks, which the operator route must pass first.  D_j is the
 sum of a bracket and an anchor operator, but only the sum is defined on
 multilinear forms, so only the sum is computed.
 
-Every reader of D_j (build_D, square_check, cohomology_ranks) goes
-through one LevelTable per structure, kept with its anchor family
-(TwistingCochain.level_table).  The table runs on the
+Every reader of D_j (build_D, square_check, leibniz_check,
+cohomology_ranks) goes through one LevelTable per structure, kept with
+its anchor family (TwistingCochain.level_table).  The table runs on the
 integer copies of integer_tables: level j >= 1 is scaled by
 delta * lam**j, level 0 (the algebra and word differentials) by delta.
 So the table holds delta * lam**j * D_j, and each reader divides back
 once: build_D by delta * lam**j (times the lcm of its input's
-denominators), square_check each residual by delta**2 * lam**j, and
-cohomology_ranks not at all: it scales the levels of each row alike and
-makes the row primitive, which leaves the ranks of D.
+denominators), square_check each residual by delta**2 * lam**j,
+leibniz_check each residual by delta * lam**j (times mu where A
+multiplies), and cohomology_ranks not at all: it scales the levels of
+each row alike and makes the row primitive, which leaves the ranks of
+D.
 """
 
 from fractions import Fraction as Q
@@ -25,7 +27,7 @@ from math import gcd, lcm
 
 from .graded import (LinearMap, ONE, compose_axpy, denominator,
                      int_multiple, row_echelon, vec_axpy, vec_scale, vec_sub)
-from .algebra import Derivation, multiply
+from .algebra import Derivation, integer_structure_constants, multiply
 from .coalgebra import (TruncationPolicy, normalize_word, splittings,
                         stripped_slots, word_basis, word_degree,
                         words_of_length)
@@ -465,12 +467,22 @@ def descent_check(L, partial, t, j):
 
 def dual_basis_probes(L, policy):
     """(name, word, label) of the dual-basis forms delta_(w,a) on the
-    words up to length W, in word_basis order: the probes of
-    square_check (W = 2) and of ambient_basis_forms, under one name."""
+    words up to length W, in word_basis order, under one name for
+    generator_probes and ambient_basis_forms."""
     for w in word_basis(L, policy):
         at = "*".join(w) if w else "1"
         for al in L.over.basis.labels:
             yield "delta:%s@%s" % (al, at), w, al
+
+
+def generator_probes(L):
+    """The dual-basis forms on words of length at most 1: the constants
+    c_a = delta_((),a) and the forms delta_((x),a), each c_a cup e_x with
+    e_x = delta_((x),1) the unit 1-form of x.  The probes of square_check;
+    the constants and unit 1-forms among them are the cup generators of
+    leibniz_check."""
+    return [p for p in dual_basis_probes(L, TruncationPolicy(2))
+            if len(p[1]) < 2]
 
 
 def ambient_basis_forms(L, policy):
@@ -502,12 +514,13 @@ def square_check(L, partial, t, policy):
     cup product, and so is the level-j part of D squared, the sum of
     D_k D_(j-k).  It vanishes on every form on words up to W iff it
     vanishes on the generators: the constants and the 1-forms.  The
-    probes are the dual-basis forms on words w of length at most 2 (the
-    length-2 ones, products of generators, check the Leibniz rule at run
-    time), at the levels j < W with |w| + j <= W, whatever the degree
-    window.  D_i of a probe is computed once; terms with a zero factor
-    (live_levels) are skipped.  Residuals {level, form, word, value} are
-    level-major, with words sorted within each (level, form).
+    probes are the dual-basis forms on words of length at most 1 (each
+    a generator, or a constant times a unit 1-form), at every level
+    j < W, whatever the degree window; leibniz_check tests at run time
+    the derivation rule this rests on.  D_i of a probe is computed once;
+    terms with a zero factor (live_levels) are skipped.  Residuals
+    {level, form, word, value} are level-major, with words sorted within
+    each (level, form).
 
     The sums run on the LevelTable, where level i holds delta * lam**i
     times D_i, so every term D_k D_(j-k) comes out delta**2 * lam**j
@@ -517,10 +530,10 @@ def square_check(L, partial, t, policy):
     live = live_levels(L, partial, t, W)
     table = t.level_table(partial)
     by_level = [[] for _ in range(W)]
-    for name, w, al in dual_basis_probes(L, TruncationPolicy(2)):
+    for name, w, al in generator_probes(L):
         probe = {w: {al: 1}}
         images = {}
-        for j in range(min(W, W - len(w) + 1)):
+        for j in range(W):
             res = {}
             for k in range(j + 1):
                 if not (live[k] and live[j - k]):
@@ -534,6 +547,95 @@ def square_check(L, partial, t, policy):
                  "value": {b: Q(c, scale) for b, c in res[w2].items()}}
                 for w2 in sorted(res) if res[w2]]
     return [r for level in by_level for r in level]
+
+
+def with_unit_form(L, F, x, c, out, degree=None):
+    """out += c * (F cup e_x), or, given the degree of F, c * (e_x cup F),
+    on integer forms {u: {a: coefficient}}.  The unit 1-form
+    e_x = delta_((x), 1) adds x to each word u of F; the one splitting
+    term per occurrence of x in the new word w gives the multiplicity,
+    the count of x in w times the sign of sorting x into u, with the
+    Koszul sign of the cup product on top.  Returns out."""
+    odd_x = L.sl_degree(x) % 2
+    for u, col in F.items():
+        if not col:
+            continue
+        sgn, w = normalize_word(L, [*u, x] if degree is None else [x, *u])
+        if not sgn:
+            continue
+        m = sgn * w.count(x)
+        if odd_x and (word_degree(L, u) if degree is None else degree) % 2:
+            m = -m
+        vec_axpy(out.setdefault(w, {}), c * m, col)
+    return out
+
+
+def leibniz_levels(live, W):
+    """The live levels j that some live level k pairs with in a term
+    D_k D_j of the square on words of length 2: 2 + j + k <= W."""
+    return [j for j in range(W)
+            if live[j] and any(live[k] for k in range(W - 1 - j))]
+
+
+def leibniz_check(L, partial, t, policy):
+    """First-order Leibniz residuals of the level differentials on pairs
+    of cup generators.
+
+    square_check probes D squared on the generators only, which is
+    enough when each D_j is a derivation of the cup product.  This
+    compares D_j(f cup g) with D_j f cup g + (-1)^|f| f cup D_j g at the
+    leibniz_levels, for every unordered pair of the constants c_a and
+    the unit 1-forms e_x (generator_probes), a pair of two constants
+    left out: it is the anchor premise.  Each product is one dual-basis
+    form, so its image is one LevelTable.apply; cup with e_x is
+    with_unit_form.  Residuals {level, f, g, value}, value the defect
+    form, level-major in the order of the pairs.
+
+    On the LevelTable every term comes out delta * lam**j times its
+    rational value; c_a cup D_j e_x also multiplies in A, through the
+    structure constants times mu, their least common denominator, so
+    the pairs with a constant carry mu on every term.  Each residual is
+    divided back once.
+    """
+    A = L.over
+    levels = leibniz_levels(live_levels(L, partial, t, policy.W), policy.W)
+    if not levels:
+        return []
+    adeg = A.basis.degree
+    mu, mult = integer_structure_constants(A)
+    table = t.level_table(partial)
+    gens = [(name, w, al, adeg[al] - word_degree(L, w))
+            for name, w, al in generator_probes(L)
+            if not w or al == A.unit]
+    units = [g for g in gens if g[1]]
+    pairs = ([(f, g) for f in gens if not f[1] for g in units]
+             + [(f, g) for i, f in enumerate(units) for g in units[i:]])
+    report = []
+    for j in levels:
+        image = {name: table.apply(j, {w: {al: 1}}, {})
+                 for name, w, al, _ in gens}
+        for (fname, fw, fl, fdeg), (gname, (y,), _, gdeg) in pairs:
+            c = 1 if fw else mu
+            res = table.apply(j, with_unit_form(L, {fw: {fl: c}}, y, 1, {}),
+                              {})
+            with_unit_form(L, image[fname], y, -c, res)
+            s = -1 if fdeg % 2 else 1
+            if fw:
+                with_unit_form(L, image[gname], fw[0], -s, res,
+                               degree=gdeg - 1)
+            else:
+                for w, col in image[gname].items():
+                    acc = res.setdefault(w, {})
+                    for b, x in col.items():
+                        vec_axpy(acc, -s * x, mult.get((fl, b), {}))
+            res = {w: v for w, v in res.items() if v}
+            if res:
+                scale = c * table.scale(j)
+                report.append({"level": j, "f": fname, "g": gname,
+                               "value": {w: {b: Q(x, scale)
+                                             for b, x in res[w].items()}
+                                         for w in sorted(res)}})
+    return report
 
 
 def multilinear_basis(L, policy):
@@ -553,8 +655,10 @@ def multilinear_basis(L, policy):
 
 def operator_route(L, partial, t, policy):
     """The anchor premise (every anchor value is a derivation of A, so
-    each D_j is a derivation of the cup product), then the two checks on
-    the cup generators that rest on it: D squares to zero (square_check)
+    each D_j is a derivation of the cup product), then the three checks
+    on the cup generators that rest on it: D squares to zero on them
+    (square_check), each D_j is a derivation on their pairs wherever a
+    product of two of them meets a term of the square (leibniz_check),
     and each level j < W preserves multilinearity (descent_check).
     Residuals carry route, axiom, witness and value, in that order of
     axioms."""
@@ -565,6 +669,10 @@ def operator_route(L, partial, t, policy):
                 "witness": (r["level"], r["form"], r["word"]),
                 "value": r["value"]}
                for r in square_check(L, partial, t, policy)]
+    report += [{"route": "operators", "axiom": "leibniz",
+                "witness": (r["level"], r["f"], r["g"]),
+                "value": r["value"]}
+               for r in leibniz_check(L, partial, t, policy)]
     report += [{"route": "operators", "axiom": "descent",
                 "witness": (j, r["form"], r["witness"]), "value": r["value"]}
                for j in range(policy.W)
@@ -574,9 +682,10 @@ def operator_route(L, partial, t, policy):
 
 class SquareResidualError(ValueError):
     """cohomology_ranks refuses: an anchor value is not a derivation of
-    A, D does not square to zero on the cup generators, or some level
-    does not preserve multilinearity on them.  residuals holds every
-    operator_route residual, in the schema check reports."""
+    A, D does not square to zero on the cup generators, some level is
+    not a derivation on their pairs, or some level does not preserve
+    multilinearity on them.  residuals holds every operator_route
+    residual, in the schema check reports."""
 
     def __init__(self, message, residuals):
         super().__init__(message)
@@ -588,8 +697,9 @@ def cohomology_ranks(L, partial, t, policy):
     word-length truncation and optional degree window.
 
     Refuses with every operator_route residual when the anchor premise
-    fails, D does not square to zero, or some level does not preserve
-    multilinearity; the message names the first of these that fails.
+    fails, D does not square to zero, some level is not a derivation of
+    the cup product, or some level does not preserve multilinearity; the
+    message names the first of these that fails.
     The row of a basis form f on words of length p is the sum of D_j f
     over the levels j < W with p + j <= W, over only the (word, label)
     columns some row of its degree hits.  The rows are read off the
@@ -605,11 +715,16 @@ def cohomology_ranks(L, partial, t, policy):
     """
     residuals = operator_route(L, partial, t, policy)
     if residuals:
-        # operator_route lists premise, square, then descent residuals
+        # operator_route lists premise, square, leibniz, then descent
+        # residuals
         if residuals[0]["axiom"] == "square":
             raise SquareResidualError(
                 "total differential does not square to zero within the "
                 "truncation window", residuals)
+        if residuals[0]["axiom"] == "leibniz":
+            raise SquareResidualError(
+                "level %d is not a derivation of the cup product"
+                % residuals[0]["witness"][0], residuals)
         if residuals[0]["axiom"] == "descent":
             raise SquareResidualError(
                 "level %d does not preserve multilinearity"

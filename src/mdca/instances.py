@@ -81,7 +81,10 @@ def derivation_pair(A, base):
 
     base: list of (module generator label, algebra generator label,
     Derivation); the bracket table comes from genuine graded commutators
-    decomposed through the values on the named algebra generators.
+    decomposed through the values on the named algebra generators, one
+    commutator per unordered pair of basis elements (graded_commutator
+    checks that it is a derivation), the reverse pair by graded
+    antisymmetry.
     """
     L = ModuleSpec(A, GradedBasis([(x, d.degree) for x, _, d in base]))
     by_gen = {x: d for x, _, d in base}
@@ -99,10 +102,13 @@ def derivation_pair(A, base):
                 ent[(k, src)] = s * c
         return Derivation(A, adeg[a] + d0.degree, ent)
 
+    labels = L.l_basis.labels
+    ders = {label: as_derivation(label) for label in labels}
     table = {}
-    for g1 in L.l_basis.labels:
-        for g2 in L.l_basis.labels:
-            c = graded_commutator(as_derivation(g1), as_derivation(g2))
+    for i, g1 in enumerate(labels):
+        for g2 in labels[i:]:
+            d1, d2 = ders[g1], ders[g2]
+            c = graded_commutator(d1, d2)
             vec = {}
             for xl, dl, _ in base:
                 for al, co in c({dl: ONE}).items():
@@ -111,12 +117,12 @@ def derivation_pair(A, base):
             vec = {k: v for k, v in vec.items() if v}
             if vec:
                 table[(g1, g2)] = vec
+                if g2 != g1:
+                    # graded antisymmetry of the commutator
+                    s = ONE if (d1.degree % 2 and d2.degree % 2) else -ONE
+                    table[(g2, g1)] = {k: s * v for k, v in vec.items()}
     partial = coderivation_from_brackets(L, {2: table})
-    t1 = {}
-    for label in L.l_basis.labels:
-        d = as_derivation(label)
-        if not d.is_zero():
-            t1[(label,)] = d.action
+    t1 = {(label,): d.action for label, d in ders.items() if not d.is_zero()}
     return ShLieRinehartData(L, partial, TwistingCochain(L, {1: t1}))
 
 

@@ -18,9 +18,9 @@ do not call these extenders, so they test them.
 from fractions import Fraction as Q
 from itertools import combinations
 
-from .graded import (LinearMap, ONE, ZERO, compose, denominator,
-                     int_multiple, koszul_sign, vec_axpy, vec_scale, vec_sub)
-from .algebra import Derivation, multiply
+from .graded import (LinearMap, ONE, ZERO, compose, koszul_sign, vec_axpy,
+                     vec_scale, vec_sub)
+from .algebra import Derivation, integer_structure_constants, multiply
 from .coalgebra import (Coderivation, check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
                         stripped_slots, suspension_sign, word_degree,
@@ -176,8 +176,7 @@ def anomaly_report(L, partial, t, j):
     A = L.over
     adeg = A.basis.degree
     delta, lam, scaled, (_, maps) = integer_tables(L, partial, t)
-    mu = denominator(c for v in A.mult.values() for c in v.values())
-    mult = {k: int_multiple(mu, v) for k, v in A.mult.items()}
+    mu, mult = integer_structure_constants(A)
     scale = mu * delta * lam ** j
     anchor = maps.get(j, {})
     report = []
@@ -227,9 +226,9 @@ def check_sh_lie_rinehart(d, policy):
 
     Route one checks the axioms directly (direct_route).  Route two
     builds the differential operators on forms and runs the operator
-    route (operator_route: the anchor premise, then the square and
-    descent checks on the cup generators).  The two verdicts must agree;
-    disagreement is itself reported.
+    route (operator_route: the anchor premise, then the square, Leibniz
+    and descent checks on the cup generators).  The two verdicts must
+    agree; disagreement is itself reported.
     """
     direct = direct_route(d.L, d.partial, d.t, policy)
     indirect = operator_route(d.L, d.partial, d.t, policy)
@@ -258,12 +257,25 @@ class MdcaStructure:
         return sorted(self.on_constants)
 
 
+class DescentError(ValueError):
+    """build_maurer_cartan refuses: level j does not preserve
+    multilinearity.  violation is the first descent_check violation at
+    that level."""
+
+    def __init__(self, level, violation):
+        super().__init__("level %d does not preserve multilinearity: %r"
+                         % (level, {"form": violation["form"],
+                                    "witness": violation["witness"]}))
+        self.level = level
+        self.violation = violation
+
+
 def build_maurer_cartan(d, policy):
     """Generator tables of the level differentials on multilinear forms.
 
-    Refuses when some level fails to preserve module-multilinearity.  The
-    tables are the images of the constants and dual 1-forms computed by
-    that descent check.
+    Refuses with DescentError when some level fails to preserve
+    module-multilinearity.  The tables are the images of the constants
+    and dual 1-forms computed by that descent check.
     """
     L = d.L
     on_constants = {}
@@ -271,10 +283,7 @@ def build_maurer_cartan(d, policy):
     for j in range(policy.W):
         rep = descent_check(L, d.partial, d.t, j)
         if rep["violations"]:
-            r = rep["violations"][0]
-            raise ValueError("level %d does not preserve multilinearity: %r"
-                             % (j, {"form": r["form"],
-                                    "witness": r["witness"]}))
+            raise DescentError(j, rep["violations"][0])
         im = rep["images"]
         on_constants[j] = {al: im[("const", al)]
                            for al in L.over.basis.labels}

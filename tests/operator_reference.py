@@ -11,7 +11,8 @@ from fractions import Fraction as Q
 
 from mdca.coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                             splittings, word_degree)
-from mdca.forms import FormTable, ambient_basis_forms
+from mdca.forms import (FormTable, ambient_basis_forms, cup, generator_probes,
+                        leibniz_levels, live_levels)
 from mdca.graded import ONE, vec_axpy, vec_scale
 
 
@@ -112,14 +113,19 @@ def reference_D(f, partial, t, j):
     return reference_bra(f, partial, j).add(reference_t(f, t, j))
 
 
-def reference_square_check(L, partial, t, W):
+def reference_square_check(L, partial, t, W, max_len=1):
     """The residuals of forms.square_check, with every D_j from
     reference_D: the sum of D_k D_(j-k) on the dual-basis forms on words
-    of length at most 2, at the levels j < W with |w| + j <= W, each
-    term in Fractions."""
+    w of length at most max_len, at the levels j < W with
+    |w| + j <= W, each term in Fractions.  max_len 1 is the probe set of
+    square_check; max_len 2 adds the products of two generators, the
+    probes that checked the Leibniz rule through D squared before
+    forms.leibniz_check did so at first order."""
     by_level = [[] for _ in range(W)]
     for name, f in ambient_basis_forms(L, TruncationPolicy(2)):
         [w] = f.values
+        if len(w) > max_len:
+            continue
         for j in range(min(W, W - len(w) + 1)):
             res = {}
             for k in range(j + 1):
@@ -131,3 +137,28 @@ def reference_square_check(L, partial, t, W):
                              "value": res[w2]}
                             for w2 in sorted(res) if res[w2]]
     return [r for level in by_level for r in level]
+
+
+def reference_leibniz_check(L, partial, t, W):
+    """The residuals of forms.leibniz_check, from reference_D and cup in
+    Fractions: D_j(f cup g) - D_j f cup g - (-1)^|f| f cup D_j g on the
+    same pairs of cup generators and levels."""
+    A = L.over
+    gens = [(name, FormTable(L, A.basis.degree[al] - word_degree(L, w),
+                             {w: {al: ONE}}), w)
+            for name, w, al in generator_probes(L) if not w or al == A.unit]
+    units = [g for g in gens if g[2]]
+    pairs = ([(f, g) for f in gens if not f[2] for g in units]
+             + [(f, g) for i, f in enumerate(units) for g in units[i:]])
+    report = []
+    for j in leibniz_levels(live_levels(L, partial, t, W), W):
+        for (fname, f, _), (gname, g, _) in pairs:
+            s = -ONE if f.degree % 2 else ONE
+            d = reference_D(cup(f, g), partial, t, j).add(
+                cup(reference_D(f, partial, t, j), g).scale(-ONE)).add(
+                cup(f, reference_D(g, partial, t, j)).scale(-s))
+            if not d.is_zero():
+                report.append({"level": j, "f": fname, "g": gname,
+                               "value": {w: d.values[w]
+                                         for w in sorted(d.values)}})
+    return report

@@ -196,10 +196,13 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def residuals_of(out):
+    return json.loads(out[out.index("residuals:") + len("residuals:"):
+                          out.index("elapsed:")])
+
+
 def residual_axioms(out):
-    body = out[out.index("residuals:") + len("residuals:"):
-               out.index("elapsed:")]
-    return {r["axiom"] for r in json.loads(body)}
+    return {r["axiom"] for r in residuals_of(out)}
 
 
 def test_sh_fixture_fails_check_and_cohomology(tmp_path, capsys):
@@ -214,6 +217,18 @@ def test_sh_fixture_fails_check_and_cohomology(tmp_path, capsys):
     assert "refused: level 1 does not preserve multilinearity" in out
     assert residual_axioms(out) == {"descent"}
     assert "betti:" not in out
+
+
+def test_sh_fixture_roundtrip_gives_the_descent_residual(tmp_path,
+                                                       capsys):
+    # the build refuses at the first level that does not descend; the
+    # residual is the operator route's first descent residual there
+    paths = fixture_files(tmp_path)
+    code, out = run(capsys, "check", str(paths["sh"]))
+    descent = [r for r in residuals_of(out) if r["axiom"] == "descent"]
+    code, out = run(capsys, "roundtrip", str(paths["sh"]))
+    assert code == 1
+    assert residuals_of(out) == [dict(descent[0], route="roundtrip")]
 
 
 def test_mdca_fixture_fails_check_and_cohomology(tmp_path, capsys):

@@ -15,18 +15,22 @@ from mdca.algebra import (AlgebraSpec, Derivation, derivation_space,
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets, word_basis,
                             word_degree)
-from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
-                        build_D, cohomology_ranks, constant_form, cup,
-                        descent_check, dual_one_forms, is_A_multilinear,
-                        multilinear_basis, multilinear_generators,
-                        square_check, twisting_residual, words_of_length)
+from mdca.forms import (FormTable, SquareResidualError, TwistingCochain,
+                        ambient_basis_forms, build_D, cohomology_ranks,
+                        constant_form, cup, descent_check, dual_one_forms,
+                        is_A_multilinear, leibniz_check, multilinear_basis,
+                        multilinear_generators, square_check,
+                        twisting_residual, words_of_length)
 from mdca.graded import (GradedBasis, LinearMap, ONE, koszul_sign,
                          row_echelon, vec_axpy, vec_scale)
-from mdca.instances import catalog_entry
-from mdca.structures import LieRinehartData, check_lie_rinehart, quasi_to_sh
+from mdca.instances import catalog_entry, catalog_names
+from mdca.io_json import emit_instance
+from mdca.structures import (LieRinehartData, ShLieRinehartData,
+                             check_lie_rinehart, quasi_to_sh)
 
 from operator_reference import (anchor_apply, form_eval, reference_bra,
-                                reference_D, reference_t)
+                                reference_D, reference_square_check,
+                                reference_t)
 
 
 QQ = rational_algebra()
@@ -110,6 +114,15 @@ def exterior_pair():
     assert dq.leibniz_violations() == []
     assert dr.leibniz_violations() == []
     return derivation_pair(A, [("u", "q", dq), ("v", "r", dr)])
+
+
+def test_catalog_derivation_pair_matches_all_ordered_pairs():
+    # the catalog builds one commutator per unordered pair and takes the
+    # reverse by graded antisymmetry; the file it emits is the one built
+    # from a commutator for every ordered pair
+    data, policy = catalog_entry("exterior_pair")
+    assert emit_instance(data, policy) == emit_instance(
+        ShLieRinehartData(*exterior_pair()), policy)
 
 
 def tp2(scale=1):
@@ -880,10 +893,86 @@ def test_generator_square_levels_agree_with_the_full_table(name, W, seed):
 @given(st.sampled_from(sorted(SQUARE_CASES)), st.integers(0, 2),
        st.integers(0, 2**32 - 1))
 def test_level_differentials_are_cup_derivations(name, j, seed):
-    # D_j (f cup g) = D_j f cup g + (-1)^|f| f cup D_j g
+    # D_j (f cup g) = D_j f cup g + (-1)^|f| f cup D_j g, on forms on
+    # words up to length 3
     sh = SQUARE_CASES[name]
     assert_cup_derivation(lambda f: build_D(f, sh.partial, sh.t, j), sh.L,
-                          random.Random(seed), [-2, -1, 0, 1])
+                          random.Random(seed), [-2, -1, 0, 1], 3)
+
+
+def failing_operator_levels(L, partial, t, W):
+    """The levels of the square and leibniz residuals, and those of the
+    square probed on products of two generators as well (the oracle)."""
+    policy = TruncationPolicy(W)
+    got = ({r["level"] for r in square_check(L, partial, t, policy)}
+           | {r["level"] for r in leibniz_check(L, partial, t, policy)})
+    want = {r["level"]
+            for r in reference_square_check(L, partial, t, W, max_len=2)}
+    return got, want
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(SQUARE_CASES)), st.sampled_from([3, 4]),
+       st.integers(0, 2**32 - 1))
+def test_square_and_leibniz_fail_where_the_product_probes_fail(name, W,
+                                                               seed):
+    # the first-order Leibniz probe replaces D squared on the products of
+    # two generators: together with the square on the generators it
+    # fails at the same levels
+    L, partial, t = perturbed(random.Random(seed), SQUARE_CASES[name])
+    got, want = failing_operator_levels(L, partial, t, W)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_square_and_leibniz_fail_where_the_product_probes_fail(
+        name):
+    sh = catalog_homotopy(name)
+    got, want = failing_operator_levels(sh.L, sh.partial, sh.t, 4)
+    assert got == want
+    assert bool(got) == (name == "jacobi_violator")
+
+
+def test_leibniz_check_catches_a_table_that_is_no_derivation(monkeypatch):
+    # every anchor multiplicity read as +-1: the square on the generators
+    # sees it at level 2 and the Leibniz rule of D_1 on their pairs too
+    real = forms.LevelTable._anchor_part
+
+    def unit_multiplicity(self, j, u):
+        return [(w, cols, 1 if m > 0 else -1, odd)
+                for w, cols, m, odd in real(self, j, u)]
+
+    monkeypatch.setattr(forms.LevelTable, "_anchor_part", unit_multiplicity)
+    sh = catalog_homotopy("exterior_pair")
+    policy = TruncationPolicy(4)
+    report = leibniz_check(sh.L, sh.partial, sh.t, policy)
+    assert {r["level"] for r in report} == {1}
+    assert all(r["value"] for r in report)
+    assert leibniz_check(sh.L, sh.partial, sh.t, TruncationPolicy(3)) == []
+
+
+def test_leibniz_runs_where_a_product_meets_a_term_of_the_square():
+    # 2 + j + k <= W with j and k live: exterior_pair has level 1 only,
+    # quasi_sample a module differential at level 0 too
+    assert forms.leibniz_levels([False, True, False], 3) == []
+    assert forms.leibniz_levels([False, True, False, False], 4) == [1]
+    assert forms.leibniz_levels([True, True, True, False], 4) == [0, 1, 2]
+    assert forms.leibniz_levels([True, True, True, False, False], 5) == [
+        0, 1, 2]
+
+
+def test_cohomology_refuses_on_a_leibniz_residual(monkeypatch):
+    residual = {"level": 1, "f": "delta:1@1", "g": "delta:1@1|x",
+                "value": {(g("x"), g("y")): {"1": ONE}}}
+    monkeypatch.setattr(forms, "leibniz_check", lambda *args: [residual])
+    with pytest.raises(SquareResidualError,
+                       match="level 1 is not a derivation of the cup "
+                             "product") as e:
+        cohomology_ranks(SL2, SL2_PARTIAL, SL2_T, TruncationPolicy(3))
+    assert e.value.residuals == [{
+        "route": "operators", "axiom": "leibniz",
+        "witness": (1, "delta:1@1", "delta:1@1|x"),
+        "value": residual["value"]}]
 
 
 # ---------------------------------------------- level differential table

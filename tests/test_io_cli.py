@@ -5,6 +5,7 @@ loci, exit codes of every verb, and the pinned machine-derived quasi
 instance.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -321,6 +322,45 @@ def test_roundtrip_builds_once(monkeypatch, capsys):
     assert cli.main(["roundtrip", "catalog:exterior_pair"]) == 0
     assert calls == [4]
     capsys.readouterr()
+
+
+def roundtrip_residuals(capsys, *argv):
+    code = cli.main(["roundtrip", *argv])
+    out = capsys.readouterr().out
+    body = out[out.index("residuals:") + len("residuals:"):
+               out.index("elapsed:")]
+    return code, json.loads(body)
+
+
+def test_roundtrip_names_the_level_and_word_of_a_difference(capsys):
+    # the build at W = 2 has levels 0 and 1 only, so extraction cannot
+    # give back quasi_sample's level-2 bracket and anchor
+    code, residuals = roundtrip_residuals(capsys, "catalog:quasi_sample",
+                                          "--W", "2")
+    assert code == 1
+    assert [(r["route"], r["axiom"]) for r in residuals] == [
+        ("roundtrip", "coderivation tables"), ("roundtrip", "anchor tables")]
+    for r in residuals:
+        assert sorted(r) == ["axiom", "route", "value", "witness"]
+        level, word = r["witness"]
+        assert level == 2 and len(word) == 3 - (r["axiom"] == "anchor tables")
+        assert r["value"]
+    sh = quasi_to_sh(catalog_entry("quasi_sample")[0])
+    level, word = residuals[0]["witness"]
+    want = sh.partial.cor[2][tuple(word)]
+    assert residuals[0]["value"] == {g: q_to_str(-c) for g, c in want.items()}
+
+
+def test_elapsed_time_does_not_follow_the_wall_clock(monkeypatch, capsys,
+                                                    tmp_path):
+    # the wall clock may jump back while a verb runs; the elapsed time of
+    # the report is measured on a monotonic clock
+    jumps = itertools.count(0.0, -1000.0)
+    monkeypatch.setattr(cli.time, "time", lambda: next(jumps))
+    out = tmp_path / "r.json"
+    assert cli.main(["check", "catalog:sl2", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert 0 <= json.loads(out.read_text())["timing_seconds"] < 1000
 
 
 def test_each_verb_computes_each_table_once(monkeypatch, tmp_path, capsys):

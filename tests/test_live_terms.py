@@ -28,7 +28,8 @@ from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             check_coalgebra_perturbation, normalize_word,
                             splittings, word_degree, words_of_length)
 from mdca.forms import (TwistingCochain, build_D, cohomology_ranks,
-                        integer_tables, operator_route, square_check)
+                        integer_tables, leibniz_check, operator_route,
+                        square_check)
 from mdca.graded import (GradedBasis, LinearMap, ONE, compose, vec_axpy,
                          vec_sub)
 from mdca.instances import catalog_entry
@@ -38,6 +39,7 @@ from mdca.structures import (LieRinehartData, ShLieRinehartData,
                              direct_route, extract_structure, quasi_to_sh,
                              table_residuals)
 from operator_reference import (reference_bra, reference_D,
+                                reference_leibniz_check,
                                 reference_square_check, reference_t)
 from test_forms import (TABLE_CASES, change_of_basis, dg_anchor, inverse,
                         random_form)
@@ -522,6 +524,41 @@ def test_square_residuals_equal_the_fraction_reference(name, seed):
     L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
     assert (square_check(L, partial, t, TruncationPolicy(3))
             == reference_square_check(L, partial, t, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ALL_CASES)), st.integers(0, 2**32 - 1))
+def test_leibniz_residuals_equal_the_fraction_reference(name, seed):
+    # the perturbed anchor values need not be derivations, so D_j need
+    # not be one either: nonzero residuals are compared too
+    L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
+    assert (leibniz_check(L, partial, t, TruncationPolicy(4))
+            == reference_leibniz_check(L, partial, t, 4))
+
+
+def test_the_leibniz_check_builds_no_fraction_per_term(monkeypatch):
+    # an anchor value on the unit breaks the Leibniz rule of D_1 on the
+    # pairs with a constant; the check builds one Fraction per residual
+    # entry, when dividing back, with denominators in lam and mu
+    sh = RATIONAL["truncated_poly, rational"]
+    L, A = sh.L, sh.L.over
+    maps = {j: dict(tab) for j, tab in sh.t.maps.items()}
+    w = ("1|u",)
+    maps[1][w] = maps[1][w].add(
+        LinearMap(A.basis, A.basis, 0, {("x", "1"): Q(2, 7)}))
+    t = TwistingCochain(L, maps)
+    assert t.denominator > 1
+    assert any(c.denominator > 1 for v in A.mult.values() for c in v.values())
+    count, report = fractions_built(monkeypatch, lambda: leibniz_check(
+        L, sh.partial, t, TruncationPolicy(4)))
+    assert report == reference_leibniz_check(L, sh.partial, t, 4)
+    assert report
+    entries = (sum(len(v) for tab in sh.partial.cor.values()
+                   for v in tab.values())
+               + sum(len(op.entries) for tab in t.maps.values()
+                     for op in tab.values()))
+    assert count <= entries + sum(len(v) for r in report
+                                  for v in r["value"].values())
 
 
 # ------------------------------------------ one integer copy per structure
