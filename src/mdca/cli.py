@@ -27,7 +27,11 @@ descent of each level on the cup generators (the constants and the dual
 1-forms).  roundtrip of other input names the level and word of the
 first entry where the extracted coderivation or anchor differs from the
 given one.  Quasi data that fails its own validation gets those
-residuals and exit 1 from every verb.  cohomology fails with exit 1 on
+residuals and exit 1 from every verb.  The --json report of cohomology
+also names, for each degree whose differential rank it computed, how
+that rank was certified: "bounds" where the rank modulo a prime met a
+bound from D squared to zero, "exact" where the exact row reduction ran.
+cohomology fails with exit 1 on
 mdca tables the extracted data does not rebuild, a non-derivation
 anchor, a D that does not square to zero, a level that is not a
 derivation of the cup product, or a level that does not preserve
@@ -138,10 +142,14 @@ def extracted(inst, policy):
 
 def validation_residuals(inst):
     """Quasi data must pass its own validation before quasi_to_sh can
-    convert it; every verb reports these residuals the same way."""
+    convert it; every verb reports these residuals the same way, in the
+    schema of check: route quasi validation, the invariant as axiom, and
+    the Leibniz defect as value where the invariant asks for a
+    derivation (None elsewhere)."""
     if not isinstance(inst.data, QuasiLieRinehartData):
         return []
-    return [{"axiom": "quasi validation", "witness": r}
+    return [{"route": "quasi validation", "axiom": r["invariant"],
+             "witness": r["witness"], "value": r.get("value")}
             for r in inst.data.validation_report()]
 
 
@@ -206,20 +214,26 @@ def run_roundtrip(inst, policy):
 
 
 def run_cohomology(inst, policy):
-    """(residuals, report fields): the Betti numbers, or on a refusal of
-    the operator route its reason; the residuals have the schema of
-    check."""
+    """(residuals, report fields): the Betti numbers and the certificate
+    of each differential rank they rest on (forms.cohomology_ranks), or
+    on a refusal of the operator route its reason; the residuals have
+    the schema of check."""
     sh, residuals = extracted(inst, policy)
     if residuals:
         return residuals, {}
+    certificates = {}
     try:
-        ranks = cohomology_ranks(sh.L, sh.partial, sh.t, policy)
+        ranks = cohomology_ranks(sh.L, sh.partial, sh.t, policy,
+                                 certificates)
     except SquareResidualError as e:
         return e.residuals, {"refused": str(e)}
     # report in file degrees (upper convention)
     return [], {"betti": {str(-d): {"rank": r["rank"],
                                     "boundary_flag": r["flagged"]}
-                          for d, r in sorted(ranks.items(), reverse=True)}}
+                          for d, r in sorted(ranks.items(), reverse=True)},
+                "rank_certificates": {
+                    str(-d): c
+                    for d, c in sorted(certificates.items(), reverse=True)}}
 
 
 def render(report, args):

@@ -19,14 +19,17 @@ denominators), square_check each residual by delta**2 * lam**j,
 leibniz_check each residual by delta * lam**j (times mu where A
 multiplies), and cohomology_ranks not at all: it scales the levels of
 each row alike and makes the row primitive, which leaves the ranks of
-D.
+D.  Those ranks are certified without a reduced form where the rank
+modulo a prime meets a bound that D squared to zero gives; row_echelon
+reduces exactly only the other degrees.
 """
 
 from fractions import Fraction as Q
 from math import gcd, lcm
 
 from .graded import (LinearMap, ONE, compose_axpy, denominator,
-                     int_multiple, row_echelon, vec_axpy, vec_scale, vec_sub)
+                     int_multiple, rank_modulo, row_echelon, vec_axpy,
+                     vec_scale, vec_sub)
 from .algebra import Derivation, integer_structure_constants, multiply
 from .coalgebra import (TruncationPolicy, normalize_word, splittings,
                         stripped_slots, word_basis, word_degree,
@@ -212,7 +215,9 @@ def dual_one_forms(L):
 
 def cup(f, g):
     """Convolution product: (f cup g)(w) sums f(w1) g(w2) over the shuffle
-    diagonal with the Koszul sign of moving g past w1."""
+    diagonal with the Koszul sign of moving g past w1.  Only the
+    splittings whose left length is a support length of f and whose
+    right length is one of g can contribute, so only those are walked."""
     if f.L is not g.L and f.L.sl_basis != g.L.sl_basis:
         raise ValueError("forms over different modules")
     L = f.L
@@ -223,16 +228,21 @@ def cup(f, g):
             sgn, w = normalize_word(L, list(w1 + w2))
             if sgn:
                 candidates.add(w)
+    f_lengths = f.support_lengths()
+    g_lengths = set(g.support_lengths())
     vals = {}
     for w in candidates:
         acc = {}
-        for sgn, u1, u2 in splittings(L, w):
-            v1 = f.values.get(u1)
-            v2 = g.values.get(u2)
-            if not v1 or not v2:
+        for p in f_lengths:
+            if len(w) - p not in g_lengths:
                 continue
-            s = -1 if (g.degree % 2 and word_degree(L, u1) % 2) else 1
-            vec_axpy(acc, Q(sgn * s), multiply(A, v1, v2))
+            for sgn, u1, u2 in splittings(L, w, left_size=p):
+                v1 = f.values.get(u1)
+                v2 = g.values.get(u2)
+                if not v1 or not v2:
+                    continue
+                s = -1 if (g.degree % 2 and word_degree(L, u1) % 2) else 1
+                vec_axpy(acc, Q(sgn * s), multiply(A, v1, v2))
         if acc:
             vals[w] = acc
     return FormTable(L, f.degree + g.degree, vals)
@@ -258,7 +268,8 @@ class LevelTable:
     the Koszul signs of the form degree |a| - |u|.  The table keeps the
     integer copies, not the structure they were made from; it takes over
     the anchor parts of the previous table of the same family when both
-    run on one (delta, lam).
+    run on one (delta, lam).  descent holds the descent_check report of
+    each level, built on first use.
     """
 
     def __init__(self, L, partial, t, previous=None):
@@ -267,6 +278,7 @@ class LevelTable:
             integer_tables(L, partial, t))
         self._keys = {}
         self._parts = {}
+        self.descent = {}
         same = previous and (previous.delta, previous.lam) == (self.delta,
                                                                self.lam)
         self._anchor = previous._anchor if same else {}
@@ -453,9 +465,14 @@ def descent_check(L, partial, t, j):
     build_D, tested by is_A_multilinear.  A failure carries the
     generator's name, the witness of is_A_multilinear and its
     multilinearity_defect as value; "images" holds the images by
-    generator key.
+    generator key.  The report is kept with the LevelTable of (partial,
+    t) (LevelTable.descent), so every caller on one structure reads the
+    same report; callers only read it.
     """
-    rep = {"violations": [], "images": {}}
+    kept = t.level_table(partial).descent
+    if j in kept:
+        return kept[j]
+    rep = kept[j] = {"violations": [], "images": {}}
     for name, key, f in multilinear_generators(L, 1):
         g = rep["images"][key] = build_D(f, partial, t, j)
         ok, wit = is_A_multilinear(g)
@@ -692,7 +709,7 @@ class SquareResidualError(ValueError):
         self.residuals = residuals
 
 
-def cohomology_ranks(L, partial, t, policy):
+def cohomology_ranks(L, partial, t, policy, certificates=None):
     """Betti numbers over Q of the A-multilinear form complex, within the
     word-length truncation and optional degree window.
 
@@ -710,6 +727,22 @@ def cohomology_ranks(L, partial, t, policy):
     integer row is the smallest integer multiple of the rational one, so
     the ranks are those of D and row_echelon meets no larger integers
     than on the rational rows.
+    Each degree's matrix is built once and ranked modulo a prime once
+    (graded.rank_modulo), which bounds its rank over Q from below.  D
+    raises word length, so the truncation is a quotient complex, and D
+    squares to zero on it once operator_route has passed (its square
+    check probes the levels below W): the rank out of degree d plus the
+    rank into it is at most dim_d.  So the rank out
+    of d is at most dim_d minus the modular rank out of d + 1, and at
+    most dim_(d-1) minus the modular rank out of d - 1 (0 for a degree
+    not computed), and at most the column count.  Where the modular rank
+    meets the least of these bounds it is the rank over Q; elsewhere
+    row_echelon reduces the matrix exactly.  That happens where the
+    cohomology on both sides is nonzero, or where the prime divides
+    every minor of the size of the rank.  certificates, when given a
+    dict, receives "bounds" or "exact" for each degree whose rank was
+    computed.  A negative Betti number raises ArithmeticError: D would
+    not square to zero on the truncated complex.
     Degrees at the window boundary are flagged as unreliable since
     differentials may enter or leave the window.
     """
@@ -741,11 +774,14 @@ def cohomology_ranks(L, partial, t, policy):
     window = policy.degree_window
     if window is None and degrees:
         window = (degrees[0], degrees[-1])
-    ranks = {}
 
-    def differential_rank(d):
-        # rank of the total differential out of degree d; D_j raises the
-        # word length by exactly j, so the levels never share a column
+    def dim(d):
+        return len(by_degree.get(d, []))
+
+    def differential_matrix(d):
+        # (rows, ncols) of the total differential out of degree d; D_j
+        # raises the word length by exactly j, so the levels never share
+        # a column
         rows = []
         for f in by_degree.get(d, []):
             [p] = f.support_lengths()
@@ -761,17 +797,37 @@ def cohomology_ranks(L, partial, t, policy):
                             row[(w, al)] = s * c
             g = gcd(*row.values()) or 1
             rows.append({key: c // g for key, c in row.items()})
-        if not rows:
-            return 0
         cols = sorted({key for row in rows for key in row})
-        return len(row_echelon([[row.get(key, 0) for key in cols]
-                                for row in rows], len(cols)))
+        return [[row.get(key, 0) for key in cols] for row in rows], len(cols)
 
     lo, hi = window if window is not None else (0, -1)
-    rank = {d: differential_rank(d) for d in range(lo, hi + 2)}
+    computed = range(lo, hi + 2)
+    matrices = {d: differential_matrix(d) for d in computed}
+    modular = {d: rank_modulo(*matrices[d]) for d in computed}
+    rank = {}
+    for d in computed:
+        # D^2 = 0 bounds the rank out of d by what the modular ranks of
+        # its neighbours leave of dim_d and dim_(d-1); a degree outside
+        # the computed ones counts as modular rank 0.  The row count is
+        # dim_d, so the first bound covers it.
+        rows, ncols = matrices[d]
+        bound = min(ncols, dim(d) - modular.get(d + 1, 0),
+                    dim(d - 1) - modular.get(d - 1, 0))
+        if modular[d] == bound:
+            rank[d] = modular[d]
+            certified = "bounds"
+        else:
+            rank[d] = len(row_echelon(rows, ncols))
+            certified = "exact"
+        if certificates is not None:
+            certificates[d] = certified
+    ranks = {}
     for d in range(lo, hi + 1):
-        dim = len(by_degree.get(d, []))
-        betti = dim - rank[d] - rank[d + 1]
+        betti = dim(d) - rank[d] - rank[d + 1]
+        if betti < 0:
+            raise ArithmeticError(
+                "Betti number %d in degree %d: D does not square to zero "
+                "on the truncated complex" % (betti, d))
         # boundary degrees are unreliable: differentials may enter or
         # leave the window or the word-length truncation
         flagged = d in (lo, hi)

@@ -7,6 +7,10 @@ degree -1.  Row reduction (``row_echelon``) eliminates over the integers,
 fraction-free, and writes back the reduced row echelon form as
 ``Fraction``s with every pivot 1.
 
+``rank_modulo`` gives only a rank, over the prime field of PRIME: it
+is a lower bound on the rank over Q, and a caller that knows an upper
+bound which meets it has the rank over Q without a reduced form.
+
 The vector helpers and ``compose_axpy`` are type-generic: Python ints in
 give ints out, so a loop over tables scaled to integers
 (``int_multiple``) never builds a ``Fraction``.
@@ -20,6 +24,10 @@ Q = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# the one modulus of rank_modulo: a Mersenne prime, so that a product of
+# two residues fits in 62 bits
+PRIME = 2 ** 31 - 1
 
 
 def vec_scale(c, u):
@@ -76,10 +84,12 @@ def koszul_sign(perm, degs):
         raise ValueError("perm/degs length mismatch")
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
+    # only pairs of odd items can change the sign
+    odd = [i for i in perm if degs[i] % 2]
     sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if perm[i] > perm[j] and degs[perm[i]] % 2 and degs[perm[j]] % 2:
+    for k, a in enumerate(odd):
+        for b in odd[k + 1:]:
+            if a > b:
                 sign = -sign
     return sign
 
@@ -260,6 +270,41 @@ def row_echelon(rows, ncols):
     for i in range(r, len(rows)):
         rows[i] = [ZERO] * ncols
     return piv_cols
+
+
+def rank_modulo(rows, ncols):
+    """Rank over the field with PRIME elements of an integer matrix given
+    by rows of ncols entries; rows is left as it is.
+
+    A lower bound on the rank over Q: an r x r minor that is nonzero
+    modulo PRIME is a nonzero integer.  It is below the rank r over Q
+    only where PRIME divides every r x r minor.  Gaussian
+    elimination updates only the columns after each pivot, and stops
+    once every nonzero row holds a pivot.
+    """
+    p = PRIME
+    m = [row for row in ([x % p for x in r] for r in rows) if any(row)]
+    rank = 0
+    for c in range(ncols):
+        if rank == len(m):
+            break
+        for i in range(rank, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[rank], m[i] = m[i], m[rank]
+        top = m[rank]
+        inv = pow(top[c], -1, p)
+        tail = top[c + 1:]
+        for i in range(rank + 1, len(m)):
+            low = m[i]
+            if low[c]:
+                a = low[c] * inv % p
+                low[c + 1:] = [(x - a * y) % p
+                               for x, y in zip(low[c + 1:], tail)]
+        rank += 1
+    return rank
 
 
 def kernel_of_rows(rows, ncols):

@@ -128,9 +128,18 @@ def check_twisting_cochain(L, t, partial, policy):
     """Level-by-level residuals of the anchor family up to the truncation.
     Every term of the level-j residual pairs anchor values of total
     length j, so it is evaluated on the words of length j only; a genuine
-    twisting cochain reports nothing."""
+    twisting cochain reports nothing.  A level enumerates no words unless
+    one of its terms has no zero factor (twisting_residual): an anchor
+    table at j, an anchor level k <= j with level j - k of the
+    coderivation live, or two anchor levels k < j and j - k.  This is the
+    rule of check_coalgebra_perturbation."""
     report = []
+    anchors = t.maps
     for j in range(1, policy.W + 1):
+        if not (j in anchors
+                or any(partial.live(j - k) or (k < j and j - k in anchors)
+                       for k in anchors if k <= j)):
+            continue
         for w in words_of_length(L, j):
             res = twisting_residual(L, t, partial, j, w)
             if res:
@@ -538,7 +547,8 @@ class QuasiLieRinehartData:
             d = Derivation(A, op.degree, op)
             for pair in d.leibniz_violations():
                 rep.append({"invariant": "pairing value is a derivation",
-                            "witness": (g,) + pair})
+                            "witness": (g,) + pair,
+                            "value": d.leibniz_defect(*pair)})
         for key, op in self.triple.items():
             if tuple(sorted(key)) != key or key[0] == key[1]:
                 rep.append({"invariant": "triple keyed by sorted distinct "
@@ -548,7 +558,8 @@ class QuasiLieRinehartData:
             d = Derivation(A, op.degree, op)
             for pair in d.leibniz_violations():
                 rep.append({"invariant": "triple value is a derivation",
-                            "witness": key + pair})
+                            "witness": key + pair,
+                            "value": d.leibniz_defect(*pair)})
             for al in A.basis.labels_of_degree(0):
                 if op.column(al):
                     rep.append({"invariant": "triple kills the degree "

@@ -4,16 +4,20 @@ These are the candidate-enumeration operators the library used before
 the level table (forms.LevelTable): each call enumerates the words its
 image can reach and sums Fractions there, straight from the definitions.
 The oracles of the tests read D_j from here, so that they compare the
-table with an independent computation, not with itself.
+table with an independent computation, not with itself.  The cup
+product over every splitting and the cohomology ranks from an exact
+reduction of every degree are here for the same reason.
 """
 
 from fractions import Fraction as Q
 
 from mdca.coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                             splittings, word_degree)
-from mdca.forms import (FormTable, ambient_basis_forms, cup, generator_probes,
-                        leibniz_levels, live_levels)
-from mdca.graded import ONE, vec_axpy, vec_scale
+from mdca.algebra import multiply
+from mdca.forms import (FormTable, ambient_basis_forms, constant_form, cup,
+                        dual_one_forms, generator_probes, leibniz_levels,
+                        live_levels)
+from mdca.graded import ONE, row_echelon, vec_axpy, vec_scale
 
 
 def form_eval(f, args):
@@ -162,3 +166,76 @@ def reference_leibniz_check(L, partial, t, W):
                                "value": {w: d.values[w]
                                          for w in sorted(d.values)}})
     return report
+
+
+def reference_cup(f, g):
+    """The cup product summed over every splitting of each word, where
+    forms.cup walks only the splittings whose factor lengths are support
+    lengths of f and g."""
+    L = f.L
+    candidates = set()
+    for w1 in f.values:
+        for w2 in g.values:
+            sgn, w = normalize_word(L, list(w1 + w2))
+            if sgn:
+                candidates.add(w)
+    vals = {}
+    for w in candidates:
+        acc = {}
+        for sgn, u1, u2 in splittings(L, w):
+            v1 = f.values.get(u1)
+            v2 = g.values.get(u2)
+            if v1 and v2:
+                s = -1 if (g.degree % 2 and word_degree(L, u1) % 2) else 1
+                vec_axpy(acc, Q(sgn * s), multiply(L.over, v1, v2))
+        if acc:
+            vals[w] = acc
+    return FormTable(L, f.degree + g.degree, vals)
+
+
+def reference_cohomology_ranks(L, partial, t, policy):
+    """The result of forms.cohomology_ranks with every rank from
+    row_echelon on Fraction rows of reference_D: the basis forms are the
+    constants times the monomials of the dual 1-forms (reference_cup),
+    the row of a form on words of length p sums D_j over j < W with
+    p + j <= W, and no rank modulo a prime or bound is used."""
+    W = policy.W
+    duals = dual_one_forms(L)
+    monomials = level = [((), None)]
+    for _ in range(W):
+        level = [(key + (x,), duals[x] if m is None
+                  else reference_cup(m, duals[x]))
+                 for key, m in level for x in sorted(duals)
+                 if not key or x >= key[-1]]
+        level = [(key, m) for key, m in level if not m.is_zero()]
+        monomials = monomials + level
+    by_degree = {}
+    for al in L.over.basis.labels:
+        c = constant_form(L, {al: ONE})
+        for _, m in monomials:
+            f = c if m is None else reference_cup(c, m)
+            if not f.is_zero():
+                by_degree.setdefault(f.degree, []).append(f)
+
+    def rank(d):
+        rows = []
+        for f in by_degree.get(d, []):
+            [p] = f.support_lengths()
+            row = {}
+            for j in range(min(W, W - p + 1)):
+                for w, v in reference_D(f, partial, t, j).values.items():
+                    for a, c in v.items():
+                        row[(w, a)] = row.get((w, a), 0) + c
+            rows.append(row)
+        cols = sorted({key for row in rows for key in row})
+        return len(row_echelon([[Q(row.get(key, 0)) for key in cols]
+                                for row in rows], len(cols)))
+
+    window = policy.degree_window
+    if window is None:
+        window = (min(by_degree), max(by_degree))
+    lo, hi = window
+    ranks = {d: rank(d) for d in range(lo, hi + 2)}
+    return {d: {"rank": len(by_degree.get(d, [])) - ranks[d] - ranks[d + 1],
+                "flagged": d in (lo, hi)}
+            for d in range(lo, hi + 1)}

@@ -21,7 +21,7 @@ from mdca.forms import (FormTable, SquareResidualError, TwistingCochain,
                         is_A_multilinear, leibniz_check, multilinear_basis,
                         multilinear_generators, square_check,
                         twisting_residual, words_of_length)
-from mdca.graded import (GradedBasis, LinearMap, ONE, koszul_sign,
+from mdca.graded import (PRIME, GradedBasis, LinearMap, ONE, koszul_sign,
                          row_echelon, vec_axpy, vec_scale)
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import emit_instance
@@ -29,6 +29,7 @@ from mdca.structures import (LieRinehartData, ShLieRinehartData,
                              check_lie_rinehart, quasi_to_sh)
 
 from operator_reference import (anchor_apply, form_eval, reference_bra,
+                                reference_cohomology_ranks, reference_cup,
                                 reference_D, reference_square_check,
                                 reference_t)
 
@@ -564,36 +565,62 @@ def test_cohomology_abelian_plane_with_dotted_generator_name():
             if not r["flagged"]} == {0: 1, -1: 2, -2: 1}
 
 
-def test_cohomology_row_reduces_each_degree_once(monkeypatch):
-    # the rank out of degree d + 1 is the rank into degree d: sl2 at W=4
-    # with window (-4, 1) has forms in 4 degrees, so 4 reductions
+def recording_rankers(monkeypatch):
+    """Wrap forms.rank_modulo and forms.row_echelon; each call is logged
+    as (name, id of rows, row count, column count), after a check that
+    every column is hit by some row."""
     calls = []
 
-    def counting(rows, ncols):
-        calls.append(len(rows))
-        return row_echelon(rows, ncols)
+    def wrap(name, real):
+        def recording(rows, ncols):
+            assert all(any(row[c] for row in rows) for c in range(ncols))
+            calls.append((name, id(rows), len(rows), ncols))
+            return real(rows, ncols)
+        monkeypatch.setattr(forms, name, recording)
 
-    monkeypatch.setattr(forms, "row_echelon", counting)
-    ranks = cohomology_ranks(SL2, SL2_PARTIAL, SL2_T,
-                             TruncationPolicy(4, degree_window=(-4, 1)))
-    assert {d: r["rank"] for d, r in ranks.items()} == {
-        1: 0, 0: 1, -1: 0, -2: 0, -3: 1, -4: 0}
-    assert len(calls) == 4
+    wrap("rank_modulo", forms.rank_modulo)
+    wrap("row_echelon", forms.row_echelon)
+    return calls
+
+
+def test_cohomology_ranks_each_degree_once_modulo_p(monkeypatch):
+    # the rank out of degree d + 1 is the rank into degree d: a window
+    # (-4, 1) needs the ranks out of the 7 degrees -4..2.  Each degree's
+    # matrix is built once and ranked modulo p once; row_echelon reduces
+    # that same matrix only where the bounds do not meet the modular
+    # rank: never on sl2, whose Betti numbers vanish between the ends,
+    # and on heisenberg in a dense basis only out of the 1-forms, where
+    # b_1 = b_2 = 2 leave both bounds above the rank 1
+    calls = recording_rankers(monkeypatch)
+    policy = TruncationPolicy(4, degree_window=(-4, 1))
+    for name, exact in (("sl2", 0), ("heisenberg", 1)):
+        sh = random_basis_data(name, 0)
+        calls.clear()
+        certificates = {}
+        ranks = cohomology_ranks(sh.L, sh.partial, sh.t, policy,
+                                 certificates)
+        assert ranks == reference_cohomology_ranks(sh.L, sh.partial, sh.t,
+                                                   policy)
+        modular = [c for c in calls if c[0] == "rank_modulo"]
+        assert len(modular) == 7 and len({c[1] for c in modular}) == 7
+        assert sorted(certificates) == list(range(-4, 3))
+        reduced = [c for c in calls if c[0] == "row_echelon"]
+        assert len(reduced) == exact
+        assert list(certificates.values()).count("exact") == exact
+        # row_echelon reads the very matrices rank_modulo ranked
+        assert {c[1:] for c in reduced} <= {c[1:] for c in modular}
 
 
 def test_cohomology_reduces_only_the_columns_rows_hit(monkeypatch):
-    widths = []
-
-    def recording(rows, ncols):
-        widths.append(ncols)
-        assert all(any(row[c] for row in rows) for c in range(ncols))
-        return row_echelon(rows, ncols)
-
-    monkeypatch.setattr(forms, "row_echelon", recording)
+    calls = recording_rankers(monkeypatch)
     ranks = cohomology_ranks(SL2, SL2_PARTIAL, SL2_T, TruncationPolicy(3))
     assert {d: r["rank"] for d, r in ranks.items()} == {
         0: 1, -1: 0, -2: 0, -3: 1}
-    assert widths
+    assert any(c[3] for c in calls)
+    sh = random_basis_data("heisenberg", 0)
+    calls.clear()
+    cohomology_ranks(sh.L, sh.partial, sh.t, TruncationPolicy(3))
+    assert any(c[0] == "row_echelon" and c[3] for c in calls)
 
 
 def test_cohomology_window_flagging():
@@ -647,9 +674,68 @@ def gl2():
     return LieRinehartData(L, SL2_TABLE, {})
 
 
+def sl_n(n):
+    """sl_n in the basis e_ij = E_ij (i != j) and h_i = E_ii -
+    E_(i+1)(i+1), its brackets the commutators of the matrices."""
+    labels = (["e%d%d" % (i, j) for i in range(n) for j in range(n)
+               if i != j] + ["h%d" % i for i in range(n - 1)])
+
+    def matrix(x):
+        if x[0] == "e":
+            return {(int(x[1]), int(x[2])): 1}
+        i = int(x[1:])
+        return {(i, i): 1, (i + 1, i + 1): -1}
+
+    def coordinates(m):
+        # a traceless diagonal diag(c_0..c_(n-1)) is the sum of
+        # (c_0 + ... + c_i) h_i
+        out = {g("e%d%d" % ij): Q(c) for ij, c in m.items()
+               if ij[0] != ij[1] and c}
+        run = 0
+        for i in range(n - 1):
+            run += m.get((i, i), 0)
+            if run:
+                out[g("h%d" % i)] = Q(run)
+        return out
+
+    def commutator(a, b):
+        out = {}
+        for s, x, y in ((1, a, b), (-1, b, a)):
+            for (i, k), c in x.items():
+                for (k2, j), c2 in y.items():
+                    if k == k2:
+                        out[(i, j)] = out.get((i, j), 0) + s * c * c2
+        return out
+
+    L = ModuleSpec(QQ, GradedBasis([(x, 0) for x in labels]))
+    table = {}
+    for u, v in combinations(labels, 2):
+        vec = coordinates(commutator(matrix(u), matrix(v)))
+        if vec:
+            table[(g(u), g(v))] = vec
+    return LieRinehartData(L, table, {})
+
+
 BASIS_DATA = {"sl2": lambda: catalog_entry("sl2")[0],
               "heisenberg": lambda: catalog_entry("heisenberg")[0],
               "gl2": gl2}
+ALGEBRAS = dict(BASIS_DATA, sl3=lambda: sl_n(3), sl4=lambda: sl_n(4))
+
+
+def random_basis(d, rng):
+    """The Lie algebra d in a random rational basis drawn from rng."""
+    n = len(d.L.l_basis.labels)
+    Pinv = None
+    while Pinv is None:
+        P = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        Pinv = inverse(P)
+    return change_of_basis(d, P, Pinv)
+
+
+def random_basis_data(name, seed):
+    """Homotopy data of ALGEBRAS[name] in the random basis of seed."""
+    return random_basis(ALGEBRAS[name](), random.Random(seed)).as_sh()
 
 
 def standard_ranks(name, W):
@@ -673,20 +759,115 @@ def test_gl2_standard_ranks_are_its_betti_numbers():
 @given(st.sampled_from(sorted(BASIS_RANKS)), st.integers(0, 2**32 - 1))
 @example("gl2", 0)
 def test_betti_numbers_are_invariant_under_a_change_of_basis(name, seed):
-    rng = random.Random(seed)
-    d = BASIS_DATA[name]()
-    n = len(d.L.l_basis.labels)
-    Pinv = None
-    while Pinv is None:
-        P = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-             for _ in range(n)]
-        Pinv = inverse(P)
-    d2 = change_of_basis(d, P, Pinv)
+    d2 = random_basis(BASIS_DATA[name](), random.Random(seed))
     policy = TruncationPolicy(BASIS_W)
     assert check_lie_rinehart(d2, policy) == []
     sh = d2.as_sh()
     assert (cohomology_ranks(sh.L, sh.partial, sh.t, policy)
             == BASIS_RANKS[name])
+
+
+@pytest.mark.parametrize("name", sorted(set(catalog_names())
+                                         - {"jacobi_violator"}))
+@pytest.mark.parametrize("W", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("window", [None, (-3, 2)])
+def test_cohomology_ranks_equal_an_exact_reduction_of_every_degree(
+        name, W, window):
+    sh = catalog_homotopy(name)
+    policy = TruncationPolicy(W, degree_window=window)
+    assert (cohomology_ranks(sh.L, sh.partial, sh.t, policy)
+            == reference_cohomology_ranks(sh.L, sh.partial, sh.t, policy))
+
+
+@pytest.mark.parametrize("name", ["gl2", "sl2", "heisenberg", "sl3"])
+def test_cohomology_ranks_in_a_random_basis_equal_the_exact_reduction(
+        name):
+    sh = random_basis_data(name, 5)
+    for window in (None, (-4, 1)):
+        policy = TruncationPolicy(3, degree_window=window)
+        assert (cohomology_ranks(sh.L, sh.partial, sh.t, policy)
+                == reference_cohomology_ranks(sh.L, sh.partial, sh.t,
+                                              policy))
+
+
+def nilpotent_with_a_multiple_of_the_prime():
+    """The 2-step nilpotent Lie algebra with [x1, x2] = z1 + z2 and
+    [x3, x4] = PRIME z2.  d z1 and d z2 are x1 x2 and x1 x2 + PRIME x3
+    x4 up to a common sign: two primitive integer rows that are equal
+    modulo PRIME, so the rank out of the 1-forms drops modulo PRIME."""
+    L = ModuleSpec(QQ, GradedBasis([(x, 0) for x in
+                                    ("x1", "x2", "x3", "x4", "z1", "z2")]))
+    table = {(g("x1"), g("x2")): {g("z1"): Q(1), g("z2"): Q(1)},
+             (g("x3"), g("x4")): {g("z2"): Q(PRIME)}}
+    return LieRinehartData(L, table, {}).as_sh()
+
+
+def test_cohomology_falls_back_where_the_rank_drops_modulo_p(monkeypatch):
+    sh = nilpotent_with_a_multiple_of_the_prime()
+    policy = TruncationPolicy(3)
+    dropped = []
+    real = forms.rank_modulo
+
+    def recording(rows, ncols):
+        got = real(rows, ncols)
+        exact = len(row_echelon([list(r) for r in rows], ncols))
+        assert got <= exact
+        if got < exact:
+            dropped.append(len(rows))
+        return got
+
+    monkeypatch.setattr(forms, "rank_modulo", recording)
+    certificates = {}
+    ranks = cohomology_ranks(sh.L, sh.partial, sh.t, policy, certificates)
+    assert ranks == reference_cohomology_ranks(sh.L, sh.partial, sh.t,
+                                               policy)
+    # the 6 one-forms: their rank is 2 over Q and 1 modulo PRIME, and
+    # the exact reduction gives it
+    assert dropped == [6]
+    assert certificates[-1] == "exact"
+
+
+def test_sl4_has_no_cohomology_in_degrees_one_and_two():
+    # H*(sl4) is an exterior algebra on generators of degrees 3, 5 and
+    # 7; at W = 3 the 2-forms close by the bounds, with no row reduction
+    assert check_lie_rinehart(sl_n(4), TruncationPolicy(3)) == []
+    sh = random_basis_data("sl4", 1)
+    certificates = {}
+    ranks = cohomology_ranks(sh.L, sh.partial, sh.t, TruncationPolicy(3),
+                             certificates)
+    assert ranks[-1] == {"rank": 0, "flagged": False}
+    assert ranks[-2] == {"rank": 0, "flagged": False}
+    assert ranks[0]["rank"] == 1
+    assert set(certificates.values()) == {"bounds"}
+
+
+def test_a_negative_betti_number_is_an_error(monkeypatch):
+    # with the operator route skipped, the D of jacobi_violator, which
+    # does not square to zero, reaches the ranks: the rank out of the
+    # 2-forms plus the rank into them exceeds their count, and the
+    # negative Betti number is refused, not returned
+    monkeypatch.setattr(forms, "operator_route", lambda *args: [])
+    L, partial, t = jacobi_violator()
+    with pytest.raises(ArithmeticError,
+                       match="Betti number -1 in degree -2"):
+        cohomology_ranks(L, partial, t, TruncationPolicy(3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["exterior_pair", "truncated_poly", "quasi_sample"]),
+       st.integers(0, 2**32 - 1))
+def test_cup_equals_the_sum_over_every_splitting(name, seed):
+    rng = random.Random(seed)
+    L = catalog_homotopy(name).L
+    f = random_form(rng, L, rng.choice([-2, -1, 0]), 2, density=0.3)
+    h = random_form(rng, L, rng.choice([-2, -1, 0]), 2, density=0.3)
+    for a in (f, h):
+        # forms on one length at a time too, as in multilinear_basis
+        for p in a.support_lengths():
+            one = FormTable(L, a.degree, {w: v for w, v in a.values.items()
+                                          if len(w) == p})
+            assert cup(one, h) == reference_cup(one, h)
+    assert cup(f, h) == reference_cup(f, h)
 
 
 def test_cohomology_exterior_line_pair():

@@ -4,9 +4,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from mdca.graded import (ONE, ZERO, GradedBasis, LinearMap, compose,
-                         kernel_of_rows, koszul_sign, row_echelon, vec_axpy,
-                         vec_sub)
+from mdca.graded import (ONE, PRIME, ZERO, GradedBasis, LinearMap, compose,
+                         kernel_of_rows, koszul_sign, rank_modulo,
+                         row_echelon, vec_axpy, vec_sub)
 
 
 def identity(basis):
@@ -260,3 +260,62 @@ def test_row_echelon_matches_fraction_gauss_jordan(case):
                 v[pc] = -row[fc] / row[pc]
             kernel.append(v)
     assert kernel_of_rows(rows, ncols) == (len(pivots), kernel)
+
+
+UNIT_INT = st.integers(-1, 1)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Combinations of at most 4 rows with entries -1, 0 or 1, with
+    coefficients -1, 0 or 1: most matrices are rank deficient, and no
+    entry exceeds 4 in size."""
+    ncols = draw(st.integers(0, 7))
+    nrows = draw(st.integers(0, 7))
+    rank = draw(st.integers(0, 4))
+    basis = [draw(st.lists(UNIT_INT, min_size=ncols, max_size=ncols))
+             for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(UNIT_INT, min_size=rank, max_size=rank))
+        rows.append([sum(k * b[c] for k, b in zip(coeffs, basis))
+                     for c in range(ncols)])
+    return rows, ncols
+
+
+def exact_rank(rows, ncols):
+    return len(row_echelon([[Q(x) for x in row] for row in rows], ncols))
+
+
+@given(integer_matrices())
+def test_rank_modulo_equals_the_exact_rank_on_small_entries(case):
+    # by Hadamard's bound every minor is below (4 * sqrt(7))**7 < PRIME
+    # in size, so a nonzero minor stays nonzero modulo PRIME
+    rows, ncols = case
+    before = [list(r) for r in rows]
+    assert rank_modulo(rows, ncols) == exact_rank(rows, ncols)
+    assert rows == before
+
+
+@given(integer_matrices(), st.data())
+def test_rank_modulo_never_exceeds_the_exact_rank(case, data):
+    # a row scaled by PRIME vanishes modulo PRIME, and a row that differs
+    # from another by PRIME times a third equals it modulo PRIME; either
+    # may lower the rank modulo PRIME, never raise it
+    rows, ncols = case
+    if rows:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if data.draw(st.booleans()):
+            rows[i] = [PRIME * x for x in rows[i]]
+        else:
+            k = data.draw(st.integers(0, len(rows) - 1))
+            rows.append([x + PRIME * y for x, y in zip(rows[i], rows[k])])
+    assert rank_modulo(rows, ncols) <= exact_rank(rows, ncols)
+
+
+def test_rank_modulo_drops_where_prime_divides_every_maximal_minor():
+    assert rank_modulo([[1, 0], [1, PRIME]], 2) == 1
+    assert exact_rank([[1, 0], [1, PRIME]], 2) == 2
+    assert rank_modulo([[PRIME, 2 * PRIME]], 2) == 0
+    assert rank_modulo([[2, 4, 6], [3, 5, 7]], 3) == 2
+    assert rank_modulo([], 0) == 0

@@ -12,11 +12,14 @@ from fractions import Fraction
 import pytest
 
 from mdca import cli, forms, structures
-from mdca.coalgebra import TruncationPolicy
+from mdca.algebra import Derivation, rational_algebra
+from mdca.coalgebra import ModuleSpec, TruncationPolicy
+from mdca.graded import GradedBasis, LinearMap
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import (InstanceError, emit_instance, parse_instance_text,
                           q_to_str, str_to_q)
-from mdca.structures import (build_maurer_cartan, build_quasi_mc,
+from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
+                             build_maurer_cartan, build_quasi_mc,
                              check_sh_lie_rinehart, jacobi_defect_identity,
                              quasi_to_sh)
 
@@ -368,9 +371,10 @@ def test_each_verb_computes_each_table_once(monkeypatch, tmp_path, capsys):
     # roundtrip at W = 5 builds D_j of each at the levels 0..4 (30 calls)
     # and extraction reads the anchor operator on the dual 1-forms at the
     # levels 1..4 (8); a rebuild of the tables would add 30 more.  check
-    # of the mdca file at W = 4 reads the anchor operator (6), rebuilds
-    # the tables to compare them with the file's (24), and runs the
-    # descent check of the operator route (24)
+    # of the mdca file at W = 4 reads the anchor operator (6) and
+    # rebuilds the tables to compare them with the file's (24); the
+    # descent check of the operator route reads the same reports, kept
+    # with the level table, and computes nothing
     p = tmp_path / "m.json"
     p.write_text(json.dumps(emitted_mdca("exterior_pair")))
     calls = []
@@ -386,7 +390,7 @@ def test_each_verb_computes_each_table_once(monkeypatch, tmp_path, capsys):
     assert len(calls) == 38
     calls.clear()
     assert cli.main(["check", str(p), "--W", "4"]) == 0
-    assert len(calls) == 54
+    assert len(calls) == 30
     capsys.readouterr()
 
 
@@ -553,7 +557,34 @@ def test_invalid_quasi_data_fails_every_verb_alike(tmp_path, capsys):
         blocks.append([ln for ln in lines[start:]
                        if not ln.startswith("elapsed:")])
     assert blocks[0] == blocks[1] == blocks[2]
-    assert '"invariant": "triple degree",' in "\n".join(blocks[0])
+    assert '"axiom": "triple degree",' in "\n".join(blocks[0])
+    # the schema of check: route, axiom, witness and value
+    for r in printed_residuals(runs[0][1].out):
+        assert sorted(r) == ["axiom", "route", "value", "witness"]
+        assert r["route"] == "quasi validation"
+
+
+def test_quasi_validation_values_are_leibniz_defects():
+    # a pairing value that is no derivation of A (it keeps the unit)
+    # reports its Leibniz defect as value, like an anchor value that is
+    # none; the other invariants have no value
+    data, policy = catalog_entry("quasi_sample")
+    A = data.L.over
+    op = LinearMap(A.basis, A.basis, 0, {("1", "1"): Fraction(1)})
+    bad = QuasiLieRinehartData(data.L, data.bracket, {"1|x": op},
+                               data.triple)
+    inst = parse_instance_text(emit_instance(bad, policy))
+    residuals = cli.validation_residuals(inst)
+    derivation = [r for r in residuals
+                  if r["axiom"] == "pairing value is a derivation"]
+    assert derivation
+    for r in residuals:
+        assert sorted(r) == ["axiom", "route", "value", "witness"]
+        assert r["route"] == "quasi validation"
+    d = Derivation(A, 0, op)
+    for r in derivation:
+        assert r["witness"][0] == "1|x"
+        assert r["value"] == d.leibniz_defect(*r["witness"][1:]) != {}
 
 
 def test_cohomology_reports_only_the_square_refusal(monkeypatch, capsys):
@@ -610,3 +641,72 @@ def test_inconsistent_mdca_file_gets_one_verdict(tmp_path, capsys):
         assert body[0]["route"] == "extract"
         # keyed by the word ("1|u",): a row [[parts...], value]
         assert body[0]["value"] == [[["1|u"], {"1": "1"}]]
+
+
+def tilted_heisenberg(tmp_path):
+    """The Heisenberg algebra in the basis u = x, v = y, s = z + x: the
+    image of D on the 1-forms has rank 1 on two columns, and b_1 = b_2 =
+    2, so no bound closes that rank."""
+    L = ModuleSpec(rational_algebra(),
+                   GradedBasis([("u", 0), ("v", 0), ("s", 0)]))
+    table = {("1|u", "1|v"): {"1|s": Fraction(1), "1|u": Fraction(-1)},
+             ("1|v", "1|s"): {"1|u": Fraction(1), "1|s": Fraction(-1)}}
+    p = tmp_path / "heisenberg.json"
+    p.write_text(emit_instance(LieRinehartData(L, table, {}),
+                               TruncationPolicy(4)))
+    return str(p)
+
+
+TILTED_HEISENBERG_BETTI = """verdict: pass
+certified up to word length 4
+betti:
+  {
+    "-1": {
+      "boundary_flag": true,
+      "rank": 0
+    },
+    "0": {
+      "boundary_flag": false,
+      "rank": 1
+    },
+    "1": {
+      "boundary_flag": false,
+      "rank": 2
+    },
+    "2": {
+      "boundary_flag": false,
+      "rank": 2
+    },
+    "3": {
+      "boundary_flag": false,
+      "rank": 1
+    },
+    "4": {
+      "boundary_flag": true,
+      "rank": 0
+    }
+  }
+"""
+
+
+def test_cohomology_json_names_the_certificate_of_each_rank(tmp_path,
+                                                           capsys):
+    # stdout keeps its bytes, with or without --json; the JSON report
+    # adds rank_certificates for the degrees -2..4 whose rank out of
+    # them was computed, and its betti block is the printed one
+    path = tilted_heisenberg(tmp_path)
+    argv = ["cohomology", path, "--window=-1..4"]
+    out = tmp_path / "r.json"
+    texts = []
+    for extra in ([], ["--json", str(out)]):
+        assert cli.main(argv + extra) == 0
+        texts.append("".join(
+            line for line in capsys.readouterr().out.splitlines(True)
+            if not line.startswith("elapsed:")))
+    assert texts == [TILTED_HEISENBERG_BETTI] * 2
+    report = json.loads(out.read_text())
+    assert report["betti"] == json.loads(
+        TILTED_HEISENBERG_BETTI[TILTED_HEISENBERG_BETTI.index("{"):])
+    assert report["rank_certificates"] == {
+        "-2": "bounds", "-1": "bounds", "0": "bounds", "1": "exact",
+        "2": "bounds", "3": "bounds", "4": "bounds"}

@@ -22,7 +22,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdca import cli, coalgebra, forms
+from mdca import cli, coalgebra, forms, structures
 from mdca.algebra import AlgebraSpec, multiply
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             check_coalgebra_perturbation, normalize_word,
@@ -377,6 +377,45 @@ def test_twisting_residual_reads_nothing_without_an_anchor(monkeypatch):
     assert check_twisting_cochain(sh.L, sh.t, sh.partial,
                                   TruncationPolicy(W)) == []
     assert calls == []
+
+
+def scaled_anchors(sh, factors):
+    """sh with anchor level k scaled by factors[k], dropped where the
+    factor is 0: the levels scale apart, so the identities fail."""
+    maps = {k: {w: op.scale(factors.get(k, 1)) for w, op in tab.items()}
+            for k, tab in sh.t.maps.items() if factors.get(k, 1)}
+    return sh.L, sh.partial, TwistingCochain(sh.L, maps)
+
+
+@pytest.mark.parametrize("name", ["abelian", "exterior_pair", "heisenberg",
+                                  "quasi_sample", "sl2", "truncated_poly"])
+@pytest.mark.parametrize("factors", [{}, {1: 2}, {1: 0}, {1: 3, 2: -1},
+                                     {2: 0}])
+def test_twisting_residuals_skip_only_levels_without_a_live_term(
+        name, factors, monkeypatch):
+    # the residuals equal those of every word of every level; a level
+    # whose terms all have a zero factor evaluates no word at all
+    L, partial, t = scaled_anchors(catalog_homotopy(name), factors)
+    levels = []
+    real = structures.twisting_residual
+
+    def recording(L_, t_, partial_, j, word):
+        levels.append(j)
+        return real(L_, t_, partial_, j, word)
+
+    monkeypatch.setattr(structures, "twisting_residual", recording)
+    for W in (2, 3, 4, 5):
+        levels.clear()
+        assert (check_twisting_cochain(L, t, partial, TruncationPolicy(W))
+                == all_terms_twisting(L, t, partial, W))
+        # the terms: [d_A, t_j], t_k after del_(j-k) for k <= j, and
+        # t_k t_(j-k) for k < j
+        anchors = set(t.maps)
+        live = {j for j in range(1, W + 1)
+                if j in anchors
+                or any(partial.live(j - k) for k in anchors if k <= j)
+                or any(j - k in anchors for k in anchors if k < j)}
+        assert set(levels) == live
 
 
 # ------------------------------------------------ integer loops, counted

@@ -399,7 +399,11 @@ def test_build_probes_each_generator_once_per_level(monkeypatch):
 
 
 def test_twisting_check_visits_each_word_of_its_level_once(monkeypatch):
-    # the level-j residual can only be nonzero on words of length j
+    # the level-j residual can only be nonzero on words of length j.
+    # exterior_pair has an anchor and a coderivation at level 1 only, so
+    # level 1 ([d_A, t_1]) and level 2 (t_1 after del_1) have live
+    # terms, and levels 3 and 4, where every term has a zero factor, are
+    # not visited
     calls = []
     real = structures.twisting_residual
 
@@ -411,9 +415,8 @@ def test_twisting_check_visits_each_word_of_its_level_once(monkeypatch):
     L, partial, t = exterior_pair()
     W = 4
     assert check_twisting_cochain(L, t, partial, TruncationPolicy(W)) == []
-    assert len(calls) == sum(len(words_of_length(L, j))
-                             for j in range(1, W + 1))
-    assert all(len(w) == j for j, w in calls)
+    assert sorted(calls) == sorted((j, w) for j in (1, 2)
+                                   for w in words_of_length(L, j))
 
 
 # ------------------------------------------------------ anchor premise
