@@ -183,7 +183,7 @@ def run_roundtrip(inst, policy):
     each table that differs gives one residual, its witness the level
     and word of the first differing entry and its value the extracted
     entry minus the given one.  A build that does not descend gives the
-    descent residual of the operator route."""
+    descent residual of the operator route, with route roundtrip."""
     if isinstance(inst.data, MdcaStructure):
         sh = extract_structure(inst.data)
         residuals, violations = table_residuals(inst.data, sh, policy)
@@ -192,10 +192,7 @@ def run_roundtrip(inst, policy):
     try:
         m = build_maurer_cartan(sh, policy)
     except DescentError as e:
-        r = e.violation
-        return [{"route": "roundtrip", "axiom": "descent",
-                 "witness": (e.level, r["form"], r["witness"]),
-                 "value": r["value"]}]
+        return [dict(e.residual, route="roundtrip")]
     back = extract_structure(m)
 
     def anchor_tables(d):

@@ -2,9 +2,12 @@
 
 Words are canonically sorted multisets of suspension generators; the
 shuffle diagonal, coderivation extensions and the coderivation of a
-bracket table live here.  All identities are checked up to a word-length
-truncation W; the perturbation identities run on an integer copy of the
-coderivation (Coderivation.scaled).
+bracket table live here.  Every level of a coderivation, level 0 (the
+suspended module differential) included, is applied to a word one way:
+the cached extension of its corestriction (Coderivation.apply_level).
+All identities are checked up to a word-length truncation W; the
+perturbation identities run on an integer copy of the coderivation
+(Coderivation.scaled).
 """
 
 from fractions import Fraction as Q
@@ -56,7 +59,6 @@ class ModuleSpec:
         # because the basis and the differential are fixed at construction
         self._norm_cache = {}
         self._split_cache = {}
-        self._d0_cache = {}
         self._words_cache = {}
 
     def split(self, label):
@@ -248,14 +250,6 @@ def apply_corestriction(L, cor, arity, word):
     return out
 
 
-def apply_d0(L, word):
-    """Coderivation extension of the suspended module differential."""
-    hit = L._d0_cache.get(word)
-    if hit is None:
-        hit = L._d0_cache[word] = apply_corestriction(L, L.d0_table, 1, word)
-    return dict(hit)
-
-
 class Coderivation:
     """Filtered degree -1 coderivation via its corestrictions.
 
@@ -319,8 +313,8 @@ class Coderivation:
         return self.L.d0_table if self._d0 is None else self._d0
 
     def apply_level(self, j, word):
-        if j == 0 and self._d0 is None:
-            return apply_d0(self.L, word)
+        """The level-j part on one word, as {word: coefficient}: the
+        coderivation extension of corestriction(j)."""
         key = (j, word)
         hit = self._apply_cache.get(key)
         if hit is None:

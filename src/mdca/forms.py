@@ -8,6 +8,11 @@ cohomology ranks, which the operator route must pass first.  D_j is the
 sum of a bracket and an anchor operator, but only the sum is defined on
 multilinear forms, so only the sum is computed.
 
+FormTable only stores its table.  Every form built here is keyed by
+canonical nonvanishing words, holds no zero coefficient and is
+homogeneous of its degree; the forms of an mdca file, the only ones
+from outside, are checked once where they are parsed (io_json).
+
 Every reader of D_j (build_D, square_check, leibniz_check,
 cohomology_ranks) goes through one LevelTable per structure, kept with
 its anchor family (TwistingCochain.level_table).  The table runs on the
@@ -41,34 +46,18 @@ class FormTable:
 
     values maps canonical words to algebra elements; a form of degree d
     sends a word of degree w to an element of degree d + w.  Words absent
-    from the table carry the value zero.
+    from the table carry the value zero.  The constructor only stores:
+    the keys must be canonical nonvanishing words, the values must hold
+    no zero coefficient, and every value on a word w must have degree
+    degree + |w|.  Every form the library builds keeps that contract;
+    tables read from a file are checked where they are parsed
+    (io_json).  Empty values are dropped.
     """
 
     def __init__(self, L, degree, values):
         self.L = L
-        self.degree = int(degree)
-        self.values = {}
-        adeg = L.over.basis.degree
-        for w, vec in values.items():
-            sgn, cw = normalize_word(L, list(w))
-            if sgn == 0:
-                continue
-            if cw != w:
-                raise ValueError("form table keyed by a non-canonical "
-                                 "word %r" % (w,))
-            wd = word_degree(L, w)
-            v = {}
-            for a, c in vec.items():
-                c = Q(c)
-                if not c:
-                    continue
-                if adeg[a] != self.degree + wd:
-                    raise ValueError("value of degree %d on a word of "
-                                     "degree %d in a degree %d form"
-                                     % (adeg[a], wd, self.degree))
-                v[a] = c
-            if v:
-                self.values[w] = v
+        self.degree = degree
+        self.values = {w: v for w, v in values.items() if v}
 
     def __eq__(self, other):
         return (isinstance(other, FormTable) and self.degree == other.degree
@@ -160,13 +149,10 @@ class TwistingCochain:
         """The LevelTable of D_j for this family and the coderivation
         partial.  Built on first use and kept for one coderivation at a
         time, for the life of this family; the table holds no reference
-        back to the family.  A table for another coderivation keeps the
-        anchor parts of the one it replaces when both run on the same
-        (delta, lam): those read only this family."""
+        back to the family.  A table for another coderivation replaces
+        it and builds its own parts."""
         if self._table is None or self._table[0] is not partial:
-            previous = self._table and self._table[1]
-            self._table = (partial,
-                           LevelTable(self.L, partial, self, previous))
+            self._table = (partial, LevelTable(self.L, partial, self))
         return self._table[1]
 
     def value(self, j, word):
@@ -188,11 +174,12 @@ class TwistingCochain:
 
 def constant_form(L, a_vec):
     """Length-0 form with the given homogeneous algebra value."""
-    degs = {L.over.basis.degree[a] for a in a_vec if a_vec[a]}
+    a_vec = {a: c for a, c in a_vec.items() if c}
+    degs = {L.over.basis.degree[a] for a in a_vec}
     if len(degs) > 1:
         raise ValueError("constant form value must be homogeneous")
     d = degs.pop() if degs else 0
-    return FormTable(L, d, {(): dict(a_vec)} if a_vec else {})
+    return FormTable(L, d, {(): a_vec})
 
 
 def dual_one_forms(L):
@@ -266,22 +253,17 @@ class LevelTable:
     Both parts are built on first use, so del_j(w) is read once per
     (level, word); apply builds the column of each label from them with
     the Koszul signs of the form degree |a| - |u|.  The table keeps the
-    integer copies, not the structure they were made from; it takes over
-    the anchor parts of the previous table of the same family when both
-    run on one (delta, lam).  descent holds the descent_check report of
-    each level, built on first use.
+    integer copies, not the structure they were made from.  descent
+    holds the descent_check report of each level, built on first use.
     """
 
-    def __init__(self, L, partial, t, previous=None):
+    def __init__(self, L, partial, t):
         self.L = L
         self.delta, self.lam, self._partial, (self._diff, self._maps) = (
             integer_tables(L, partial, t))
         self._keys = {}
         self._parts = {}
         self.descent = {}
-        same = previous and (previous.delta, previous.lam) == (self.delta,
-                                                               self.lam)
-        self._anchor = previous._anchor if same else {}
 
     def scale(self, j):
         return self.delta * self.lam ** j
@@ -310,9 +292,6 @@ class LevelTable:
         return part
 
     def _anchor_part(self, j, u):
-        part = self._anchor.get((j, u))
-        if part is not None:
-            return part
         L = self.L
         level = {(): self._diff} if j == 0 else self._maps.get(j, {})
         part = []
@@ -324,7 +303,6 @@ class LevelTable:
                     if right == u)
             if m:
                 part.append((w, cols, m, word_degree(L, w1) % 2))
-        self._anchor[(j, u)] = part
         return part
 
     def parts(self, j, u):
@@ -462,8 +440,9 @@ def descent_check(L, partial, t, j):
     a derivation of the cup product, and cup products of multilinear
     forms are multilinear, so it preserves multilinearity iff it does so
     on the generators.  Each generator is probed once: its image under
-    build_D, tested by is_A_multilinear.  A failure carries the
-    generator's name, the witness of is_A_multilinear and its
+    build_D, tested by is_A_multilinear.  A failure is the descent
+    residual of operator_route: route operators, axiom descent, witness
+    (j, generator name, witness of is_A_multilinear) and the
     multilinearity_defect as value; "images" holds the images by
     generator key.  The report is kept with the LevelTable of (partial,
     t) (LevelTable.descent), so every caller on one structure reads the
@@ -477,8 +456,10 @@ def descent_check(L, partial, t, j):
         g = rep["images"][key] = build_D(f, partial, t, j)
         ok, wit = is_A_multilinear(g)
         if not ok:
-            rep["violations"].append({"form": name, "witness": wit,
-                                      "value": multilinearity_defect(g, wit)})
+            rep["violations"].append({
+                "route": "operators", "axiom": "descent",
+                "witness": (j, name, wit),
+                "value": multilinearity_defect(g, wit)})
     return rep
 
 
@@ -690,9 +671,7 @@ def operator_route(L, partial, t, policy):
                 "witness": (r["level"], r["f"], r["g"]),
                 "value": r["value"]}
                for r in leibniz_check(L, partial, t, policy)]
-    report += [{"route": "operators", "axiom": "descent",
-                "witness": (j, r["form"], r["witness"]), "value": r["value"]}
-               for j in range(policy.W)
+    report += [r for j in range(policy.W)
                for r in descent_check(L, partial, t, j)["violations"]]
     return report
 

@@ -27,6 +27,14 @@ Document layout (all keys sorted on emission, two-space indent):
 
 Emission is canonical (rows sorted, keys sorted), so parse followed by
 emit reproduces a canonically emitted file byte for byte.
+
+Parsing is where outside input is checked.  The form tables of an mdca
+section are the only forms the library does not build itself, so their
+checks live here and run once (forms.FormTable only stores): each table
+is degree homogeneous, of the degree of D_j on its generator, zero rows
+included; a word that vanishes is dropped and a non-canonical one
+refused, naming the table; zero coefficients and words left with no
+value are dropped.
 """
 
 import json
@@ -35,7 +43,7 @@ from fractions import Fraction as Q
 
 from .algebra import AlgebraSpec, validate_algebra
 from .coalgebra import (SEP, Coderivation, ModuleSpec, TruncationPolicy,
-                        word_degree)
+                        normalize_word, word_degree)
 from .forms import FormTable, TwistingCochain
 from .graded import GradedBasis, LinearMap
 from .structures import (LieRinehartData, MdcaStructure,
@@ -399,16 +407,16 @@ def _parse_structure(doc, L):
                                             "generator %r" % name)
                 side[level] = {}
                 for name, rows in tabs.items():
-                    vals = _parse_vec_rows(rows, 1, L, A.basis.degree,
-                                           "%s.%s" % (locus, name),
+                    here = "%s.%s" % (locus, name)
+                    vals = _parse_vec_rows(rows, 1, L, A.basis.degree, here,
                                            word_keys=True)
-                    degs = {L.over.basis.degree[al] - word_degree(L, w)
+                    # the degree checks read every row, zero rows too
+                    degs = {A.basis.degree[al] - word_degree(L, w)
                             for w, vec in vals.items() for al in vec}
                     if len(degs) > 1:
-                        raise InstanceError(
-                            "%s.%s" % (locus, name),
-                            "form is not degree homogeneous")
-                    gen_deg = (L.over.basis if key == "constants"
+                        raise InstanceError(here,
+                                            "form is not degree homogeneous")
+                    gen_deg = (A.basis if key == "constants"
                                else L.a_basis).degree.get(name)
                     if gen_deg is None:
                         raise InstanceError(locus,
@@ -417,10 +425,21 @@ def _parse_structure(doc, L):
                     # D_j has degree -1 at every level
                     if degs and degs != {base - 1}:
                         raise InstanceError(
-                            "%s.%s" % (locus, name),
-                            "form of degree %d, expected %d"
+                            here, "form of degree %d, expected %d"
                             % (degs.pop(), base - 1))
-                    side[level][name] = FormTable(L, base - 1, vals)
+                    # FormTable's contract: canonical nonvanishing words,
+                    # no zero coefficient
+                    values = {}
+                    for w, vec in vals.items():
+                        sgn, cw = normalize_word(L, list(w))
+                        if sgn and cw != w:
+                            raise InstanceError(
+                                here, "form table keyed by a non-canonical "
+                                "word %r" % (w,))
+                        vec = {al: c for al, c in vec.items() if c}
+                        if sgn and vec:
+                            values[w] = vec
+                    side[level][name] = FormTable(L, base - 1, values)
             return side
         on_constants = tables("constants", A.basis.labels)
         on_duals = tables("duals", [x for x, _ in L.a_basis.gens])

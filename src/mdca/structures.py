@@ -267,16 +267,15 @@ class MdcaStructure:
 
 
 class DescentError(ValueError):
-    """build_maurer_cartan refuses: level j does not preserve
-    multilinearity.  violation is the first descent_check violation at
-    that level."""
+    """build_maurer_cartan refuses: some level does not preserve
+    multilinearity.  residual is the first descent_check violation at
+    that level, in the schema of operator_route."""
 
-    def __init__(self, level, violation):
+    def __init__(self, residual):
+        level, form, witness = residual["witness"]
         super().__init__("level %d does not preserve multilinearity: %r"
-                         % (level, {"form": violation["form"],
-                                    "witness": violation["witness"]}))
-        self.level = level
-        self.violation = violation
+                         % (level, {"form": form, "witness": witness}))
+        self.residual = residual
 
 
 def build_maurer_cartan(d, policy):
@@ -292,7 +291,7 @@ def build_maurer_cartan(d, policy):
     for j in range(policy.W):
         rep = descent_check(L, d.partial, d.t, j)
         if rep["violations"]:
-            raise DescentError(j, rep["violations"][0])
+            raise DescentError(rep["violations"][0])
         im = rep["images"]
         on_constants[j] = {al: im[("const", al)]
                            for al in L.over.basis.labels}
@@ -334,8 +333,7 @@ def extract_structure(m):
     t = TwistingCochain(L, t_maps)
     duals = dual_one_forms(L)
     # at j >= 1, D_j of an empty coderivation is the anchor operator
-    # alone; its table parts pass on to the table of the extracted
-    # coderivation (TwistingCochain.level_table)
+    # alone
     no_brackets = Coderivation(L, {})
     cor = {}
     for j in m.levels():
@@ -370,17 +368,14 @@ def table_residuals(m, sh, policy):
     build_maurer_cartan, at every level of m and every level below W; a
     level m lacks counts as zero tables.  A residual has route extract,
     axiom table consistency, the side and (level, generator) as witness
-    and the table of m minus the rebuilt one as value.  A violation has
-    route extract, axiom descent and the witness and value of the
-    operator route's descent residuals.
+    and the table of m minus the rebuilt one as value.  A violation is
+    a descent residual of the operator route with route extract.
     """
     L = m.L
     residuals, violations = [], []
     for j in sorted(set(m.levels()) | set(range(policy.W))):
         rep = descent_check(L, sh.partial, sh.t, j)
-        violations += [{"route": "extract", "axiom": "descent",
-                        "witness": (j, r["form"], r["witness"]),
-                        "value": r["value"]} for r in rep["violations"]]
+        violations += [dict(r, route="extract") for r in rep["violations"]]
         im = rep["images"]
         probes = ([("constants", al, m.on_constants, im[("const", al)])
                    for al in L.over.basis.labels]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdca.algebra import rational_algebra
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
-                            apply_d0, check_coalgebra_perturbation,
+                            check_coalgebra_perturbation,
                             coderivation_from_brackets, normalize_word,
                             splittings, suspension_sign, word_basis,
                             word_degree, words_of_length)
@@ -229,13 +229,14 @@ def dg_line():
 def test_d0_preserves_length_and_squares_to_zero():
     L = dg_line()
     assert L.validation_report() == []
+    d0 = Coderivation(L, {})
     for w in word_basis(L, TruncationPolicy(3)):
-        img = apply_d0(L, w)
+        img = d0.apply_level(0, w)
         for w2 in img:
             assert len(w2) == len(w)
         dd = {}
         for w2, c in img.items():
-            for w3, c2 in apply_d0(L, w2).items():
+            for w3, c2 in d0.apply_level(0, w2).items():
                 dd[w3] = dd.get(w3, 0) + c * c2
                 if not dd[w3]:
                     del dd[w3]

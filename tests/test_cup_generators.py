@@ -110,8 +110,11 @@ def test_descent_failures_carry_their_defect():
     rep = descent_check(L, partial, t, 1)
     assert rep["violations"]
     for fail in rep["violations"]:
-        assert set(fail) == {"form", "witness", "value"}
-        assert set(fail["witness"]) == {"word", "slot", "scalar"}
+        assert set(fail) == {"route", "axiom", "witness", "value"}
+        assert (fail["route"], fail["axiom"]) == ("operators", "descent")
+        level, form, witness = fail["witness"]
+        assert level == 1 and isinstance(form, str)
+        assert set(witness) == {"word", "slot", "scalar"}
         assert fail["value"]
 
 

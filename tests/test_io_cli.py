@@ -301,6 +301,11 @@ def test_emitted_mdca_files_run_every_verb(name, tmp_path, capsys):
     # D_1 of the dual 1-form of e has degree -2, not -1
     ("e", [[["1|e"], "1", "1"]], "form of degree -1, expected -2"),
     ("w", [], "unknown generator 'w'"),
+    # the degree checks read zero rows too
+    ("e", [[["1|e"], "1", "0"]],
+     "structure.duals[1].e: form of degree -1, expected -2"),
+    ("e", [[["1|h", "1|e"], "1", "2"]], "structure.duals[1].e: form "
+     "table keyed by a non-canonical word ('1|h', '1|e')"),
 ])
 def test_bad_mdca_table_exits_2(name, rows, fragment, tmp_path, capsys):
     doc = emitted_mdca("sl2")
@@ -310,6 +315,17 @@ def test_bad_mdca_table_exits_2(name, rows, fragment, tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert cli.main(["check", str(p)]) == 2
     assert "structure.duals[1]" in capsys.readouterr().err
+
+
+def test_mdca_parse_drops_zero_coefficients_and_vanishing_words():
+    # 1|e is odd in the suspension, so the word 1|e 1|e vanishes
+    doc = emitted_mdca("sl2")
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    tables = doc["structure"]["duals"]["1"]
+    tables["h"].append([["1|e", "1|h"], "1", "0"])
+    tables["e"].append([["1|e", "1|e"], "1", "5"])
+    inst = parse_instance_text(json.dumps(doc))
+    assert emit_instance(inst.data, inst.policy) == text
 
 
 def test_roundtrip_builds_once(monkeypatch, capsys):

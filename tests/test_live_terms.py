@@ -18,6 +18,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,14 +28,14 @@ from mdca.algebra import AlgebraSpec, multiply
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             check_coalgebra_perturbation, normalize_word,
                             splittings, word_degree, words_of_length)
-from mdca.forms import (TwistingCochain, build_D, cohomology_ranks,
-                        integer_tables, leibniz_check, operator_route,
-                        square_check)
+from mdca.forms import (FormTable, TwistingCochain, build_D, cohomology_ranks,
+                        cup, descent_check, integer_tables, leibniz_check,
+                        multilinear_basis, operator_route, square_check)
 from mdca.graded import (GradedBasis, LinearMap, ONE, compose, vec_axpy,
                          vec_sub)
 from mdca.instances import catalog_entry
-from mdca.structures import (LieRinehartData, ShLieRinehartData,
-                             anomaly_report, build_maurer_cartan,
+from mdca.structures import (LieRinehartData, MdcaStructure,
+                             ShLieRinehartData, anomaly_report,
                              check_sh_lie_rinehart, check_twisting_cochain,
                              direct_route, extract_structure, quasi_to_sh,
                              table_residuals)
@@ -557,6 +558,64 @@ def test_the_level_table_halves_equal_the_fraction_reference(name, seed):
                     == reference_bra(f, partial, j))
 
 
+def assert_form_contract(f):
+    """FormTable stores what it is given, so every form the library
+    builds must be keyed by canonical nonvanishing words and hold no
+    empty value, no zero coefficient and only values of degree
+    f.degree + |w|."""
+    L = f.L
+    adeg = L.over.basis.degree
+    for w, v in f.values.items():
+        assert normalize_word(L, list(w))[1] == w
+        assert v and all(v.values())
+        assert {adeg[a] for a in v} == {f.degree + word_degree(L, w)}
+
+
+def recording(method, made):
+    def run(self, *args):
+        out = method(self, *args)
+        made.append(out)
+        return out
+    return run
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(LEVEL_CASES)), st.integers(0, 2**32 - 1))
+def test_every_form_the_library_builds_keeps_the_form_contract(name, seed):
+    rng = random.Random(seed)
+    if LEVEL_CASES[name] is None:
+        L, partial, t = perturbed(rng, RATIONAL[name])
+    else:
+        L, partial, t = LEVEL_CASES[name]
+    policy = TruncationPolicy(3)
+
+    def rational_form():
+        degree = rng.choice([-2, -1, 0, 1])
+        return random_form(rng, L, degree, 2).scale(random_q(rng, 1)).add(
+            random_form(rng, L, degree, 2).scale(random_q(rng, 2)))
+
+    f, g = rational_form(), rational_form()
+    made = [build_D(f, partial, t, j) for j in range(4)] + [cup(f, g)]
+    made += [form for _, form in multilinear_basis(L, policy)]
+    images = [descent_check(L, partial, t, j)["images"]
+              for j in range(policy.W)]
+    made += [form for im in images for form in im.values()]
+    # the tables of m are the descent images, whether they descend or
+    # not; extract_structure and table_residuals add and scale forms
+    m = MdcaStructure(
+        L, {j: {al: im[("const", al)] for al in L.over.basis.labels}
+            for j, im in enumerate(images)},
+        {j: {xl: im[("dual", (xl,))] for xl, _ in L.a_basis.gens}
+         for j, im in enumerate(images)})
+    with mock.patch.object(FormTable, "add", recording(FormTable.add, made)), \
+            mock.patch.object(FormTable, "scale",
+                              recording(FormTable.scale, made)):
+        table_residuals(m, extract_structure(m), policy)
+    assert any(h.values for h in made)
+    for h in made:
+        assert_form_contract(h)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(ALL_CASES)), st.integers(0, 2**32 - 1))
 def test_square_residuals_equal_the_fraction_reference(name, seed):
@@ -635,32 +694,6 @@ def test_direct_route_perturbation_residuals_on_the_shared_scale(name, seed):
            for r in direct_route(L, partial, t, TruncationPolicy(3))
            if r["axiom"] == "bracket coderivation squares to zero"]
     assert got == all_terms_perturbation(partial, L, 3)
-
-
-@pytest.mark.parametrize("name", ["truncated_poly", "exterior_pair"])
-def test_extraction_computes_each_anchor_part_once(name, monkeypatch):
-    # extract_structure reads the anchor half before the coderivation
-    # exists; the table that table_residuals rebuilds from the extracted
-    # coderivation takes those parts over instead of splitting the same
-    # words again
-    sh = catalog_homotopy(name)
-    policy = TruncationPolicy(4)
-    m = build_maurer_cartan(sh, policy)
-    parts = {}
-    real = forms.LevelTable._anchor_part
-
-    def recording(self, j, u):
-        part = real(self, j, u)
-        parts.setdefault((j, u), []).append(part)
-        return part
-
-    monkeypatch.setattr(forms.LevelTable, "_anchor_part", recording)
-    back = extract_structure(m)
-    assert table_residuals(m, back, policy) == ([], []) and back.t.maps
-    # the parts of the constants (u = ()) are read only by the rebuild
-    assert any(u for _, u in parts)
-    assert any(len(got) > 1 for got in parts.values())
-    assert all(got[0] is part for got in parts.values() for part in got)
 
 
 # ------------------------------------------------------- memory lifetime
