@@ -21,7 +21,8 @@ data rebuilds, at every level of the file and every level below W; a
 level the file lacks counts as zero tables.  Each residual carries
 route, axiom, witness and value; the operator route checks that every
 anchor value is a derivation of A, then probes D squared on the
-dual-basis forms on words of length at most 1 (the cup generators), the
+dual-basis forms on words of length at most 1 (the cup generators) at
+the levels below W, and on the constants at level W too, the
 Leibniz rule of each level D_j on pairs of cup generators, and the
 descent of each level on the cup generators (the constants and the dual
 1-forms).  roundtrip of other input names the level and word of the

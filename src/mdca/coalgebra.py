@@ -254,45 +254,31 @@ class Coderivation:
     """Filtered degree -1 coderivation via its corestrictions.
 
     cor[j] maps canonical words of length j+1 to sL elements; the level-j
-    part lowers word length by j.  The j = 0 part always comes from the
-    module differential and is not stored here.  denominator is the
-    least common denominator of every level.
+    part lowers word length by j.  The j = 0 part comes from the module
+    differential and is not stored in cor: d0 is its corestriction
+    table, L.d0_table unless given (the integer copy of scaled gives
+    its multiple).  denominator is the least common denominator of every
+    level of cor.
+
+    The constructor only stores, dropping empty levels.  Its contract:
+    every level j is at least 1; every key of cor[j] is a canonical
+    nonvanishing word of length j + 1; every value is an sL element of
+    degree |w| - 1 with no zero coefficient.  Every coderivation the
+    library builds keeps it (coderivation_from_brackets,
+    extract_structure, quasi_to_sh, scaled); the tables of a file are
+    checked where they are parsed (io_json).
     """
 
-    def __init__(self, L, cor):
+    def __init__(self, L, cor, d0=None):
         self.L = L
-        self.cor = {}
-        for j, table in cor.items():
-            j = int(j)
-            if j < 1:
-                raise ValueError("corestriction levels start at 1")
-            clean = {}
-            for w, vec in table.items():
-                if len(w) != j + 1:
-                    raise ValueError("level %d corestriction on a word "
-                                     "of length %d" % (j, len(w)))
-                vd = word_degree(L, w)
-                v = {}
-                for g, c in vec.items():
-                    c = Q(c)
-                    if not c:
-                        continue
-                    if L.sl_basis.degree[g] != vd - 1:
-                        raise ValueError(
-                            "corestriction not of degree -1 at %r" % (w,))
-                    v[g] = c
-                if v:
-                    clean[w] = v
-            if clean:
-                self.cor[j] = clean
+        self.cor = {j: tab for j, tab in cor.items() if tab}
+        self.d0 = L.d0_table if d0 is None else d0
         self.denominator = denominator(
             c for tab in self.cor.values() for v in tab.values()
             for c in v.values())
         # the corestriction tables are fixed after construction, so the
         # action on any one word can be cached
         self._apply_cache = {}
-        # level 0 of an integer copy (scaled); None reads L.d0_table
-        self._d0 = None
         self._scaled = None
 
     def levels(self):
@@ -306,11 +292,9 @@ class Coderivation:
         return not self.L.diff_l.is_zero() if j == 0 else j in self.cor
 
     def corestriction(self, j):
-        """The level-j corestriction table; level 0 is the suspended
-        module differential (L.d0_table, or its integer copy)."""
-        if j:
-            return self.cor.get(j, {})
-        return self.L.d0_table if self._d0 is None else self._d0
+        """The level-j corestriction table; level 0 is d0, the suspended
+        module differential or its integer copy."""
+        return self.cor.get(j, {}) if j else self.d0
 
     def apply_level(self, j, word):
         """The level-j part on one word, as {word: coefficient}: the
@@ -337,13 +321,12 @@ class Coderivation:
         apply_level; it is built on first use and kept for one (delta,
         lam) at a time, for the life of this coderivation."""
         if self._scaled is None or self._scaled[0] != (delta, lam):
-            s = Coderivation(self.L, {})
-            s.cor = {j: {w: int_multiple(delta * lam ** j, v)
-                         for w, v in tab.items()}
-                     for j, tab in self.cor.items()}
-            s._d0 = {w: int_multiple(delta, v)
-                     for w, v in self.L.d0_table.items() if v}
-            self._scaled = ((delta, lam), s)
+            self._scaled = ((delta, lam), Coderivation(
+                self.L, {j: {w: int_multiple(delta * lam ** j, v)
+                             for w, v in tab.items()}
+                         for j, tab in self.cor.items()},
+                {w: int_multiple(delta, v)
+                 for w, v in self.L.d0_table.items() if v}))
         return self._scaled[1]
 
 

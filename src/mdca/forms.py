@@ -32,9 +32,8 @@ reduces exactly only the other degrees.
 from fractions import Fraction as Q
 from math import gcd, lcm
 
-from .graded import (LinearMap, ONE, compose_axpy, denominator,
-                     int_multiple, rank_modulo, row_echelon, vec_axpy,
-                     vec_scale, vec_sub)
+from .graded import (ONE, compose_axpy, denominator, int_multiple,
+                     rank_modulo, row_echelon, vec_axpy, vec_scale, vec_sub)
 from .algebra import Derivation, integer_structure_constants, multiply
 from .coalgebra import (TruncationPolicy, normalize_word, splittings,
                         stripped_slots, word_basis, word_degree,
@@ -96,33 +95,19 @@ class TwistingCochain:
     The family as a whole is a degree -1 element; each individual value is
     stored as a LinearMap on the algebra basis.  denominator is the least
     common denominator of every value.
+
+    The constructor only stores, dropping empty levels.  Its contract:
+    every level j is at least 1; every key of maps[j] is a canonical
+    nonvanishing word of length j; every value is a nonzero LinearMap on
+    the algebra basis of degree |w| - 1.  Every family the library builds
+    keeps it (extract_structure, quasi_to_sh, LieRinehartData on parsed
+    or built anchors); the tables of a file are checked where they are
+    parsed (io_json).
     """
 
     def __init__(self, L, maps):
         self.L = L
-        self.maps = {}
-        A = L.over
-        for j, table in maps.items():
-            j = int(j)
-            if j < 1:
-                raise ValueError("anchor levels start at 1")
-            clean = {}
-            for w, op in table.items():
-                sgn, cw = normalize_word(L, list(w))
-                if sgn == 0:
-                    continue
-                if cw != w or len(w) != j:
-                    raise ValueError("level %d anchor keyed by %r" % (j, w))
-                wd = word_degree(L, w)
-                if not isinstance(op, LinearMap):
-                    op = LinearMap(A.basis, A.basis, wd - 1, op)
-                if op.degree != wd - 1:
-                    raise ValueError("anchor value on %r has degree %d, "
-                                     "expected %d" % (w, op.degree, wd - 1))
-                if not op.is_zero():
-                    clean[w] = op
-            if clean:
-                self.maps[j] = clean
+        self.maps = {j: tab for j, tab in maps.items() if tab}
         self.denominator = denominator(
             c for tab in self.maps.values() for op in tab.values()
             for c in op.entries.values())
@@ -159,14 +144,17 @@ class TwistingCochain:
         return self.maps.get(j, {}).get(word)
 
     def validation_report(self):
-        """Every anchor value must be a derivation of A; the value of a
-        violation is its Leibniz defect (Derivation.leibniz_defect)."""
+        """The anchor premise, as operator-route residuals: every anchor
+        value must be a derivation of A.  A violation has axiom "anchor
+        value is a derivation", witness (level, word, a, b) and as value
+        its Leibniz defect (Derivation.leibniz_defect)."""
         rep = []
         for j, table in self.maps.items():
             for w, op in table.items():
                 d = Derivation(self.L.over, op.degree, op)
                 for pair in d.leibniz_violations():
-                    rep.append({"invariant": "anchor value is a derivation",
+                    rep.append({"route": "operators",
+                                "axiom": "anchor value is a derivation",
                                 "witness": (j, w) + pair,
                                 "value": d.leibniz_defect(*pair)})
         return rep
@@ -515,10 +503,13 @@ def square_check(L, partial, t, policy):
     probes are the dual-basis forms on words of length at most 1 (each
     a generator, or a constant times a unit 1-form), at every level
     j < W, whatever the degree window; leibniz_check tests at run time
-    the derivation rule this rests on.  D_i of a probe is computed once;
-    terms with a zero factor (live_levels) are skipped.  Residuals
-    {level, form, word, value} are level-major, with words sorted within
-    each (level, form).
+    the derivation rule this rests on.  The constants are also probed
+    at level W, on the terms D_k D_(W-k), k = 1..W-1: the rows of
+    cohomology_ranks compose exactly these on the constants, and no
+    other part of level W.  D_i of a probe is computed once; terms with
+    a zero factor (live_levels) are skipped.  Residuals {level, form,
+    word, value} are level-major, with words sorted within each (level,
+    form).
 
     The sums run on the LevelTable, where level i holds delta * lam**i
     times D_i, so every term D_k D_(j-k) comes out delta**2 * lam**j
@@ -527,14 +518,14 @@ def square_check(L, partial, t, policy):
     W = policy.W
     live = live_levels(L, partial, t, W)
     table = t.level_table(partial)
-    by_level = [[] for _ in range(W)]
+    by_level = [[] for _ in range(W + 1)]
     for name, w, al in generator_probes(L):
         probe = {w: {al: 1}}
         images = {}
-        for j in range(W):
+        for j in range(W if w else W + 1):
             res = {}
             for k in range(j + 1):
-                if not (live[k] and live[j - k]):
+                if not (max(k, j - k) < W and live[k] and live[j - k]):
                     continue
                 if j - k not in images:
                     images[j - k] = table.apply(j - k, probe, {})
@@ -655,14 +646,14 @@ def operator_route(L, partial, t, policy):
     """The anchor premise (every anchor value is a derivation of A, so
     each D_j is a derivation of the cup product), then the three checks
     on the cup generators that rest on it: D squares to zero on them
-    (square_check), each D_j is a derivation on their pairs wherever a
-    product of two of them meets a term of the square (leibniz_check),
-    and each level j < W preserves multilinearity (descent_check).
+    (square_check, which also probes level W on the constants), each
+    D_j is a derivation on their pairs wherever a product of two of them
+    meets a term of the square (leibniz_check), and each level j < W
+    preserves multilinearity (descent_check).
     Residuals carry route, axiom, witness and value, in that order of
-    axioms."""
-    report = [{"route": "operators", "axiom": r["invariant"],
-               "witness": r["witness"], "value": r["value"]}
-              for r in t.validation_report()]
+    axioms; the premise's come from TwistingCochain.validation_report in
+    that schema."""
+    report = t.validation_report()
     report += [{"route": "operators", "axiom": "square",
                 "witness": (r["level"], r["form"], r["word"]),
                 "value": r["value"]}
@@ -710,8 +701,9 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
     (graded.rank_modulo), which bounds its rank over Q from below.  D
     raises word length, so the truncation is a quotient complex, and D
     squares to zero on it once operator_route has passed (its square
-    check probes the levels below W): the rank out of degree d plus the
-    rank into it is at most dim_d.  So the rank out
+    check probes the levels below W, and level W on the constants, the
+    one level-W part the rows compose): the rank out of degree d plus
+    the rank into it is at most dim_d.  So the rank out
     of d is at most dim_d minus the modular rank out of d + 1, and at
     most dim_(d-1) minus the modular rank out of d - 1 (0 for a degree
     not computed), and at most the column count.  Where the modular rank

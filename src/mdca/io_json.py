@@ -28,13 +28,23 @@ Document layout (all keys sorted on emission, two-space indent):
 Emission is canonical (rows sorted, keys sorted), so parse followed by
 emit reproduces a canonically emitted file byte for byte.
 
-Parsing is where outside input is checked.  The form tables of an mdca
-section are the only forms the library does not build itself, so their
-checks live here and run once (forms.FormTable only stores): each table
-is degree homogeneous, of the degree of D_j on its generator, zero rows
-included; a word that vanishes is dropped and a non-canonical one
-refused, naming the table; zero coefficients and words left with no
-value are dropped.
+Parsing is where outside input is checked.  The tables of a file are
+the only ones the library does not build itself, so their checks live
+here and run once (forms.FormTable, coalgebra.Coderivation and
+forms.TwistingCochain only store).  Each failure names its row, table
+or level.
+  * mdca form tables: each is degree homogeneous, of the degree of D_j
+    on its generator, zero rows included; a word that vanishes is
+    dropped and a non-canonical one refused, naming the table.
+  * sh_lie_rinehart coderivations and twisting: every level is at least
+    1; every row's word has the length of its level (j + 1 for a
+    corestriction, j for an anchor) and a value of degree |w| - 1, zero
+    rows included; a word that vanishes is dropped and a non-canonical
+    one refused, naming the row.
+  * lie_rinehart bracket and anchor: a bracket target has the degree of
+    its two arguments, an anchor entry the degree of its label.
+Then zero coefficients, keys left with no value and zero operators are
+dropped.  One helper (_canonical) tests every word key.
 """
 
 import json
@@ -294,10 +304,56 @@ def _parse_module(doc, A):
     return L
 
 
-def _parse_vec_rows(rows, keylen, L, targets, locus, word_keys=False):
+def _canonical(L, w, here, what):
+    """w when it is a canonical nonvanishing word, None when it vanishes;
+    a word out of canonical order is refused at here."""
+    sgn, cw = normalize_word(L, list(w))
+    if sgn and cw != w:
+        raise InstanceError(here, "%s keyed by a non-canonical word %r"
+                            % (what, w))
+    return w if sgn else None
+
+
+def _word_key(L, w, length, degree, here, what):
+    """The word key of a corestriction or anchor row: of the length of
+    its level, with a value of degree |w| - 1 (degree is that of the
+    row's entry), and canonical (_canonical)."""
+    if len(w) != length:
+        raise InstanceError(here, "%s on a word of length %d, expected %d"
+                            % (what, len(w), length))
+    if degree - word_degree(L, w) != -1:
+        raise InstanceError(here, "%s of degree %d, expected -1"
+                            % (what, degree - word_degree(L, w)))
+    return _canonical(L, w, here, what)
+
+
+def _nonzero(table):
+    """table without its zero coefficients and the keys left empty."""
+    out = {}
+    for key, vec in table.items():
+        vec = {k: c for k, c in vec.items() if c}
+        if vec:
+            out[key] = vec
+    return out
+
+
+def _levels(sec, key):
+    """(level, locus, rows) of each level of a corestriction or anchor
+    section; levels start at 1."""
+    for j, rows in _need(sec, key, "structure", dict).items():
+        locus = "structure.%s[%s]" % (key, j)
+        level = _level(j, locus)
+        if level < 1:
+            raise InstanceError(locus, "levels start at 1")
+        yield level, locus, rows
+
+
+def _parse_vec_rows(rows, keylen, L, targets, locus, word_keys=False,
+                    row_key=None):
     """Rows [key..., target, rational] grouped into {key: vector}.  Keys
     are induced labels, or one word of them; targets are labels of the
-    given degree table."""
+    given degree table.  row_key(key, target, here), when given, checks
+    a row and returns the key it is stored under, None to drop it."""
     out = {}
     for n, row in enumerate(rows or []):
         here = "%s[%d]" % (locus, n)
@@ -311,17 +367,25 @@ def _parse_vec_rows(rows, keylen, L, targets, locus, word_keys=False):
             key = tuple(row[:keylen]) if keylen > 1 else row[0]
         tgt, c = row[keylen], row[keylen + 1]
         _known(tgt, targets, here)
+        c = str_to_q(c, here)
+        if row_key is not None:
+            key = row_key(key, tgt, here)
+            if key is None:
+                continue
         vec = out.setdefault(key, {})
         if tgt in vec:
             raise InstanceError(here, "duplicate entry for %r" % (tgt,))
-        vec[tgt] = str_to_q(c, here)
+        vec[tgt] = c
     return out
 
 
-def _parse_ops(rows, keylen, A, locus, keys, word_keys=False):
-    """Rows [key..., target, source, rational] grouped into operators;
-    every key part must be one of keys.  With word_keys the one key part
-    is a word of keys."""
+def _parse_ops(rows, keylen, A, locus, keys, word_keys=False,
+               row_key=None):
+    """Rows [key..., target, source, rational] grouped into nonzero
+    operators; every key part must be one of keys.  With word_keys the
+    key is one word of keys.  row_key(key, degree of the entry, here),
+    when given, checks a row and returns the key it is stored under, None
+    to drop it."""
     grouped = {}
     for n, row in enumerate(rows or []):
         here = "%s[%d]" % (locus, n)
@@ -329,24 +393,31 @@ def _parse_ops(rows, keylen, A, locus, keys, word_keys=False):
             raise InstanceError(here, "expected %d fields" % (keylen + 3))
         key = tuple(row[:keylen])
         if word_keys:
-            key = (_word(row[0], keys, here),)
+            key = _word(row[0], keys, here)
         else:
             for lbl in key:
                 _known(lbl, keys, here)
         t, s, c = row[keylen:]
         for lbl in (t, s):
             _known(lbl, A.basis.degree, here)
+        c = str_to_q(c, here)
+        if row_key is not None:
+            key = row_key(key, A.basis.degree[t] - A.basis.degree[s], here)
+            if key is None:
+                continue
         ent = grouped.setdefault(key, {})
         if (t, s) in ent:
             raise InstanceError(here, "duplicate operator entry")
-        ent[(t, s)] = str_to_q(c, here)
+        ent[(t, s)] = c
     ops = {}
     for key, ent in grouped.items():
         degs = {A.basis.degree[t] - A.basis.degree[s] for t, s in ent}
         if len(degs) != 1:
             raise InstanceError(locus, "operator at %r is not degree "
                                 "homogeneous" % (key,))
-        ops[key] = LinearMap(A.basis, A.basis, degs.pop(), ent)
+        op = LinearMap(A.basis, A.basis, degs.pop(), ent)
+        if not op.is_zero():
+            ops[key] = op
     return ops
 
 
@@ -358,35 +429,43 @@ def _parse_structure(doc, L):
                             "one of %s)" % (kind, ", ".join(KINDS)))
     A = L.over
     try:
+        ldeg, sldeg = L.l_basis.degree, L.sl_basis.degree
         if kind == "lie_rinehart":
-            bracket = _parse_vec_rows(sec.get("bracket", []), 2, L,
-                                      L.l_basis.degree, "structure.bracket")
-            anchor = _parse_ops(sec.get("anchor", []), 1, A,
-                                "structure.anchor", L.l_basis.degree)
-            return LieRinehartData(L, bracket,
+            def bracket_key(key, tgt, here):
+                d = ldeg[tgt] - ldeg[key[0]] - ldeg[key[1]]
+                if d:
+                    raise InstanceError(here, "bracket of degree %d, "
+                                        "expected 0" % d)
+                return key
+
+            bracket = _parse_vec_rows(sec.get("bracket", []), 2, L, ldeg,
+                                      "structure.bracket", row_key=bracket_key)
+            anchor = _parse_ops(
+                sec.get("anchor", []), 1, A, "structure.anchor", ldeg,
+                row_key=lambda key, d, here: _word_key(L, key, 1, d, here,
+                                                       "anchor"))
+            return LieRinehartData(L, _nonzero(bracket),
                                    {g: op for (g,), op in anchor.items()})
         if kind == "sh_lie_rinehart":
             cor = {}
-            for j, rows in _need(sec, "coderivations", "structure",
-                                 dict).items():
-                locus = "structure.coderivations[%s]" % j
-                cor[_level(j, locus)] = _parse_vec_rows(
-                    rows, 1, L, L.l_basis.degree, locus, word_keys=True)
+            for j, locus, rows in _levels(sec, "coderivations"):
+                cor[j] = _nonzero(_parse_vec_rows(
+                    rows, 1, L, ldeg, locus, word_keys=True,
+                    row_key=lambda w, tgt, here: _word_key(
+                        L, w, j + 1, sldeg[tgt], here, "corestriction")))
             maps = {}
-            for j, rows in _need(sec, "twisting", "structure",
-                                 dict).items():
-                locus = "structure.twisting[%s]" % j
-                level = _level(j, locus)
-                ops = _parse_ops(rows, 1, A, locus, L.l_basis.degree,
-                                 word_keys=True)
-                maps[level] = {w: op for (w,), op in ops.items()}
+            for j, locus, rows in _levels(sec, "twisting"):
+                maps[j] = _parse_ops(
+                    rows, 1, A, locus, ldeg, word_keys=True,
+                    row_key=lambda w, d, here: _word_key(L, w, j, d, here,
+                                                         "anchor"))
             return ShLieRinehartData(L, Coderivation(L, cor),
                                      TwistingCochain(L, maps))
         if kind == "quasi":
-            bracket = _parse_vec_rows(sec.get("bracketQ", []), 2, L,
-                                      L.l_basis.degree, "structure.bracketQ")
+            bracket = _parse_vec_rows(sec.get("bracketQ", []), 2, L, ldeg,
+                                      "structure.bracketQ")
             pairing = _parse_ops(sec.get("pairing", []), 1, A,
-                                 "structure.pairing", L.l_basis.degree)
+                                 "structure.pairing", ldeg)
             triple = _parse_ops(sec.get("triple", []), 2, A,
                                 "structure.triple", L.a_basis.degree)
             return QuasiLieRinehartData(
@@ -429,17 +508,9 @@ def _parse_structure(doc, L):
                             % (degs.pop(), base - 1))
                     # FormTable's contract: canonical nonvanishing words,
                     # no zero coefficient
-                    values = {}
-                    for w, vec in vals.items():
-                        sgn, cw = normalize_word(L, list(w))
-                        if sgn and cw != w:
-                            raise InstanceError(
-                                here, "form table keyed by a non-canonical "
-                                "word %r" % (w,))
-                        vec = {al: c for al, c in vec.items() if c}
-                        if sgn and vec:
-                            values[w] = vec
-                    side[level][name] = FormTable(L, base - 1, values)
+                    side[level][name] = FormTable(L, base - 1, _nonzero({
+                        w: vec for w, vec in vals.items()
+                        if _canonical(L, w, here, "form table")}))
             return side
         on_constants = tables("constants", A.basis.labels)
         on_duals = tables("duals", [x for x, _ in L.a_basis.gens])

@@ -18,7 +18,7 @@ do not call these extenders, so they test them.
 from fractions import Fraction as Q
 from itertools import combinations
 
-from .graded import (LinearMap, ONE, ZERO, compose, koszul_sign, vec_axpy,
+from .graded import (LinearMap, ONE, compose, koszul_sign, vec_axpy,
                      vec_scale, vec_sub)
 from .algebra import Derivation, integer_structure_constants, multiply
 from .coalgebra import (Coderivation, check_coalgebra_perturbation,
@@ -45,16 +45,17 @@ class LieRinehartData:
     """Ordinary (possibly graded) pair: module with bracket and anchor.
 
     bracket: full table {(label, label): module vector} on the induced
-    basis of L; anchor: {label: operator on A} with the operator on a
-    basis element of word degree w having degree w - 1.
+    basis of L, with no zero coefficient; anchor: {label: nonzero
+    LinearMap on A} with the operator on a basis element of word degree
+    w having degree w - 1 (the contract of TwistingCochain; a parsed
+    file is checked in io_json).
     """
 
     def __init__(self, L, bracket, anchor):
         self.L = L
         self.bracket = {k: dict(v) for k, v in bracket.items()}
         self.anchor = TwistingCochain(
-            L, {1: {(lbl,): op for lbl, op in anchor.items()
-                    if not (isinstance(op, LinearMap) and op.is_zero())}})
+            L, {1: {(lbl,): op for lbl, op in anchor.items()}})
         table = {k: v for k, v in self.bracket.items() if v}
         self.partial = coderivation_from_brackets(L, {2: table})
 
@@ -344,17 +345,15 @@ def extract_structure(m):
             phi = m.on_duals[j][xl].add(
                 build_D(eps, no_brackets, t, j).scale(-ONE))
             s = -ONE if (eps.degree + 1) % 2 else ONE
+            # each (w, g) is reached once, from the nonzero value of
+            # phi on w at the label of g, so no coefficient is zero
             for w, val in phi.values.items():
                 if len(w) != j + 1:
                     continue
                 vec = level.setdefault(w, {})
                 for bl, c in val.items():
                     s2 = -ONE if (adeg[bl] % 2 and eps.degree % 2) else ONE
-                    g = L.pair(bl, xl)
-                    vec[g] = vec.get(g, ZERO) + s * s2 * c
-        level = {w: {g: c for g, c in v.items() if c}
-                 for w, v in level.items()}
-        level = {w: v for w, v in level.items() if v}
+                    vec[L.pair(bl, xl)] = s * s2 * c
         if level:
             cor[j] = level
     return ShLieRinehartData(L, Coderivation(L, cor), t)

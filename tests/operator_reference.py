@@ -17,7 +17,20 @@ from mdca.algebra import multiply
 from mdca.forms import (FormTable, ambient_basis_forms, constant_form, cup,
                         dual_one_forms, generator_probes, leibniz_levels,
                         live_levels)
-from mdca.graded import ONE, row_echelon, vec_axpy, vec_scale
+from mdca.graded import LinearMap, ONE, row_echelon, vec_axpy, vec_scale
+
+
+def nonzero(table):
+    """A perturbed corestriction or anchor level cut to the contract of
+    Coderivation and TwistingCochain, which only store: no zero
+    coefficient, no empty value and no zero operator."""
+    out = {}
+    for w, v in table.items():
+        if not isinstance(v, LinearMap):
+            v = {g: c for g, c in v.items() if c}
+        if v and not (isinstance(v, LinearMap) and v.is_zero()):
+            out[w] = v
+    return out
 
 
 def form_eval(f, args):
@@ -120,19 +133,20 @@ def reference_D(f, partial, t, j):
 def reference_square_check(L, partial, t, W, max_len=1):
     """The residuals of forms.square_check, with every D_j from
     reference_D: the sum of D_k D_(j-k) on the dual-basis forms on words
-    w of length at most max_len, at the levels j < W with
-    |w| + j <= W, each term in Fractions.  max_len 1 is the probe set of
+    w of length at most max_len, at the levels j < W with |w| + j <= W,
+    and on the constants at level W over the terms D_k D_(W-k),
+    k = 1..W-1, each term in Fractions.  max_len 1 is the probe set of
     square_check; max_len 2 adds the products of two generators, the
     probes that checked the Leibniz rule through D squared before
     forms.leibniz_check did so at first order."""
-    by_level = [[] for _ in range(W)]
+    by_level = [[] for _ in range(W + 1)]
     for name, f in ambient_basis_forms(L, TruncationPolicy(2)):
         [w] = f.values
         if len(w) > max_len:
             continue
-        for j in range(min(W, W - len(w) + 1)):
+        for j in range(W - len(w) + 1):
             res = {}
-            for k in range(j + 1):
+            for k in range(max(0, j - W + 1), min(j, W - 1) + 1):
                 g = reference_D(reference_D(f, partial, t, j - k),
                                 partial, t, k)
                 for w2, v in g.values.items():

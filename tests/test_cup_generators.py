@@ -29,7 +29,7 @@ from mdca.instances import catalog_entry
 from mdca.io_json import emit_instance
 from mdca.structures import MdcaStructure, ShLieRinehartData
 
-from operator_reference import reference_D
+from operator_reference import nonzero, reference_D
 from test_live_terms import CASES, perturbed, random_q
 
 # ------------------------------------------- the all-monomial oracle
@@ -68,10 +68,9 @@ def with_derivation_anchor(rng, L, t):
             scale = random_q(rng)
             for pair, c in rng.choice(basis).action.entries.items():
                 ent[pair] = ent.get(pair, 0) + scale * c
-    return TwistingCochain(L, {j: {w: LinearMap(A.basis, A.basis,
-                                                word_degree(L, w) - 1, ent)
-                                   for w, ent in tab.items()}
-                               for j, tab in maps.items()})
+    return TwistingCochain(L, {j: nonzero({
+        w: LinearMap(A.basis, A.basis, word_degree(L, w) - 1, ent)
+        for w, ent in tab.items()}) for j, tab in maps.items()})
 
 
 @settings(max_examples=30, deadline=None)

@@ -26,9 +26,11 @@ from mdca.graded import (PRIME, GradedBasis, LinearMap, ONE, koszul_sign,
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import emit_instance
 from mdca.structures import (LieRinehartData, ShLieRinehartData,
-                             check_lie_rinehart, quasi_to_sh)
+                             check_lie_rinehart, check_sh_lie_rinehart,
+                             quasi_to_sh)
 
-from operator_reference import (anchor_apply, form_eval, reference_bra,
+from operator_reference import (anchor_apply, form_eval, nonzero,
+                                reference_bra,
                                 reference_cohomology_ranks, reference_cup,
                                 reference_D, reference_square_check,
                                 reference_t)
@@ -126,15 +128,16 @@ def test_catalog_derivation_pair_matches_all_ordered_pairs():
         ShLieRinehartData(*exterior_pair()), policy)
 
 
-def tp2(scale=1):
+def tp2(scale=1, generator_bracket=True):
     """Ungraded pair: A = truncated polynomials, L free of rank 2 with
-    anchors x d/dx and x^2 d/dx and bracket [u, v] = v."""
+    anchors x d/dx and x^2 d/dx and bracket [u, v] = v (or 0)."""
     A = truncated_polynomial("x", 3)
     L = ModuleSpec(A, GradedBasis([("u", 0), ("v", 0)]))
     theta = {"u": LinearMap(A.basis, A.basis, 0,
                             {("x", "x"): ONE, ("x^2", "x^2"): Q(2)}),
              "v": LinearMap(A.basis, A.basis, 0, {("x^2", "x"): ONE})}
-    gen_bracket = {("u", "v"): {"v": ONE}, ("v", "u"): {"v": -ONE}}
+    gen_bracket = ({("u", "v"): {"v": ONE}, ("v", "u"): {"v": -ONE}}
+                   if generator_bracket else {})
 
     def anchor_of(label):
         a, x = L.split(label)
@@ -893,6 +896,28 @@ def test_cohomology_refuses_on_square_residual():
         cohomology_ranks(L, partial, t, TruncationPolicy(4))
 
 
+def test_square_check_probes_level_W_on_the_constants():
+    # with a zero generator bracket the anchor of tp2 is no Lie morphism:
+    # [x d/dx, x^2 d/dx] = x^2 d/dx, but [u, v] = 0.  At W = 2 only D_1
+    # D_1 on the constants sees it, a level-2 term the rows of the
+    # cohomology complex compose; every level below 2 squares to zero
+    L, partial, t = tp2(generator_bracket=False)
+    policy = TruncationPolicy(2)
+    report = square_check(L, partial, t, policy)
+    assert [(r["level"], r["form"], r["word"], r["value"])
+            for r in report] == [(2, "delta:x@1", ("1|u", "1|v"),
+                                  {"x^2": -ONE})]
+    assert report == reference_square_check(L, partial, t, 2)
+    assert failing_square_levels(L, partial, t, 2) == {2}
+    with pytest.raises(SquareResidualError):
+        cohomology_ranks(L, partial, t, policy)
+    # the direct route fails on the twisting identity at level 2, so the
+    # routes agree
+    rep = check_sh_lie_rinehart(ShLieRinehartData(L, partial, t), policy)
+    assert [(r["route"], r["axiom"]) for r in rep] == [
+        ("direct", "anchor twisting identity"), ("operators", "square")]
+
+
 # --------------------------------------------------- twisting residuals
 
 def all_words(L, W):
@@ -997,14 +1022,16 @@ def bigrade_check(L, partial, t, policy):
 
 def failing_square_levels(L, partial, t, W):
     """The levels j < W at which the sum of D_k D_(j-k) is nonzero on
-    some dual-basis form on words w up to W with |w| + j <= W, read from
-    the full level table of the Fraction reference."""
+    some dual-basis form on words w up to W with |w| + j <= W, and level
+    W if the sum of D_k D_(W-k) over k = 1..W-1 is nonzero on some
+    constant, read from the full level table of the Fraction reference."""
     table = level_differentials(L, partial, t, W)
     failing = set()
-    for j in range(W):
-        for key in table[j]:
+    for j in range(W + 1):
+        keys = table[j] if j < W else [k for k in table[0] if not k[0]]
+        for key in keys:
             sq = {}
-            for k in range(j + 1):
+            for k in range(max(0, j - W + 1), min(j, W - 1) + 1):
                 for key2, c in table[j - k][key].items():
                     vec_axpy(sq, c, table[k][key2])
             if sq:
@@ -1053,7 +1080,8 @@ def perturbed(rng, sh):
                     Q(rng.randint(-2, 2), rng.randint(1, 2)))
                 old = maps.setdefault(j, {}).get(w)
                 maps[j][w] = op if old is None else old.add(op)
-    return L, Coderivation(L, cor), TwistingCochain(L, maps)
+    return L, Coderivation(L, {j: nonzero(tab) for j, tab in cor.items()}), \
+        TwistingCochain(L, {j: nonzero(tab) for j, tab in maps.items()})
 
 
 @settings(max_examples=30, deadline=None)

@@ -526,6 +526,100 @@ def test_sh_rows_of_the_wrong_shape_exit_2(section, row, fragment, tmp_path,
         assert "%s: %s" % (locus, fragment) in out.err
 
 
+def sh_doc(name):
+    """The emitted sh file of a Lie-Rinehart or sh catalog entry."""
+    data, policy = catalog_entry(name)
+    if isinstance(data, LieRinehartData):
+        data = data.as_sh()
+    return json.loads(emit_instance(data, policy))
+
+
+@pytest.mark.parametrize("name", ["jacobi_violator", "sl2"])
+def test_non_canonical_corestriction_keys_exit_2(name, tmp_path, capsys):
+    # each corestriction word written in reverse was stored as written
+    # and never read: jacobi_violator passed check, and sl2 had Betti
+    # numbers 1, 3, 3, 1 at W = 3
+    doc = sh_doc(name)
+    rows = doc["structure"]["coderivations"]["1"]
+    for row in rows:
+        row[0].reverse()
+    fragment = ("structure.coderivations[1][0]: corestriction keyed by a "
+                "non-canonical word %r" % (tuple(rows[0][0]),))
+    expect_error(doc, fragment)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert fragment in out.err
+
+
+# rows of exterior_pair: the algebra has q, r in file degree 1 and the
+# generators u, v file degree -1, so 1|u and r|u differ in degree
+@pytest.mark.parametrize("section, level, row, fragment", [
+    ("coderivations", "0", None, "structure.coderivations[0]: levels "
+     "start at 1"),
+    ("twisting", "0", None, "structure.twisting[0]: levels start at 1"),
+    ("coderivations", "2", [["1|u", "1|v"], "1|u", "1"],
+     "structure.coderivations[2][{n}]: corestriction on a word of length "
+     "2, expected 3"),
+    ("twisting", "1", [["1|u", "1|v"], "1", "q.r", "1"],
+     "structure.twisting[1][{n}]: anchor on a word of length 2, expected "
+     "1"),
+    ("coderivations", "1", [["q.r|u", "1|u"], "1|u", "1"],
+     "structure.coderivations[1][{n}]: corestriction of degree 0, "
+     "expected -1"),
+    ("twisting", "1", [["1|u"], "q", "q", "1"],
+     "structure.twisting[1][{n}]: anchor of degree -2, expected -1"),
+])
+def test_sh_rows_that_break_the_table_contract_exit_2(
+        section, level, row, fragment, tmp_path, capsys):
+    # a level 0 or a word of the wrong length was an exit 2 naming only
+    # the structure, a wrong degree the structure or nothing
+    doc = sh_doc("exterior_pair")
+    rows = doc["structure"][section].setdefault(level, [])
+    if row is not None:
+        rows.append(row)
+    fragment = fragment.format(n=len(rows) - 1)
+    expect_error(doc, fragment)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert fragment in out.err
+
+
+@pytest.mark.parametrize("section, row, fragment", [
+    ("bracket", ["q|u", "q|v", "1|u", "1"],
+     "structure.bracket[0]: bracket of degree 1, expected 0"),
+    ("anchor", ["1|u", "q", "q", "1"],
+     "structure.anchor[0]: anchor of degree -2, expected -1"),
+])
+def test_lie_rinehart_rows_of_the_wrong_degree_exit_2(section, row, fragment,
+                                                      tmp_path, capsys):
+    # exterior_pair's algebra and module as plain Lie-Rinehart data: the
+    # bracket has degree 0, and the anchor value on 1|u (of suspended
+    # degree 2) is an operator of degree 1
+    doc = sh_doc("exterior_pair")
+    doc["structure"] = {"anchor": [], "bracket": [], "kind": "lie_rinehart"}
+    doc["structure"][section].append(row)
+    expect_error(doc, fragment)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert fragment in out.err
+
+
+def test_sh_parse_drops_zero_coefficients_and_vanishing_words():
+    # 1|u is odd in the suspension, so the word 1|u 1|u vanishes; a
+    # twisting value with only zero entries is a zero operator
+    doc = sh_doc("truncated_poly")
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    cor = doc["structure"]["coderivations"]["1"]
+    cor.append([["1|u", "1|v"], "x|v", "0"])
+    cor.append([["1|u", "1|u"], "1|u", "5"])
+    cor.append([["x^2|v", "x|v"], "x|u", "0"])
+    twisting = doc["structure"]["twisting"]["1"]
+    twisting.append([["1|u"], "1", "x", "0"])
+    twisting.append([["x^2|v"], "x", "x", "0"])
+    inst = parse_instance_text(json.dumps(doc))
+    assert emit_instance(inst.data, inst.policy) == text
+
+
 @pytest.mark.parametrize("key", ["01", "\u00b2"])
 @pytest.mark.parametrize("section", ["coderivations", "twisting",
                                      "constants", "duals"])

@@ -26,20 +26,21 @@ from hypothesis import given, settings, strategies as st
 from mdca import cli, coalgebra, forms, structures
 from mdca.algebra import AlgebraSpec, multiply
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
-                            check_coalgebra_perturbation, normalize_word,
+                            check_coalgebra_perturbation,
+                            coderivation_from_brackets, normalize_word,
                             splittings, word_degree, words_of_length)
 from mdca.forms import (FormTable, TwistingCochain, build_D, cohomology_ranks,
                         cup, descent_check, integer_tables, leibniz_check,
                         multilinear_basis, operator_route, square_check)
 from mdca.graded import (GradedBasis, LinearMap, ONE, compose, vec_axpy,
                          vec_sub)
-from mdca.instances import catalog_entry
+from mdca.instances import QUASI_PARAMS, build_quasi_sample, catalog_entry
 from mdca.structures import (LieRinehartData, MdcaStructure,
                              ShLieRinehartData, anomaly_report,
                              check_sh_lie_rinehart, check_twisting_cochain,
                              direct_route, extract_structure, quasi_to_sh,
                              table_residuals)
-from operator_reference import (reference_bra, reference_D,
+from operator_reference import (nonzero, reference_bra, reference_D,
                                 reference_leibniz_check,
                                 reference_square_check, reference_t)
 from test_forms import (TABLE_CASES, change_of_basis, dg_anchor, inverse,
@@ -188,8 +189,9 @@ def rational_copy(sh, c, d):
     cor = {j: {w: {g: v * d ** (1 - j) * alg(w) / alg([g])
                    for g, v in vec.items()} for w, vec in tab.items()}
            for j, tab in sh.partial.cor.items()}
-    maps = {j: {w: {(t_, s_): v * d ** (1 - j) * alg(w) * f(s_) / f(t_)
-                    for (t_, s_), v in op.entries.items()}
+    maps = {j: {w: LinearMap(A.basis, A.basis, op.degree, {
+        (t_, s_): v * d ** (1 - j) * alg(w) * f(s_) / f(t_)
+        for (t_, s_), v in op.entries.items()})
                 for w, op in tab.items()} for j, tab in sh.t.maps.items()}
     return ShLieRinehartData(L2, Coderivation(L2, cor),
                              TwistingCochain(L2, maps))
@@ -256,11 +258,10 @@ def perturbed(rng, sh):
                 ent = maps.setdefault(j, {}).setdefault(w, {})
                 pair = rng.choice(pairs)
                 ent[pair] = ent.get(pair, 0) + random_q(rng, j)
-    t = TwistingCochain(L, {j: {w: LinearMap(A.basis, A.basis,
-                                             word_degree(L, w) - 1, ent)
-                                for w, ent in tab.items()}
-                            for j, tab in maps.items()})
-    return L, Coderivation(L, cor), t
+    t = TwistingCochain(L, {j: nonzero({
+        w: LinearMap(A.basis, A.basis, word_degree(L, w) - 1, ent)
+        for w, ent in tab.items()}) for j, tab in maps.items()})
+    return L, Coderivation(L, {j: nonzero(tab) for j, tab in cor.items()}), t
 
 
 def anomaly_levels(partial, t):
@@ -614,6 +615,74 @@ def test_every_form_the_library_builds_keeps_the_form_contract(name, seed):
     assert any(h.values for h in made)
     for h in made:
         assert_form_contract(h)
+
+
+def assert_level_contract(L, j, table, anchor):
+    """A level j >= 1 of a coderivation (anchor False) or of an anchor
+    family (anchor True) as their constructors store it: nonempty, keyed
+    by canonical nonvanishing words of length j + 1 or j, with nonzero
+    values of degree |w| - 1."""
+    assert isinstance(j, int) and j >= 1 and table
+    for w, v in table.items():
+        assert len(w) == (j if anchor else j + 1)
+        assert normalize_word(L, list(w)) == (1, w)
+        if anchor:
+            assert isinstance(v, LinearMap) and not v.is_zero()
+            assert v.degree == word_degree(L, w) - 1
+        else:
+            assert v and all(v.values())
+            assert {L.sl_degree(g) for g in v} == {word_degree(L, w) - 1}
+
+
+def recording_init(init, made):
+    def run(self, *args):
+        init(self, *args)
+        made.append(self)
+    return run
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(LEVEL_CASES)), st.integers(0, 2**32 - 1))
+def test_every_structure_the_library_builds_keeps_the_table_contract(name,
+                                                                     seed):
+    # Coderivation and TwistingCochain only store, so every one the
+    # library builds must keep their contract: through brackets, the
+    # integer copy, extraction from the descent images, and the quasi
+    # conversion with its extended ternary corestriction
+    rng = random.Random(seed)
+    if LEVEL_CASES[name] is None:
+        L, partial, t = perturbed(rng, RATIONAL[name])
+    else:
+        L, partial, t = LEVEL_CASES[name]
+    policy = TruncationPolicy(3)
+    preset, lam, dmat, cs = QUASI_PARAMS
+    made = []
+    with mock.patch.object(Coderivation, "__init__", recording_init(
+            Coderivation.__init__, made)), \
+            mock.patch.object(TwistingCochain, "__init__", recording_init(
+                TwistingCochain.__init__, made)):
+        coderivation_from_brackets(L, {2: partial.cor.get(1, {})})
+        integer_tables(L, partial, t)
+        images = [descent_check(L, partial, t, j)["images"]
+                  for j in range(policy.W)]
+        extract_structure(MdcaStructure(
+            L, {j: {al: im[("const", al)] for al in L.over.basis.labels}
+                for j, im in enumerate(images)},
+            {j: {xl: im[("dual", (xl,))] for xl, _ in L.a_basis.gens}
+             for j, im in enumerate(images)}))
+        q = build_quasi_sample(
+            {key: {g: c * random_q(rng) for g, c in v.items()}
+             for key, v in preset.items()},
+            {x: rng.choice([0, random_q(rng)]) for x in lam}, dmat,
+            {key: random_q(rng) for key in cs})
+        sh = quasi_to_sh(q)
+        integer_tables(sh.L, sh.partial, sh.t)
+    assert any(getattr(made_one, "cor", None) for made_one in made)
+    for made_one in made:
+        levels = getattr(made_one, "cor", None)
+        anchor = levels is None
+        for j, table in (made_one.maps if anchor else levels).items():
+            assert_level_contract(made_one.L, j, table, anchor)
 
 
 @settings(max_examples=30, deadline=None)
