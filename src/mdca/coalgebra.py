@@ -200,12 +200,13 @@ def word_basis(L, policy):
     return out
 
 
-def splittings(L, word, left_size=None):
-    """Shuffle diagonal terms of a word: (sign, left, right) triples.
+def splittings(L, word, left_size):
+    """Shuffle diagonal terms of a word whose left factor has left_size
+    generators: (sign, left, right) triples.
 
     Enumerates position subsets, so repeated even generators pick up their
-    multinomial multiplicities; both factors stay canonical.  With
-    left_size given, only splittings with that left length are produced.
+    multinomial multiplicities; both factors stay canonical.  A
+    left_size above len(word) has no splittings.
     """
     key = (word, left_size)
     hit = L._split_cache.get(key)
@@ -213,17 +214,13 @@ def splittings(L, word, left_size=None):
         return hit
     n = len(word)
     degs = [L.sl_basis.degree[g] for g in word]
-    sizes = range(n + 1) if left_size is None else [left_size]
     out = []
-    for p in sizes:
-        if p < 0 or p > n:
-            continue
-        for S in combinations(range(n), p):
-            rest = [i for i in range(n) if i not in S]
-            perm = list(S) + rest
-            sgn = koszul_sign(perm, degs)
-            out.append((sgn, tuple(word[i] for i in S),
-                        tuple(word[i] for i in rest)))
+    for S in combinations(range(n), left_size):
+        rest = [i for i in range(n) if i not in S]
+        perm = list(S) + rest
+        sgn = koszul_sign(perm, degs)
+        out.append((sgn, tuple(word[i] for i in S),
+                    tuple(word[i] for i in rest)))
     out = tuple(out)
     L._split_cache[key] = out
     return out
@@ -380,28 +377,44 @@ def suspension_sign(degs):
     return -1 if e % 2 else 1
 
 
+def antisymmetry_violations(L, bracket):
+    """The keys (g1, g2) of a binary bracket table {(label, label): L
+    element} at which graded antisymmetry fails with both orders given:
+    [g1, g2] = -(-1)^(|g1| |g2|) [g2, g1], so a self-bracket of an even
+    element must vanish.  A key counts as given even where its value is
+    zero, so a zero row for the reverse order is compared."""
+    deg = L.l_basis.degree
+    bad = []
+    for (g1, g2), v in bracket.items():
+        rev = bracket.get((g2, g1))
+        if rev is None:
+            continue
+        s = ONE if deg[g1] % 2 and deg[g2] % 2 else -ONE
+        if vec_axpy(vec_axpy({}, ONE, v), -s, rev):
+            bad.append((g1, g2))
+    return bad
+
+
 def coderivation_from_brackets(L, brackets):
     """Coderivation whose corestrictions encode the given brackets.
 
-    brackets: {n: {tuple of L basis labels: L-element}}, each table given
-    at least on canonically ordered tuples.
+    brackets: {n: {tuple of L basis labels: L-element}}, a tuple in any
+    order.  The function only builds; its contract: no zero coefficient,
+    and where a table gives several orders of one tuple their values
+    agree up to the Koszul sign (graded antisymmetry, so a binary
+    self-bracket of an even element is zero; antisymmetry_violations
+    tests it).  A tuple whose suspended word vanishes is dropped.  The
+    bracket table of a file is checked where it is parsed (io_json), that
+    of quasi data by its validation.
     """
     cor = {}
     for n, table in brackets.items():
-        n = int(n)
         level = {}
         for args, val in table.items():
             nsgn, w = normalize_word(L, list(args))
-            if nsgn == 0:
-                continue
-            degs = [L.l_basis.degree[g] for g in args]
-            ssgn = suspension_sign(degs)
-            vec = vec_scale(Q(ssgn * nsgn), val)
-            if w in level and level[w] != vec:
-                raise ValueError("bracket table not graded symmetric "
-                                 "at %r" % (args,))
-            if vec:
-                level[w] = vec
+            if nsgn and val:
+                degs = [L.l_basis.degree[g] for g in args]
+                level[w] = vec_scale(Q(suspension_sign(degs) * nsgn), val)
         if level:
             cor[n - 1] = level
     return Coderivation(L, cor)

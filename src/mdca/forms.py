@@ -799,8 +799,9 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
             raise ArithmeticError(
                 "Betti number %d in degree %d: D does not square to zero "
                 "on the truncated complex" % (betti, d))
-        # boundary degrees are unreliable: differentials may enter or
-        # leave the window or the word-length truncation
+        # the flag marks only the two ends of the window, where a
+        # differential may enter or leave it; an unflagged degree can
+        # still depend on W (exterior_pair: b_7 is 5 at W=3, 0 at W=4)
         flagged = d in (lo, hi)
         ranks[d] = {"rank": betti, "flagged": flagged}
     return ranks

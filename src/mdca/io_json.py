@@ -42,9 +42,16 @@ or level.
     rows included; a word that vanishes is dropped and a non-canonical
     one refused, naming the row.
   * lie_rinehart bracket and anchor: a bracket target has the degree of
-    its two arguments, an anchor entry the degree of its label.
+    its two arguments, an anchor entry the degree of its label; a bracket
+    given on both orders of a pair is graded antisymmetric, and a
+    self-bracket of an even element is zero
+    (coalgebra.antisymmetry_violations on the rows as given, zero rows
+    included, naming the later row of the two).  Quasi data checks the
+    same law in its validation instead.
 Then zero coefficients, keys left with no value and zero operators are
-dropped.  One helper (_canonical) tests every word key.
+dropped; a quasi bracket keeps a key given as zero, with an empty
+value, for that validation.  One helper (_canonical) tests every word
+key.
 """
 
 import json
@@ -53,7 +60,7 @@ from fractions import Fraction as Q
 
 from .algebra import AlgebraSpec, validate_algebra
 from .coalgebra import (SEP, Coderivation, ModuleSpec, TruncationPolicy,
-                        normalize_word, word_degree)
+                        antisymmetry_violations, normalize_word, word_degree)
 from .forms import FormTable, TwistingCochain
 from .graded import GradedBasis, LinearMap
 from .structures import (LieRinehartData, MdcaStructure,
@@ -438,8 +445,18 @@ def _parse_structure(doc, L):
                                         "expected 0" % d)
                 return key
 
-            bracket = _parse_vec_rows(sec.get("bracket", []), 2, L, ldeg,
-                                      "structure.bracket", row_key=bracket_key)
+            rows = sec.get("bracket", [])
+            bracket = _parse_vec_rows(rows, 2, L, ldeg, "structure.bracket",
+                                      row_key=bracket_key)
+            # zeros kept: a zero row still gives its order of the pair
+            bad = antisymmetry_violations(L, bracket)
+            if bad:
+                # the later row of the two orders completes a violation
+                last = {tuple(r[:2]): n for n, r in enumerate(rows)}
+                n = min(max(last[k], last[k[::-1]]) for k in bad)
+                raise InstanceError("structure.bracket[%d]" % n,
+                                    "bracket not graded antisymmetric at %r"
+                                    % (tuple(rows[n][:2]),))
             anchor = _parse_ops(
                 sec.get("anchor", []), 1, A, "structure.anchor", ldeg,
                 row_key=lambda key, d, here: _word_key(L, key, 1, d, here,
@@ -462,8 +479,12 @@ def _parse_structure(doc, L):
             return ShLieRinehartData(L, Coderivation(L, cor),
                                      TwistingCochain(L, maps))
         if kind == "quasi":
-            bracket = _parse_vec_rows(sec.get("bracketQ", []), 2, L, ldeg,
-                                      "structure.bracketQ")
+            # zero coefficients go, but a pair given as zero keeps its key
+            # (empty), so validation compares it with the reverse order
+            bracket = {k: {t: c for t, c in v.items() if c}
+                       for k, v in _parse_vec_rows(
+                           sec.get("bracketQ", []), 2, L, ldeg,
+                           "structure.bracketQ").items()}
             pairing = _parse_ops(sec.get("pairing", []), 1, A,
                                  "structure.pairing", ldeg)
             triple = _parse_ops(sec.get("triple", []), 2, A,

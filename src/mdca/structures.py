@@ -5,7 +5,11 @@ multi derivation Maurer-Cartan algebras are built from them and the
 inverse extraction recovers brackets and anchors from such an algebra.
 Quasi data (a base algebra in non-positive homological degrees with an
 induced module, a pairing and a trilinear operation) are converted to the
-homotopy format and verified the same way.
+homotopy format (quasi_to_sh) and verified the same way: the bracket
+becomes a coderivation by coderivation_from_brackets, as a
+Lie-Rinehart bracket does, and no second model of the quasi
+differentials lives here.  The level-2 perturbation identity of the
+converted data is the Jacobi defect identity on the bare words.
 
 Values on laden words (some slot's algebra coefficient is not the unit)
 are built from the values on bare words by one law each: anchors and
@@ -16,16 +20,15 @@ do not call these extenders, so they test them.
 """
 
 from fractions import Fraction as Q
-from itertools import combinations
 
-from .graded import (LinearMap, ONE, compose, koszul_sign, vec_axpy,
-                     vec_scale, vec_sub)
+from .graded import LinearMap, ONE, compose, vec_axpy, vec_scale, vec_sub
 from .algebra import Derivation, integer_structure_constants, multiply
-from .coalgebra import (Coderivation, check_coalgebra_perturbation,
+from .coalgebra import (Coderivation, antisymmetry_violations,
+                        check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
                         stripped_slots, suspension_sign, word_degree,
                         words_of_length)
-from .forms import (FormTable, TwistingCochain, build_D, descent_check,
+from .forms import (TwistingCochain, build_D, descent_check,
                     dual_one_forms, integer_tables, operator_route,
                     twisting_residual)
 
@@ -61,23 +64,6 @@ class LieRinehartData:
 
     def as_sh(self):
         return ShLieRinehartData(self.L, self.partial, self.anchor)
-
-
-def bracket_eval(L, bracket, g1_vec, g2_vec):
-    out = {}
-    for g1, c1 in g1_vec.items():
-        for g2, c2 in g2_vec.items():
-            val = bracket.get((g1, g2))
-            if val is None:
-                rev = bracket.get((g2, g1))
-                if rev is None:
-                    continue
-                d1 = L.l_basis.degree[g1]
-                d2 = L.l_basis.degree[g2]
-                s = -ONE if (d1 % 2 and d2 % 2) else ONE
-                val = vec_scale(-s, rev)
-            vec_axpy(out, c1 * c2, val)
-    return out
 
 
 def check_lie_rinehart(d, policy):
@@ -484,9 +470,10 @@ def extend_corestriction(L, anchor, bare, n):
 
 
 def extend_bracket_table(L, pairing, gen_bracket):
-    """Full bracket table on the induced basis from generator brackets
-    and the level-1 anchor: the generator brackets are suspended,
-    extended by extend_corestriction and desuspended.
+    """Bracket table on the induced basis, one canonical order per pair,
+    from generator brackets and the level-1 anchor: the generator
+    brackets are suspended, extended by extend_corestriction and
+    desuspended.
 
     pairing: {generator name: operator on A}; gen_bracket: {(name, name):
     module element as an induced-basis vector}.
@@ -507,10 +494,14 @@ class QuasiLieRinehartData:
     all generators in degree zero, a bracket, a pairing and a trilinear
     defect operation.
 
-    bracket: full table on pairs of induced basis labels; pairing maps
-    induced basis labels to operators on the base algebra of matching
-    degree; triple maps sorted pairs of generator names to base-linear
-    degree +1 derivations.
+    bracket: {(label, label): L element} on pairs of induced basis
+    labels, each pair given in either order or both, with no zero
+    coefficient (a pair given as zero has an empty value); pairing maps induced basis labels to operators on the
+    base algebra of matching degree; triple maps sorted pairs of
+    generator names to base-linear degree +1 derivations.
+    validation_report checks the rest, graded antisymmetry of the
+    bracket (coalgebra.antisymmetry_violations) included, before
+    quasi_to_sh may convert the data.
     """
 
     def __init__(self, L, bracket, pairing, triple):
@@ -558,18 +549,16 @@ class QuasiLieRinehartData:
                 if op.column(al):
                     rep.append({"invariant": "triple kills the degree "
                                 "zero part", "witness": key + (al,)})
+        skew = set(antisymmetry_violations(L, self.bracket))
         for (g1, g2), v in self.bracket.items():
             target = ldeg[g1] + ldeg[g2]
-            for g, c in v.items():
-                if c and ldeg[g] != target:
+            for g in v:
+                if ldeg[g] != target:
                     rep.append({"invariant": "bracket degree",
                                 "witness": (g1, g2, g)})
-            rev = self.bracket.get((g2, g1))
-            if rev is not None and (g2, g1) != (g1, g2):
-                s = ONE if (ldeg[g1] % 2 and ldeg[g2] % 2) else -ONE
-                if vec_sub(v, vec_scale(s, rev)):
-                    rep.append({"invariant": "bracket skewness",
-                                "witness": (g1, g2)})
+            if (g1, g2) in skew:
+                rep.append({"invariant": "bracket skewness",
+                            "witness": (g1, g2)})
         return rep
 
 
@@ -582,187 +571,8 @@ def quasi_to_sh(q):
     L = q.L
     t1 = {(g,): op for g, op in q.pairing.items()}
     t2 = extend_anchor_level(L, q.triple, 2)
-    pair_table = {}
-    for w in words_of_length(L, 2):
-        v = bracket_eval(L, q.bracket, {w[0]: ONE}, {w[1]: ONE})
-        if v:
-            pair_table[w] = v
-    triple_table = extend_corestriction(L, t2, {}, 3)
-    cor = {}
-    if pair_table:
-        cor.update(coderivation_from_brackets(L, {2: pair_table}).cor)
-    if triple_table:
-        # already a suspended-level corestriction table, installed as is
-        cor[2] = triple_table
-    partial = Coderivation(L, cor)
-    maps = {}
-    if t1:
-        maps[1] = t1
-    if t2:
-        maps[2] = t2
-    return ShLieRinehartData(L, partial, TwistingCochain(L, maps))
-
-
-def alt_lookup(bare, names):
-    """Value of an alternating table on an arbitrary name tuple."""
-    lst = list(names)
-    if len(set(lst)) != len(lst):
-        return {}, 0
-    perm = sorted(range(len(lst)), key=lambda i: lst[i])
-    sgn = koszul_sign(perm, [1] * len(lst))
-    return bare.get(tuple(lst[i] for i in perm), {}), sgn
-
-
-def multilinear_form_from_bare(L, degree, bare):
-    """The base-multilinear form with the given values on bare generator
-    words, extended to all words by the module-linearity rule
-    (extend_linearly)."""
-    A = L.over
-    vals = {}
-    for n in sorted({len(k) for k in bare}):
-        vals.update(extend_linearly(L, degree, bare, n, lambda a, s, v:
-                                    vec_scale(s, multiply(A, {a: ONE}, v))))
-    return FormTable(L, degree, vals)
-
-
-def quasi_alt_differential(q, j, degree, bare):
-    """Level-one and level-two differentials on alternating tables,
-    straight from the pairing, bracket and triple.
-
-    The whole value carries the parity of the input form; inside the
-    bracket sum the bracketed argument is fed back through the table.
-    Returns the bare table of the image (a degree - 1 form).
-    """
-    L = q.L
-    A = L.over
-    unit = A.unit
-    gens = sorted(x for x, _ in L.a_basis.gens)
-    pref = -ONE if degree % 2 else ONE
-    out = {}
-    lengths = sorted({len(k) for k in bare}) or [0]
-    for n in lengths:
-        for args in combinations(gens, n + j):
-            acc = {}
-            if j == 1:
-                for i in range(n + 1):
-                    s = -ONE if i % 2 else ONE
-                    rest = args[:i] + args[i + 1:]
-                    op = q.pairing.get(L.pair(unit, args[i]))
-                    v = bare.get(rest)
-                    if op is not None and v:
-                        vec_axpy(acc, s, op.apply(v))
-                for i1 in range(n + 1):
-                    for i2 in range(i1 + 1, n + 1):
-                        s = -ONE if (i1 + i2) % 2 else ONE
-                        rest = tuple(a for k, a in enumerate(args)
-                                     if k not in (i1, i2))
-                        inner = bracket_eval(
-                            L, q.bracket,
-                            {L.pair(unit, args[i1]): ONE},
-                            {L.pair(unit, args[i2]): ONE})
-                        for g, c in inner.items():
-                            b, x = L.split(g)
-                            v, asgn = alt_lookup(bare, (x,) + rest)
-                            if v and asgn:
-                                vec_axpy(acc, s * c * Q(asgn),
-                                         multiply(A, {b: ONE}, v))
-            elif j == 2:
-                for i1 in range(n + 2):
-                    for i2 in range(i1 + 1, n + 2):
-                        s = -ONE if (i1 + i2) % 2 else ONE
-                        rest = tuple(a for k, a in enumerate(args)
-                                     if k not in (i1, i2))
-                        op = q.triple.get((args[i1], args[i2]))
-                        v = bare.get(rest)
-                        if op is not None and v:
-                            vec_axpy(acc, s, op.apply(v))
-            if acc:
-                out[args] = vec_scale(pref, acc)
-    return out
-
-
-def build_quasi_mc(q, policy):
-    """Multi derivation Maurer-Cartan algebra of a quasi structure.
-
-    The structure obtained through the homotopy conversion must agree,
-    generator by generator, with the level differentials computed
-    directly on the alternating-form model; disagreement raises."""
-    sh = quasi_to_sh(q)
-    m = build_maurer_cartan(sh, policy)
-    L = q.L
-    unit = L.over.unit
-    gen_forms = []
-    for al in L.over.basis.labels:
-        gen_forms.append(("constants", al, L.over.basis.degree[al],
-                          {(): {al: ONE}}))
-    for xl, _ in L.a_basis.gens:
-        gen_forms.append(("duals", xl, -1, {(xl,): {unit: ONE}}))
-    for j in range(policy.W):
-        for kind, name, degree, bare in gen_forms:
-            built = (m.on_constants if kind == "constants"
-                     else m.on_duals)[j][name]
-            if j == 0:
-                direct = build_D(multilinear_form_from_bare(L, degree, bare),
-                                 sh.partial, sh.t, 0)
-            elif j <= 2:
-                direct = multilinear_form_from_bare(
-                    L, degree - 1, quasi_alt_differential(q, j, degree, bare))
-            else:
-                direct = FormTable(L, degree - 1, {})
-            if built != direct:
-                raise ValueError(
-                    "representations disagree at level %d on %s %s"
-                    % (j, kind, name))
-    return m
-
-
-def jacobi_defect_identity(q):
-    """Cyclic bracket sums against the differentiated ternary bracket.
-
-    Evaluates both sides on every triple of distinct generators (repeats
-    make the suspended word vanish, so they carry no constraint) and
-    returns the triples where the cyclic sum is not minus the
-    differentiated ternary bracket, as {triple, lhs, rhs}.
-
-    The sign is that of the level-2 perturbation identity d0 del2 +
-    del1 del1 + del2 d0 = 0 on the bare word sx sy sz.  The ternary
-    corestriction vanishes on bare words (quasi_to_sh), so d0 del2 drops
-    out, and del2 d0 is rhs: d0 crosses the earlier slots with their
-    suspended degrees.  Every bare sx is odd, so the unshuffles of sx sy
-    sz into (pair, single) carry the signs +1 for (xy, z), -1 for (xz,
-    y) and +1 for (yz, x), and the binary corestriction of two degree 0
-    elements has suspension sign +1 (coalgebra.suspension_sign).  So
-    del1 del1 is [[x,y],z] - [[x,z],y] + [[y,z],x], which skew-symmetry
-    of the degree 0 bracket makes the cyclic sum lhs, and the identity
-    reads lhs = -rhs."""
-    L = q.L
-    unit = L.over.unit
-    partial = quasi_to_sh(q).partial
-    gens = sorted(x for x, _ in L.a_basis.gens)
-
-    def bare(x):
-        return {L.pair(unit, x): ONE}
-
-    mismatches = []
-    for trip in combinations(gens, 3):
-        x, y, z = trip
-        lhs = {}
-        for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
-            inner = bracket_eval(L, q.bracket, bare(u), bare(v))
-            vec_axpy(lhs, ONE, bracket_eval(L, q.bracket, inner, bare(w)))
-        rhs = {}
-        for slot in range(3):
-            # the differential crosses the earlier (suspended) slots
-            s = -ONE if sum(L.sl_degree(L.pair(unit, g))
-                            for g in trip[:slot]) % 2 else ONE
-            args = [bare(x), bare(y), bare(z)]
-            args[slot] = L.diff_l.apply(args[slot])
-            for g1, c1 in args[0].items():
-                for g2, c2 in args[1].items():
-                    for g3, c3 in args[2].items():
-                        vec_axpy(rhs, s * c1 * c2 * c3,
-                                 apply_corestriction_args(
-                                     L, partial, 2, [g1, g2, g3]))
-        if vec_sub(lhs, vec_scale(-ONE, rhs)):
-            mismatches.append({"triple": trip, "lhs": lhs, "rhs": rhs})
-    return mismatches
+    cor = coderivation_from_brackets(L, {2: q.bracket}).cor
+    # already a suspended-level corestriction table, installed as is
+    cor[2] = extend_corestriction(L, t2, {}, 3)
+    return ShLieRinehartData(L, Coderivation(L, cor),
+                             TwistingCochain(L, {1: t1, 2: t2}))

@@ -6,10 +6,13 @@ image can reach and sums Fractions there, straight from the definitions.
 The oracles of the tests read D_j from here, so that they compare the
 table with an independent computation, not with itself.  The cup
 product over every splitting and the cohomology ranks from an exact
-reduction of every degree are here for the same reason.
+reduction of every degree are here for the same reason, and so are the
+paper's quasi illustration (D_1 and D_2 read straight from the quasi
+data on alternating forms) and the Jacobi defect identity of quasi data.
 """
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 from mdca.coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                             splittings, word_degree)
@@ -18,6 +21,7 @@ from mdca.forms import (FormTable, ambient_basis_forms, constant_form, cup,
                         dual_one_forms, generator_probes, leibniz_levels,
                         live_levels)
 from mdca.graded import LinearMap, ONE, row_echelon, vec_axpy, vec_scale
+from mdca.structures import extend_linearly, quasi_to_sh
 
 
 def nonzero(table):
@@ -196,7 +200,8 @@ def reference_cup(f, g):
     vals = {}
     for w in candidates:
         acc = {}
-        for sgn, u1, u2 in splittings(L, w):
+        for sgn, u1, u2 in (t for p in range(len(w) + 1)
+                            for t in splittings(L, w, p)):
             v1 = f.values.get(u1)
             v2 = g.values.get(u2)
             if v1 and v2:
@@ -253,3 +258,167 @@ def reference_cohomology_ranks(L, partial, t, policy):
     return {d: {"rank": len(by_degree.get(d, [])) - ranks[d] - ranks[d + 1],
                 "flagged": d in (lo, hi)}
             for d in range(lo, hi + 1)}
+
+
+# ------------------------------------------------------------ quasi data
+# A quasi form is fixed by its values on bare words, a table keyed by
+# sorted tuples of generator names and alternating in them: every bare
+# suspended quasi generator is odd.
+
+def bracket_value(L, bracket, u, v):
+    """The bracket of two L elements from a table given on either order
+    of each pair, the other order by graded antisymmetry."""
+    deg = L.l_basis.degree
+    out = {}
+    for g1, c1 in u.items():
+        for g2, c2 in v.items():
+            val = bracket.get((g1, g2))
+            if val is None:
+                s = ONE if deg[g1] % 2 and deg[g2] % 2 else -ONE
+                val = vec_scale(s, bracket.get((g2, g1), {}))
+            vec_axpy(out, c1 * c2, val)
+    return out
+
+
+def bare_value(L, bare, names):
+    """An alternating bare table on any tuple of generator names: the
+    sign of sorting the bare word (normalize_word, zero on a repeat)
+    times the value on the sorted names."""
+    sgn, w = normalize_word(L, [L.pair(L.over.unit, x) for x in names])
+    if not sgn:
+        return {}
+    return vec_scale(Q(sgn), bare.get(tuple(L.split(g)[1] for g in w), {}))
+
+
+def bare_form(L, degree, bare):
+    """The multilinear form with the given bare values, extended to every
+    word by structures.extend_linearly."""
+    A = L.over
+    vals = {}
+    for n in {len(k) for k in bare}:
+        vals.update(extend_linearly(L, degree, bare, n, lambda a, s, v:
+                                    vec_scale(s, multiply(A, {a: ONE}, v))))
+    return FormTable(L, degree, vals)
+
+
+def quasi_alt_differential(q, j, degree, bare):
+    """D_1 or D_2 on the bare table of a form of the given degree,
+    straight from the pairing, bracket and triple: the bare table of the
+    image, a degree - 1 form.
+
+    The whole value carries the parity of the input form.  D_1 sums the
+    pairing on each argument times the value on the rest, and the
+    bracket of each pair of arguments fed back through the table; D_2
+    sums the triple on each pair of arguments times the value on the
+    rest, with the sign of the positions taken out."""
+    L = q.L
+    A = L.over
+    gens = sorted(x for x, _ in L.a_basis.gens)
+    pref = -ONE if degree % 2 else ONE
+    out = {}
+    for n in {len(k) for k in bare}:
+        for args in combinations(gens, n + j):
+            acc = {}
+            if j == 1:
+                for i in range(n + 1):
+                    op = q.pairing.get(L.pair(A.unit, args[i]))
+                    v = bare.get(args[:i] + args[i + 1:])
+                    if op is not None and v:
+                        vec_axpy(acc, -ONE if i % 2 else ONE, op.apply(v))
+            for i1, i2 in combinations(range(n + j), 2):
+                s = -ONE if (i1 + i2) % 2 else ONE
+                rest = tuple(a for k, a in enumerate(args)
+                             if k not in (i1, i2))
+                if j == 1:
+                    inner = bracket_value(
+                        L, q.bracket, {L.pair(A.unit, args[i1]): ONE},
+                        {L.pair(A.unit, args[i2]): ONE})
+                    for g, c in inner.items():
+                        b, x = L.split(g)
+                        vec_axpy(acc, s * c, multiply(
+                            A, {b: ONE}, bare_value(L, bare, (x,) + rest)))
+                else:
+                    op = q.triple.get((args[i1], args[i2]))
+                    v = bare.get(rest)
+                    if op is not None and v:
+                        vec_axpy(acc, s, op.apply(v))
+            if acc:
+                out[args] = vec_scale(pref, acc)
+    return out
+
+
+def quasi_model_disagreements(q, m, W):
+    """(level, side, generator) wherever the generator tables of m, the
+    multi derivation Maurer-Cartan algebra built from quasi_to_sh(q),
+    differ from the alternating-form model below level W.  The model
+    takes a constant a to the bare table {(): a} and a dual 1-form x to
+    {(x,): 1}; its D_0 is hom_differential, D_1 and D_2 are
+    quasi_alt_differential, and quasi data has no level above 2."""
+    L = q.L
+    A = L.over
+    gens = ([("constants", al, A.basis.degree[al], {(): {al: ONE}})
+             for al in A.basis.labels]
+            + [("duals", xl, -1, {(xl,): {A.unit: ONE}})
+               for xl, _ in L.a_basis.gens])
+    out = []
+    for j in range(W):
+        for side, name, degree, bare in gens:
+            if j == 0:
+                model = hom_differential(bare_form(L, degree, bare))
+            elif j <= 2:
+                model = bare_form(L, degree - 1,
+                                  quasi_alt_differential(q, j, degree, bare))
+            else:
+                model = FormTable(L, degree - 1, {})
+            if getattr(m, "on_" + side)[j][name] != model:
+                out.append((j, side, name))
+    return out
+
+
+def reference_jacobi_defect(q):
+    """The triples of distinct generators where the cyclic bracket sum
+    lhs is not minus the differentiated ternary bracket rhs, as {triple,
+    lhs, rhs}; repeats make the suspended word vanish, so they carry no
+    constraint.
+
+    The sign is that of the level-2 perturbation identity d0 del2 +
+    del1 del1 + del2 d0 = 0 on the bare word sx sy sz.  The ternary
+    corestriction (level 2 of quasi_to_sh) vanishes on bare words, so
+    d0 del2 drops out, and del2 d0 is rhs: d0 crosses the earlier slots
+    with their suspended degrees.  Every bare sx is odd, so the
+    unshuffles of sx sy sz into (pair, single) carry the signs +1 for
+    (xy, z), -1 for (xz, y) and +1 for (yz, x), and the binary
+    corestriction of two degree 0 elements has suspension sign +1.  So
+    del1 del1 is [[x,y],z] - [[x,z],y] + [[y,z],x], which skew-symmetry
+    of the degree 0 bracket makes the cyclic sum lhs, and the residual of
+    the identity is lhs + rhs."""
+    L = q.L
+    unit = L.over.unit
+    ternary = quasi_to_sh(q).partial.cor.get(2, {})
+    gens = sorted(x for x, _ in L.a_basis.gens)
+
+    def bare(x):
+        return {L.pair(unit, x): ONE}
+
+    mismatches = []
+    for trip in combinations(gens, 3):
+        x, y, z = trip
+        lhs = {}
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            vec_axpy(lhs, ONE, bracket_value(
+                L, q.bracket, bracket_value(L, q.bracket, bare(u), bare(v)),
+                bare(w)))
+        rhs = {}
+        for slot in range(3):
+            # the differential crosses the earlier slots, each odd
+            args = [bare(g) for g in trip]
+            args[slot] = L.diff_l.apply(args[slot])
+            for g1, c1 in args[0].items():
+                for g2, c2 in args[1].items():
+                    for g3, c3 in args[2].items():
+                        sgn, w = normalize_word(L, [g1, g2, g3])
+                        vec_axpy(rhs, (-1) ** slot * sgn * c1 * c2 * c3,
+                                 ternary.get(w, {}))
+        if vec_axpy(dict(lhs), ONE, rhs):
+            mismatches.append({"triple": trip, "lhs": lhs, "rhs": rhs})
+    return mismatches

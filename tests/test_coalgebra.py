@@ -90,7 +90,8 @@ def shuffle_diagonal(L, word):
     """Delta(word) as {(left, right): coefficient}, summed over the
     splittings."""
     out = {}
-    for sgn, w1, w2 in splittings(L, word):
+    for sgn, w1, w2 in (t for p in range(len(word) + 1)
+                        for t in splittings(L, word, p)):
         k = (w1, w2)
         out[k] = out.get(k, ZERO) + sgn
         if not out[k]:

@@ -19,9 +19,10 @@ from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import (InstanceError, emit_instance, parse_instance_text,
                           q_to_str, str_to_q)
 from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
-                             build_maurer_cartan, build_quasi_mc,
-                             check_sh_lie_rinehart, jacobi_defect_identity,
+                             build_maurer_cartan, check_sh_lie_rinehart,
                              quasi_to_sh)
+from operator_reference import (quasi_model_disagreements,
+                                reference_jacobi_defect)
 
 
 # ------------------------------------------------------------- rationals
@@ -205,7 +206,8 @@ def test_quasi_sample_has_content():
 
 def test_quasi_sample_representations_agree():
     q, policy = catalog_entry("quasi_sample")
-    m = build_quasi_mc(q, policy)
+    m = build_maurer_cartan(quasi_to_sh(q), policy)
+    assert quasi_model_disagreements(q, m, policy.W) == []
     assert set(m.levels()) >= {0, 1, 2}
     # quasi structures have no differentials beyond the third level
     for j in m.levels():
@@ -218,7 +220,7 @@ def test_quasi_sample_defect_identity_holds():
     # the bracket alone violates Jacobi; minus the differentiated ternary
     # bracket compensates exactly
     q, _ = catalog_entry("quasi_sample")
-    assert jacobi_defect_identity(q) == []
+    assert reference_jacobi_defect(q) == []
 
 
 def test_negative_window_spellings_agree(capsys):
@@ -602,6 +604,65 @@ def test_lie_rinehart_rows_of_the_wrong_degree_exit_2(section, row, fragment,
     for code, out in run_verbs(doc, tmp_path, capsys):
         assert code == 2
         assert fragment in out.err
+
+
+@pytest.mark.parametrize("row, key", [
+    (["1|f", "1|e", "1|h", "1"], "('1|f', '1|e')"),
+    (["1|e", "1|e", "1|h", "1"], "('1|e', '1|e')"),
+    (["1|f", "1|e", "1|h", "0"], "('1|f', '1|e')"),
+])
+def test_lie_rinehart_brackets_that_are_not_antisymmetric_exit_2(
+        row, key, tmp_path, capsys):
+    # [f, e] = h beside [e, f] = h was an exit 2 naming only the
+    # structure; [e, e] = h was dropped with its vanishing suspended word,
+    # and [f, e] = 0 with its zero coefficient, and every verb passed
+    doc = json.loads(emit_instance(*catalog_entry("sl2")))
+    doc["structure"]["bracket"].append(row)
+    fragment = ("structure.bracket[3]: bracket not graded antisymmetric "
+                "at " + key)
+    expect_error(doc, fragment)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert fragment in out.err
+
+
+def test_both_orders_of_an_antisymmetric_bracket_are_accepted(tmp_path,
+                                                              capsys):
+    # [f, e] = -h agrees with [e, f] = h, and [e, e] = 0 is a zero row
+    doc = json.loads(emit_instance(*catalog_entry("sl2")))
+    doc["structure"]["bracket"] += [["1|f", "1|e", "1|h", "-1"],
+                                    ["1|e", "1|e", "1|h", "0"]]
+    assert [code for code, _ in run_verbs(doc, tmp_path, capsys)] == \
+        [0, 0, 0]
+
+
+def test_a_quasi_self_bracket_of_an_even_element_fails_validation(
+        tmp_path, capsys):
+    # the skewness check skipped self-brackets, so [x, x] = y was dropped
+    # with its vanishing suspended word and every verb passed
+    doc = json.loads(emit_instance(*catalog_entry("quasi_sample")))
+    doc["structure"]["bracketQ"].append(["1|x", "1|x", "1|y", "1"])
+    runs = run_verbs(doc, tmp_path, capsys)
+    assert [code for code, _ in runs] == [1, 1, 1]
+    for _, out in runs:
+        assert printed_residuals(out.out) == [
+            {"route": "quasi validation", "axiom": "bracket skewness",
+             "witness": ["1|x", "1|x"], "value": None}]
+
+
+def test_a_zero_quasi_row_for_the_reverse_order_fails_validation(
+        tmp_path, capsys):
+    # [y, x] = 0 beside [x, y] = x: the zero row is a given order of the
+    # pair, so the skewness check compares it and does not drop it
+    doc = json.loads(emit_instance(*catalog_entry("quasi_sample")))
+    doc["structure"]["bracketQ"].append(["1|y", "1|x", "1|x", "0"])
+    runs = run_verbs(doc, tmp_path, capsys)
+    assert [code for code, _ in runs] == [1, 1, 1]
+    for _, out in runs:
+        assert printed_residuals(out.out) == [
+            {"route": "quasi validation", "axiom": "bracket skewness",
+             "witness": w, "value": None}
+            for w in (["1|x", "1|y"], ["1|y", "1|x"])]
 
 
 def test_sh_parse_drops_zero_coefficients_and_vanishing_words():

@@ -1,26 +1,29 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mdca import cli, forms, structures
 from mdca.algebra import (Derivation, exterior_algebra, graded_commutator,
                           multiply, rational_algebra, truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
+                            check_coalgebra_perturbation,
                             coderivation_from_brackets, words_of_length)
 from mdca.forms import (SquareResidualError, TwistingCochain, build_D,
                         cohomology_ranks, cup, dual_one_forms,
                         multilinear_generators, square_check)
-from mdca.graded import GradedBasis, LinearMap, ONE
+from mdca.graded import GradedBasis, LinearMap, ONE, vec_axpy
 from mdca.instances import QUASI_PARAMS, build_quasi_sample, catalog_entry
 from mdca.io_json import ParsedInstance, emit_instance
-from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
-                             ShLieRinehartData, anchor_multilinearity_report,
-                             build_maurer_cartan,
-                             build_quasi_mc, check_lie_rinehart,
+from mdca.structures import (DescentError, LieRinehartData,
+                             QuasiLieRinehartData, ShLieRinehartData,
+                             anchor_multilinearity_report,
+                             build_maurer_cartan, check_lie_rinehart,
                              check_sh_lie_rinehart, check_twisting_cochain,
                              extend_anchor_level, extend_bracket_table,
-                             extract_structure, jacobi_defect_identity,
-                             quasi_to_sh, table_residuals)
+                             extract_structure, quasi_to_sh, table_residuals)
+from operator_reference import (quasi_model_disagreements,
+                                reference_jacobi_defect)
 
 from test_forms import (SL2, SL2_PARTIAL, SL2_TABLE, derivation_pair,
                         dg_anchor, exterior_pair, jacobi_violator, tp2)
@@ -290,12 +293,13 @@ def test_quasi_mc_representations_agree():
     # the alternating-form formulas and the coalgebra operators must give
     # the same generator tables
     q = tp2_as_quasi()
-    m = build_quasi_mc(q, TruncationPolicy(3))
+    m = build_maurer_cartan(quasi_to_sh(q), TruncationPolicy(3))
     assert m.levels() == [0, 1, 2]
+    assert quasi_model_disagreements(q, m, 3) == []
 
 
 def test_jacobi_defect_trivial_for_ordinary_pair():
-    assert jacobi_defect_identity(tp2_as_quasi()) == []
+    assert reference_jacobi_defect(tp2_as_quasi()) == []
 
 
 def test_jacobi_defect_identity_reports_a_negated_triple():
@@ -305,10 +309,67 @@ def test_jacobi_defect_identity_reports_a_negated_triple():
     preset, lam, dmat, cs = QUASI_PARAMS
     q = build_quasi_sample(preset, lam, dmat,
                            {k: -c for k, c in cs.items()})
-    [out] = jacobi_defect_identity(q)
+    [out] = reference_jacobi_defect(q)
     assert out["triple"] == ("x", "y", "z")
     assert out["lhs"] == out["rhs"] == {"1|x": -ONE}
     assert check_sh_lie_rinehart(quasi_to_sh(q), TruncationPolicy(4))
+
+
+QUASI_GENS = ("x", "y", "z")
+QUASI_PAIRS = (("x", "y"), ("x", "z"), ("y", "z"))
+
+
+@st.composite
+def random_quasi(draw):
+    """Quasi data over the exterior line of build_quasi_sample: small
+    integer generator brackets on x, y, z, anchor weights, differential
+    and triple, with no identity imposed."""
+    c = st.integers(-2, 2)
+    bracket = {p: {g(x): Q(v) for x, v in zip(
+        QUASI_GENS, draw(st.lists(c, min_size=3, max_size=3))) if v}
+        for p in QUASI_PAIRS}
+    return build_quasi_sample(
+        bracket, {x: draw(c) for x in QUASI_GENS},
+        {x: {y: draw(c) for y in QUASI_GENS} for x in QUASI_GENS},
+        {p: draw(c) for p in QUASI_PAIRS})
+
+
+def descended(q, policy):
+    """The Maurer-Cartan algebra of q's conversion; the draw is dropped
+    where some level does not descend."""
+    assume(q.validation_report() == [])
+    try:
+        return build_maurer_cartan(quasi_to_sh(q), policy)
+    except DescentError:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_quasi())
+def test_the_alternating_form_model_matches_the_built_tables(q):
+    # D_0 .. D_2 agree generator by generator, and levels 3 and up of the
+    # built algebra are zero like the model's
+    policy = TruncationPolicy(4)
+    m = descended(q, policy)
+    assert m.levels() == [0, 1, 2, 3]
+    assert quasi_model_disagreements(q, m, policy.W) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_quasi())
+def test_the_jacobi_oracle_is_the_level_two_perturbation_residual(q):
+    # on the bare word sx sy sz the level-2 residual is lhs + rhs, and it
+    # is there exactly where the oracle reports the triple
+    partial = quasi_to_sh(q).partial
+    bare = tuple(g(x) for x in QUASI_GENS)
+    residual = {r["word"]: r["value"] for r in check_coalgebra_perturbation(
+        partial, q.L, TruncationPolicy(3), partial.denominator)
+        if r["level"] == 2 and r["word"] == bare}
+    oracle = reference_jacobi_defect(q)
+    assert [r["triple"] for r in oracle] == \
+        ([QUASI_GENS] if residual else [])
+    for r in oracle:
+        assert residual[bare] == vec_axpy(dict(r["lhs"]), ONE, r["rhs"])
 
 
 # ------------------------------------------------------ one direct route
