@@ -25,14 +25,18 @@ Document layout (all keys sorted on emission, two-space indent):
                      duals     {j: {label: [[[word...], target, "p/q"]]}}
   policy:    W, degree_window ([lo, hi] in file degrees, or null)
 
-Emission is canonical (rows sorted, keys sorted), so parse followed by
-emit reproduces a canonically emitted file byte for byte.
+Every table is a list of rows [key fields..., target fields..., "p/q"],
+where a field is a label or a word (a list of labels).  One reader,
+_read_rows, parses the rows of every table, and one writer, _rows,
+emits them.  Emission is canonical (rows sorted, keys sorted), so parse
+followed by emit reproduces a canonically emitted file byte for byte.
+JSON true and false are refused where an integer is expected.
 
 Parsing is where outside input is checked.  The tables of a file are
 the only ones the library does not build itself, so their checks live
-here and run once (forms.FormTable, coalgebra.Coderivation and
-forms.TwistingCochain only store).  Each failure names its row, table
-or level.
+here and run once (forms.FormTable, coalgebra.Coderivation,
+forms.TwistingCochain and structures.QuasiLieRinehartData only store).
+Each failure names its row, table or level.
   * mdca form tables: each is degree homogeneous, of the degree of D_j
     on its generator, zero rows included; a word that vanishes is
     dropped and a non-canonical one refused, naming the table.
@@ -106,53 +110,44 @@ def _gen_rows(basis):
     return [{"degree": -d, "label": l} for l, d in basis.gens]
 
 
-def _map_rows(lin):
-    return sorted([t, s, q_to_str(c)] for (t, s), c in lin.entries.items())
-
-
-def _op_rows(prefix, op):
-    return sorted(list(prefix) + [t, s, q_to_str(c)]
-                  for (t, s), c in op.entries.items())
-
-
-def _form_rows(f):
-    return sorted([list(w), al, q_to_str(c)]
-                  for w, vec in f.values.items() for al, c in vec.items())
+def _rows(table):
+    """The sorted rows of {key: {target: coefficient}}, the inverse of
+    _read_rows.  A key is a tuple of fields, and a field that is a tuple
+    is a word, written as a list; a target is a label or a tuple of
+    labels; a LinearMap stands for its entries."""
+    rows = []
+    for key, vec in table.items():
+        head = [list(f) if isinstance(f, tuple) else f for f in key]
+        if isinstance(vec, LinearMap):
+            vec = vec.entries
+        for tgt, c in vec.items():
+            rows.append(head + (list(tgt) if isinstance(tgt, tuple)
+                                else [tgt]) + [q_to_str(c)])
+    return sorted(rows)
 
 
 def structure_doc(data):
     """The tagged structure section for a supported data object."""
     if isinstance(data, LieRinehartData):
-        rows = sorted([g1, g2, tgt, q_to_str(c)]
-                      for (g1, g2), vec in data.bracket.items()
-                      for tgt, c in vec.items())
-        anchor = sorted(r for (g,), op in data.anchor.maps.get(1, {}).items()
-                        for r in _op_rows((g,), op))
-        return {"anchor": anchor, "bracket": rows, "kind": "lie_rinehart"}
+        return {"anchor": _rows(data.anchor.maps.get(1, {})),
+                "bracket": _rows(data.bracket), "kind": "lie_rinehart"}
     if isinstance(data, ShLieRinehartData):
-        cor = {str(j): sorted([list(w), tgt, q_to_str(c)]
-                              for w, vec in tab.items()
-                              for tgt, c in vec.items())
-               for j, tab in data.partial.cor.items()}
-        tw = {str(j): sorted([list(w), t_, s_, q_to_str(c)]
-                             for w, op in tab.items()
-                             for (t_, s_), c in op.entries.items())
-              for j, tab in data.t.maps.items()}
-        return {"coderivations": cor, "kind": "sh_lie_rinehart",
-                "twisting": tw}
+        return {"coderivations": {
+                    str(j): _rows({(w,): vec for w, vec in tab.items()})
+                    for j, tab in data.partial.cor.items()},
+                "kind": "sh_lie_rinehart",
+                "twisting": {
+                    str(j): _rows({(w,): op for w, op in tab.items()})
+                    for j, tab in data.t.maps.items()}}
     if isinstance(data, QuasiLieRinehartData):
-        rows = sorted([g1, g2, tgt, q_to_str(c)]
-                      for (g1, g2), vec in data.bracket.items()
-                      for tgt, c in vec.items())
-        pairing = sorted(r for g, op in data.pairing.items()
-                         for r in _op_rows((g,), op))
-        triple = sorted(r for key, op in data.triple.items()
-                        for r in _op_rows(key, op))
-        return {"bracketQ": rows, "kind": "quasi", "pairing": pairing,
-                "triple": triple}
+        return {"bracketQ": _rows(data.bracket), "kind": "quasi",
+                "pairing": _rows({(g,): op
+                                  for g, op in data.pairing.items()}),
+                "triple": _rows(data.triple)}
     if isinstance(data, MdcaStructure):
         def tables(side):
-            return {str(j): {name: _form_rows(f)
+            return {str(j): {name: _rows({(w,): vec for w, vec
+                                          in f.values.items()})
                              for name, f in tab.items()}
                     for j, tab in side.items()}
         return {"constants": tables(data.on_constants), "duals":
@@ -167,15 +162,13 @@ def emit_instance(data, policy):
     window = policy.degree_window
     doc = {
         "algebra": {
-            "diff": _map_rows(A.diff),
+            "diff": _rows({(): A.diff}),
             "generators": _gen_rows(A.basis),
-            "mult": sorted([a, b, k, q_to_str(c)]
-                           for (a, b), vec in A.mult.items()
-                           for k, c in vec.items()),
+            "mult": _rows(A.mult),
             "unit": A.unit,
         },
         "module": {
-            "diff": _map_rows(L.diff_l),
+            "diff": _rows({(): L.diff_l}),
             "generators": _gen_rows(L.a_basis),
         },
         "policy": {
@@ -200,6 +193,12 @@ def _need(doc, key, locus, typ=dict):
     return val
 
 
+def _integer(x):
+    """Whether x is a JSON integer; true and false are not, though Python
+    counts bool as int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_generators(rows, locus):
     if not isinstance(rows, list) or not rows:
         raise InstanceError(locus, "at least one generator required")
@@ -208,29 +207,13 @@ def _parse_generators(rows, locus):
     for n, row in enumerate(rows):
         here = "%s[%d]" % (locus, n)
         if (not isinstance(row, dict) or not isinstance(
-                row.get("label"), str) or not isinstance(
-                row.get("degree"), int)):
+                row.get("label"), str) or not _integer(row.get("degree"))):
             raise InstanceError(here, "expected {label, degree}")
         if row["label"] in seen:
             raise InstanceError(here, "duplicate label %r" % row["label"])
         seen.add(row["label"])
         gens.append((row["label"], -row["degree"]))
     return gens
-
-
-def _known(lbl, table, here):
-    """A row field that must be one of the labels of ``table``."""
-    if not isinstance(lbl, str) or lbl not in table:
-        raise InstanceError(here, "unknown label %r" % (lbl,))
-
-
-def _word(field, table, here):
-    """The word field of a row, as a tuple of labels of ``table``."""
-    if not isinstance(field, list):
-        raise InstanceError(here, "expected a word list")
-    for lbl in field:
-        _known(lbl, table, here)
-    return tuple(field)
 
 
 def _level(key, locus):
@@ -242,23 +225,66 @@ def _level(key, locus):
     return int(key)
 
 
-def _parse_map(rows, basis, degree, locus):
-    entries = {}
+def _read_rows(rows, keys, targets, locus, row_key=None):
+    """Rows [key fields..., target fields..., rational] grouped into
+    {key: {target: coefficient}}.
+
+    keys and targets are tuples holding the label table of each field; a
+    table in a list ([table]) marks a word field, read as a tuple of its
+    labels.  A key or target of one field is stored as that field, one of
+    several fields as their tuple.  row_key(key, target, here), when
+    given, checks a row and returns the key it is stored under, None to
+    drop it.  A target given twice for one key is refused."""
+    fields = keys + targets
+    nkey, width = len(keys), len(fields) + 1
+    one_key, one_target = nkey == 1, len(targets) == 1
+    at = range(width - 1)
+    out = {}
     for n, row in enumerate(rows or []):
         here = "%s[%d]" % (locus, n)
-        if not (isinstance(row, list) and len(row) == 3):
-            raise InstanceError(here, "expected [target, source, rational]")
-        t, s, c = row
-        for lbl in (t, s):
-            _known(lbl, basis.degree, here)
-        key = (t, s)
-        if key in entries:
-            raise InstanceError(here, "duplicate entry %r" % (key,))
-        if basis.degree[t] != basis.degree[s] + degree:
+        if not (isinstance(row, list) and len(row) == width):
+            raise InstanceError(here, "expected %d fields" % width)
+        vals = row[:-1]
+        # the parse's inner loop: indexed, not zipped, and a label passes
+        # one test (no label is in a word field's [table])
+        for i in at:
+            field = vals[i]
+            if isinstance(field, str) and field in fields[i]:
+                continue
+            if not isinstance(fields[i], list):
+                raise InstanceError(here, "unknown label %r" % (field,))
+            if not isinstance(field, list):
+                raise InstanceError(here, "expected a word list")
+            table = fields[i][0]
+            for lbl in field:
+                if not isinstance(lbl, str) or lbl not in table:
+                    raise InstanceError(here, "unknown label %r" % (lbl,))
+            vals[i] = tuple(field)
+        key = vals[0] if one_key else tuple(vals[:nkey])
+        tgt = vals[nkey] if one_target else tuple(vals[nkey:])
+        c = str_to_q(row[-1], here)
+        if row_key is not None:
+            key = row_key(key, tgt, here)
+            if key is None:
+                continue
+        vec = out.setdefault(key, {})
+        if tgt in vec:
+            raise InstanceError(here, "duplicate entry for %r" % (tgt,))
+        vec[tgt] = c
+    return out
+
+
+def _parse_map(rows, basis, degree, locus):
+    """Rows [target, source, rational]: a LinearMap of the given degree."""
+    def degree_key(key, ts, here):
+        if basis.degree[ts[0]] != basis.degree[ts[1]] + degree:
             raise InstanceError(here, "degree mismatch: %r -> %r is not "
-                                "a degree %d entry" % (s, t, -degree))
-        entries[key] = str_to_q(c, here)
-    return LinearMap(basis, basis, degree, entries)
+                                "a degree %d entry" % (ts[1], ts[0], -degree))
+        return key
+
+    table = _read_rows(rows, (), (basis.degree, basis.degree), locus,
+                       degree_key)
+    return LinearMap(basis, basis, degree, table.get((), {}))
 
 
 def _parse_algebra(doc):
@@ -271,18 +297,9 @@ def _parse_algebra(doc):
         raise InstanceError("algebra", "unit required")
     if unit not in basis.degree:
         raise InstanceError("algebra.unit", "unknown label %r" % (unit,))
-    mult = {}
-    for n, row in enumerate(_need(sec, "mult", "algebra", list)):
-        here = "algebra.mult[%d]" % n
-        if not (isinstance(row, list) and len(row) == 4):
-            raise InstanceError(here, "expected [a, b, c, rational]")
-        a, b, k, c = row
-        for lbl in (a, b, k):
-            _known(lbl, basis.degree, here)
-        vec = mult.setdefault((a, b), {})
-        if k in vec:
-            raise InstanceError(here, "duplicate product entry")
-        vec[k] = str_to_q(c, here)
+    adeg = basis.degree
+    mult = _read_rows(_need(sec, "mult", "algebra", list), (adeg, adeg),
+                      (adeg,), "algebra.mult")
     diff = _parse_map(sec.get("diff", []), basis, -1, "algebra.diff")
     A = AlgebraSpec(basis, unit, mult, diff)
     bad = validate_algebra(A)
@@ -355,70 +372,15 @@ def _levels(sec, key):
         yield level, locus, rows
 
 
-def _parse_vec_rows(rows, keylen, L, targets, locus, word_keys=False,
-                    row_key=None):
-    """Rows [key..., target, rational] grouped into {key: vector}.  Keys
-    are induced labels, or one word of them; targets are labels of the
-    given degree table.  row_key(key, target, here), when given, checks
-    a row and returns the key it is stored under, None to drop it."""
-    out = {}
-    for n, row in enumerate(rows or []):
-        here = "%s[%d]" % (locus, n)
-        if not (isinstance(row, list) and len(row) == keylen + 2):
-            raise InstanceError(here, "expected %d fields" % (keylen + 2))
-        if word_keys:
-            key = _word(row[0], L.l_basis.degree, here)
-        else:
-            for lbl in row[:keylen]:
-                _known(lbl, L.l_basis.degree, here)
-            key = tuple(row[:keylen]) if keylen > 1 else row[0]
-        tgt, c = row[keylen], row[keylen + 1]
-        _known(tgt, targets, here)
-        c = str_to_q(c, here)
-        if row_key is not None:
-            key = row_key(key, tgt, here)
-            if key is None:
-                continue
-        vec = out.setdefault(key, {})
-        if tgt in vec:
-            raise InstanceError(here, "duplicate entry for %r" % (tgt,))
-        vec[tgt] = c
-    return out
-
-
-def _parse_ops(rows, keylen, A, locus, keys, word_keys=False,
-               row_key=None):
-    """Rows [key..., target, source, rational] grouped into nonzero
-    operators; every key part must be one of keys.  With word_keys the
-    key is one word of keys.  row_key(key, degree of the entry, here),
-    when given, checks a row and returns the key it is stored under, None
-    to drop it."""
-    grouped = {}
-    for n, row in enumerate(rows or []):
-        here = "%s[%d]" % (locus, n)
-        if not (isinstance(row, list) and len(row) == keylen + 3):
-            raise InstanceError(here, "expected %d fields" % (keylen + 3))
-        key = tuple(row[:keylen])
-        if word_keys:
-            key = _word(row[0], keys, here)
-        else:
-            for lbl in key:
-                _known(lbl, keys, here)
-        t, s, c = row[keylen:]
-        for lbl in (t, s):
-            _known(lbl, A.basis.degree, here)
-        c = str_to_q(c, here)
-        if row_key is not None:
-            key = row_key(key, A.basis.degree[t] - A.basis.degree[s], here)
-            if key is None:
-                continue
-        ent = grouped.setdefault(key, {})
-        if (t, s) in ent:
-            raise InstanceError(here, "duplicate operator entry")
-        ent[(t, s)] = c
+def _parse_ops(rows, A, locus, keys, row_key=None):
+    """Rows [key fields..., target, source, rational] of _read_rows, whose
+    target is the pair (target, source), grouped into degree homogeneous
+    operators on A; zero operators are dropped."""
+    adeg = A.basis.degree
     ops = {}
-    for key, ent in grouped.items():
-        degs = {A.basis.degree[t] - A.basis.degree[s] for t, s in ent}
+    for key, ent in _read_rows(rows, keys, (adeg, adeg), locus,
+                               row_key).items():
+        degs = {adeg[t] - adeg[s] for t, s in ent}
         if len(degs) != 1:
             raise InstanceError(locus, "operator at %r is not degree "
                                 "homogeneous" % (key,))
@@ -436,7 +398,8 @@ def _parse_structure(doc, L):
                             "one of %s)" % (kind, ", ".join(KINDS)))
     A = L.over
     try:
-        ldeg, sldeg = L.l_basis.degree, L.sl_basis.degree
+        adeg, ldeg = A.basis.degree, L.l_basis.degree
+        sldeg = L.sl_basis.degree
         if kind == "lie_rinehart":
             def bracket_key(key, tgt, here):
                 d = ldeg[tgt] - ldeg[key[0]] - ldeg[key[1]]
@@ -446,8 +409,8 @@ def _parse_structure(doc, L):
                 return key
 
             rows = sec.get("bracket", [])
-            bracket = _parse_vec_rows(rows, 2, L, ldeg, "structure.bracket",
-                                      row_key=bracket_key)
+            bracket = _read_rows(rows, (ldeg, ldeg), (ldeg,),
+                                 "structure.bracket", bracket_key)
             # zeros kept: a zero row still gives its order of the pair
             bad = antisymmetry_violations(L, bracket)
             if bad:
@@ -457,41 +420,44 @@ def _parse_structure(doc, L):
                 raise InstanceError("structure.bracket[%d]" % n,
                                     "bracket not graded antisymmetric at %r"
                                     % (tuple(rows[n][:2]),))
-            anchor = _parse_ops(
-                sec.get("anchor", []), 1, A, "structure.anchor", ldeg,
-                row_key=lambda key, d, here: _word_key(L, key, 1, d, here,
-                                                       "anchor"))
-            return LieRinehartData(L, _nonzero(bracket),
-                                   {g: op for (g,), op in anchor.items()})
+
+            def anchor_key(g, ts, here):
+                # a word of one label is canonical and never vanishes
+                _word_key(L, (g,), 1, adeg[ts[0]] - adeg[ts[1]], here,
+                          "anchor")
+                return g
+
+            anchor = _parse_ops(sec.get("anchor", []), A, "structure.anchor",
+                                (ldeg,), anchor_key)
+            return LieRinehartData(L, _nonzero(bracket), anchor)
         if kind == "sh_lie_rinehart":
             cor = {}
             for j, locus, rows in _levels(sec, "coderivations"):
-                cor[j] = _nonzero(_parse_vec_rows(
-                    rows, 1, L, ldeg, locus, word_keys=True,
-                    row_key=lambda w, tgt, here: _word_key(
+                cor[j] = _nonzero(_read_rows(
+                    rows, ([ldeg],), (ldeg,), locus,
+                    lambda w, tgt, here: _word_key(
                         L, w, j + 1, sldeg[tgt], here, "corestriction")))
             maps = {}
             for j, locus, rows in _levels(sec, "twisting"):
                 maps[j] = _parse_ops(
-                    rows, 1, A, locus, ldeg, word_keys=True,
-                    row_key=lambda w, d, here: _word_key(L, w, j, d, here,
-                                                         "anchor"))
+                    rows, A, locus, ([ldeg],),
+                    lambda w, ts, here: _word_key(
+                        L, w, j, adeg[ts[0]] - adeg[ts[1]], here, "anchor"))
             return ShLieRinehartData(L, Coderivation(L, cor),
                                      TwistingCochain(L, maps))
         if kind == "quasi":
             # zero coefficients go, but a pair given as zero keeps its key
             # (empty), so validation compares it with the reverse order
             bracket = {k: {t: c for t, c in v.items() if c}
-                       for k, v in _parse_vec_rows(
-                           sec.get("bracketQ", []), 2, L, ldeg,
+                       for k, v in _read_rows(
+                           sec.get("bracketQ", []), (ldeg, ldeg), (ldeg,),
                            "structure.bracketQ").items()}
-            pairing = _parse_ops(sec.get("pairing", []), 1, A,
-                                 "structure.pairing", ldeg)
-            triple = _parse_ops(sec.get("triple", []), 2, A,
-                                "structure.triple", L.a_basis.degree)
-            return QuasiLieRinehartData(
-                L, bracket, {g: op for (g,), op in pairing.items()},
-                triple)
+            pairing = _parse_ops(sec.get("pairing", []), A,
+                                 "structure.pairing", (ldeg,))
+            xdeg = L.a_basis.degree
+            triple = _parse_ops(sec.get("triple", []), A, "structure.triple",
+                                (xdeg, xdeg))
+            return QuasiLieRinehartData(L, bracket, pairing, triple)
         # mdca: both sides at the same levels, and at every level a table
         # for every algebra basis label and every module generator
         def tables(key, names):
@@ -508,10 +474,9 @@ def _parse_structure(doc, L):
                 side[level] = {}
                 for name, rows in tabs.items():
                     here = "%s.%s" % (locus, name)
-                    vals = _parse_vec_rows(rows, 1, L, A.basis.degree, here,
-                                           word_keys=True)
+                    vals = _read_rows(rows, ([ldeg],), (adeg,), here)
                     # the degree checks read every row, zero rows too
-                    degs = {A.basis.degree[al] - word_degree(L, w)
+                    degs = {adeg[al] - word_degree(L, w)
                             for w, vec in vals.items() for al in vec}
                     if len(degs) > 1:
                         raise InstanceError(here,
@@ -554,12 +519,12 @@ def _parse_policy(doc):
     if not isinstance(sec, dict):
         raise InstanceError("policy", "expected an object")
     W = sec.get("W", 4)
-    if not isinstance(W, int) or W < 2:
+    if not _integer(W) or W < 2:
         raise InstanceError("policy.W", "expected an integer >= 2")
     window = sec.get("degree_window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2
-                and all(isinstance(v, int) for v in window)
+                and all(_integer(v) for v in window)
                 and window[0] <= window[1]):
             raise InstanceError("policy.degree_window",
                                 "expected [lo, hi] with lo <= hi")

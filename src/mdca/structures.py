@@ -496,21 +496,22 @@ class QuasiLieRinehartData:
 
     bracket: {(label, label): L element} on pairs of induced basis
     labels, each pair given in either order or both, with no zero
-    coefficient (a pair given as zero has an empty value); pairing maps induced basis labels to operators on the
-    base algebra of matching degree; triple maps sorted pairs of
-    generator names to base-linear degree +1 derivations.
-    validation_report checks the rest, graded antisymmetry of the
-    bracket (coalgebra.antisymmetry_violations) included, before
-    quasi_to_sh may convert the data.
+    coefficient (a pair given as zero has an empty value); pairing maps
+    induced basis labels to nonzero operators on the base algebra of
+    matching degree; triple maps sorted pairs of generator names to
+    nonzero base-linear degree +1 derivations.  The constructor only
+    stores: no function of the library makes a zero operator, and the parser
+    drops the zero operators of a file.  validation_report checks the
+    rest, graded antisymmetry of the bracket
+    (coalgebra.antisymmetry_violations) included, before quasi_to_sh may
+    convert the data.
     """
 
     def __init__(self, L, bracket, pairing, triple):
         self.L = L
         self.bracket = {k: dict(v) for k, v in bracket.items()}
-        self.pairing = {g: op for g, op in pairing.items()
-                        if op is not None and not op.is_zero()}
-        self.triple = {k: op for k, op in triple.items()
-                       if op is not None and not op.is_zero()}
+        self.pairing = dict(pairing)
+        self.triple = dict(triple)
 
     def validation_report(self):
         L = self.L

@@ -1,0 +1,27 @@
+"""The answers of tools/answers.py."""
+
+import importlib.util
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "answers.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("answers", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_answers_are_the_same_on_every_run_and_hold_no_timing(capsys):
+    tool = load_tool()
+    outs = []
+    for _ in range(2):
+        assert tool.main(["abelian"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # the entry and its sh and mdca files x three verbs x three W
+    lines = outs[0].splitlines()
+    assert len(lines) == 3 * len(tool.VERBS) * len(tool.WS)
+    assert all('"exit": 0' in line for line in lines)
+    assert "elapsed" not in outs[0] and "timing_seconds" not in outs[0]

@@ -1,10 +1,11 @@
 """Wire format and command line driver tests.
 
-Covers canonical emit/parse identity over the whole catalog, parse error
-loci, exit codes of every verb, and the pinned machine-derived quasi
-instance.
+Covers canonical emit/parse identity over the whole catalog, its sh and
+mdca files and every table of the format, parse error loci, exit codes
+of every verb, and the pinned machine-derived quasi instance.
 """
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -12,10 +13,12 @@ from fractions import Fraction
 import pytest
 
 from mdca import cli, forms, structures
-from mdca.algebra import Derivation, rational_algebra
+from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
+                          rational_algebra)
 from mdca.coalgebra import ModuleSpec, TruncationPolicy
 from mdca.graded import GradedBasis, LinearMap
-from mdca.instances import catalog_entry, catalog_names
+from mdca.instances import (QUASI_PARAMS, build_quasi_sample,
+                             catalog_entry, catalog_names)
 from mdca.io_json import (InstanceError, emit_instance, parse_instance_text,
                           q_to_str, str_to_q)
 from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
@@ -44,12 +47,84 @@ def test_malformed_rationals_are_rejected(bad):
 
 # ------------------------------------------------- emit / parse identity
 
-@pytest.mark.parametrize("name", catalog_names())
-def test_emit_parse_identity(name):
-    data, policy = catalog_entry(name)
+def dg_lie_rinehart():
+    """A Lie-Rinehart pair over an algebra with a differential (the data
+    of test_forms.dg_anchor), so that algebra.diff has a row."""
+    A0 = exterior_algebra([("t", 1)])
+    A = AlgebraSpec(A0.basis, "1", A0.mult,
+                    LinearMap(A0.basis, A0.basis, -1,
+                              {("1", "t"): Fraction(1)}))
+    M = ModuleSpec(A, GradedBasis([("u", 0)]))
+    L = ModuleSpec(A, GradedBasis([("u", 0)]),
+                   LinearMap(M.l_basis, M.l_basis, -1,
+                             {("1|u", "t|u"): Fraction(1)}))
+    op = LinearMap(A.basis, A.basis, 0, {("t", "t"): Fraction(1)})
+    return LieRinehartData(L, {}, {"1|u": op}), TruncationPolicy(4)
+
+
+def quasi_draw():
+    """quasi_sample with nonzero anchor weights, so that pairing has
+    rows (quasi_sample's weights are zero)."""
+    preset, _, dmat, cs = QUASI_PARAMS
+    return (build_quasi_sample(preset, {"x": 1, "y": -2, "z": 1}, dmat, cs),
+            TruncationPolicy(4))
+
+
+WIRE_SOURCES = {name: functools.partial(catalog_entry, name)
+                for name in catalog_names()}
+WIRE_SOURCES.update(dg_lie_rinehart=dg_lie_rinehart, quasi_draw=quasi_draw)
+
+# a source as given, and its sh and mdca files; the anchor of
+# dg_lie_rinehart is not module-linear, so its tables do not descend and
+# it has no mdca file
+WIRE_CASES = [source + form for source in WIRE_SOURCES
+              for form in ("", ".sh", ".mdca")
+              if source + form != "dg_lie_rinehart.mdca"]
+
+WIRE_TABLES = ("algebra.mult", "algebra.diff", "module.diff",
+               "structure.bracket", "structure.anchor",
+               "structure.coderivations", "structure.twisting",
+               "structure.bracketQ", "structure.pairing", "structure.triple",
+               "structure.constants", "structure.duals")
+
+
+def wire_text(case):
+    """The emitted file of a case of WIRE_CASES: a source as given, or
+    its sh or mdca form (the mdca tables built at the source's policy)."""
+    source, _, form = case.partition(".")
+    data, policy = WIRE_SOURCES[source]()
     text = emit_instance(data, policy)
+    if not form:
+        return text
+    sh = cli.extracted(parse_instance_text(text), policy)[0]
+    if form == "mdca":
+        sh = build_maurer_cartan(sh, policy)
+    return emit_instance(sh, policy)
+
+
+def row_count(table):
+    """The rows of a table, summed over its levels and generators."""
+    if isinstance(table, dict):
+        return sum(row_count(t) for t in table.values())
+    return len(table)
+
+
+@pytest.mark.parametrize("name", WIRE_CASES)
+def test_emit_parse_identity(name):
+    text = wire_text(name)
     inst = parse_instance_text(text)
     assert emit_instance(inst.data, inst.policy) == text
+
+
+def test_the_identity_cases_give_rows_to_every_wire_table():
+    filled = set()
+    for case in WIRE_CASES:
+        doc = json.loads(wire_text(case))
+        for table in WIRE_TABLES:
+            section, key = table.split(".")
+            if row_count(doc[section].get(key, [])):
+                filled.add(table)
+    assert sorted(filled) == sorted(WIRE_TABLES)
 
 
 def test_parsed_kinds():
@@ -73,6 +148,66 @@ def test_policy_window_round_trips_in_file_degrees():
 
 
 # ----------------------------------------------------- parse error loci
+
+def add_row(source, section, key, row):
+    """The emitted file of a source with one row appended to a table;
+    row is a list, or an index of the table's row to repeat."""
+    doc = json.loads(wire_text(source))
+    rows = doc[section][key]
+    rows.append(list(rows[row]) if isinstance(row, int) else row)
+    return doc, "%s.%s[%d]" % (section, key, len(rows) - 1)
+
+
+@pytest.mark.parametrize("source, section, key, row, fragment", [
+    ("abelian", "algebra", "mult", ["1", "1", "1"], "expected 4 fields"),
+    ("quasi_sample", "module", "diff", ["th|x", "1"], "expected 3 fields"),
+    ("truncated_poly", "algebra", "mult", 1, "duplicate entry for 'x'"),
+    ("quasi_sample", "module", "diff", 0,
+     "duplicate entry for ('th|x', '1|x')"),
+    ("dg_lie_rinehart", "algebra", "diff", 0,
+     "duplicate entry for ('1', 't')"),
+    ("truncated_poly", "structure", "anchor", 0,
+     "duplicate entry for ('x', 'x')"),
+    ("quasi_sample", "structure", "triple", 0,
+     "duplicate entry for ('1', 'th')"),
+])
+def test_malformed_rows_name_their_row(source, section, key, row, fragment,
+                                       tmp_path, capsys):
+    doc, locus = add_row(source, section, key, row)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert "%s: %s" % (locus, fragment) in out.err
+
+
+def test_an_operator_of_two_degrees_names_its_label(tmp_path, capsys):
+    doc, _ = add_row("quasi_draw", "structure", "pairing",
+                     ["1|x", "th", "1", "1"])
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert ("structure.pairing: operator at '1|x' is not degree "
+                "homogeneous") in out.err
+
+
+@pytest.mark.parametrize("source, locus, edit", [
+    ("abelian", "module.generators[0]",
+     lambda doc: doc["module"]["generators"][0].update(degree=True)),
+    ("abelian", "algebra.generators[0]",
+     lambda doc: doc["algebra"]["generators"][0].update(degree=False)),
+    ("heisenberg", "policy.degree_window",
+     lambda doc: doc["policy"].update(degree_window=[False, True])),
+    ("heisenberg", "policy.W", lambda doc: doc["policy"].update(W=True)),
+])
+def test_json_booleans_are_not_integers(source, locus, edit, tmp_path,
+                                        capsys):
+    # Python counts bool as int: a degree true was read as 1, and a
+    # window [false, true] gave Betti numbers for file degrees 0 and 1
+    doc = json.loads(wire_text(source))
+    edit(doc)
+    for code, out in run_verbs(doc, tmp_path, capsys):
+        assert code == 2
+        assert locus + ":" in out.err
+
+
 
 def sl2_doc():
     data, policy = catalog_entry("sl2")

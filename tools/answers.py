@@ -1,0 +1,78 @@
+"""Print the answers of the mdca command line, one line per run.
+
+For each catalog entry (all of them by default, or the NAMEs given) and
+for its emitted sh_lie_rinehart and mdca files, runs mdca check,
+roundtrip and cohomology at --W 2, 3 and 5 in process (mdca.cli.main).
+Each run prints one line: the input, the verb and W, then a JSON object
+with the exit code, stdout without its elapsed: line, stderr, and the
+--json report without timing_seconds.  The output holds no timing, so
+two source trees answer alike exactly when their outputs are equal.
+
+Run from the repository root:
+  PYTHONPATH=src python3 tools/answers.py [NAME ...]
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from mdca import cli
+from mdca.instances import catalog_entry, catalog_names
+from mdca.io_json import emit_instance, parse_instance_text
+from mdca.structures import build_maurer_cartan
+
+VERBS = ("check", "roundtrip", "cohomology")
+WS = (2, 3, 5)
+
+
+def instance_texts(name):
+    """(label, text) of the catalog entry and its sh and mdca emissions;
+    the mdca tables are built at the entry's own policy."""
+    data, policy = catalog_entry(name)
+    text = emit_instance(data, policy)
+    sh = cli.extracted(parse_instance_text(text), policy)[0]
+    return [(name, text), (name + ".sh", emit_instance(sh, policy)),
+            (name + ".mdca",
+             emit_instance(build_maurer_cartan(sh, policy), policy))]
+
+
+def answer(path, verb, W, report_path):
+    """The answer of one run, as a JSON-ready dict without timings."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([verb, path, "--W", str(W), "--json", report_path])
+    report = None
+    if os.path.exists(report_path):
+        with open(report_path, encoding="utf-8") as fh:
+            report = json.load(fh)
+        os.remove(report_path)
+        report.pop("timing_seconds", None)
+    stdout = "".join(line for line in out.getvalue().splitlines(True)
+                     if not line.startswith("elapsed:"))
+    return {"exit": code, "stdout": stdout, "stderr": err.getvalue(),
+            "report": report}
+
+
+def main(argv=None):
+    names = (sys.argv[1:] if argv is None else argv) or catalog_names()
+    with tempfile.TemporaryDirectory() as tmp:
+        report_path = os.path.join(tmp, "report.json")
+        for name in names:
+            for label, text in instance_texts(name):
+                path = os.path.join(tmp, label + ".json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                for verb in VERBS:
+                    for W in WS:
+                        print("%s %s W=%d\t%s" % (
+                            label, verb, W, json.dumps(
+                                answer(path, verb, W, report_path),
+                                sort_keys=True)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
