@@ -1,15 +1,15 @@
 """Finite-dimensional differential graded commutative algebras over Q.
 
 An algebra is given by an explicit basis, structure constants, a
-distinguished unit basis element and a degree -1 differential.  Derivations
-are solved for exactly from the Leibniz linear system.
+distinguished unit basis element and a degree -1 differential.  A
+derivation's Leibniz rule is tested on integer copies of its action and
+of the structure constants.
 """
 
 from fractions import Fraction as Q
 
-from .graded import (GradedBasis, LinearMap, ONE, ZERO, compose,
-                     denominator, int_multiple, kernel_of_rows, vec_axpy,
-                     vec_scale)
+from .graded import (GradedBasis, LinearMap, ONE, compose, denominator,
+                     int_multiple, vec_axpy, vec_scale)
 
 
 class AlgebraSpec:
@@ -29,6 +29,13 @@ class AlgebraSpec:
             v = {k: Q(c) for k, c in vec.items() if Q(c)}
             if v:
                 self.mult[(i, j)] = v
+        # the structure constants times mu, their least common
+        # denominator, as Python ints keyed as mult: products through
+        # int_mult come out mu times their value
+        self.mu = denominator(c for v in self.mult.values()
+                              for c in v.values())
+        self.int_mult = {k: int_multiple(self.mu, v)
+                         for k, v in self.mult.items()}
         if diff is None:
             diff = LinearMap.zero(basis, basis, -1)
         self.diff = diff
@@ -48,14 +55,6 @@ def multiply(A, a, b):
                 raise ValueError("unknown label %r" % (j,))
             vec_axpy(out, ci * cj, A.prod_basis(i, j))
     return out
-
-
-def integer_structure_constants(A):
-    """(mu, mult): the least common denominator of the structure
-    constants and the constants times mu, as Python ints, keyed as
-    A.mult.  Products through mult come out mu times their value."""
-    mu = denominator(c for v in A.mult.values() for c in v.values())
-    return mu, {k: int_multiple(mu, v) for k, v in A.mult.items()}
 
 
 def validate_algebra(A):
@@ -149,68 +148,31 @@ class Derivation:
         return vec_axpy(out, sgn, multiply(A, {i: ONE}, self({j: ONE})))
 
     def leibniz_violations(self):
-        labels = self.of.basis.labels
-        return [(i, j) for i in labels for j in labels
-                if self.leibniz_defect(i, j)]
-
-
-def derivation_space(A, deg):
-    """Q-basis of the degree-deg derivations of A.
-
-    Solves the homogeneous Leibniz system over all basis pairs exactly.
-    """
-    labels = A.basis.labels
-    d = A.basis.degree
-    unknowns = [(s, t) for s in labels for t in labels
-                if d[t] == d[s] + deg]
-    idx = {u: n for n, u in enumerate(unknowns)}
-    rows = []
-
-    def row_for(i, j):
-        # delta(i*j) - delta(i)*j - (-1)^(deg*|i|) i*delta(j) = 0,
-        # coordinate by coordinate in the target basis
-        coeff = {}  # (target label, unknown index) -> Q
-        for m, c in A.prod_basis(i, j).items():
-            for t in labels:
-                if (m, t) in idx:
-                    key = (t, idx[(m, t)])
-                    coeff[key] = coeff.get(key, ZERO) + c
-        for t in labels:
-            if (i, t) in idx:
-                for k, c in A.prod_basis(t, j).items():
-                    key = (k, idx[(i, t)])
-                    coeff[key] = coeff.get(key, ZERO) - c
-        sgn = -ONE if (deg % 2 and d[i] % 2) else ONE
-        for t in labels:
-            if (j, t) in idx:
-                for k, c in A.prod_basis(i, t).items():
-                    key = (k, idx[(j, t)])
-                    coeff[key] = coeff.get(key, ZERO) - sgn * c
-        by_target = {}
-        for (k, n), c in coeff.items():
-            by_target.setdefault(k, {})[n] = c
-        return by_target
-
-    for i in labels:
-        for j in labels:
-            for k, cs in row_for(i, j).items():
-                row = [ZERO] * len(unknowns)
-                for n, c in cs.items():
-                    row[n] = c
-                rows.append(row)
-    if not unknowns:
-        return []
-    if not rows:
-        rows = [[ZERO] * len(unknowns)]
-    _, kb = kernel_of_rows(rows, len(unknowns))
-    out = []
-    for v in kb:
-        ent = {}
-        for (s, t), n in idx.items():
-            if v[n]:
-                ent[(t, s)] = v[n]
-        out.append(Derivation(A, deg, ent))
-    return out
+        """The basis pairs (i, j) with a nonzero leibniz_defect, found on
+        integer copies: the action times s, the least common denominator
+        of its entries, and the structure constants times mu
+        (AlgebraSpec.int_mult).  Every term of the defect then comes out
+        mu * s times its rational value, and so does the defect."""
+        A = self.of
+        cols = self.action.int_columns(
+            denominator(self.action.entries.values()))
+        mult = A.int_mult
+        odd = self.degree % 2
+        bad = []
+        for i in A.basis.labels:
+            di = cols.get(i, {})
+            sgn = 1 if odd and A.basis.degree[i] % 2 else -1
+            for j in A.basis.labels:
+                out = {}
+                for m, c in mult.get((i, j), {}).items():
+                    vec_axpy(out, c, cols.get(m, {}))
+                for k, c in di.items():
+                    vec_axpy(out, -c, mult.get((k, j), {}))
+                for k, c in cols.get(j, {}).items():
+                    vec_axpy(out, sgn * c, mult.get((i, k), {}))
+                if out:
+                    bad.append((i, j))
+        return bad
 
 
 def graded_commutator(d1, d2):

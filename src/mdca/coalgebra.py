@@ -11,10 +11,11 @@ perturbation identities run on an integer copy of the coderivation
 """
 
 from fractions import Fraction as Q
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, groupby
+from math import comb
 
 from .graded import (GradedBasis, LinearMap, ONE, compose, denominator,
-                     int_multiple, koszul_sign, vec_axpy, vec_scale)
+                     int_multiple, vec_axpy, vec_scale)
 
 SEP = "|"  # joins an algebra label and a module generator label
 
@@ -125,26 +126,26 @@ def normalize_word(L, gens):
     """Sort generators into canonical order, tracking the Koszul sign.
 
     Returns (sign, word tuple); the sign is 0 when a repeated odd
-    generator forces the word to vanish.
+    generator forces the word to vanish.  The generators are sorted once
+    (a stable sort by word_sort_key, so equal ones end up adjacent) and
+    the sign is the parity of the inversions among the odd ones.
     """
     key = tuple(gens)
     hit = L._norm_cache.get(key)
     if hit is not None:
         return hit
-    for g in gens:
-        if g not in L.sl_basis.degree:
-            raise ValueError("unknown generator %r" % (g,))
-    degs = [L.sl_basis.degree[g] for g in gens]
-    out = None
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if gens[i] == gens[j] and degs[i] % 2:
-                out = (0, None)
-    if out is None:
-        perm = sorted(range(len(gens)),
-                      key=lambda i: L.word_sort_key(gens[i]))
-        sign = koszul_sign(perm, degs)
-        out = (sign, tuple(gens[i] for i in perm))
+    try:
+        order = sorted(range(len(key)), key=lambda i: L.word_sort_key(key[i]))
+    except KeyError as e:
+        raise ValueError("unknown generator %r" % (e.args[0],)) from None
+    deg = L.sl_basis.degree
+    word = tuple(key[i] for i in order)
+    if any(a == b and deg[a] % 2 for a, b in zip(word, word[1:])):
+        out = (0, None)
+    else:
+        odd = [i for i in order if deg[key[i]] % 2]
+        flips = sum(a > b for n, a in enumerate(odd) for b in odd[n + 1:])
+        out = (-1 if flips % 2 else 1, word)
     L._norm_cache[key] = out
     return out
 
@@ -201,27 +202,49 @@ def word_basis(L, policy):
 
 
 def splittings(L, word, left_size):
-    """Shuffle diagonal terms of a word whose left factor has left_size
-    generators: (sign, left, right) triples.
+    """Shuffle diagonal terms of a canonical nonvanishing word whose left
+    factor has left_size generators: (coefficient, left, right) triples,
+    one per distinct pair of factors, both canonical.
 
-    Enumerates position subsets, so repeated even generators pick up their
-    multinomial multiplicities; both factors stay canonical.  A
-    left_size above len(word) has no splittings.
+    The coefficient is the Koszul sign of the shuffle times the number
+    of position subsets that give the pair: a product of binomials over
+    the runs of a repeated generator.  Only an even generator repeats, so
+    those subsets share one sign, found in one pass: an odd generator
+    moved to the left factor passes every odd generator already left
+    behind in the right one.  The triples come in the order of the first
+    position subset giving each.  A left_size above len(word) has no
+    splittings.
     """
     key = (word, left_size)
     hit = L._split_cache.get(key)
     if hit is not None:
         return hit
-    n = len(word)
-    degs = [L.sl_basis.degree[g] for g in word]
-    out = []
-    for S in combinations(range(n), left_size):
-        rest = [i for i in range(n) if i not in S]
-        perm = list(S) + rest
-        sgn = koszul_sign(perm, degs)
-        out.append((sgn, tuple(word[i] for i in S),
-                    tuple(word[i] for i in rest)))
-    out = tuple(out)
+    deg = L.sl_basis.degree
+    # partial splittings (coefficient, left, right, odd generators in
+    # right), extended run by run; the left factor takes the most
+    # generators of a run first
+    rest = len(word)
+    parts = [(1, (), (), 0)] if left_size <= rest else []
+    for g, run in groupby(word):
+        n = len(tuple(run))
+        odd = deg[g] % 2
+        rest -= n
+        grown = []
+        for c, left, right, behind in parts:
+            need = left_size - len(left)
+            if n > 1:
+                # a run of an even generator: C(n, k) subsets per pair
+                for k in range(min(n, need), max(need - rest, 0) - 1, -1):
+                    grown.append((c * comb(n, k), left + (g,) * k,
+                                  right + (g,) * (n - k), behind))
+                continue
+            if need:
+                grown.append((-c if odd and behind % 2 else c, left + (g,),
+                              right, behind))
+            if need <= rest:
+                grown.append((c, left, right + (g,), behind + odd))
+        parts = grown
+    out = tuple((c, left, right) for c, left, right, _ in parts)
     L._split_cache[key] = out
     return out
 
@@ -231,11 +254,12 @@ def apply_corestriction(L, cor, arity, word):
 
     Output is {word: coefficient}: pick every arity-subset, apply the
     corestriction, multiply the value back into the remaining factors and
-    renormalize.  Only signs multiply the table's coefficients, so an
+    renormalize.  Only integers multiply the table's coefficients (the
+    coefficients of splittings and the signs of normalize_word), so an
     integer table gives integer coefficients.
     """
     out = {}
-    for sgn, w1, w2 in splittings(L, word, left_size=arity):
+    for m, w1, w2 in splittings(L, word, left_size=arity):
         val = cor.get(w1)
         if not val:
             continue
@@ -243,7 +267,7 @@ def apply_corestriction(L, cor, arity, word):
             s2, w = normalize_word(L, [g] + list(w2))
             if s2 == 0:
                 continue
-            vec_axpy(out, sgn * s2, {w: c})
+            vec_axpy(out, m * s2, {w: c})
     return out
 
 

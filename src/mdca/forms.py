@@ -34,7 +34,7 @@ from math import gcd, lcm
 
 from .graded import (ONE, compose_axpy, denominator, int_multiple,
                      rank_modulo, row_echelon, vec_axpy, vec_scale, vec_sub)
-from .algebra import Derivation, integer_structure_constants, multiply
+from .algebra import Derivation, multiply
 from .coalgebra import (TruncationPolicy, normalize_word, splittings,
                         stripped_slots, word_basis, word_degree,
                         words_of_length)
@@ -211,13 +211,13 @@ def cup(f, g):
         for p in f_lengths:
             if len(w) - p not in g_lengths:
                 continue
-            for sgn, u1, u2 in splittings(L, w, left_size=p):
+            for m, u1, u2 in splittings(L, w, left_size=p):
                 v1 = f.values.get(u1)
                 v2 = g.values.get(u2)
                 if not v1 or not v2:
                     continue
                 s = -1 if (g.degree % 2 and word_degree(L, u1) % 2) else 1
-                vec_axpy(acc, Q(sgn * s), multiply(A, v1, v2))
+                vec_axpy(acc, Q(m * s), multiply(A, v1, v2))
         if acc:
             vals[w] = acc
     return FormTable(L, f.degree + g.degree, vals)
@@ -234,10 +234,10 @@ class LevelTable:
         u reaches (level 0: the word differential);
       * the anchor part, (w, columns of the anchor value on w1,
         multiplicity, parity of w1) for every anchor key w1 at level j
-        with w = w1 u nonvanishing; the multiplicity sums the signs of
-        the splittings of w with right factor u.  The algebra
-        differential is the anchor value on the empty word at level 0,
-        as in the twisting identity.
+        with w = w1 u nonvanishing; the multiplicity is the coefficient
+        of the splitting of w with right factor u (coalgebra.splittings).
+        The algebra differential is the anchor value on the empty word
+        at level 0, as in the twisting identity.
     Both parts are built on first use, so del_j(w) is read once per
     (level, word); apply builds the column of each label from them with
     the Koszul signs of the form degree |a| - |u|.  The table keeps the
@@ -591,7 +591,7 @@ def leibniz_check(L, partial, t, policy):
     if not levels:
         return []
     adeg = A.basis.degree
-    mu, mult = integer_structure_constants(A)
+    mu, mult = A.mu, A.int_mult
     table = t.level_table(partial)
     gens = [(name, w, al, adeg[al] - word_degree(L, w))
             for name, w, al in generator_probes(L)
@@ -854,13 +854,13 @@ def twisting_residual(L, t, partial, j, word):
     for k in sorted(maps):
         if k >= j or j - k not in maps:
             continue
-        for sgn, w1, w2 in splittings(L, word, left_size=k):
+        for m, w1, w2 in splittings(L, word, left_size=k):
             op1 = maps[k].get(w1)
             op2 = maps[j - k].get(w2)
             if op1 is None or op2 is None:
                 continue
             s = -1 if word_degree(L, w1) % 2 else 1
-            compose_axpy(out, sgn * s, op1, op2)
+            compose_axpy(out, m * s, op1, op2)
     scale = delta * delta * lam ** j
     return {(tt, s): Q(c, scale) for s, col in out.items()
             for tt, c in col.items()}

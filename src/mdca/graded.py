@@ -72,28 +72,6 @@ def int_multiple(s, vec):
     return out
 
 
-def koszul_sign(perm, degs):
-    """Sign of reordering graded items.
-
-    ``perm[i]`` is the original index of the item that ends up at position
-    ``i``; ``degs`` are the degrees in the original order.  The sign is the
-    product of (-1)^(d_a*d_b) over all pairs transposed by the reordering.
-    """
-    n = len(perm)
-    if len(degs) != n:
-        raise ValueError("perm/degs length mismatch")
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    # only pairs of odd items can change the sign
-    odd = [i for i in perm if degs[i] % 2]
-    sign = 1
-    for k, a in enumerate(odd):
-        for b in odd[k + 1:]:
-            if a > b:
-                sign = -sign
-    return sign
-
-
 class GradedBasis:
     """Finite ordered list of generators with integer degrees."""
 

@@ -30,7 +30,9 @@ where a field is a label or a word (a list of labels).  One reader,
 _read_rows, parses the rows of every table, and one writer, _rows,
 emits them.  Emission is canonical (rows sorted, keys sorted), so parse
 followed by emit reproduces a canonically emitted file byte for byte.
-JSON true and false are refused where an integer is expected.
+JSON true and false are refused where an integer is expected.  A
+section that may be left out must have its type when present: a table
+is a list and the policy an object.
 
 Parsing is where outside input is checked.  The tables of a file are
 the only ones the library does not build itself, so their checks live
@@ -234,13 +236,16 @@ def _read_rows(rows, keys, targets, locus, row_key=None):
     labels.  A key or target of one field is stored as that field, one of
     several fields as their tuple.  row_key(key, target, here), when
     given, checks a row and returns the key it is stored under, None to
-    drop it.  A target given twice for one key is refused."""
+    drop it.  A target given twice for one key is refused, and so is a
+    table that is not a list."""
+    if not isinstance(rows, list):
+        raise InstanceError(locus, "expected a list")
     fields = keys + targets
     nkey, width = len(keys), len(fields) + 1
     one_key, one_target = nkey == 1, len(targets) == 1
     at = range(width - 1)
     out = {}
-    for n, row in enumerate(rows or []):
+    for n, row in enumerate(rows):
         here = "%s[%d]" % (locus, n)
         if not (isinstance(row, list) and len(row) == width):
             raise InstanceError(here, "expected %d fields" % width)
@@ -298,7 +303,7 @@ def _parse_algebra(doc):
     if unit not in basis.degree:
         raise InstanceError("algebra.unit", "unknown label %r" % (unit,))
     adeg = basis.degree
-    mult = _read_rows(_need(sec, "mult", "algebra", list), (adeg, adeg),
+    mult = _read_rows(_need(sec, "mult", "algebra", None), (adeg, adeg),
                       (adeg,), "algebra.mult")
     diff = _parse_map(sec.get("diff", []), basis, -1, "algebra.diff")
     A = AlgebraSpec(basis, unit, mult, diff)
@@ -515,7 +520,7 @@ def _parse_structure(doc, L):
 
 
 def _parse_policy(doc):
-    sec = doc.get("policy") or {}
+    sec = doc.get("policy", {})
     if not isinstance(sec, dict):
         raise InstanceError("policy", "expected an object")
     W = sec.get("W", 4)

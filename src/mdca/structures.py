@@ -22,7 +22,7 @@ do not call these extenders, so they test them.
 from fractions import Fraction as Q
 
 from .graded import LinearMap, ONE, compose, vec_axpy, vec_scale, vec_sub
-from .algebra import Derivation, integer_structure_constants, multiply
+from .algebra import Derivation, multiply
 from .coalgebra import (Coderivation, antisymmetry_violations,
                         check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
@@ -172,7 +172,7 @@ def anomaly_report(L, partial, t, j):
     A = L.over
     adeg = A.basis.degree
     delta, lam, scaled, (_, maps) = integer_tables(L, partial, t)
-    mu, mult = integer_structure_constants(A)
+    mu, mult = A.mu, A.int_mult
     scale = mu * delta * lam ** j
     anchor = maps.get(j, {})
     report = []

@@ -9,6 +9,10 @@ product over every splitting and the cohomology ranks from an exact
 reduction of every degree are here for the same reason, and so are the
 paper's quasi illustration (D_1 and D_2 read straight from the quasi
 data on alternating forms) and the Jacobi defect identity of quasi data.
+So are the kernels' oracles: the Koszul sign of a permutation
+(koszul_sign), the shuffle diagonal by position subsets, word sorting
+by that sign, the Leibniz rule on Fractions, and the derivations of an
+algebra solved from the Leibniz system (derivation_space).
 """
 
 from fractions import Fraction as Q
@@ -16,11 +20,12 @@ from itertools import combinations
 
 from mdca.coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                             splittings, word_degree)
-from mdca.algebra import multiply
+from mdca.algebra import Derivation, multiply
 from mdca.forms import (FormTable, ambient_basis_forms, constant_form, cup,
                         dual_one_forms, generator_probes, leibniz_levels,
                         live_levels)
-from mdca.graded import LinearMap, ONE, row_echelon, vec_axpy, vec_scale
+from mdca.graded import (LinearMap, ONE, ZERO, kernel_of_rows, row_echelon,
+                         vec_axpy, vec_scale)
 from mdca.structures import extend_linearly, quasi_to_sh
 
 
@@ -111,12 +116,12 @@ def reference_t(f, t, j):
     vals = {}
     for w in candidates:
         acc = {}
-        for sgn, w1, w2 in splittings(L, w, left_size=j):
+        for m, w1, w2 in splittings(L, w, left_size=j):
             v = f.values.get(w2)
             if not v:
                 continue
             s = -1 if (f.degree % 2 and word_degree(L, w1) % 2) else 1
-            vec_axpy(acc, Q(sgn * s), anchor_apply(t, j, w1, v))
+            vec_axpy(acc, Q(m * s), anchor_apply(t, j, w1, v))
         if acc:
             vals[w] = acc
     return FormTable(L, f.degree - 1, vals)
@@ -200,13 +205,13 @@ def reference_cup(f, g):
     vals = {}
     for w in candidates:
         acc = {}
-        for sgn, u1, u2 in (t for p in range(len(w) + 1)
-                            for t in splittings(L, w, p)):
+        for m, u1, u2 in (t for p in range(len(w) + 1)
+                          for t in splittings(L, w, p)):
             v1 = f.values.get(u1)
             v2 = g.values.get(u2)
             if v1 and v2:
                 s = -1 if (g.degree % 2 and word_degree(L, u1) % 2) else 1
-                vec_axpy(acc, Q(sgn * s), multiply(L.over, v1, v2))
+                vec_axpy(acc, Q(m * s), multiply(L.over, v1, v2))
         if acc:
             vals[w] = acc
     return FormTable(L, f.degree + g.degree, vals)
@@ -422,3 +427,121 @@ def reference_jacobi_defect(q):
         if vec_axpy(dict(lhs), ONE, rhs):
             mismatches.append({"triple": trip, "lhs": lhs, "rhs": rhs})
     return mismatches
+
+
+def koszul_sign(perm, degs):
+    """Sign of reordering graded items.
+
+    ``perm[i]`` is the original index of the item that ends up at position
+    ``i``; ``degs`` are the degrees in the original order.  The sign is the
+    product of (-1)^(d_a*d_b) over all pairs transposed by the reordering.
+    """
+    n = len(perm)
+    if len(degs) != n:
+        raise ValueError("perm/degs length mismatch")
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation")
+    # only pairs of odd items can change the sign
+    odd = [i for i in perm if degs[i] % 2]
+    sign = 1
+    for k, a in enumerate(odd):
+        for b in odd[k + 1:]:
+            if a > b:
+                sign = -sign
+    return sign
+
+
+def derivation_space(A, deg):
+    """Q-basis of the degree-deg derivations of A.
+
+    Solves the homogeneous Leibniz system over all basis pairs exactly.
+    """
+    labels = A.basis.labels
+    d = A.basis.degree
+    unknowns = [(s, t) for s in labels for t in labels
+                if d[t] == d[s] + deg]
+    idx = {u: n for n, u in enumerate(unknowns)}
+    rows = []
+
+    def row_for(i, j):
+        # delta(i*j) - delta(i)*j - (-1)^(deg*|i|) i*delta(j) = 0,
+        # coordinate by coordinate in the target basis
+        coeff = {}  # (target label, unknown index) -> Q
+        for m, c in A.prod_basis(i, j).items():
+            for t in labels:
+                if (m, t) in idx:
+                    key = (t, idx[(m, t)])
+                    coeff[key] = coeff.get(key, ZERO) + c
+        for t in labels:
+            if (i, t) in idx:
+                for k, c in A.prod_basis(t, j).items():
+                    key = (k, idx[(i, t)])
+                    coeff[key] = coeff.get(key, ZERO) - c
+        sgn = -ONE if (deg % 2 and d[i] % 2) else ONE
+        for t in labels:
+            if (j, t) in idx:
+                for k, c in A.prod_basis(i, t).items():
+                    key = (k, idx[(j, t)])
+                    coeff[key] = coeff.get(key, ZERO) - sgn * c
+        by_target = {}
+        for (k, n), c in coeff.items():
+            by_target.setdefault(k, {})[n] = c
+        return by_target
+
+    for i in labels:
+        for j in labels:
+            for k, cs in row_for(i, j).items():
+                row = [ZERO] * len(unknowns)
+                for n, c in cs.items():
+                    row[n] = c
+                rows.append(row)
+    if not unknowns:
+        return []
+    if not rows:
+        rows = [[ZERO] * len(unknowns)]
+    _, kb = kernel_of_rows(rows, len(unknowns))
+    out = []
+    for v in kb:
+        ent = {}
+        for (s, t), n in idx.items():
+            if v[n]:
+                ent[(t, s)] = v[n]
+        out.append(Derivation(A, deg, ent))
+    return out
+
+
+def reference_splittings(L, word, left_size):
+    """The shuffle diagonal of a word by position subsets, each with the
+    Koszul sign of its shuffle, summed by pair: {(left, right):
+    coefficient}, zeros dropped."""
+    n = len(word)
+    degs = [L.sl_basis.degree[g] for g in word]
+    out = {}
+    for S in combinations(range(n), left_size):
+        rest = [i for i in range(n) if i not in S]
+        pair = (tuple(word[i] for i in S), tuple(word[i] for i in rest))
+        out[pair] = out.get(pair, 0) + koszul_sign(list(S) + rest, degs)
+    return {pair: c for pair, c in out.items() if c}
+
+
+def reference_normalize_word(L, gens):
+    """(sign, canonical word) of a generator list as coalgebra's
+    normalize_word gives it, from a scan for a repeated odd generator and
+    the Koszul sign of the sorting permutation."""
+    for g in gens:
+        if g not in L.sl_basis.degree:
+            raise ValueError("unknown generator %r" % (g,))
+    degs = [L.sl_basis.degree[g] for g in gens]
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if gens[i] == gens[j] and degs[i] % 2:
+                return 0, None
+    perm = sorted(range(len(gens)), key=lambda i: L.word_sort_key(gens[i]))
+    return koszul_sign(perm, degs), tuple(gens[i] for i in perm)
+
+
+def reference_leibniz_violations(d):
+    """The basis pairs with a nonzero Fraction Leibniz defect."""
+    labels = d.of.basis.labels
+    return [(i, j) for i in labels for j in labels
+            if d.leibniz_defect(i, j)]

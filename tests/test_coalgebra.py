@@ -11,12 +11,11 @@ from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets, normalize_word,
                             splittings, suspension_sign, word_basis,
                             word_degree, words_of_length)
-from mdca.graded import (GradedBasis, LinearMap, ONE, ZERO, koszul_sign,
-                         vec_axpy)
+from mdca.graded import GradedBasis, LinearMap, ONE, ZERO, vec_axpy
 from mdca.instances import catalog_entry
 from mdca.structures import quasi_to_sh
 
-from operator_reference import nonzero
+from operator_reference import koszul_sign, nonzero
 
 
 QQ = rational_algebra()

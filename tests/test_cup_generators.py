@@ -18,7 +18,6 @@ from fractions import Fraction as Q
 from hypothesis import given, settings, strategies as st
 
 from mdca import cli
-from mdca.algebra import derivation_space
 from mdca.coalgebra import TruncationPolicy, word_degree, words_of_length
 from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
                         build_D, constant_form, cup, descent_check,
@@ -29,7 +28,7 @@ from mdca.instances import catalog_entry
 from mdca.io_json import emit_instance
 from mdca.structures import MdcaStructure, ShLieRinehartData
 
-from operator_reference import nonzero, reference_D
+from operator_reference import derivation_space, nonzero, reference_D
 from test_live_terms import CASES, perturbed, random_q
 
 # ------------------------------------------- the all-monomial oracle

@@ -15,8 +15,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mdca.algebra import (Derivation, derivation_space, exterior_algebra,
-                          truncated_polynomial)
+from mdca.algebra import Derivation, exterior_algebra, truncated_polynomial
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             word_degree, words_of_length)
 from mdca.forms import TwistingCochain
@@ -25,6 +24,8 @@ from mdca.structures import (ShLieRinehartData, anomaly_report,
                              build_maurer_cartan, extend_anchor_level,
                              extend_corestriction, extend_linearly,
                              extract_structure, table_residuals)
+
+from operator_reference import derivation_space
 
 # (algebra, module generators): the algebra of exterior_pair with even
 # and with odd generators, Q[x]/(x^3) with one of each, and the exterior

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdca import forms
-from mdca.algebra import (AlgebraSpec, Derivation, derivation_space,
-                          exterior_algebra, graded_commutator, multiply,
-                          rational_algebra, truncated_polynomial)
+from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
+                          graded_commutator, multiply, rational_algebra,
+                          truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets, word_basis,
                             word_degree)
@@ -21,16 +21,16 @@ from mdca.forms import (FormTable, SquareResidualError, TwistingCochain,
                         is_A_multilinear, leibniz_check, multilinear_basis,
                         multilinear_generators, square_check,
                         twisting_residual, words_of_length)
-from mdca.graded import (PRIME, GradedBasis, LinearMap, ONE, koszul_sign,
-                         row_echelon, vec_axpy, vec_scale)
+from mdca.graded import (PRIME, GradedBasis, LinearMap, ONE, row_echelon,
+                         vec_axpy, vec_scale)
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import emit_instance
 from mdca.structures import (LieRinehartData, ShLieRinehartData,
                              check_lie_rinehart, check_sh_lie_rinehart,
                              quasi_to_sh)
 
-from operator_reference import (anchor_apply, form_eval, nonzero,
-                                reference_bra,
+from operator_reference import (anchor_apply, derivation_space, form_eval,
+                                koszul_sign, nonzero, reference_bra,
                                 reference_cohomology_ranks, reference_cup,
                                 reference_D, reference_square_check,
                                 reference_t)

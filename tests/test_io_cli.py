@@ -88,6 +88,7 @@ WIRE_TABLES = ("algebra.mult", "algebra.diff", "module.diff",
                "structure.constants", "structure.duals")
 
 
+@functools.lru_cache(maxsize=None)
 def wire_text(case):
     """The emitted file of a case of WIRE_CASES: a source as given, or
     its sh or mdca form (the mdca tables built at the source's policy)."""
@@ -206,6 +207,42 @@ def test_json_booleans_are_not_integers(source, locus, edit, tmp_path,
     for code, out in run_verbs(doc, tmp_path, capsys):
         assert code == 2
         assert locus + ":" in out.err
+
+
+def first_rows(table):
+    """(document, holder, key, locus) of the first WIRE_CASES file that
+    gives the table rows: holder[key] is the list of rows, of the first
+    level and generator where the table has them."""
+    section, key = table.split(".")
+    for case in WIRE_CASES:
+        doc = json.loads(wire_text(case))
+        if row_count(doc[section].get(key, [])):
+            holder, locus = doc[section], table
+            # levels are written [j], the generators within a level .name
+            for form in ("[%s]", ".%s"):
+                if isinstance(holder[key], dict):
+                    holder, key = holder[key], min(holder[key])
+                    locus += form % key
+            return doc, holder, key, locus
+    raise AssertionError("no case gives rows to %s" % table)
+
+
+@pytest.mark.parametrize("table", ("policy",) + WIRE_TABLES)
+def test_a_present_section_must_have_its_type(table, tmp_path, capsys):
+    # a policy given as false, 0, "" or [] was the default policy, and a
+    # table given as null, false or 0 an empty one, each with exit 0
+    if table == "policy":
+        doc = json.loads(wire_text("heisenberg"))
+        holder, key, locus = doc, "policy", "policy"
+        bad = [None, False, 0, "", []]
+    else:
+        doc, holder, key, locus = first_rows(table)
+        bad = [None, False, 0, "", {}]
+    for value in bad:
+        holder[key] = value
+        for code, out in run_verbs(doc, tmp_path, capsys):
+            assert code == 2
+            assert "error: %s: expected" % locus in out.err
 
 
 

@@ -90,12 +90,12 @@ def all_terms_twisting_residual(L, t, partial, j, word):
             if op2 is not None:
                 vec_axpy(out, c, op2.entries)
     for k in range(1, j):
-        for sgn, w1, w2 in splittings(L, word, left_size=k):
+        for m, w1, w2 in splittings(L, word, left_size=k):
             op1, op2 = t.value(k, w1), t.value(j - k, w2)
             if op1 is None or op2 is None:
                 continue
             s = -1 if word_degree(L, w1) % 2 else 1
-            vec_axpy(out, Q(sgn * s), compose(op1, op2).entries)
+            vec_axpy(out, Q(m * s), compose(op1, op2).entries)
     return out
 
 
