@@ -249,6 +249,21 @@ def splittings(L, word, left_size):
     return out
 
 
+def shuffle_coefficient(L, left, right):
+    """(coefficient, word) of one pair of canonical words in the shuffle
+    diagonal: word is the canonical word of left + right, and the
+    coefficient is that of the triple (left, right) among
+    splittings(L, word, len(left)).  Its position subsets all share the
+    sign of sorting left + right, and there are C(n, k) of them for a
+    generator that occurs n times in word and k times in left, which is
+    1 unless it occurs in right too.  (0, None) when the word vanishes."""
+    sgn, word = normalize_word(L, left + right)
+    if sgn:
+        for g in set(left).intersection(right):
+            sgn *= comb(word.count(g), left.count(g))
+    return sgn, word
+
+
 def apply_corestriction(L, cor, arity, word):
     """Extend a corestriction Sigma^arity[sL] -> sL to one word.
 

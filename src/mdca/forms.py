@@ -1,11 +1,12 @@
 """Convolution algebra of A-valued forms on the symmetric coalgebra.
 
-Forms are sparse tables word -> algebra element; the cup product and
-the level differentials D_j live here, together with A-multilinearity
-tests, the operator route (the anchor premise, and the square, Leibniz
-and descent checks on the cup generators it makes exact) and windowed
-cohomology ranks, which the operator route must pass first.  D_j is the
-sum of a bracket and an anchor operator, but only the sum is defined on
+Forms are sparse tables word -> algebra element; the cup product (one
+kernel, cup_axpy, on Fraction and integer forms alike) and the level
+differentials D_j live here, together with A-multilinearity tests, the
+operator route (the anchor premise, and the square, Leibniz and descent
+checks on the cup generators it makes exact) and windowed cohomology
+ranks, which the operator route must pass first.  D_j is the sum of a
+bracket and an anchor operator, but only the sum is defined on
 multilinear forms, so only the sum is computed.
 
 FormTable only stores its table.  Every form built here is keyed by
@@ -21,12 +22,13 @@ delta * lam**j, level 0 (the algebra and word differentials) by delta.
 So the table holds delta * lam**j * D_j, and each reader divides back
 once: build_D by delta * lam**j (times the lcm of its input's
 denominators), square_check each residual by delta**2 * lam**j,
-leibniz_check each residual by delta * lam**j (times mu where A
-multiplies), and cohomology_ranks not at all: it scales the levels of
-each row alike and makes the row primitive, which leaves the ranks of
-D.  Those ranks are certified without a reduced form where the rank
-modulo a prime meets a bound that D squared to zero gives; row_echelon
-reduces exactly only the other degrees.
+leibniz_check each residual by mu * delta * lam**j (its cup products
+run through the structure constants times mu), and cohomology_ranks
+not at all: it scales the levels of each row alike and makes the row
+primitive, which leaves the ranks of D.  Those ranks are certified
+without a reduced form where the rank modulo a prime meets a bound that
+D squared to zero gives; row_echelon reduces exactly only the other
+degrees.
 """
 
 from fractions import Fraction as Q
@@ -35,8 +37,8 @@ from math import gcd, lcm
 from .graded import (ONE, compose_axpy, denominator, int_multiple,
                      rank_modulo, row_echelon, vec_axpy, vec_scale, vec_sub)
 from .algebra import Derivation, multiply
-from .coalgebra import (TruncationPolicy, normalize_word, splittings,
-                        stripped_slots, word_basis, word_degree,
+from .coalgebra import (TruncationPolicy, normalize_word, shuffle_coefficient,
+                        splittings, stripped_slots, word_basis, word_degree,
                         words_of_length)
 
 
@@ -188,39 +190,35 @@ def dual_one_forms(L):
     return out
 
 
+def cup_axpy(L, out, c, F, G, gdeg, mult):
+    """out += c * (F cup G) on forms {word: {label: coefficient}}, G of
+    degree gdeg: (F cup G)(w) sums F(w1) G(w2) over the shuffle diagonal
+    with the Koszul sign of moving G past w1.  Products in A go through
+    the structure constants mult {(a, b): {label: coefficient}}, A.mult
+    or, on integer forms, A.int_mult, whose products come out mu times
+    their value; so integer forms, c and mult give integers.  Each pair
+    of words meets once, with its coalgebra.shuffle_coefficient.  out
+    may keep empty values.  Returns out."""
+    for u1, v1 in F.items():
+        odd = gdeg % 2 and word_degree(L, u1) % 2
+        for u2, v2 in G.items():
+            m, w = shuffle_coefficient(L, u1, u2)
+            if not m:
+                continue
+            m = -c * m if odd else c * m
+            acc = out.setdefault(w, {})
+            for a, x in v1.items():
+                for b, y in v2.items():
+                    vec_axpy(acc, m * x * y, mult.get((a, b), {}))
+    return out
+
+
 def cup(f, g):
-    """Convolution product: (f cup g)(w) sums f(w1) g(w2) over the shuffle
-    diagonal with the Koszul sign of moving g past w1.  Only the
-    splittings whose left length is a support length of f and whose
-    right length is one of g can contribute, so only those are walked."""
+    """Convolution product of two forms over one module (cup_axpy)."""
     if f.L is not g.L and f.L.sl_basis != g.L.sl_basis:
         raise ValueError("forms over different modules")
-    L = f.L
-    A = L.over
-    candidates = set()
-    for w1 in f.values:
-        for w2 in g.values:
-            sgn, w = normalize_word(L, list(w1 + w2))
-            if sgn:
-                candidates.add(w)
-    f_lengths = f.support_lengths()
-    g_lengths = set(g.support_lengths())
-    vals = {}
-    for w in candidates:
-        acc = {}
-        for p in f_lengths:
-            if len(w) - p not in g_lengths:
-                continue
-            for m, u1, u2 in splittings(L, w, left_size=p):
-                v1 = f.values.get(u1)
-                v2 = g.values.get(u2)
-                if not v1 or not v2:
-                    continue
-                s = -1 if (g.degree % 2 and word_degree(L, u1) % 2) else 1
-                vec_axpy(acc, Q(m * s), multiply(A, v1, v2))
-        if acc:
-            vals[w] = acc
-    return FormTable(L, f.degree + g.degree, vals)
+    return FormTable(f.L, f.degree + g.degree, cup_axpy(
+        f.L, {}, 1, f.values, g.values, g.degree, f.L.over.mult))
 
 
 class LevelTable:
@@ -235,7 +233,8 @@ class LevelTable:
       * the anchor part, (w, columns of the anchor value on w1,
         multiplicity, parity of w1) for every anchor key w1 at level j
         with w = w1 u nonvanishing; the multiplicity is the coefficient
-        of the splitting of w with right factor u (coalgebra.splittings).
+        of the pair (w1, u) in the shuffle diagonal of w
+        (coalgebra.shuffle_coefficient).
         The algebra differential is the anchor value on the empty word
         at level 0, as in the twisting identity.
     Both parts are built on first use, so del_j(w) is read once per
@@ -284,12 +283,8 @@ class LevelTable:
         level = {(): self._diff} if j == 0 else self._maps.get(j, {})
         part = []
         for w1, cols in level.items():
-            sgn, w = normalize_word(L, list(w1 + u))
-            if not (sgn and cols):
-                continue
-            m = sum(s for s, _, right in splittings(L, w, left_size=j)
-                    if right == u)
-            if m:
+            m, w = shuffle_coefficient(L, w1, u)
+            if m and cols:
                 part.append((w, cols, m, word_degree(L, w1) % 2))
         return part
 
@@ -538,27 +533,6 @@ def square_check(L, partial, t, policy):
     return [r for level in by_level for r in level]
 
 
-def with_unit_form(L, F, x, c, out, degree=None):
-    """out += c * (F cup e_x), or, given the degree of F, c * (e_x cup F),
-    on integer forms {u: {a: coefficient}}.  The unit 1-form
-    e_x = delta_((x), 1) adds x to each word u of F; the one splitting
-    term per occurrence of x in the new word w gives the multiplicity,
-    the count of x in w times the sign of sorting x into u, with the
-    Koszul sign of the cup product on top.  Returns out."""
-    odd_x = L.sl_degree(x) % 2
-    for u, col in F.items():
-        if not col:
-            continue
-        sgn, w = normalize_word(L, [*u, x] if degree is None else [x, *u])
-        if not sgn:
-            continue
-        m = sgn * w.count(x)
-        if odd_x and (word_degree(L, u) if degree is None else degree) % 2:
-            m = -m
-        vec_axpy(out.setdefault(w, {}), c * m, col)
-    return out
-
-
 def leibniz_levels(live, W):
     """The live levels j that some live level k pairs with in a term
     D_k D_j of the square on words of length 2: 2 + j + k <= W."""
@@ -576,24 +550,24 @@ def leibniz_check(L, partial, t, policy):
     leibniz_levels, for every unordered pair of the constants c_a and
     the unit 1-forms e_x (generator_probes), a pair of two constants
     left out: it is the anchor premise.  Each product is one dual-basis
-    form, so its image is one LevelTable.apply; cup with e_x is
-    with_unit_form.  Residuals {level, f, g, value}, value the defect
-    form, level-major in the order of the pairs.
+    form, so its image is one LevelTable.apply.  Residuals {level, f, g,
+    value}, value the defect form, level-major in the order of the
+    pairs.
 
-    On the LevelTable every term comes out delta * lam**j times its
-    rational value; c_a cup D_j e_x also multiplies in A, through the
-    structure constants times mu, their least common denominator, so
-    the pairs with a constant carry mu on every term.  Each residual is
-    divided back once.
+    On the LevelTable every image comes out delta * lam**j times its
+    rational value, and every cup product is one cup_axpy through the
+    structure constants times mu (AlgebraSpec.int_mult), so every term
+    comes out mu * delta * lam**j times its rational value.  Each
+    residual is divided back once.
     """
     A = L.over
     levels = leibniz_levels(live_levels(L, partial, t, policy.W), policy.W)
     if not levels:
         return []
     adeg = A.basis.degree
-    mu, mult = A.mu, A.int_mult
+    mult = A.int_mult
     table = t.level_table(partial)
-    gens = [(name, w, al, adeg[al] - word_degree(L, w))
+    gens = [(name, w, {w: {al: 1}}, adeg[al] - word_degree(L, w))
             for name, w, al in generator_probes(L)
             if not w or al == A.unit]
     units = [g for g in gens if g[1]]
@@ -601,25 +575,15 @@ def leibniz_check(L, partial, t, policy):
              + [(f, g) for i, f in enumerate(units) for g in units[i:]])
     report = []
     for j in levels:
-        image = {name: table.apply(j, {w: {al: 1}}, {})
-                 for name, w, al, _ in gens}
-        for (fname, fw, fl, fdeg), (gname, (y,), _, gdeg) in pairs:
-            c = 1 if fw else mu
-            res = table.apply(j, with_unit_form(L, {fw: {fl: c}}, y, 1, {}),
-                              {})
-            with_unit_form(L, image[fname], y, -c, res)
-            s = -1 if fdeg % 2 else 1
-            if fw:
-                with_unit_form(L, image[gname], fw[0], -s, res,
-                               degree=gdeg - 1)
-            else:
-                for w, col in image[gname].items():
-                    acc = res.setdefault(w, {})
-                    for b, x in col.items():
-                        vec_axpy(acc, -s * x, mult.get((fl, b), {}))
+        image = {name: table.apply(j, F, {}) for name, _, F, _ in gens}
+        scale = A.mu * table.scale(j)
+        for (fname, _, F, fdeg), (gname, _, G, gdeg) in pairs:
+            res = table.apply(j, cup_axpy(L, {}, 1, F, G, gdeg, mult), {})
+            cup_axpy(L, res, -1, image[fname], G, gdeg, mult)
+            cup_axpy(L, res, 1 if fdeg % 2 else -1, F, image[gname],
+                     gdeg - 1, mult)
             res = {w: v for w, v in res.items() if v}
             if res:
-                scale = c * table.scale(j)
                 report.append({"level": j, "f": fname, "g": gname,
                                "value": {w: {b: Q(x, scale)
                                              for b, x in res[w].items()}

@@ -190,8 +190,8 @@ def _need(doc, key, locus, typ=dict):
         raise InstanceError(locus, "missing section %r" % (key,))
     val = doc[key]
     if typ is not None and not isinstance(val, typ):
-        raise InstanceError("%s.%s" % (locus, key),
-                            "expected %s" % typ.__name__)
+        raise InstanceError("%s.%s" % (locus, key), "expected %s" % {
+            dict: "an object", list: "a list"}[typ])
     return val
 
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from mdca.coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                             splittings, word_degree)
 from mdca.algebra import Derivation, multiply
-from mdca.forms import (FormTable, ambient_basis_forms, constant_form, cup,
+from mdca.forms import (FormTable, ambient_basis_forms, constant_form,
                         dual_one_forms, generator_probes, leibniz_levels,
                         live_levels)
 from mdca.graded import (LinearMap, ONE, ZERO, kernel_of_rows, row_echelon,
@@ -167,9 +167,9 @@ def reference_square_check(L, partial, t, W, max_len=1):
 
 
 def reference_leibniz_check(L, partial, t, W):
-    """The residuals of forms.leibniz_check, from reference_D and cup in
-    Fractions: D_j(f cup g) - D_j f cup g - (-1)^|f| f cup D_j g on the
-    same pairs of cup generators and levels."""
+    """The residuals of forms.leibniz_check, from reference_D and
+    reference_cup in Fractions: D_j(f cup g) - D_j f cup g - (-1)^|f| f
+    cup D_j g on the same pairs of cup generators and levels."""
     A = L.over
     gens = [(name, FormTable(L, A.basis.degree[al] - word_degree(L, w),
                              {w: {al: ONE}}), w)
@@ -181,9 +181,10 @@ def reference_leibniz_check(L, partial, t, W):
     for j in leibniz_levels(live_levels(L, partial, t, W), W):
         for (fname, f, _), (gname, g, _) in pairs:
             s = -ONE if f.degree % 2 else ONE
-            d = reference_D(cup(f, g), partial, t, j).add(
-                cup(reference_D(f, partial, t, j), g).scale(-ONE)).add(
-                cup(f, reference_D(g, partial, t, j)).scale(-s))
+            d = reference_D(reference_cup(f, g), partial, t, j).add(
+                reference_cup(reference_D(f, partial, t, j),
+                              g).scale(-ONE)).add(
+                reference_cup(f, reference_D(g, partial, t, j)).scale(-s))
             if not d.is_zero():
                 report.append({"level": j, "f": fname, "g": gname,
                                "value": {w: d.values[w]
@@ -192,9 +193,9 @@ def reference_leibniz_check(L, partial, t, W):
 
 
 def reference_cup(f, g):
-    """The cup product summed over every splitting of each word, where
-    forms.cup walks only the splittings whose factor lengths are support
-    lengths of f and g."""
+    """The cup product summed over every splitting of each word that a
+    pair of words of f and g reaches, where forms.cup meets each such
+    pair once, with its closed-form coalgebra.shuffle_coefficient."""
     L = f.L
     candidates = set()
     for w1 in f.values:

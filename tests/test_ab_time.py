@@ -33,3 +33,7 @@ def test_one_round_of_the_same_tree_on_both_sides(monkeypatch, capsys):
                 % (name, jobs)) in out
     assert out.count("change won") == 2
     assert out.count(" of 1 pairs") == 2
+    # one round: each side's quartiles are its one pass time, so the
+    # parent's spread is zero
+    assert out.count("median gap ") == 2
+    assert out.count("the parent's quartile spread 0.0000 s") == 2

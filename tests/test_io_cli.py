@@ -227,23 +227,38 @@ def first_rows(table):
     raise AssertionError("no case gives rows to %s" % table)
 
 
-@pytest.mark.parametrize("table", ("policy",) + WIRE_TABLES)
+# the sections read whole (io_json._need), and the word their type takes
+NEED_SECTIONS = {"algebra.generators": "a list", "module.generators": "a list",
+                 "structure.coderivations": "an object",
+                 "structure.twisting": "an object",
+                 "structure.constants": "an object",
+                 "structure.duals": "an object"}
+
+
+@pytest.mark.parametrize("table", ("policy",) + WIRE_TABLES + tuple(
+    "section:" + locus for locus in NEED_SECTIONS))
 def test_a_present_section_must_have_its_type(table, tmp_path, capsys):
-    # a policy given as false, 0, "" or [] was the default policy, and a
-    # table given as null, false or 0 an empty one, each with exit 0
+    # a policy given as false, 0, "" or [] was the default policy, a
+    # table given as null, false or 0 an empty one, each with exit 0, and
+    # a whole section of another type named its Python type
     if table == "policy":
         doc = json.loads(wire_text("heisenberg"))
-        holder, key, locus = doc, "policy", "policy"
-        bad = [None, False, 0, "", []]
+        holder, key, locus, want = doc, "policy", "policy", "an object"
+    elif table.startswith("section:"):
+        locus = table.partition(":")[2]
+        section, key = locus.split(".")
+        doc = next(doc for doc in map(json.loads, map(wire_text, WIRE_CASES))
+                   if key in doc[section])
+        holder, want = doc[section], NEED_SECTIONS[locus]
     else:
         doc, holder, key, locus = first_rows(table)
-        bad = [None, False, 0, "", {}]
-    for value in bad:
+        want = "a list"
+    other = {"an object": [], "a list": {}}[want]
+    for value in [None, False, 0, "", other]:
         holder[key] = value
         for code, out in run_verbs(doc, tmp_path, capsys):
             assert code == 2
-            assert "error: %s: expected" % locus in out.err
-
+            assert "error: %s: expected %s\n" % (locus, want) in out.err
 
 
 def sl2_doc():

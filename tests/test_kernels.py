@@ -1,9 +1,12 @@
-"""The word and Leibniz kernels against their oracles.
+"""The word, cup and Leibniz kernels against their oracles.
 
 coalgebra.splittings gives one triple per distinct pair of factors,
-coalgebra.normalize_word counts inversions among odd generators, and
+coalgebra.shuffle_coefficient the coefficient of one pair in closed
+form, coalgebra.normalize_word counts inversions among odd generators,
+forms.cup_axpy runs on integers or Fractions alike, and
 Derivation.leibniz_violations runs on integer copies; each is compared
-here with the direct computation kept in operator_reference.
+here with the direct computation kept in operator_reference, or with
+the Fraction cup.
 """
 
 from fractions import Fraction as Q
@@ -14,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
                           truncated_polynomial)
-from mdca.coalgebra import normalize_word, splittings, words_of_length
-from mdca.graded import GradedBasis
+from mdca.coalgebra import (ModuleSpec, normalize_word, shuffle_coefficient,
+                            splittings, word_degree, words_of_length)
+from mdca.forms import FormTable, cup, cup_axpy
+from mdca.graded import GradedBasis, vec_scale
 from mdca.instances import catalog_entry
 
 from operator_reference import (derivation_space, reference_leibniz_violations,
@@ -46,6 +51,29 @@ def test_splittings_group_the_subsets_of_a_repeated_even_generator():
     word = (g,) * 5
     # five equal generators: one pair per left size, C(5, k) subsets each
     assert splittings(L, word, 2) == ((10, word[:2], word[:3]),)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(MODULES)), st.integers(0, 5), st.randoms())
+def test_shuffle_coefficient_is_the_coefficient_of_its_splitting(name, n,
+                                                                 rnd):
+    L = MODULES[name]
+    word = rnd.choice(words_of_length(L, n))
+    for left_size in range(n + 1):
+        for m, left, right in splittings(L, word, left_size):
+            assert shuffle_coefficient(L, left, right) == (m, word)
+    # a pair of canonical words drawn apart: zero exactly where their
+    # concatenation repeats an odd generator
+    k = rnd.randint(0, n)
+    left = rnd.choice(words_of_length(L, k))
+    right = rnd.choice(words_of_length(L, n - k))
+    m, w = shuffle_coefficient(L, left, right)
+    odd = [g for g in left + right if L.sl_degree(g) % 2]
+    if len(set(odd)) < len(odd):
+        assert (m, w) == (0, None)
+    else:
+        assert m != 0
+        assert m == reference_splittings(L, w, k)[(left, right)]
 
 
 def canonical_words(L, n):
@@ -121,3 +149,42 @@ def test_integer_leibniz_violations_are_the_nonzero_defects(
     else:
         d = Derivation(A, degree, random_operator(A, degree, rnd))
     assert d.leibniz_violations() == reference_leibniz_violations(d)
+
+
+# modules for the cup kernel; over scaled_truncated the structure
+# constants have the denominator mu = 3
+CUP_MODULES = {name: catalog_entry(name)[0].L
+               for name in ("exterior_pair", "quasi_sample", "truncated_poly")}
+CUP_MODULES["truncated, scaled"] = ModuleSpec(
+    scaled_truncated(), GradedBasis([("u", 0), ("v", 0)]))
+
+
+def random_int_form(L, rnd, max_len):
+    """(degree, values) of a form on words up to max_len with Python int
+    values, no zero among them."""
+    adeg = L.over.basis.degree
+    cells = [(w, a) for n in range(max_len + 1) for w in words_of_length(L, n)
+             for a in L.over.basis.labels]
+    w, a = rnd.choice(cells)
+    degree = adeg[a] - word_degree(L, w)
+    values = {}
+    for w, a in cells:
+        if adeg[a] - word_degree(L, w) == degree and rnd.random() < 0.5:
+            values.setdefault(w, {})[a] = rnd.choice([-3, -2, -1, 1, 2, 3])
+    return degree, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CUP_MODULES)), st.integers(-3, 3),
+       st.randoms())
+def test_cup_axpy_on_integers_is_mu_times_the_fraction_cup(name, c, rnd):
+    L = CUP_MODULES[name]
+    A = L.over
+    (fdeg, F), (gdeg, G) = (random_int_form(L, rnd, 2) for _ in range(2))
+    got = cup_axpy(L, {}, c, F, G, gdeg, A.int_mult)
+    assert all(type(x) is int for v in got.values() for x in v.values())
+    want = cup(*(FormTable(L, d, {w: {a: Q(x) for a, x in v.items()}
+                                  for w, v in vals.items()})
+                 for d, vals in ((fdeg, F), (gdeg, G))))
+    assert {w: v for w, v in got.items() if v} == {
+        w: vec_scale(c * A.mu, v) for w, v in want.values.items() if c}

@@ -5,10 +5,13 @@ one process, and runs the job lists of the named workloads of
 perfbench/workloads.py on both, job by job: in each round every job runs
 once on each side, and the side that runs first alternates from round
 to round.  Every outcome is checked with workloads.check_outcome.  For
-each workload it prints each side's median pass time, the median and
-quartiles of the per-round ratio change/parent, and the rounds the
-change won.  Pairs taken seconds apart on one host see the same load, so
-the ratio holds up where separate benchmark runs drift.
+each workload it prints each side's median and quartiles of the pass
+time, the median and quartiles of the per-round ratio change/parent,
+the rounds the change won, and whether the gap between the two medians
+exceeds the distance between the parent's quartiles.  A gain needs both:
+the change winning nine pairs in ten, and a median gap beyond the
+parent's own spread.  Pairs taken seconds apart on one host see the same
+load, so the ratio holds up where separate benchmark runs drift.
 
 The seeded inputs are written once, by perfbench/gen.py with the mdca of
 PARENT_SRC.  Set and dict order follow the string hash, so fix
@@ -129,11 +132,17 @@ def main(argv=None):
         print("workload %s: %d rounds of %d jobs, %d oracle failures"
               % (name, args.rounds, len(workloads.WORKLOADS[name]),
                  len(errors)))
+        quarts = {side: quartiles(passes[side]) for side in SIDES}
         for side in SIDES:
-            print("  %s pass_s median %.4f s" % (
-                side, statistics.median(passes[side])))
+            p1, p2, p3 = quarts[side]
+            print("  %s pass_s median %.4f s [%.4f-%.4f]" % (
+                side, p2, p1, p3))
         print("  change/parent median %.3f [%.3f-%.3f]" % (q2, q1, q3))
         print("  change won %d of %d pairs" % (won, len(ratios)))
+        gap = abs(quarts["change"][1] - quarts["parent"][1])
+        spread = quarts["parent"][2] - quarts["parent"][0]
+        print("  median gap %.4f s %s the parent's quartile spread %.4f s"
+              % (gap, "exceeds" if gap > spread else "is within", spread))
     return 1 if failed else 0
 
 
