@@ -328,7 +328,7 @@ def main(argv=None):
         report["timing_seconds"] = time.perf_counter() - t0
         render(report, args)
         return 1 if residuals else 0
-    except (UsageError, InstanceError, FileNotFoundError) as e:
+    except (UsageError, InstanceError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ bracket table live here.  Every level of a coderivation, level 0 (the
 suspended module differential) included, is applied to a word one way:
 the cached extension of its corestriction (Coderivation.apply_level).
 All identities are checked up to a word-length truncation W; the
-perturbation identities run on an integer copy of the coderivation
-(Coderivation.scaled).
+perturbation identities run on an integer copy of the coderivation,
+every level times one integer s (Coderivation.scaled).
 """
 
 from fractions import Fraction as Q
@@ -52,8 +52,9 @@ class ModuleSpec:
         # the suspended differential as an arity-1 corestriction table
         self.d0_table = {(g,): self.diff_sl.column(g)
                          for g in self.sl_basis.labels}
-        # delta of the integer tables of the direct route: clears the
-        # denominators of level 0, the module and algebra differentials
+        # the denominators of level 0, the module and algebra
+        # differentials; the one integer scale of a structure clears them
+        # (forms.LevelTable)
         self.d0_denominator = denominator(chain(
             diff_l.entries.values(), over.diff.entries.values()))
         # per-instance caches for the word-combinatorics hot paths; safe
@@ -349,24 +350,24 @@ class Coderivation:
             vec_axpy(out, c, self.apply_level(j, w))
         return out
 
-    def scaled(self, delta, lam):
-        """The same coderivation on Python ints: level k, level 0 (the
-        module differential) included, times delta * lam**k.  delta must
-        clear L.d0_denominator and lam the denominator of every level.
-        The direct route evaluates its identities on this copy, through
-        apply_level; it is built on first use and kept for one (delta,
-        lam) at a time, for the life of this coderivation."""
-        if self._scaled is None or self._scaled[0] != (delta, lam):
-            self._scaled = ((delta, lam), Coderivation(
-                self.L, {j: {w: int_multiple(delta * lam ** j, v)
-                             for w, v in tab.items()}
+    def scaled(self, s):
+        """The same coderivation on Python ints: every level, level 0
+        (the module differential) included, times s, which must clear
+        L.d0_denominator and the denominator of every level (else
+        int_multiple raises ValueError).  The direct route and the
+        LevelTable of the operator route evaluate on this copy, through
+        apply_level; it is built on first use and kept for one s at a
+        time, for the life of this coderivation."""
+        if self._scaled is None or self._scaled[0] != s:
+            self._scaled = (s, Coderivation(
+                self.L, {j: {w: int_multiple(s, v) for w, v in tab.items()}
                          for j, tab in self.cor.items()},
-                {w: int_multiple(delta, v)
+                {w: int_multiple(s, v)
                  for w, v in self.L.d0_table.items() if v}))
         return self._scaled[1]
 
 
-def check_coalgebra_perturbation(partial, L, policy, lam):
+def check_coalgebra_perturbation(partial, L, policy, s):
     """Level-by-level residuals of the filtered perturbation identities.
 
     For each level j the operator sum_k del^k @ del^(j-k) over k = 0..j,
@@ -378,25 +379,23 @@ def check_coalgebra_perturbation(partial, L, policy, lam):
     factor makes its term zero on every word, so the residuals are those
     of the full sum.
 
-    The sum runs on the integer copy partial.scaled(delta, lam), with
-    delta = L.d0_denominator and lam a multiple of partial.denominator:
-    the lam of forms.integer_tables, so that the anchor identities and
-    the operator route share the one copy (Coderivation.scaled keeps
-    one).  Every term has one factor at level k and one at level j - k,
-    so it comes out delta**2 * lam**j times its rational value, and so
-    does the sum: a residual is zero iff its integer one is, whatever
-    the lam, and its value is divided back once.  The value is an sL
-    element, keyed by label.
+    The sum runs on the integer copy partial.scaled(s), where s clears
+    d0 and every level: the s of the structure's forms.LevelTable, so
+    that the anchor identities and the operator route share the one copy
+    (Coderivation.scaled keeps one).  Every term is a product of two
+    levels, so it comes out s**2 times its rational value, and so does
+    the sum: a residual is zero iff its integer one is, whatever the s,
+    and its value is divided back once.  The value is an sL element,
+    keyed by label.
     """
-    delta = L.d0_denominator
-    scaled = partial.scaled(delta, lam)
+    scaled = partial.scaled(s)
+    scale = s * s
     report = []
     for j in range(1, policy.W):
         terms = [k for k in range(j + 1)
                  if partial.live(k) and partial.live(j - k)]
         if not terms:
             continue
-        scale = delta * delta * lam ** j
         for w in words_of_length(L, j + 1):
             res = {}
             for k in terms:

@@ -15,16 +15,16 @@ homogeneous of its degree; the forms of an mdca file, the only ones
 from outside, are checked once where they are parsed (io_json).
 
 Every reader of D_j (build_D, square_check, leibniz_check,
-cohomology_ranks) goes through one LevelTable per structure, kept with
-its anchor family (TwistingCochain.level_table).  The table runs on the
-integer copies of integer_tables: level j >= 1 is scaled by
-delta * lam**j, level 0 (the algebra and word differentials) by delta.
-So the table holds delta * lam**j * D_j, and each reader divides back
-once: build_D by delta * lam**j (times the lcm of its input's
-denominators), square_check each residual by delta**2 * lam**j,
-leibniz_check each residual by mu * delta * lam**j (its cup products
-run through the structure constants times mu), and cohomology_ranks
-not at all: it scales the levels of each row alike and makes the row
+cohomology_ranks) and every identity of the direct route goes through
+one LevelTable per structure, kept with its anchor family
+(TwistingCochain.level_table).  The table holds the integer copies of
+every table of the structure, each times one integer s: the module and
+algebra differentials, every coderivation level and every anchor level.
+So the table holds s * D_j at every level, and each reader divides back
+by a constant: build_D by s (times the lcm of its input's
+denominators), square_check each residual by s**2, leibniz_check each
+residual by mu * s (its cup products run through the structure
+constants times mu), and cohomology_ranks not at all: it makes each row
 primitive, which leaves the ranks of D.  Those ranks are certified
 without a reduced form where the rank modulo a prime meets a bound that
 D squared to zero gives; row_echelon reduces exactly only the other
@@ -113,28 +113,14 @@ class TwistingCochain:
         self.denominator = denominator(
             c for tab in self.maps.values() for op in tab.values()
             for c in op.entries.values())
-        self._scaled = None
         self._table = None
 
     def levels(self):
         return sorted(self.maps)
 
-    def scaled(self, delta, lam):
-        """(diff, maps): the algebra differential times delta and each
-        level k times delta * lam**k, as integer columns (LinearMap.
-        int_columns) by level and word.  Built on first use and kept for
-        one (delta, lam) at a time, for the life of this family."""
-        if self._scaled is None or self._scaled[0] != (delta, lam):
-            maps = {j: {w: op.int_columns(delta * lam ** j)
-                        for w, op in tab.items()}
-                    for j, tab in self.maps.items()}
-            self._scaled = ((delta, lam),
-                            (self.L.over.diff.int_columns(delta), maps))
-        return self._scaled[1]
-
     def level_table(self, partial):
-        """The LevelTable of D_j for this family and the coderivation
-        partial.  Built on first use and kept for one coderivation at a
+        """The LevelTable (the integer copies, and D_j read off them) of
+        this family and the coderivation partial.  Built on first use and kept for one coderivation at a
         time, for the life of this family; the table holds no reference
         back to the family.  A table for another coderivation replaces
         it and builds its own parts."""
@@ -222,11 +208,19 @@ def cup(f, g):
 
 
 class LevelTable:
-    """D_j on the dual-basis forms delta_(u,a), on integer_tables.
+    """The integer copies of one structure, and D_j on the dual-basis
+    forms delta_(u,a) read off them.
 
-    Level j >= 1 is scaled by delta * lam**j and level 0 by delta
-    (scale).  D_j of delta_(u,a) is the transpose of two parts of data on
-    the word u, which do not depend on the label a:
+    s is the least common multiple of L.d0_denominator and the
+    denominators of the coderivation and the anchor family, so it clears
+    every table.  partial is the coderivation times s
+    (Coderivation.scaled), diff the algebra differential and maps[j][w]
+    each anchor value times s, as integer columns (LinearMap.
+    int_columns).  Every identity is bilinear in these tables, so a term
+    of two tables comes out s**2 times its value and a term of one table
+    s times its value (mu * s with a product in A); the readers divide
+    back by that constant.  D_j of delta_(u,a) is the transpose of two
+    parts of data on the word u, which do not depend on the label a:
       * the bracket part {w: coefficient of u in the scaled del_j(w)},
         over the words w that a corestriction key holding a generator of
         u reaches (level 0: the word differential);
@@ -246,21 +240,22 @@ class LevelTable:
 
     def __init__(self, L, partial, t):
         self.L = L
-        self.delta, self.lam, self._partial, (self._diff, self._maps) = (
-            integer_tables(L, partial, t))
+        self.s = s = lcm(L.d0_denominator, partial.denominator,
+                         t.denominator)
+        self.partial = partial.scaled(s)
+        self.diff = L.over.diff.int_columns(s)
+        self.maps = {j: {w: op.int_columns(s) for w, op in tab.items()}
+                     for j, tab in t.maps.items()}
         self._keys = {}
         self._parts = {}
         self.descent = {}
-
-    def scale(self, j):
-        return self.delta * self.lam ** j
 
     def _bracket_part(self, j, u):
         L = self.L
         keys = self._keys.get(j)
         if keys is None:
             keys = self._keys[j] = {}
-            for wc, vec in self._partial.corestriction(j).items():
+            for wc, vec in self.partial.corestriction(j).items():
                 for g in vec:
                     keys.setdefault(g, []).append(wc)
         words = set()
@@ -273,14 +268,14 @@ class LevelTable:
                     words.add(w)
         part = {}
         for w in words:
-            c = self._partial.apply_level(j, w).get(u)
+            c = self.partial.apply_level(j, w).get(u)
             if c:
                 part[w] = c
         return part
 
     def _anchor_part(self, j, u):
         L = self.L
-        level = {(): self._diff} if j == 0 else self._maps.get(j, {})
+        level = {(): self.diff} if j == 0 else self.maps.get(j, {})
         part = []
         for w1, cols in level.items():
             m, w = shuffle_coefficient(L, w1, u)
@@ -332,13 +327,13 @@ def build_D(f, partial, t, j):
     operator, at level 0 the Hom-differential.  Read off the LevelTable
     of (partial, t): f is scaled to integers by the lcm of its
     denominators, the columns of its dual-basis forms are summed on
-    integers, and the sum is divided back once by that lcm times
-    delta * lam**j."""
+    integers, and the sum is divided back once by that lcm times the
+    table's s."""
     table = t.level_table(partial)
     den = denominator(c for v in f.values.values() for c in v.values())
     out = table.apply(j, {u: int_multiple(den, v)
                           for u, v in f.values.items()}, {})
-    scale = den * table.scale(j)
+    scale = den * table.s
     return FormTable(f.L, f.degree - 1, {
         w: {b: Q(c, scale) for b, c in v.items()}
         for w, v in out.items() if v})
@@ -506,13 +501,14 @@ def square_check(L, partial, t, policy):
     word, value} are level-major, with words sorted within each (level,
     form).
 
-    The sums run on the LevelTable, where level i holds delta * lam**i
-    times D_i, so every term D_k D_(j-k) comes out delta**2 * lam**j
-    times its rational value; each residual is divided back once.
+    The sums run on the LevelTable, where every level holds s times
+    D_i, so every term D_k D_(j-k) comes out s**2 times its rational
+    value; each residual is divided back once.
     """
     W = policy.W
     live = live_levels(L, partial, t, W)
     table = t.level_table(partial)
+    scale = table.s ** 2
     by_level = [[] for _ in range(W + 1)]
     for name, w, al in generator_probes(L):
         probe = {w: {al: 1}}
@@ -525,7 +521,6 @@ def square_check(L, partial, t, policy):
                 if j - k not in images:
                     images[j - k] = table.apply(j - k, probe, {})
                 table.apply(k, images[j - k], res)
-            scale = table.delta * table.scale(j)
             by_level[j] += [
                 {"level": j, "form": name, "word": w2,
                  "value": {b: Q(c, scale) for b, c in res[w2].items()}}
@@ -554,11 +549,10 @@ def leibniz_check(L, partial, t, policy):
     value}, value the defect form, level-major in the order of the
     pairs.
 
-    On the LevelTable every image comes out delta * lam**j times its
-    rational value, and every cup product is one cup_axpy through the
-    structure constants times mu (AlgebraSpec.int_mult), so every term
-    comes out mu * delta * lam**j times its rational value.  Each
-    residual is divided back once.
+    On the LevelTable every image comes out s times its rational value,
+    and every cup product is one cup_axpy through the structure constants
+    times mu (AlgebraSpec.int_mult), so every term comes out mu * s times
+    its rational value.  Each residual is divided back once.
     """
     A = L.over
     levels = leibniz_levels(live_levels(L, partial, t, policy.W), policy.W)
@@ -567,6 +561,7 @@ def leibniz_check(L, partial, t, policy):
     adeg = A.basis.degree
     mult = A.int_mult
     table = t.level_table(partial)
+    scale = A.mu * table.s
     gens = [(name, w, {w: {al: 1}}, adeg[al] - word_degree(L, w))
             for name, w, al in generator_probes(L)
             if not w or al == A.unit]
@@ -576,7 +571,6 @@ def leibniz_check(L, partial, t, policy):
     report = []
     for j in levels:
         image = {name: table.apply(j, F, {}) for name, _, F, _ in gens}
-        scale = A.mu * table.scale(j)
         for (fname, _, F, fdeg), (gname, _, G, gdeg) in pairs:
             res = table.apply(j, cup_axpy(L, {}, 1, F, G, gdeg, mult), {})
             cup_axpy(L, res, -1, image[fname], G, gdeg, mult)
@@ -654,13 +648,11 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
     The row of a basis form f on words of length p is the sum of D_j f
     over the levels j < W with p + j <= W, over only the (word, label)
     columns some row of its degree hits.  The rows are read off the
-    LevelTable as integers: with m the lcm of the denominators of f and
-    J its top level, level j of the table, delta * lam**j D_j (m f), is
-    taken lam**(J - j) times, so the row is m * delta * lam**J times the
-    row of D, and it is divided by the gcd of its entries.  A primitive
-    integer row is the smallest integer multiple of the rational one, so
-    the ranks are those of D and row_echelon meets no larger integers
-    than on the rational rows.
+    LevelTable as integers: with m the lcm of the denominators of f, its
+    levels give m * s times the row of D, which is divided by the gcd of
+    its entries.  A primitive integer row is the smallest integer
+    multiple of the rational one, so the ranks are those of D and
+    row_echelon meets no larger integers than on the rational rows.
     Each degree's matrix is built once and ranked modulo a prime once
     (graded.rank_modulo), which bounds its rank over Q from below.  D
     raises word length, so the truncation is a quotient complex, and D
@@ -722,14 +714,11 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
             [p] = f.support_lengths()
             m = denominator(c for v in f.values.values() for c in v.values())
             vec = {u: int_multiple(m, v) for u, v in f.values.items()}
-            top = min(W, W - p + 1) - 1
-            row = {}
-            for j in range(top + 1):
+            out = {}
+            for j in range(min(W, W - p + 1)):
                 if live[j]:
-                    s = table.lam ** (top - j)
-                    for w, v in table.apply(j, vec, {}).items():
-                        for al, c in v.items():
-                            row[(w, al)] = s * c
+                    table.apply(j, vec, out)
+            row = {(w, al): c for w, v in out.items() for al, c in v.items()}
             g = gcd(*row.values()) or 1
             rows.append({key: c // g for key, c in row.items()})
         cols = sorted({key for row in rows for key in row})
@@ -771,18 +760,6 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
     return ranks
 
 
-def integer_tables(L, partial, t):
-    """(delta, lam, coderivation, (diff, maps)): the integer copies on
-    which the identities of the direct route and the LevelTable of the
-    operator route run, one (delta, lam) per structure.  delta clears
-    level 0 (L.d0_denominator) and lam every higher level of both
-    families, so level k of each is scaled by delta * lam**k
-    (Coderivation.scaled, TwistingCochain.scaled)."""
-    delta = L.d0_denominator
-    lam = lcm(partial.denominator, t.denominator)
-    return delta, lam, partial.scaled(delta, lam), t.scaled(delta, lam)
-
-
 def twisting_residual(L, t, partial, j, word):
     """Level-j residual of the anchor family as an operator on A.
 
@@ -797,12 +774,13 @@ def twisting_residual(L, t, partial, j, word):
     skipped term has an empty anchor level or a zero coderivation level
     as a factor, so it is zero.
 
-    The terms are evaluated on integer_tables.  Each pairs two factors
-    whose levels add up to j, the algebra differential counting as level
-    0, so each comes out delta**2 * lam**j times its rational value; the
-    sum is divided back once.
+    The terms are evaluated on the integer copies of the LevelTable of
+    (partial, t).  Each pairs two tables, the algebra differential
+    counting as one, so each comes out s**2 times its rational value;
+    the sum is divided back once.
     """
-    delta, lam, scaled, (diff, maps) = integer_tables(L, partial, t)
+    table = t.level_table(partial)
+    scaled, diff, maps = table.partial, table.diff, table.maps
     wd = word_degree(L, word)
     out = {}
     op = maps.get(j, {}).get(word)
@@ -825,6 +803,6 @@ def twisting_residual(L, t, partial, j, word):
                 continue
             s = -1 if word_degree(L, w1) % 2 else 1
             compose_axpy(out, m * s, op1, op2)
-    scale = delta * delta * lam ** j
+    scale = table.s ** 2
     return {(tt, s): Q(c, scale) for s, col in out.items()
             for tt, c in col.items()}

@@ -560,6 +560,8 @@ def parse_instance_text(text, where="instance"):
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise InstanceError(where, "malformed JSON: %s" % e)
+    except RecursionError:
+        raise InstanceError(where, "JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise InstanceError(where, "expected a JSON object")
     A = _parse_algebra(doc)
@@ -572,5 +574,8 @@ def parse_instance_text(text, where="instance"):
 
 def parse_instance(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise InstanceError(str(path), "not UTF-8 text: %s" % e) from None
     return parse_instance_text(text, where=str(path))

@@ -29,8 +29,7 @@ from .coalgebra import (Coderivation, antisymmetry_violations,
                         stripped_slots, suspension_sign, word_degree,
                         words_of_length)
 from .forms import (TwistingCochain, build_D, descent_check,
-                    dual_one_forms, integer_tables, operator_route,
-                    twisting_residual)
+                    dual_one_forms, operator_route, twisting_residual)
 
 
 def mult_op(A, a_vec):
@@ -84,19 +83,19 @@ def direct_route(L, partial, t, policy):
     anchor module-linearity and the anomaly law at every level of either
     family.  Each residual carries route, axiom, witness and value.
 
-    The perturbation, twisting and anomaly identities are homogeneous
-    under scaling level k by delta * lam**k (and the structure constants
-    by mu), so they run on integer copies of the tables and divide each
-    residual back (check_coalgebra_perturbation, forms.twisting_residual,
-    anomaly_report).  All three, and the operator route, share the one
-    (delta, lam) of forms.integer_tables, so each family has one integer
-    copy.  Module-linearity compares t_j(w) with a * t_j(bare),
-    where only the second side has a product in A, so it stays on
-    Fractions.
+    The perturbation, twisting and anomaly identities are bilinear in
+    the tables (the anomaly law in one table and one product in A), so
+    they run on the integer copies of the structure's forms.LevelTable,
+    every table times one s (the structure constants times mu), and
+    divide each residual back by a constant (check_coalgebra_perturbation,
+    forms.twisting_residual, anomaly_report).  The operator route reads
+    the same table, so each family has one integer copy.
+    Module-linearity compares t_j(w) with a * t_j(bare), where only the
+    second side has a product in A, so it stays on Fractions.
     """
     report = []
-    lam = integer_tables(L, partial, t)[1]
-    for r in check_coalgebra_perturbation(partial, L, policy, lam):
+    s = t.level_table(partial).s
+    for r in check_coalgebra_perturbation(partial, L, policy, s):
         report.append({"route": "direct",
                        "axiom": "bracket coderivation squares to zero",
                        "witness": (r["level"], r["word"]),
@@ -163,18 +162,18 @@ def anomaly_report(L, partial, t, j):
     anchor term plus the Koszul-signed scaled bracket; violations on all
     (word, algebra element, generator) triples are reported.
 
-    The law is checked on integer_tables, with the algebra's structure
-    constants scaled by mu, their least common denominator.  Every term
-    has one level-j factor (the corestriction or the anchor) and one
-    product in A, so it comes out mu * delta * lam**j times its rational
-    value; the residual is divided back once.
+    The law is checked on the integer copies of the LevelTable of
+    (partial, t), with the algebra's structure constants scaled by mu,
+    their least common denominator.  Every term has one table (the
+    corestriction or the anchor) and one product in A, so it comes out
+    mu * s times its rational value; the residual is divided back once.
     """
     A = L.over
     adeg = A.basis.degree
-    delta, lam, scaled, (_, maps) = integer_tables(L, partial, t)
-    mu, mult = A.mu, A.int_mult
-    scale = mu * delta * lam ** j
-    anchor = maps.get(j, {})
+    table = t.level_table(partial)
+    scaled, mult = table.partial, A.int_mult
+    scale = A.mu * table.s
+    anchor = table.maps.get(j, {})
     report = []
     for w in words_of_length(L, j):
         op = anchor.get(w, {})

@@ -366,6 +366,29 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
+def unreadable_input(kind, tmp_path):
+    """The argument list of a run whose input or report path cannot be
+    read or written, each made in tmp_path."""
+    if kind == "directory":
+        return ["check", str(tmp_path)]
+    if kind == "json report into a directory":
+        return ["check", "catalog:sl2", "--json", str(tmp_path)]
+    p = tmp_path / "bad.json"
+    if kind == "not UTF-8":
+        p.write_bytes(b"\xff\xfe{}")
+    else:
+        p.write_text("[" * 200000 + "]" * 200000)
+    return ["check", str(p)]
+
+
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8", "nested deeply",
+                                  "json report into a directory"])
+def test_unreadable_input_exits_2(kind, tmp_path, capsys):
+    # each was a traceback with the exit code 1 of a failing identity
+    assert cli.main(unreadable_input(kind, tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_catalog_verbs(capsys):
     assert cli.main(["catalog", "list"]) == 0
     names = capsys.readouterr().out.split()

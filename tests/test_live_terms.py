@@ -4,24 +4,26 @@ A term of a perturbation or twisting identity with a zero factor (an
 empty corestriction or anchor level, or level 0 with a zero module
 differential) is zero, so skipping it must leave every residual as it
 is.  The direct route also evaluates its three identities on integer
-copies of the tables (level k scaled by delta * lam**k, the structure
-constants by mu) and divides each residual back.  The oracles below
+copies of the tables (every table times one integer s, the structure
+constants times mu) and divides each residual back.  The oracles below
 evaluate every term, as the identities are written, in Fraction
 arithmetic on the given tables; residual lists, witnesses and values
 must be equal, on data with denominators at every level.  The same holds
-for the level differentials D_j of the operator route, which read one
-integer table (forms.LevelTable), against the Fraction reference in
-operator_reference.
+for the level differentials D_j of the operator route, which read the
+same integer copies (forms.LevelTable), against the Fraction reference
+in operator_reference.  Any s that clears every table gives the same
+answers; one that does not is refused.
 """
 
 import gc
 import random
 import weakref
 from fractions import Fraction as Q
+from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdca import cli, coalgebra, forms, structures
 from mdca.algebra import AlgebraSpec, multiply
@@ -29,15 +31,18 @@ from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             check_coalgebra_perturbation,
                             coderivation_from_brackets, normalize_word,
                             splittings, word_degree, words_of_length)
-from mdca.forms import (FormTable, TwistingCochain, build_D, cohomology_ranks,
-                        cup, descent_check, integer_tables, leibniz_check,
-                        multilinear_basis, operator_route, square_check)
-from mdca.graded import (GradedBasis, LinearMap, ONE, compose, vec_axpy,
-                         vec_sub)
+from mdca.forms import (FormTable, LevelTable, SquareResidualError,
+                        TwistingCochain, build_D, cohomology_ranks, cup,
+                        descent_check, leibniz_check, multilinear_basis,
+                        operator_route, square_check)
+from mdca.graded import (GradedBasis, LinearMap, ONE, compose, denominator,
+                         vec_axpy, vec_sub)
 from mdca.instances import QUASI_PARAMS, build_quasi_sample, catalog_entry
+from mdca.io_json import emit_instance, parse_instance_text
 from mdca.structures import (LieRinehartData, MdcaStructure,
                              ShLieRinehartData, anomaly_report,
-                             check_sh_lie_rinehart, check_twisting_cochain,
+                             check_lie_rinehart, check_sh_lie_rinehart,
+                             check_twisting_cochain,
                              direct_route, extract_structure, quasi_to_sh,
                              table_residuals)
 from operator_reference import (nonzero, reference_bra, reference_D,
@@ -205,8 +210,8 @@ def dg_anchor_homotopy():
 CASES = {name: catalog_homotopy(name)
          for name in ("exterior_pair", "truncated_poly", "quasi_sample")}
 # dg_anchor has a nonzero algebra differential; the rational copies have
-# denominators at level 0 (delta), in the structure constants (mu) and at
-# the higher levels (lam)
+# denominators at level 0, in the structure constants (mu) and at the
+# higher levels
 RATIONAL = {
     "quasi_sample, rational": rational_copy(
         CASES["quasi_sample"], {"th": Q(2, 5)}, Q(2, 3)),
@@ -218,7 +223,8 @@ RATIONAL = {
 ALL_CASES = dict(CASES, dg_anchor=dg_anchor_homotopy(), **RATIONAL)
 
 # each level draws its own denominators, coprime to the other levels',
-# so a wrong power of lam or a missing delta changes some value
+# so s takes a prime from every perturbed level, and a residual divided
+# back by a wrong power of s, or without mu, changes its value
 DENOMINATORS = {1: (1, 3, 2**61 - 1), 2: (1, 5, 7), 3: (1, 11, 13)}
 
 
@@ -273,8 +279,9 @@ def anomaly_levels(partial, t):
        st.integers(0, 2**32 - 1))
 def test_perturbation_residuals_equal_the_all_terms_oracle(name, W, seed):
     L, partial, _ = perturbed(random.Random(seed), ALL_CASES[name])
-    assert (check_coalgebra_perturbation(partial, L, TruncationPolicy(W),
-                                         partial.denominator)
+    assert (check_coalgebra_perturbation(
+        partial, L, TruncationPolicy(W),
+        lcm(L.d0_denominator, partial.denominator))
             == all_terms_perturbation(partial, L, W))
 
 
@@ -313,12 +320,12 @@ def test_the_rational_copies_have_every_kind_of_denominator():
     for sh in RATIONAL.values():
         mult = sh.L.over.mult
         if sh.L.d0_denominator > 1:
-            scales.add("delta")
+            scales.add("level 0")
         if max(sh.partial.denominator, sh.t.denominator) > 1:
-            scales.add("lam")
+            scales.add("higher levels")
         if any(c.denominator > 1 for v in mult.values() for c in v.values()):
             scales.add("mu")
-    assert scales == {"delta", "lam", "mu"}
+    assert scales == {"level 0", "higher levels", "mu"}
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CASES))
@@ -328,8 +335,9 @@ def test_the_perturbed_data_fail_every_identity(name):
     for seed in range(30):
         L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
         policy = TruncationPolicy(3)
-        if check_coalgebra_perturbation(partial, L, policy,
-                                        partial.denominator):
+        if check_coalgebra_perturbation(
+                partial, L, policy,
+                lcm(L.d0_denominator, partial.denominator)):
             failed.add("perturbation")
         if check_twisting_cochain(L, t, partial, policy):
             failed.add("twisting")
@@ -422,10 +430,9 @@ def test_twisting_residuals_skip_only_levels_without_a_live_term(
 
 # ------------------------------------------------ integer loops, counted
 
-def sl2_pair_in_a_rational_basis():
-    """sl2 + sl2 in a random rational basis: big enough that evaluating
-    its terms in Fractions builds many more Fractions than its table has
-    entries."""
+def sl2_pair_lie_rinehart():
+    """sl2 + sl2 in a random rational basis, seeded, as Lie-Rinehart
+    data."""
     sl2 = catalog_entry("sl2")[0]
     names = [x for x, _ in sl2.L.a_basis.gens]
     L = ModuleSpec(sl2.L.over, GradedBasis(
@@ -440,14 +447,21 @@ def sl2_pair_in_a_rational_basis():
         P = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
              for _ in range(6)]
         Pinv = inverse(P)
-    return change_of_basis(LieRinehartData(L, table, {}), P, Pinv).as_sh()
+    return change_of_basis(LieRinehartData(L, table, {}), P, Pinv)
+
+
+def sl2_pair_in_a_rational_basis():
+    """sl2 + sl2 in a random rational basis: big enough that evaluating
+    its terms in Fractions builds many more Fractions than its table has
+    entries."""
+    return sl2_pair_lie_rinehart().as_sh()
 
 
 def identities(L, partial, t, W):
     """The three identities of the direct route that run on integers."""
     policy = TruncationPolicy(W)
     return (check_coalgebra_perturbation(partial, L, policy,
-                                         integer_tables(L, partial, t)[1])
+                                         t.level_table(partial).s)
             + check_twisting_cochain(L, t, partial, policy)
             + [r for j in anomaly_levels(partial, t)
                for r in anomaly_report(L, partial, t, j)])
@@ -662,7 +676,7 @@ def test_every_structure_the_library_builds_keeps_the_table_contract(name,
             mock.patch.object(TwistingCochain, "__init__", recording_init(
                 TwistingCochain.__init__, made)):
         coderivation_from_brackets(L, {2: partial.cor.get(1, {})})
-        integer_tables(L, partial, t)
+        t.level_table(partial)
         images = [descent_check(L, partial, t, j)["images"]
                   for j in range(policy.W)]
         extract_structure(MdcaStructure(
@@ -676,7 +690,7 @@ def test_every_structure_the_library_builds_keeps_the_table_contract(name,
             {x: rng.choice([0, random_q(rng)]) for x in lam}, dmat,
             {key: random_q(rng) for key in cs})
         sh = quasi_to_sh(q)
-        integer_tables(sh.L, sh.partial, sh.t)
+        sh.t.level_table(sh.partial)
     assert any(getattr(made_one, "cor", None) for made_one in made)
     for made_one in made:
         levels = getattr(made_one, "cor", None)
@@ -733,23 +747,84 @@ def test_the_leibniz_check_builds_no_fraction_per_term(monkeypatch):
 def test_a_check_builds_one_integer_copy_of_the_coderivation(monkeypatch):
     # the coderivation of rational truncated_poly has denominator 2, its
     # anchor 4: the perturbation identity, the anchor identities and the
-    # operator route all run on the copy scaled by lam = 4
+    # operator route all run on the copy scaled by s = 4
     sh = rational_copy(CASES["truncated_poly"], {"x": Q(1, 2), "x^2": Q(1, 3)},
                        Q(3, 2))
     assert (sh.partial.denominator, sh.t.denominator) == (2, 4)
     built = []
     real = Coderivation.scaled
 
-    def recording(self, delta, lam):
+    def recording(self, s):
         before = self._scaled
-        out = real(self, delta, lam)
+        out = real(self, s)
         if self._scaled is not before:
-            built.append((delta, lam))
+            built.append(s)
         return out
 
     monkeypatch.setattr(Coderivation, "scaled", recording)
     assert check_sh_lie_rinehart(sh, TruncationPolicy(4)) == []
-    assert built == [(sh.L.d0_denominator, 4)]
+    assert built == [4]
+
+
+@pytest.mark.parametrize("data", ["truncated_poly, rational", "seeded file"])
+def test_a_check_builds_one_level_table(data, monkeypatch):
+    # both routes read the integer copies of the one LevelTable kept with
+    # the anchor family; fresh families, so no table is kept yet
+    made = []
+    monkeypatch.setattr(LevelTable, "__init__",
+                        recording_init(LevelTable.__init__, made))
+    policy = TruncationPolicy(4)
+    if data == "seeded file":
+        lr = parse_instance_text(emit_instance(sl2_pair_lie_rinehart(),
+                                               policy)).data
+        assert lr.partial.denominator > 1
+        assert check_lie_rinehart(lr, policy) == []
+    else:
+        sh = RATIONAL[data]
+        assert check_sh_lie_rinehart(ShLieRinehartData(
+            sh.L, Coderivation(sh.L, sh.partial.cor),
+            TwistingCochain(sh.L, sh.t.maps)), policy) == []
+    assert len(made) == 1
+
+
+def scale_answers(L, partial, t, policy):
+    """What the routes answer on one structure: the residuals of both
+    routes, the descent images, and the Betti numbers with their rank
+    certificates, or the refusal with its residuals."""
+    certificates = {}
+    try:
+        betti = cohomology_ranks(L, partial, t, policy, certificates)
+    except SquareResidualError as e:
+        betti = (str(e), e.residuals)
+    return (direct_route(L, partial, t, policy),
+            operator_route(L, partial, t, policy),
+            [descent_check(L, partial, t, j)["images"]
+             for j in range(policy.W)],
+            betti, certificates)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ALL_CASES)), st.integers(0, 2**32 - 1))
+@example("dg_anchor, rational", 0)  # d0 has denominator 77, the levels 3
+def test_the_answers_do_not_depend_on_the_scale(name, seed):
+    # every identity is homogeneous in the one scale s, so an s that is a
+    # proper multiple of the least one answers alike: the structure is
+    # built afresh with L.d0_denominator raised before any table is
+    # built, to 6 * s, a multiple of the true one, so s becomes 6 * s
+    policy = TruncationPolicy(3)
+    L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
+    s = t.level_table(partial).s
+    want = scale_answers(L, partial, t, policy)
+    with mock.patch.object(L, "d0_denominator", 6 * s):
+        L, partial, t = perturbed(random.Random(seed), ALL_CASES[name])
+        assert t.level_table(partial).s == 6 * s
+        assert scale_answers(L, partial, t, policy) == want
+    # an s that clears every level but not the word differential d0
+    d0 = denominator(c for v in L.d0_table.values() for c in v.values())
+    if partial.denominator % d0:
+        with pytest.raises(ValueError):
+            check_coalgebra_perturbation(partial, L, policy,
+                                         partial.denominator)
 
 
 @settings(max_examples=30, deadline=None)

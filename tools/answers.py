@@ -1,15 +1,17 @@
 """Print the answers of the mdca command line, one line per run.
 
-For each catalog entry (all of them by default, or the NAMEs given) and
-for its emitted sh_lie_rinehart and mdca files, runs mdca check,
-roundtrip and cohomology at --W 2, 3 and 5 in process (mdca.cli.main).
+For each input (every catalog entry by default, or the catalog NAMEs and
+instance file PATHs given) and for its emitted sh_lie_rinehart and mdca
+files (no mdca file where the input's tables do not descend), runs mdca
+check, roundtrip and cohomology at --W 2, 3 and 5 in process
+(mdca.cli.main).
 Each run prints one line: the input, the verb and W, then a JSON object
 with the exit code, stdout without its elapsed: line, stderr, and the
 --json report without timing_seconds.  The output holds no timing, so
 two source trees answer alike exactly when their outputs are equal.
 
 Run from the repository root:
-  PYTHONPATH=src python3 tools/answers.py [NAME ...]
+  PYTHONPATH=src python3 tools/answers.py [NAME | PATH ...]
 """
 
 import contextlib
@@ -22,21 +24,31 @@ import tempfile
 from mdca import cli
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import emit_instance, parse_instance_text
-from mdca.structures import build_maurer_cartan
+from mdca.structures import DescentError, build_maurer_cartan
 
 VERBS = ("check", "roundtrip", "cohomology")
 WS = (2, 3, 5)
 
 
 def instance_texts(name):
-    """(label, text) of the catalog entry and its sh and mdca emissions;
-    the mdca tables are built at the entry's own policy."""
-    data, policy = catalog_entry(name)
-    text = emit_instance(data, policy)
-    sh = cli.extracted(parse_instance_text(text), policy)[0]
-    return [(name, text), (name + ".sh", emit_instance(sh, policy)),
-            (name + ".mdca",
-             emit_instance(build_maurer_cartan(sh, policy), policy))]
+    """(label, text) of the input and its sh and mdca emissions: an
+    instance file where name is a path to one, else the catalog entry;
+    the mdca tables are built at the input's own policy, and left out
+    where the input does not descend to them."""
+    if os.path.isfile(name):
+        with open(name, encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = emit_instance(*catalog_entry(name))
+    inst = parse_instance_text(text)
+    policy = inst.policy
+    sh = cli.extracted(inst, policy)[0]
+    texts = [(name, text), (name + ".sh", emit_instance(sh, policy))]
+    try:
+        m = build_maurer_cartan(sh, policy)
+    except DescentError:
+        return texts
+    return texts + [(name + ".mdca", emit_instance(m, policy))]
 
 
 def answer(path, verb, W, report_path):
@@ -62,7 +74,7 @@ def main(argv=None):
         report_path = os.path.join(tmp, "report.json")
         for name in names:
             for label, text in instance_texts(name):
-                path = os.path.join(tmp, label + ".json")
+                path = os.path.join(tmp, os.path.basename(label) + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(text)
                 for verb in VERBS:

@@ -21,7 +21,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from mdca.coalgebra import TruncationPolicy, check_coalgebra_perturbation
-from mdca.forms import integer_tables
 from mdca.graded import ONE, kernel_of_rows, row_echelon
 from mdca.instances import build_quasi_sample
 from mdca.structures import (check_sh_lie_rinehart, check_twisting_cochain,
@@ -60,10 +59,10 @@ def residual_vector(q, W, affine_only=False):
     left out (twisting beyond level 3), so the rest is affine in them.
     """
     sh = quasi_to_sh(q)
-    lam = integer_tables(q.L, sh.partial, sh.t)[1]
+    s = sh.t.level_table(sh.partial).s
     vec = {}
     for r in check_coalgebra_perturbation(sh.partial, q.L,
-                                          TruncationPolicy(W), lam):
+                                          TruncationPolicy(W), s):
         for g, c in r["value"].items():
             vec[("p", r["level"], r["word"], g)] = c
     tW = min(W, 3) if affine_only else W
