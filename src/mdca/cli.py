@@ -11,7 +11,9 @@ Verbs:
   catalog    list the built-in examples or emit one as an instance file
 
 Paths may name a file or a built-in example as catalog:<name>.  Exit
-codes: 0 all identities hold, 1 some identity fails, 2 unusable input.
+codes: 0 all identities hold, 1 some identity fails, 2 unusable input; a
+reader that closes stdout early ends the output quietly, and the code
+stays the verdict's.
 Degree windows may be negative: --window -2..3 and --window=-2..3 both
 work; a window selects cohomology degrees, never the square check.  W
 must be at least 2.  check runs the direct route on plain Lie-Rinehart
@@ -294,40 +296,50 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code else 0
 
+    code = 0
     try:
         if args.verb == "catalog":
             if args.action == "list":
                 for name in catalog_names():
                     print(name)
-                return 0
-            if not args.name:
+            elif not args.name:
                 raise UsageError("catalog emit requires a name")
-            try:
-                data, policy = catalog_entry(args.name)
-            except KeyError as e:
-                raise UsageError(str(e.args[0]))
-            sys.stdout.write(emit_instance(data, policy))
-            return 0
-
-        inst = load(args.path, args.kind)
-        policy = policy_for(inst, args)
-        t0 = time.perf_counter()
-        report = {"kind": inst.kind, "W": policy.W}
-        residuals = validation_residuals(inst)
-        if not residuals and args.verb == "cohomology":
-            residuals, fields = run_cohomology(inst, policy)
-            report.update(fields)
-        elif not residuals:
-            run = run_check if args.verb == "check" else run_roundtrip
-            residuals = run(inst, policy)
-        if "betti" not in report:
-            report["residuals"] = residuals
-        if args.verb == "roundtrip":
-            report["certifies"] = ROUNDTRIP_SCOPE
-        report["verdict"] = "fail" if residuals else "pass"
-        report["timing_seconds"] = time.perf_counter() - t0
-        render(report, args)
-        return 1 if residuals else 0
+            else:
+                try:
+                    data, policy = catalog_entry(args.name)
+                except KeyError as e:
+                    raise UsageError(str(e.args[0]))
+                sys.stdout.write(emit_instance(data, policy))
+        else:
+            inst = load(args.path, args.kind)
+            policy = policy_for(inst, args)
+            t0 = time.perf_counter()
+            report = {"kind": inst.kind, "W": policy.W}
+            residuals = validation_residuals(inst)
+            if not residuals and args.verb == "cohomology":
+                residuals, fields = run_cohomology(inst, policy)
+                report.update(fields)
+            elif not residuals:
+                run = run_check if args.verb == "check" else run_roundtrip
+                residuals = run(inst, policy)
+            if "betti" not in report:
+                report["residuals"] = residuals
+            if args.verb == "roundtrip":
+                report["certifies"] = ROUNDTRIP_SCOPE
+            report["verdict"] = "fail" if residuals else "pass"
+            report["timing_seconds"] = time.perf_counter() - t0
+            code = 1 if residuals else 0
+            render(report, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: the rest of the output goes to
+        # the null device, so the flush at exit fails no more, and the
+        # exit code is the verdict's
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return code
     except (UsageError, InstanceError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -280,10 +280,13 @@ def apply_corestriction(L, cor, arity, word):
         if not val:
             continue
         for g, c in val.items():
-            s2, w = normalize_word(L, [g] + list(w2))
-            if s2 == 0:
-                continue
-            vec_axpy(out, m * s2, {w: c})
+            s2, w = normalize_word(L, (g,) + w2)
+            if s2:
+                x = out.get(w, 0) + m * s2 * c
+                if x:
+                    out[w] = x
+                else:
+                    del out[w]
     return out
 
 
@@ -335,17 +338,17 @@ class Coderivation:
 
     def apply_level(self, j, word):
         """The level-j part on one word, as {word: coefficient}: the
-        coderivation extension of corestriction(j)."""
+        coderivation extension of corestriction(j).  The dict is the
+        cached image itself, so a caller reads it and never changes it."""
         key = (j, word)
         hit = self._apply_cache.get(key)
         if hit is None:
-            hit = apply_corestriction(self.L, self.corestriction(j), j + 1,
-                                      word)
-            self._apply_cache[key] = hit
-        return dict(hit)
+            hit = self._apply_cache[key] = apply_corestriction(
+                self.L, self.corestriction(j), j + 1, word)
+        return hit
 
-    def apply_level_vec(self, j, wvec):
-        out = {}
+    def apply_level_vec(self, j, wvec, out):
+        """out += the level-j part on the word vector wvec; returns out."""
         for w, c in wvec.items():
             vec_axpy(out, c, self.apply_level(j, w))
         return out
@@ -399,8 +402,7 @@ def check_coalgebra_perturbation(partial, L, policy, s):
         for w in words_of_length(L, j + 1):
             res = {}
             for k in terms:
-                vec_axpy(res, 1, scaled.apply_level_vec(
-                    k, scaled.apply_level(j - k, w)))
+                scaled.apply_level_vec(k, scaled.apply_level(j - k, w), res)
             if res:
                 report.append({"level": j, "word": w, "value": {
                     g: Q(c, scale) for (g,), c in res.items()}})

@@ -20,6 +20,10 @@ one LevelTable per structure, kept with its anchor family
 (TwistingCochain.level_table).  The table holds the integer copies of
 every table of the structure, each times one integer s: the module and
 algebra differentials, every coderivation level and every anchor level.
+The table reads D_j off those copies in closed form, from the
+corestriction and anchor tables, and never applies a level to a word
+(Coderivation.apply_level): the direct route and the operator route
+share the integer copies and nothing computed from them.
 So the table holds s * D_j at every level, and each reader divides back
 by a constant: build_D by s (times the lcm of its input's
 denominators), square_check each residual by s**2, leibniz_check each
@@ -222,8 +226,14 @@ class LevelTable:
     back by that constant.  D_j of delta_(u,a) is the transpose of two
     parts of data on the word u, which do not depend on the label a:
       * the bracket part {w: coefficient of u in the scaled del_j(w)},
-        over the words w that a corestriction key holding a generator of
-        u reaches (level 0: the word differential);
+        with level 0 the word differential, in closed form: for each
+        distinct generator g of u, with rest the other generators of u,
+        and each corestriction key wc whose value holds g, the term
+        m * s2 * (coefficient of g in the value of wc) at the word w of
+        wc + rest, where m is the coefficient of the pair (wc, rest) in
+        the shuffle diagonal of w (coalgebra.shuffle_coefficient) and s2
+        the sign of sorting g + rest into u; a level that is not live
+        (Coderivation.live) has none;
       * the anchor part, (w, columns of the anchor value on w1,
         multiplicity, parity of w1) for every anchor key w1 at level j
         with w = w1 u nonvanishing; the multiplicity is the coefficient
@@ -231,11 +241,12 @@ class LevelTable:
         (coalgebra.shuffle_coefficient).
         The algebra differential is the anchor value on the empty word
         at level 0, as in the twisting identity.
-    Both parts are built on first use, so del_j(w) is read once per
-    (level, word); apply builds the column of each label from them with
-    the Koszul signs of the form degree |a| - |u|.  The table keeps the
-    integer copies, not the structure they were made from.  descent
-    holds the descent_check report of each level, built on first use.
+    Both parts are built on first use, once per (level, word), and no
+    level is ever applied to a whole word; apply builds the column of
+    each label from them with the Koszul signs of the form degree
+    |a| - |u|.  The table keeps the integer copies, not the structure
+    they were made from.  descent holds the descent_check report of each
+    level, built on first use.
     """
 
     def __init__(self, L, partial, t):
@@ -256,22 +267,21 @@ class LevelTable:
         if keys is None:
             keys = self._keys[j] = {}
             for wc, vec in self.partial.corestriction(j).items():
-                for g in vec:
-                    keys.setdefault(g, []).append(wc)
-        words = set()
+                for g, c in vec.items():
+                    keys.setdefault(g, []).append((wc, c))
+        part = {}
         for i, g in enumerate(u):
             if i and g == u[i - 1]:
                 continue
-            for wc in keys.get(g, ()):
-                sgn, w = normalize_word(L, list(wc + u[:i] + u[i + 1:]))
-                if sgn:
-                    words.add(w)
-        part = {}
-        for w in words:
-            c = self.partial.apply_level(j, w).get(u)
-            if c:
-                part[w] = c
-        return part
+            # del_j(w) reaches u from a splitting (wc, rest) of w with g
+            # in the value of wc and rest the other generators of u
+            rest = u[:i] + u[i + 1:]
+            s2 = normalize_word(L, (g,) + rest)[0]
+            for wc, c in keys.get(g, ()):
+                m, w = shuffle_coefficient(L, wc, rest)
+                if m:
+                    part[w] = part.get(w, 0) + m * s2 * c
+        return {w: x for w, x in part.items() if x}
 
     def _anchor_part(self, j, u):
         L = self.L
@@ -288,9 +298,10 @@ class LevelTable:
         key = (j, u)
         hit = self._parts.get(key)
         if hit is None:
-            hit = self._parts[key] = (word_degree(self.L, u) % 2,
-                                      self._bracket_part(j, u),
-                                      self._anchor_part(j, u))
+            hit = self._parts[key] = (
+                word_degree(self.L, u) % 2,
+                self._bracket_part(j, u) if self.partial.live(j) else {},
+                self._anchor_part(j, u))
         return hit
 
     def apply(self, j, vec, out):

@@ -9,13 +9,17 @@ fraction-free, and writes back the reduced row echelon form as
 
 ``rank_modulo`` gives only a rank, over the prime field of PRIME: it
 is a lower bound on the rank over Q, and a caller that knows an upper
-bound which meets it has the rank over Q without a reduced form.
+bound which meets it has the rank over Q without a reduced form.  It
+packs each row into one Python int, a 64-bit slot per column, so that a
+row update is one big-integer multiply-add.
 
 The vector helpers and ``compose_axpy`` are type-generic: Python ints in
 give ints out, so a loop over tables scaled to integers
 (``int_multiple``) never builds a ``Fraction``.
 """
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,9 +29,14 @@ Q = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# the one modulus of rank_modulo: a Mersenne prime, so that a product of
-# two residues fits in 62 bits
-PRIME = 2 ** 31 - 1
+# the one modulus of rank_modulo: the largest prime below 2**25, so
+# that one row update adds less than PRIME**2 < 2**50 to a slot
+PRIME = 33554393
+# rank_modulo packs a row into one int, column c in bits
+# SLOT_BITS * c to SLOT_BITS * (c + 1) - 1; a slot reduced modulo PRIME
+# takes SLOT_BUDGET updates (2**14) before it could overflow
+SLOT_BITS = 64
+SLOT_BUDGET = ((1 << SLOT_BITS) - PRIME) // (PRIME - 1) ** 2
 
 
 def vec_scale(c, u):
@@ -250,39 +259,61 @@ def row_echelon(rows, ncols):
     return piv_cols
 
 
+def _packed(residues):
+    """One int holding the given residues, entry c in slot c."""
+    return int.from_bytes(array("Q", residues).tobytes(), sys.byteorder)
+
+
+def _reduced(x, ncols):
+    """The residues modulo PRIME of the ncols slots of a packed row."""
+    p = PRIME
+    return [v % p for v in memoryview(
+        x.to_bytes(ncols * SLOT_BITS // 8, sys.byteorder)).cast("Q")]
+
+
 def rank_modulo(rows, ncols):
     """Rank over the field with PRIME elements of an integer matrix given
     by rows of ncols entries; rows is left as it is.
 
     A lower bound on the rank over Q: an r x r minor that is nonzero
     modulo PRIME is a nonzero integer.  It is below the rank r over Q
-    only where PRIME divides every r x r minor.  Gaussian
-    elimination updates only the columns after each pivot, and stops
-    once every nonzero row holds a pivot.
+    only where PRIME divides every r x r minor.
+
+    Each row is one Python int with column c in slot c, SLOT_BITS wide,
+    so a row update x += (PRIME - a) * pivot is one multiply-add on
+    ints.  Each new row is reduced against the pivot rows in the order
+    they were found; a pivot row holds residues, 1 at its pivot and 0 in
+    the columns of the earlier pivots, so the update leaves those at 0
+    modulo PRIME.  A slot is reduced modulo PRIME only where the row
+    becomes a pivot, and after SLOT_BUDGET updates, before it could
+    overflow into the next slot.  Stops once the pivots fill the
+    columns.
     """
     p = PRIME
-    m = [row for row in ([x % p for x in r] for r in rows) if any(row)]
-    rank = 0
-    for c in range(ncols):
-        if rank == len(m):
+    mask = (1 << SLOT_BITS) - 1
+    pivots = []
+    for row in rows:
+        if len(pivots) == ncols:
             break
-        for i in range(rank, len(m)):
-            if m[i][c]:
-                break
-        else:
-            continue
-        m[rank], m[i] = m[i], m[rank]
-        top = m[rank]
-        inv = pow(top[c], -1, p)
-        tail = top[c + 1:]
-        for i in range(rank + 1, len(m)):
-            low = m[i]
-            if low[c]:
-                a = low[c] * inv % p
-                low[c + 1:] = [(x - a * y) % p
-                               for x, y in zip(low[c + 1:], tail)]
-        rank += 1
-    return rank
+        x = _packed([v % p for v in row])
+        budget = SLOT_BUDGET
+        for shift, top in pivots:
+            a = (x >> shift & mask) % p
+            if a:
+                if not budget:
+                    x = _packed(_reduced(x, ncols))
+                    budget = SLOT_BUDGET
+                x += (p - a) * top
+                budget -= 1
+        residues = _reduced(x, ncols)
+        x = _packed(residues)
+        if x:
+            # the first nonzero slot holds the lowest set bit
+            c = ((x & -x).bit_length() - 1) // SLOT_BITS
+            inv = pow(residues[c], -1, p)
+            pivots.append((c * SLOT_BITS,
+                           _packed([v * inv % p for v in residues])))
+    return len(pivots)
 
 
 def kernel_of_rows(rows, ncols):

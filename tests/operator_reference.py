@@ -11,8 +11,10 @@ paper's quasi illustration (D_1 and D_2 read straight from the quasi
 data on alternating forms) and the Jacobi defect identity of quasi data.
 So are the kernels' oracles: the Koszul sign of a permutation
 (koszul_sign), the shuffle diagonal by position subsets, word sorting
-by that sign, the Leibniz rule on Fractions, and the derivations of an
-algebra solved from the Leibniz system (derivation_space).
+by that sign, the Leibniz rule on Fractions, the derivations of an
+algebra solved from the Leibniz system (derivation_space), and the rank
+modulo PRIME by Gaussian elimination on lists of residues
+(reference_rank_modulo).
 """
 
 from fractions import Fraction as Q
@@ -24,8 +26,8 @@ from mdca.algebra import Derivation, multiply
 from mdca.forms import (FormTable, ambient_basis_forms, constant_form,
                         dual_one_forms, generator_probes, leibniz_levels,
                         live_levels)
-from mdca.graded import (LinearMap, ONE, ZERO, kernel_of_rows, row_echelon,
-                         vec_axpy, vec_scale)
+from mdca.graded import (PRIME, LinearMap, ONE, ZERO, kernel_of_rows,
+                         row_echelon, vec_axpy, vec_scale)
 from mdca.structures import extend_linearly, quasi_to_sh
 
 
@@ -546,3 +548,32 @@ def reference_leibniz_violations(d):
     labels = d.of.basis.labels
     return [(i, j) for i in labels for j in labels
             if d.leibniz_defect(i, j)]
+
+
+def reference_rank_modulo(rows, ncols):
+    """graded.rank_modulo on lists of residues: Gaussian elimination
+    column by column, updating only the columns after each pivot, entry
+    by entry; rows is left as it is."""
+    p = PRIME
+    m = [row for row in ([x % p for x in r] for r in rows) if any(row)]
+    rank = 0
+    for c in range(ncols):
+        if rank == len(m):
+            break
+        for i in range(rank, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[rank], m[i] = m[i], m[rank]
+        top = m[rank]
+        inv = pow(top[c], -1, p)
+        tail = top[c + 1:]
+        for i in range(rank + 1, len(m)):
+            low = m[i]
+            if low[c]:
+                a = low[c] * inv % p
+                low[c + 1:] = [(x - a * y) % p
+                               for x, y in zip(low[c + 1:], tail)]
+        rank += 1
+    return rank

@@ -1,14 +1,17 @@
 import random
+import sys
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mdca import graded
 from mdca.graded import (ONE, PRIME, ZERO, GradedBasis, LinearMap, compose,
                          kernel_of_rows, rank_modulo, row_echelon, vec_axpy,
                          vec_sub)
 
-from operator_reference import koszul_sign
+from operator_reference import koszul_sign, reference_rank_modulo
 
 
 def identity(basis):
@@ -291,8 +294,9 @@ def exact_rank(rows, ncols):
 
 @given(integer_matrices())
 def test_rank_modulo_equals_the_exact_rank_on_small_entries(case):
-    # by Hadamard's bound every minor is below (4 * sqrt(7))**7 < PRIME
-    # in size, so a nonzero minor stays nonzero modulo PRIME
+    # by Hadamard's bound every minor is below (4 * sqrt(7))**7, about
+    # 1.5 * 10**7, in size, and PRIME is about 3.4 * 10**7, so a nonzero
+    # minor stays nonzero modulo PRIME
     rows, ncols = case
     before = [list(r) for r in rows]
     assert rank_modulo(rows, ncols) == exact_rank(rows, ncols)
@@ -321,3 +325,94 @@ def test_rank_modulo_drops_where_prime_divides_every_maximal_minor():
     assert rank_modulo([[PRIME, 2 * PRIME]], 2) == 0
     assert rank_modulo([[2, 4, 6], [3, 5, 7]], 3) == 2
     assert rank_modulo([], 0) == 0
+
+
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80),
+                    st.sampled_from([PRIME, -PRIME, PRIME - 1, 1 - PRIME,
+                                     2 ** 64, -2 ** 64]))
+
+
+@st.composite
+def residue_matrices(draw):
+    """Integer matrices for rank_modulo against the list oracle: empty
+    ones, zero rows, negative and huge entries, and rows that differ from
+    an earlier row by PRIME times a third."""
+    ncols = draw(st.integers(0, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["entries", "zero", "shifted"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "shifted" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-2 ** 40, 2 ** 40))
+            rows.append([x + k * PRIME * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(ENTRIES, min_size=ncols,
+                                      max_size=ncols)))
+    return rows, ncols
+
+
+@given(residue_matrices())
+def test_rank_modulo_equals_the_list_oracle(case):
+    rows, ncols = case
+    before = [list(r) for r in rows]
+    assert rank_modulo(rows, ncols) == reference_rank_modulo(rows, ncols)
+    assert rows == before
+
+
+def slot_checked(budget, reductions):
+    """graded._reduced, asserting first that every slot holds at most
+    what budget updates of a reduced slot give, and that nothing spilt
+    past the last slot."""
+    real = graded._reduced
+    most = PRIME - 1 + budget * (PRIME - 1) ** 2
+
+    def checked(x, ncols):
+        assert 0 <= x < 1 << (graded.SLOT_BITS * ncols)
+        raw = x.to_bytes(ncols * graded.SLOT_BITS // 8, sys.byteorder)
+        assert max(memoryview(raw).cast("Q"), default=0) <= most
+        reductions.append(x)
+        return real(x, ncols)
+    return checked
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_rank_modulo_reduces_a_row_once_it_spends_its_budget(budget):
+    # pivot row i is e_i + (PRIME - 1) e_n, and the last row (1, ..., 1, 0)
+    # meets each with a = 1: every update adds (PRIME - 1)**2 to slot n,
+    # the most one update adds, so slot n passes the budget's bound unless
+    # the row is reduced every `budget` updates
+    n = 6
+    rows = [[int(c == i) + (PRIME - 1) * (c == n) for c in range(n + 1)]
+            for i in range(n)] + [[1] * n + [0]]
+    reductions = []
+    with mock.patch.object(graded, "SLOT_BUDGET", budget), \
+            mock.patch.object(graded, "_reduced",
+                              slot_checked(budget, reductions)):
+        assert rank_modulo(rows, n + 1) == reference_rank_modulo(rows, n + 1)
+    # one reduction where each row leaves the pivots, and one more each
+    # time the last row spends its budget
+    assert len(reductions) == len(rows) + (n - 1) // budget
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+@given(case=residue_matrices())
+def test_rank_modulo_equals_the_list_oracle_on_a_small_budget(budget, case):
+    rows, ncols = case
+    with mock.patch.object(graded, "SLOT_BUDGET", budget), \
+            mock.patch.object(graded, "_reduced",
+                              slot_checked(budget, [])):
+        assert rank_modulo(rows, ncols) == reference_rank_modulo(rows,
+                                                                  ncols)
+
+
+def test_the_slot_budget_is_the_most_updates_a_slot_holds():
+    # a reduced slot is below PRIME and one update adds at most
+    # (PRIME - 1)**2, so SLOT_BUDGET updates fit in SLOT_BITS and one more
+    # may not; a 25-bit prime leaves 2**14 updates to 64-bit slots
+    top = 1 << graded.SLOT_BITS
+    budget = graded.SLOT_BUDGET
+    assert PRIME < 2 ** 25 and budget == 2 ** 14
+    assert PRIME - 1 + budget * (PRIME - 1) ** 2 < top
+    assert PRIME - 1 + (budget + 1) * (PRIME - 1) ** 2 >= top

@@ -8,6 +8,9 @@ of every verb, and the pinned machine-derived quasi instance.
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -387,6 +390,35 @@ def test_unreadable_input_exits_2(kind, tmp_path, capsys):
     # each was a traceback with the exit code 1 of a failing identity
     assert cli.main(unreadable_input(kind, tmp_path)) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def run_with_stdout_closed(argv):
+    """(exit code, stderr) of the command line in a subprocess whose
+    reader closes its standard output at once."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from mdca.cli import main; sys.exit(main())"] + argv,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(), err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cohomology", "catalog:sl2", "--W", "3"], 0),
+    (["check", "catalog:jacobi_violator"], 1),
+    (["catalog", "emit", "quasi_sample"], 0)])
+def test_a_closed_stdout_keeps_the_verdict_and_writes_no_error(argv, code):
+    # a reader that stops early (mdca ... | head) is no unusable input
+    assert run_with_stdout_closed(argv) == (code, "")
+
+
+def test_unreadable_input_exits_2_with_stdout_closed(tmp_path):
+    code, err = run_with_stdout_closed(["check", str(tmp_path)])
+    assert code == 2 and err.startswith("error:")
 
 
 def test_catalog_verbs(capsys):

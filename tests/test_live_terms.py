@@ -37,7 +37,8 @@ from mdca.forms import (FormTable, LevelTable, SquareResidualError,
                         operator_route, square_check)
 from mdca.graded import (GradedBasis, LinearMap, ONE, compose, denominator,
                          vec_axpy, vec_sub)
-from mdca.instances import QUASI_PARAMS, build_quasi_sample, catalog_entry
+from mdca.instances import (QUASI_PARAMS, build_quasi_sample,
+                             catalog_entry, catalog_names)
 from mdca.io_json import emit_instance, parse_instance_text
 from mdca.structures import (LieRinehartData, MdcaStructure,
                              ShLieRinehartData, anomaly_report,
@@ -70,8 +71,8 @@ def all_terms_perturbation(partial, L, W):
         for w in words_of_length(L, j + 1):
             res = {}
             for k in range(j + 1):
-                vec_axpy(res, ONE, partial.apply_level_vec(
-                    k, partial.apply_level(j - k, w)))
+                partial.apply_level_vec(k, partial.apply_level(j - k, w),
+                                        res)
             if res:
                 report.append({"level": j, "word": w, "value": {
                     g: c for (g,), c in res.items()}})
@@ -353,19 +354,47 @@ def test_the_perturbed_data_fail_every_identity(name):
 @pytest.mark.parametrize("verb", ["check", "roundtrip", "cohomology"])
 def test_apply_level_runs_only_at_live_levels(name, verb, monkeypatch,
                                               capsys):
-    # a Lie algebra has only level 1; every other level is zero
+    # a Lie algebra has only level 1; every other level is zero.  The
+    # direct route reads a level through Coderivation.apply_level, the
+    # operator route through the bracket parts of its LevelTable
     calls = []
-    real = Coderivation.apply_level
+    real_apply = Coderivation.apply_level
+    real_part = LevelTable._bracket_part
 
-    def recording(self, j, word):
+    def applying(self, j, word):
         calls.append((j, self.live(j)))
-        return real(self, j, word)
+        return real_apply(self, j, word)
 
-    monkeypatch.setattr(Coderivation, "apply_level", recording)
+    def reading(self, j, u):
+        calls.append((j, self.partial.live(j)))
+        return real_part(self, j, u)
+
+    monkeypatch.setattr(Coderivation, "apply_level", applying)
+    monkeypatch.setattr(LevelTable, "_bracket_part", reading)
     assert cli.main([verb, "catalog:" + name, "--W", "5"]) == 0
     capsys.readouterr()
     assert calls
     assert all(live for _, live in calls)
+
+
+def test_no_verb_changes_a_cached_level_image(monkeypatch, capsys):
+    # Coderivation.apply_level hands out its cached image itself, not a
+    # copy, so every caller must only read it
+    images = {}
+    real = Coderivation.apply_level
+
+    def keeping(self, j, word):
+        out = real(self, j, word)
+        images.setdefault(id(out), (out, dict(out)))
+        return out
+
+    monkeypatch.setattr(Coderivation, "apply_level", keeping)
+    for name in catalog_names():
+        for verb in ("check", "roundtrip", "cohomology"):
+            assert cli.main([verb, "catalog:" + name, "--W", "4"]) in (0, 1)
+    capsys.readouterr()
+    assert images
+    assert all(out == kept for out, kept in images.values())
 
 
 def test_twisting_residual_reads_nothing_without_an_anchor(monkeypatch):
@@ -571,6 +600,48 @@ def test_the_level_table_halves_equal_the_fraction_reference(name, seed):
             assert build_D(f, no_brackets, t, j) == reference_t(f, t, j)
             assert (build_D(f, partial, no_anchor, j)
                     == reference_bra(f, partial, j))
+
+
+# quasi_sample has a module differential, so level 0 is live there
+BRACKET_CASES = dict(LEVEL_CASES, quasi_sample=None)
+
+
+def bracket_case(name, rng):
+    """(L, partial, t) of a BRACKET_CASES entry; a rational copy comes
+    perturbed."""
+    if name == "quasi_sample":
+        sh = CASES[name]
+        return sh.L, sh.partial, sh.t
+    if LEVEL_CASES[name] is None:
+        return perturbed(rng, RATIONAL[name])
+    return LEVEL_CASES[name]
+
+
+def test_the_bracket_cases_hold_level_zero_and_higher_levels():
+    partials = [bracket_case(name, random.Random(0))[1]
+                for name in BRACKET_CASES]
+    assert any(partial.live(0) for partial in partials)
+    assert any(max(partial.cor, default=0) >= 2 for partial in partials)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(BRACKET_CASES)), st.integers(0, 2**32 - 1))
+def test_the_bracket_part_is_the_coefficient_in_the_level_image(name, seed):
+    # the closed form of LevelTable._bracket_part against the images of
+    # the words j longer (Coderivation.apply_level of the table's integer
+    # copy), at every level: a level that is not live has no bracket part
+    rng = random.Random(seed)
+    table = LevelTable(*bracket_case(name, rng))
+    L = table.L
+    for j in range(4):
+        for n in (0, 1, 2):
+            u = rng.choice(words_of_length(L, n))
+            want = {}
+            for w in words_of_length(L, n + j):
+                c = table.partial.apply_level(j, w).get(u)
+                if c:
+                    want[w] = c
+            assert table.parts(j, u)[1] == want
 
 
 def assert_form_contract(f):
