@@ -174,6 +174,13 @@ class Derivation:
                     bad.append((i, j))
         return bad
 
+    def leibniz_defects(self):
+        """(pair, leibniz_defect) of each pair of leibniz_violations: the
+        value of every derivation residual the library reports (the
+        anchor premise, the quasi pairing and triple)."""
+        return [(pair, self.leibniz_defect(*pair))
+                for pair in self.leibniz_violations()]
+
 
 def graded_commutator(d1, d2):
     """[d1, d2] = d1 d2 - (-1)^(|d1||d2|) d2 d1, again a derivation."""

@@ -24,8 +24,7 @@ level the file lacks counts as zero tables.  Each residual carries
 route, axiom, witness and value; the operator route checks that every
 anchor value is a derivation of A, then probes D squared on the
 dual-basis forms on words of length at most 1 (the cup generators) at
-the levels below W, and on the constants at level W too, the
-Leibniz rule of each level D_j on pairs of cup generators, and the
+the levels below W, and on the constants at level W too, and the
 descent of each level on the cup generators (the constants and the dual
 1-forms).  roundtrip of other input names the level and word of the
 first entry where the extracted coderivation or anchor differs from the
@@ -36,9 +35,8 @@ that rank was certified: "bounds" where the rank modulo a prime met a
 bound from D squared to zero, "exact" where the exact row reduction ran.
 cohomology fails with exit 1 on
 mdca tables the extracted data does not rebuild, a non-derivation
-anchor, a D that does not square to zero, a level that is not a
-derivation of the cup product, or a level that does not preserve
-multilinearity; the last four give a refused line and the
+anchor, a D that does not square to zero, or a level that does not
+preserve multilinearity; the last three give a refused line and the
 operator-route residuals of check.
 """
 

@@ -3,18 +3,25 @@
 Forms are sparse tables word -> algebra element; the cup product (one
 kernel, cup_axpy, on Fraction and integer forms alike) and the level
 differentials D_j live here, together with A-multilinearity tests, the
-operator route (the anchor premise, and the square, Leibniz and descent
-checks on the cup generators it makes exact) and windowed cohomology
-ranks, which the operator route must pass first.  D_j is the sum of a
-bracket and an anchor operator, but only the sum is defined on
-multilinear forms, so only the sum is computed.
+operator route (the anchor premise, and the square and descent checks
+on the cup generators it makes exact) and windowed cohomology ranks,
+which the operator route must pass first.  D_j is the sum of a bracket
+and an anchor operator, but only the sum is defined on multilinear
+forms, so only the sum is computed.  Each D_j is a derivation of the
+cup product under the anchor premise: the bracket operator is the
+transpose of a coderivation of the cocommutative coalgebra, and the
+anchor operator is a derivation when A is graded commutative
+(algebra.validate_algebra, run where A is parsed) and every anchor value
+is a derivation of A (TwistingCochain.validation_report).  That is a
+theorem about this code, not a property of the input, so no run-time
+check tests it; the tests keep the rule as an oracle.
 
 FormTable only stores its table.  Every form built here is keyed by
 canonical nonvanishing words, holds no zero coefficient and is
 homogeneous of its degree; the forms of an mdca file, the only ones
 from outside, are checked once where they are parsed (io_json).
 
-Every reader of D_j (build_D, square_check, leibniz_check,
+Every reader of D_j (build_D, square_check, descent_check,
 cohomology_ranks) and every identity of the direct route goes through
 one LevelTable per structure, kept with its anchor family
 (TwistingCochain.level_table).  The table holds the integer copies of
@@ -26,13 +33,11 @@ corestriction and anchor tables, and never applies a level to a word
 share the integer copies and nothing computed from them.
 So the table holds s * D_j at every level, and each reader divides back
 by a constant: build_D by s (times the lcm of its input's
-denominators), square_check each residual by s**2, leibniz_check each
-residual by mu * s (its cup products run through the structure
-constants times mu), and cohomology_ranks not at all: it makes each row
-primitive, which leaves the ranks of D.  Those ranks are certified
-without a reduced form where the rank modulo a prime meets a bound that
-D squared to zero gives; row_echelon reduces exactly only the other
-degrees.
+denominators), square_check each residual by s**2, and cohomology_ranks
+not at all: it makes each row primitive, which leaves the ranks of D.
+Those ranks are certified without a reduced form where the rank modulo
+a prime meets a bound that D squared to zero gives; row_echelon reduces
+exactly only the other degrees.
 """
 
 from fractions import Fraction as Q
@@ -139,17 +144,13 @@ class TwistingCochain:
         """The anchor premise, as operator-route residuals: every anchor
         value must be a derivation of A.  A violation has axiom "anchor
         value is a derivation", witness (level, word, a, b) and as value
-        its Leibniz defect (Derivation.leibniz_defect)."""
-        rep = []
-        for j, table in self.maps.items():
-            for w, op in table.items():
-                d = Derivation(self.L.over, op.degree, op)
-                for pair in d.leibniz_violations():
-                    rep.append({"route": "operators",
-                                "axiom": "anchor value is a derivation",
-                                "witness": (j, w) + pair,
-                                "value": d.leibniz_defect(*pair)})
-        return rep
+        its Leibniz defect (Derivation.leibniz_defects)."""
+        return [{"route": "operators",
+                 "axiom": "anchor value is a derivation",
+                 "witness": (j, w) + pair, "value": defect}
+                for j, table in self.maps.items() for w, op in table.items()
+                for pair, defect in Derivation(
+                    self.L.over, op.degree, op).leibniz_defects()]
 
 
 def constant_form(L, a_vec):
@@ -465,9 +466,8 @@ def dual_basis_probes(L, policy):
 def generator_probes(L):
     """The dual-basis forms on words of length at most 1: the constants
     c_a = delta_((),a) and the forms delta_((x),a), each c_a cup e_x with
-    e_x = delta_((x),1) the unit 1-form of x.  The probes of square_check;
-    the constants and unit 1-forms among them are the cup generators of
-    leibniz_check."""
+    e_x = delta_((x),1) the unit 1-form of x.  The probes of
+    square_check."""
     return [p for p in dual_basis_probes(L, TruncationPolicy(2))
             if len(p[1]) < 2]
 
@@ -503,14 +503,14 @@ def square_check(L, partial, t, policy):
     vanishes on the generators: the constants and the 1-forms.  The
     probes are the dual-basis forms on words of length at most 1 (each
     a generator, or a constant times a unit 1-form), at every level
-    j < W, whatever the degree window; leibniz_check tests at run time
-    the derivation rule this rests on.  The constants are also probed
-    at level W, on the terms D_k D_(W-k), k = 1..W-1: the rows of
-    cohomology_ranks compose exactly these on the constants, and no
-    other part of level W.  D_i of a probe is computed once; terms with
-    a zero factor (live_levels) are skipped.  Residuals {level, form,
-    word, value} are level-major, with words sorted within each (level,
-    form).
+    j < W, whatever the degree window.  The derivation rule this rests
+    on follows from the premise (see the module docstring); the tests
+    check it, not this code.  The constants are also probed at level W,
+    on the terms D_k D_(W-k), k = 1..W-1: the rows of cohomology_ranks
+    compose exactly these on the constants, and no other part of level
+    W.  D_i of a probe is computed once; terms with a zero factor
+    (live_levels) are skipped.  Residuals {level, form, word, value} are
+    level-major, with words sorted within each (level, form).
 
     The sums run on the LevelTable, where every level holds s times
     D_i, so every term D_k D_(j-k) comes out s**2 times its rational
@@ -539,63 +539,6 @@ def square_check(L, partial, t, policy):
     return [r for level in by_level for r in level]
 
 
-def leibniz_levels(live, W):
-    """The live levels j that some live level k pairs with in a term
-    D_k D_j of the square on words of length 2: 2 + j + k <= W."""
-    return [j for j in range(W)
-            if live[j] and any(live[k] for k in range(W - 1 - j))]
-
-
-def leibniz_check(L, partial, t, policy):
-    """First-order Leibniz residuals of the level differentials on pairs
-    of cup generators.
-
-    square_check probes D squared on the generators only, which is
-    enough when each D_j is a derivation of the cup product.  This
-    compares D_j(f cup g) with D_j f cup g + (-1)^|f| f cup D_j g at the
-    leibniz_levels, for every unordered pair of the constants c_a and
-    the unit 1-forms e_x (generator_probes), a pair of two constants
-    left out: it is the anchor premise.  Each product is one dual-basis
-    form, so its image is one LevelTable.apply.  Residuals {level, f, g,
-    value}, value the defect form, level-major in the order of the
-    pairs.
-
-    On the LevelTable every image comes out s times its rational value,
-    and every cup product is one cup_axpy through the structure constants
-    times mu (AlgebraSpec.int_mult), so every term comes out mu * s times
-    its rational value.  Each residual is divided back once.
-    """
-    A = L.over
-    levels = leibniz_levels(live_levels(L, partial, t, policy.W), policy.W)
-    if not levels:
-        return []
-    adeg = A.basis.degree
-    mult = A.int_mult
-    table = t.level_table(partial)
-    scale = A.mu * table.s
-    gens = [(name, w, {w: {al: 1}}, adeg[al] - word_degree(L, w))
-            for name, w, al in generator_probes(L)
-            if not w or al == A.unit]
-    units = [g for g in gens if g[1]]
-    pairs = ([(f, g) for f in gens if not f[1] for g in units]
-             + [(f, g) for i, f in enumerate(units) for g in units[i:]])
-    report = []
-    for j in levels:
-        image = {name: table.apply(j, F, {}) for name, _, F, _ in gens}
-        for (fname, _, F, fdeg), (gname, _, G, gdeg) in pairs:
-            res = table.apply(j, cup_axpy(L, {}, 1, F, G, gdeg, mult), {})
-            cup_axpy(L, res, -1, image[fname], G, gdeg, mult)
-            cup_axpy(L, res, 1 if fdeg % 2 else -1, F, image[gname],
-                     gdeg - 1, mult)
-            res = {w: v for w, v in res.items() if v}
-            if res:
-                report.append({"level": j, "f": fname, "g": gname,
-                               "value": {w: {b: Q(x, scale)
-                                             for b, x in res[w].items()}
-                                         for w in sorted(res)}})
-    return report
-
-
 def multilinear_basis(L, policy):
     """Basis of the A-multilinear forms of word length up to W: algebra
     basis elements cup dual-generator monomials."""
@@ -613,12 +556,10 @@ def multilinear_basis(L, policy):
 
 def operator_route(L, partial, t, policy):
     """The anchor premise (every anchor value is a derivation of A, so
-    each D_j is a derivation of the cup product), then the three checks
-    on the cup generators that rest on it: D squares to zero on them
-    (square_check, which also probes level W on the constants), each
-    D_j is a derivation on their pairs wherever a product of two of them
-    meets a term of the square (leibniz_check), and each level j < W
-    preserves multilinearity (descent_check).
+    each D_j is a derivation of the cup product), then the two checks on
+    the cup generators that rest on it: D squares to zero on them
+    (square_check, which also probes level W on the constants), and each
+    level j < W preserves multilinearity (descent_check).
     Residuals carry route, axiom, witness and value, in that order of
     axioms; the premise's come from TwistingCochain.validation_report in
     that schema."""
@@ -627,21 +568,26 @@ def operator_route(L, partial, t, policy):
                 "witness": (r["level"], r["form"], r["word"]),
                 "value": r["value"]}
                for r in square_check(L, partial, t, policy)]
-    report += [{"route": "operators", "axiom": "leibniz",
-                "witness": (r["level"], r["f"], r["g"]),
-                "value": r["value"]}
-               for r in leibniz_check(L, partial, t, policy)]
     report += [r for j in range(policy.W)
                for r in descent_check(L, partial, t, j)["violations"]]
     return report
 
 
+# the refusal of cohomology_ranks for each operator_route axiom, formatted
+# with the witness of the first residual
+REFUSALS = {
+    "anchor value is a derivation": "anchor value is not a derivation: {0!r}",
+    "square": "total differential does not square to zero within the "
+              "truncation window",
+    "descent": "level {0[0]} does not preserve multilinearity",
+}
+
+
 class SquareResidualError(ValueError):
     """cohomology_ranks refuses: an anchor value is not a derivation of
-    A, D does not square to zero on the cup generators, some level is
-    not a derivation on their pairs, or some level does not preserve
-    multilinearity on them.  residuals holds every operator_route
-    residual, in the schema check reports."""
+    A, D does not square to zero on the cup generators, or some level
+    does not preserve multilinearity on them.  residuals holds every
+    operator_route residual, in the schema check reports."""
 
     def __init__(self, message, residuals):
         super().__init__(message)
@@ -653,9 +599,9 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
     word-length truncation and optional degree window.
 
     Refuses with every operator_route residual when the anchor premise
-    fails, D does not square to zero, some level is not a derivation of
-    the cup product, or some level does not preserve multilinearity; the
-    message names the first of these that fails.
+    fails, D does not square to zero, or some level does not preserve
+    multilinearity; the message (REFUSALS) names the first of these that
+    fails.
     The row of a basis form f on words of length p is the sum of D_j f
     over the levels j < W with p + j <= W, over only the (word, label)
     columns some row of its degree hits.  The rows are read off the
@@ -686,22 +632,9 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
     """
     residuals = operator_route(L, partial, t, policy)
     if residuals:
-        # operator_route lists premise, square, leibniz, then descent
-        # residuals
-        if residuals[0]["axiom"] == "square":
-            raise SquareResidualError(
-                "total differential does not square to zero within the "
-                "truncation window", residuals)
-        if residuals[0]["axiom"] == "leibniz":
-            raise SquareResidualError(
-                "level %d is not a derivation of the cup product"
-                % residuals[0]["witness"][0], residuals)
-        if residuals[0]["axiom"] == "descent":
-            raise SquareResidualError(
-                "level %d does not preserve multilinearity"
-                % residuals[0]["witness"][0], residuals)
-        raise SquareResidualError("anchor value is not a derivation: %r"
-                                  % (residuals[0]["witness"],), residuals)
+        first = residuals[0]
+        raise SquareResidualError(
+            REFUSALS[first["axiom"]].format(first["witness"]), residuals)
     W = policy.W
     live = live_levels(L, partial, t, W)
     table = t.level_table(partial)

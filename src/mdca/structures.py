@@ -221,8 +221,8 @@ def check_sh_lie_rinehart(d, policy):
 
     Route one checks the axioms directly (direct_route).  Route two
     builds the differential operators on forms and runs the operator
-    route (operator_route: the anchor premise, then the square, Leibniz
-    and descent checks on the cup generators).  The two verdicts must
+    route (operator_route: the anchor premise, then the square and
+    descent checks on the cup generators).  The two verdicts must
     agree; disagreement is itself reported.
     """
     direct = direct_route(d.L, d.partial, d.t, policy)
@@ -529,22 +529,20 @@ class QuasiLieRinehartData:
         for g, op in self.pairing.items():
             if op.degree != ldeg[g]:
                 rep.append({"invariant": "pairing degree", "witness": g})
-            d = Derivation(A, op.degree, op)
-            for pair in d.leibniz_violations():
-                rep.append({"invariant": "pairing value is a derivation",
-                            "witness": (g,) + pair,
-                            "value": d.leibniz_defect(*pair)})
+            rep += [{"invariant": "pairing value is a derivation",
+                     "witness": (g,) + pair, "value": defect}
+                    for pair, defect in Derivation(
+                        A, op.degree, op).leibniz_defects()]
         for key, op in self.triple.items():
             if tuple(sorted(key)) != key or key[0] == key[1]:
                 rep.append({"invariant": "triple keyed by sorted distinct "
                             "generators", "witness": key})
             if op.degree != 1:
                 rep.append({"invariant": "triple degree", "witness": key})
-            d = Derivation(A, op.degree, op)
-            for pair in d.leibniz_violations():
-                rep.append({"invariant": "triple value is a derivation",
-                            "witness": key + pair,
-                            "value": d.leibniz_defect(*pair)})
+            rep += [{"invariant": "triple value is a derivation",
+                     "witness": key + pair, "value": defect}
+                    for pair, defect in Derivation(
+                        A, op.degree, op).leibniz_defects()]
             for al in A.basis.labels_of_degree(0):
                 if op.column(al):
                     rep.append({"invariant": "triple kills the degree "

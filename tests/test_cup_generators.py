@@ -22,14 +22,16 @@ from mdca.coalgebra import TruncationPolicy, word_degree, words_of_length
 from mdca.forms import (FormTable, TwistingCochain, ambient_basis_forms,
                         build_D, constant_form, cup, descent_check,
                         dual_one_forms, is_A_multilinear, multilinear_basis,
-                        multilinear_generators)
+                        multilinear_generators, square_check)
 from mdca.graded import LinearMap, ONE
 from mdca.instances import catalog_entry
 from mdca.io_json import emit_instance
 from mdca.structures import MdcaStructure, ShLieRinehartData
 
-from operator_reference import derivation_space, nonzero, reference_D
-from test_live_terms import CASES, perturbed, random_q
+from operator_reference import (derivation_space, nonzero, reference_D,
+                                reference_leibniz_check,
+                                reference_square_check)
+from test_live_terms import ALL_CASES, CASES, perturbed, random_q
 
 # ------------------------------------------- the all-monomial oracle
 
@@ -156,6 +158,27 @@ def test_cup_of_multilinear_forms_is_multilinear(name, seed):
     rng = random.Random(seed)
     f, g = (random_form(rng, L, multi) for _ in range(2))
     assert is_A_multilinear(cup(f, g))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(ALL_CASES)), st.sampled_from([3, 4]),
+       st.integers(0, 2**32 - 1))
+def test_the_anchor_premise_makes_every_level_a_cup_derivation(name, W,
+                                                               seed):
+    # random corestrictions, and an anchor whose values are derivations
+    # of A by construction: each D_j is then a derivation of the cup
+    # product, so the Leibniz rule holds on every pair of generators,
+    # and the square on the generators fails exactly where the square
+    # on their products fails
+    rng = random.Random(seed)
+    L, partial, _ = perturbed(rng, ALL_CASES[name])
+    t = with_derivation_anchor(rng, L, ALL_CASES[name].t)
+    assert t.validation_report() == []
+    assert reference_leibniz_check(L, partial, t, W) == []
+    assert ({r["level"]
+             for r in square_check(L, partial, t, TruncationPolicy(W))}
+            == {r["level"] for r in reference_square_check(
+                L, partial, t, W, max_len=2)})
 
 
 # --------------------------------------- a derivation that does not descend

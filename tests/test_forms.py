@@ -18,7 +18,7 @@ from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
 from mdca.forms import (FormTable, SquareResidualError, TwistingCochain,
                         ambient_basis_forms, build_D, cohomology_ranks,
                         constant_form, cup, descent_check, dual_one_forms,
-                        is_A_multilinear, leibniz_check, multilinear_basis,
+                        is_A_multilinear, multilinear_basis, operator_route,
                         multilinear_generators, square_check,
                         twisting_residual, words_of_length)
 from mdca.graded import (PRIME, GradedBasis, LinearMap, ONE, row_echelon,
@@ -32,8 +32,8 @@ from mdca.structures import (LieRinehartData, ShLieRinehartData,
 from operator_reference import (anchor_apply, derivation_space, form_eval,
                                 koszul_sign, nonzero, reference_bra,
                                 reference_cohomology_ranks, reference_cup,
-                                reference_D, reference_square_check,
-                                reference_t)
+                                reference_D, reference_leibniz_check,
+                                reference_square_check, reference_t)
 
 
 QQ = rational_algebra()
@@ -1110,11 +1110,12 @@ def test_level_differentials_are_cup_derivations(name, j, seed):
 
 
 def failing_operator_levels(L, partial, t, W):
-    """The levels of the square and leibniz residuals, and those of the
-    square probed on products of two generators as well (the oracle)."""
-    policy = TruncationPolicy(W)
-    got = ({r["level"] for r in square_check(L, partial, t, policy)}
-           | {r["level"] for r in leibniz_check(L, partial, t, policy)})
+    """The levels of the square residuals on the generators and of the
+    Leibniz rule of D_j on their pairs (the oracle), and those of the
+    square probed on products of two generators as well."""
+    got = ({r["level"]
+            for r in square_check(L, partial, t, TruncationPolicy(W))}
+           | {r["level"] for r in reference_leibniz_check(L, partial, t, W)})
     want = {r["level"]
             for r in reference_square_check(L, partial, t, W, max_len=2)}
     return got, want
@@ -1125,9 +1126,8 @@ def failing_operator_levels(L, partial, t, W):
        st.integers(0, 2**32 - 1))
 def test_square_and_leibniz_fail_where_the_product_probes_fail(name, W,
                                                                seed):
-    # the first-order Leibniz probe replaces D squared on the products of
-    # two generators: together with the square on the generators it
-    # fails at the same levels
+    # the square on the generators, with the Leibniz rule on their pairs,
+    # fails at the levels of the square on the products of two generators
     L, partial, t = perturbed(random.Random(seed), SQUARE_CASES[name])
     got, want = failing_operator_levels(L, partial, t, W)
     assert got == want
@@ -1143,8 +1143,10 @@ def test_catalog_square_and_leibniz_fail_where_the_product_probes_fail(
 
 
 def test_leibniz_check_catches_a_table_that_is_no_derivation(monkeypatch):
-    # every anchor multiplicity read as +-1: the square on the generators
-    # sees it at level 2 and the Leibniz rule of D_1 on their pairs too
+    # every anchor multiplicity read as +-1, a defect in the library, not
+    # in the input: the operator route still fails, by the square on the
+    # generators at level 2, and the Leibniz rule of the table's D_1
+    # fails on pairs of generators
     real = forms.LevelTable._anchor_part
 
     def unit_multiplicity(self, j, u):
@@ -1153,36 +1155,38 @@ def test_leibniz_check_catches_a_table_that_is_no_derivation(monkeypatch):
 
     monkeypatch.setattr(forms.LevelTable, "_anchor_part", unit_multiplicity)
     sh = catalog_homotopy("exterior_pair")
-    policy = TruncationPolicy(4)
-    report = leibniz_check(sh.L, sh.partial, sh.t, policy)
-    assert {r["level"] for r in report} == {1}
-    assert all(r["value"] for r in report)
-    assert leibniz_check(sh.L, sh.partial, sh.t, TruncationPolicy(3)) == []
+    report = operator_route(sh.L, sh.partial, sh.t, TruncationPolicy(4))
+    assert {r["axiom"] for r in report} == {"square"}
+    assert {r["witness"][0] for r in report} == {2}
+    rule = reference_leibniz_check(sh.L, sh.partial, sh.t, 4, D=build_D)
+    assert {r["level"] for r in rule} == {1}
+    assert all(r["value"] for r in rule)
+    assert reference_leibniz_check(sh.L, sh.partial, sh.t, 4) == []
+    with pytest.raises(AssertionError):
+        assert_cup_derivation(lambda f: build_D(f, sh.partial, sh.t, 1),
+                              sh.L, random.Random(0), [-2, -1, 0, 1])
 
 
-def test_leibniz_runs_where_a_product_meets_a_term_of_the_square():
-    # 2 + j + k <= W with j and k live: exterior_pair has level 1 only,
-    # quasi_sample a module differential at level 0 too
-    assert forms.leibniz_levels([False, True, False], 3) == []
-    assert forms.leibniz_levels([False, True, False, False], 4) == [1]
-    assert forms.leibniz_levels([True, True, True, False], 4) == [0, 1, 2]
-    assert forms.leibniz_levels([True, True, True, False, False], 5) == [
-        0, 1, 2]
 
-
-def test_cohomology_refuses_on_a_leibniz_residual(monkeypatch):
-    residual = {"level": 1, "f": "delta:1@1", "g": "delta:1@1|x",
-                "value": {(g("x"), g("y")): {"1": ONE}}}
-    monkeypatch.setattr(forms, "leibniz_check", lambda *args: [residual])
-    with pytest.raises(SquareResidualError,
-                       match="level 1 is not a derivation of the cup "
-                             "product") as e:
-        cohomology_ranks(SL2, SL2_PARTIAL, SL2_T, TruncationPolicy(3))
-    assert e.value.residuals == [{
-        "route": "operators", "axiom": "leibniz",
-        "witness": (1, "delta:1@1", "delta:1@1|x"),
-        "value": residual["value"]}]
-
+def test_cohomology_refuses_with_the_message_of_the_first_axiom():
+    # forms.REFUSALS: one message per operator_route axiom, formatted with
+    # the witness of the first residual (descent: test_cup_generators)
+    sh = catalog_homotopy("jacobi_violator")
+    with pytest.raises(SquareResidualError) as e:
+        cohomology_ranks(sh.L, sh.partial, sh.t, TruncationPolicy(3))
+    assert str(e.value) == ("total differential does not square to zero "
+                            "within the truncation window")
+    sh = catalog_homotopy("truncated_poly")
+    A = sh.L.over
+    maps = {j: dict(tab) for j, tab in sh.t.maps.items()}
+    maps[1][("1|u",)] = maps[1][("1|u",)].add(
+        LinearMap(A.basis, A.basis, 0, {("x", "1"): Q(2, 7)}))
+    with pytest.raises(SquareResidualError) as e:
+        cohomology_ranks(sh.L, sh.partial, TwistingCochain(sh.L, maps),
+                         TruncationPolicy(3))
+    assert str(e.value) == ("anchor value is not a derivation: "
+                            "(1, ('1|u',), '1', '1')")
+    assert e.value.residuals[0]["axiom"] == "anchor value is a derivation"
 
 # ---------------------------------------------- level differential table
 

@@ -1,0 +1,66 @@
+"""Every library name the benchmark and the tools reach still exists.
+
+perfbench/tracing.py wraps the functions named in SPANS and COUNTERS,
+and its square_check observer counts with forms.ambient_basis_forms and
+forms.multilinear_generators; the scripts under tools/ and perfbench/
+import names from mdca.  Removing one of these from the library breaks
+them only when they run, so this test names each one.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+OBSERVER_HELPERS = [("forms", "ambient_basis_forms"),
+                    ("forms", "multilinear_generators")]
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def script_imports():
+    """(module, name) of every `from mdca... import name` and
+    `from mdca import module` in the scripts of tools/ and perfbench/."""
+    out = set()
+    for path in sorted((ROOT / "tools").glob("*.py")) + sorted(
+            (ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "mdca"):
+                out |= {(node.module, a.name) for a in node.names}
+    return sorted(out)
+
+
+def traced_names():
+    tracing = load_tracing()
+    return sorted(set(tracing.SPANS + tracing.COUNTERS + tuple(
+        OBSERVER_HELPERS)))
+
+
+def test_the_scripts_import_names_from_mdca():
+    # the guard is empty if the scan finds nothing
+    found = script_imports()
+    assert ("mdca", "cli") in found
+    assert ("mdca.structures", "build_maurer_cartan") in found
+    assert ("forms", "square_check") in traced_names()
+
+
+@pytest.mark.parametrize("layer, name", traced_names())
+def test_every_traced_name_exists(layer, name):
+    assert callable(getattr(importlib.import_module("mdca." + layer), name))
+
+
+@pytest.mark.parametrize("module, name", script_imports())
+def test_every_name_the_scripts_import_exists(module, name):
+    # a name that is neither an attribute nor a submodule fails to import
+    if not hasattr(importlib.import_module(module), name):
+        importlib.import_module("%s.%s" % (module, name))
