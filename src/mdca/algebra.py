@@ -2,8 +2,10 @@
 
 An algebra is given by an explicit basis, structure constants, a
 distinguished unit basis element and a degree -1 differential.  A
-derivation's Leibniz rule is tested on integer copies of its action and
-of the structure constants.
+derivation of A is a homogeneous LinearMap on its basis; one kernel
+(leibniz_defects) tests the Leibniz rule of every such operator, the
+differential's included, on integer copies of the operator and of the
+structure constants.
 """
 
 from fractions import Fraction as Q
@@ -104,96 +106,54 @@ def validate_algebra(A):
         report.append({"invariant": "diff degree -1", "witness": ()})
     if not compose(A.diff, A.diff).is_zero():
         report.append({"invariant": "diff squares to zero", "witness": ()})
-    for i in labels:
-        for j in labels:
-            lhs = A.diff.apply(A.prod_basis(i, j))
-            rhs = multiply(A, A.diff.column(i), {j: ONE})
-            sgn = -ONE if deg[i] % 2 else ONE
-            vec_axpy(rhs, sgn, multiply(A, {i: ONE}, A.diff.column(j)))
-            if lhs != rhs:
-                report.append({"invariant": "Leibniz rule of diff",
-                               "witness": (i, j)})
+    report += [{"invariant": "Leibniz rule of diff", "witness": pair}
+               for pair, _ in leibniz_defects(A, A.diff)]
     return report
 
 
-class Derivation:
-    """Degree-homogeneous derivation of an AlgebraSpec."""
+def leibniz_defects(A, op):
+    """The Leibniz defects op(ij) - op(i) j - (-1)^(|op||i|) i op(j) of a
+    homogeneous operator on A, at the basis pairs (i, j) where they do
+    not vanish, in basis order: [((i, j), {label: Fraction})].  op is a
+    derivation of A exactly when the list is empty.
 
-    def __init__(self, of, degree, action):
-        self.of = of
-        self.degree = int(degree)
-        if isinstance(action, LinearMap):
-            if action.degree != self.degree:
-                raise ValueError("action degree mismatch")
-            self.action = action
-        else:
-            self.action = LinearMap(of.basis, of.basis, self.degree, action)
-
-    def __call__(self, vec):
-        return self.action.apply(vec)
-
-    def __eq__(self, other):
-        return (isinstance(other, Derivation) and self.degree == other.degree
-                and self.action == other.action)
-
-    def is_zero(self):
-        return self.action.is_zero()
-
-    def leibniz_defect(self, i, j):
-        """d(ij) - d(i) j - (-1)^(|d||i|) i d(j) on basis elements."""
-        A = self.of
-        out = self(A.prod_basis(i, j))
-        vec_axpy(out, -ONE, multiply(A, self({i: ONE}), {j: ONE}))
-        sgn = ONE if (self.degree % 2 and A.basis.degree[i] % 2) else -ONE
-        return vec_axpy(out, sgn, multiply(A, {i: ONE}, self({j: ONE})))
-
-    def leibniz_violations(self):
-        """The basis pairs (i, j) with a nonzero leibniz_defect, found on
-        integer copies: the action times s, the least common denominator
-        of its entries, and the structure constants times mu
-        (AlgebraSpec.int_mult).  Every term of the defect then comes out
-        mu * s times its rational value, and so does the defect."""
-        A = self.of
-        cols = self.action.int_columns(
-            denominator(self.action.entries.values()))
-        mult = A.int_mult
-        odd = self.degree % 2
-        bad = []
-        for i in A.basis.labels:
-            di = cols.get(i, {})
-            sgn = 1 if odd and A.basis.degree[i] % 2 else -1
-            for j in A.basis.labels:
-                out = {}
-                for m, c in mult.get((i, j), {}).items():
-                    vec_axpy(out, c, cols.get(m, {}))
-                for k, c in di.items():
-                    vec_axpy(out, -c, mult.get((k, j), {}))
-                for k, c in cols.get(j, {}).items():
-                    vec_axpy(out, sgn * c, mult.get((i, k), {}))
-                if out:
-                    bad.append((i, j))
-        return bad
-
-    def leibniz_defects(self):
-        """(pair, leibniz_defect) of each pair of leibniz_violations: the
-        value of every derivation residual the library reports (the
-        anchor premise, the quasi pairing and triple)."""
-        return [(pair, self.leibniz_defect(*pair))
-                for pair in self.leibniz_violations()]
+    The defects are found on integer copies: op times e, the least
+    common denominator of its entries, and the structure constants times
+    mu (AlgebraSpec.int_mult).  Every term then comes out mu * e times
+    its rational value, and so does the defect, which is divided back
+    once."""
+    e = denominator(op.entries.values())
+    cols = op.int_columns(e)
+    mult = A.int_mult
+    scale = A.mu * e
+    odd = op.degree % 2
+    out = []
+    for i in A.basis.labels:
+        di = cols.get(i, {})
+        sgn = 1 if odd and A.basis.degree[i] % 2 else -1
+        for j in A.basis.labels:
+            acc = {}
+            for m, c in mult.get((i, j), {}).items():
+                vec_axpy(acc, c, cols.get(m, {}))
+            for k, c in di.items():
+                vec_axpy(acc, -c, mult.get((k, j), {}))
+            for k, c in cols.get(j, {}).items():
+                vec_axpy(acc, sgn * c, mult.get((i, k), {}))
+            if acc:
+                out.append(((i, j), {k: Q(c, scale)
+                                     for k, c in acc.items()}))
+    return out
 
 
-def graded_commutator(d1, d2):
-    """[d1, d2] = d1 d2 - (-1)^(|d1||d2|) d2 d1, again a derivation."""
-    if d1.of is not d2.of and d1.of.basis != d2.of.basis:
-        raise ValueError("derivations over different algebras")
+def graded_commutator(A, d1, d2):
+    """[d1, d2] = d1 d2 - (-1)^(|d1||d2|) d2 d1 of two derivations of A,
+    again a derivation; ValueError where it breaks the Leibniz rule."""
     sgn = -ONE if (d1.degree % 2 and d2.degree % 2) else ONE
-    m = compose(d1.action, d2.action).add(
-        compose(d2.action, d1.action).scale(-sgn))
-    out = Derivation(d1.of, d1.degree + d2.degree, m)
-    bad = out.leibniz_violations()
+    out = compose(d1, d2).add(compose(d2, d1).scale(-sgn))
+    bad = leibniz_defects(A, out)
     if bad:
         raise ValueError("graded commutator is not a derivation: Leibniz "
-                         "fails on %r" % (bad[0],))
+                         "fails on %r" % (bad[0][0],))
     return out
 
 

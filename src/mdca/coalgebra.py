@@ -57,10 +57,10 @@ class ModuleSpec:
         # (forms.LevelTable)
         self.d0_denominator = denominator(chain(
             diff_l.entries.values(), over.diff.entries.values()))
-        # per-instance caches for the word-combinatorics hot paths; safe
-        # because the basis and the differential are fixed at construction
+        # per-instance memos of normalize_word and words_of_length, the
+        # hot paths of the word combinatorics; unbounded, and safe because
+        # the basis and the differential are fixed at construction
         self._norm_cache = {}
-        self._split_cache = {}
         self._words_cache = {}
 
     def split(self, label):
@@ -216,10 +216,6 @@ def splittings(L, word, left_size):
     position subset giving each.  A left_size above len(word) has no
     splittings.
     """
-    key = (word, left_size)
-    hit = L._split_cache.get(key)
-    if hit is not None:
-        return hit
     deg = L.sl_basis.degree
     # partial splittings (coefficient, left, right, odd generators in
     # right), extended run by run; the left factor takes the most
@@ -245,9 +241,7 @@ def splittings(L, word, left_size):
             if need <= rest:
                 grown.append((c, left, right + (g,), behind + odd))
         parts = grown
-    out = tuple((c, left, right) for c, left, right, _ in parts)
-    L._split_cache[key] = out
-    return out
+    return tuple((c, left, right) for c, left, right, _ in parts)
 
 
 def shuffle_coefficient(L, left, right):

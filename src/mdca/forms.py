@@ -1,20 +1,19 @@
 """Convolution algebra of A-valued forms on the symmetric coalgebra.
 
-Forms are sparse tables word -> algebra element; the cup product (one
-kernel, cup_axpy, on Fraction and integer forms alike) and the level
-differentials D_j live here, together with A-multilinearity tests, the
-operator route (the anchor premise, and the square and descent checks
-on the cup generators it makes exact) and windowed cohomology ranks,
-which the operator route must pass first.  D_j is the sum of a bracket
-and an anchor operator, but only the sum is defined on multilinear
-forms, so only the sum is computed.  Each D_j is a derivation of the
-cup product under the anchor premise: the bracket operator is the
-transpose of a coderivation of the cocommutative coalgebra, and the
-anchor operator is a derivation when A is graded commutative
-(algebra.validate_algebra, run where A is parsed) and every anchor value
-is a derivation of A (TwistingCochain.validation_report).  That is a
-theorem about this code, not a property of the input, so no run-time
-check tests it; the tests keep the rule as an oracle.
+Forms are sparse tables word -> algebra element; the cup product and the
+level differentials D_j live here, together with A-multilinearity tests,
+the operator route (the anchor premise, and the square and descent
+checks on the cup generators it makes exact) and windowed cohomology
+ranks, which the operator route must pass first.  D_j is the sum of a
+bracket and an anchor operator, but only the sum is defined on
+multilinear forms, so only the sum is computed.  Each D_j is a
+derivation of the cup product under the anchor premise: the bracket
+operator is the transpose of a coderivation of the cocommutative
+coalgebra, and the anchor operator is a derivation when A is graded
+commutative (algebra.validate_algebra, run where A is parsed) and every
+anchor value is a derivation of A (TwistingCochain.validation_report).
+That is a theorem about this code, not a property of the input, so no
+run-time check tests it; the tests keep the rule as an oracle.
 
 FormTable only stores its table.  Every form built here is keyed by
 canonical nonvanishing words, holds no zero coefficient and is
@@ -45,7 +44,7 @@ from math import gcd, lcm
 
 from .graded import (ONE, compose_axpy, denominator, int_multiple,
                      rank_modulo, row_echelon, vec_axpy, vec_scale, vec_sub)
-from .algebra import Derivation, multiply
+from .algebra import leibniz_defects, multiply
 from .coalgebra import (TruncationPolicy, normalize_word, shuffle_coefficient,
                         splittings, stripped_slots, word_basis, word_degree,
                         words_of_length)
@@ -144,13 +143,12 @@ class TwistingCochain:
         """The anchor premise, as operator-route residuals: every anchor
         value must be a derivation of A.  A violation has axiom "anchor
         value is a derivation", witness (level, word, a, b) and as value
-        its Leibniz defect (Derivation.leibniz_defects)."""
+        its Leibniz defect (algebra.leibniz_defects)."""
         return [{"route": "operators",
                  "axiom": "anchor value is a derivation",
                  "witness": (j, w) + pair, "value": defect}
                 for j, table in self.maps.items() for w, op in table.items()
-                for pair, defect in Derivation(
-                    self.L.over, op.degree, op).leibniz_defects()]
+                for pair, defect in leibniz_defects(self.L.over, op)]
 
 
 def constant_form(L, a_vec):
@@ -181,35 +179,28 @@ def dual_one_forms(L):
     return out
 
 
-def cup_axpy(L, out, c, F, G, gdeg, mult):
-    """out += c * (F cup G) on forms {word: {label: coefficient}}, G of
-    degree gdeg: (F cup G)(w) sums F(w1) G(w2) over the shuffle diagonal
-    with the Koszul sign of moving G past w1.  Products in A go through
-    the structure constants mult {(a, b): {label: coefficient}}, A.mult
-    or, on integer forms, A.int_mult, whose products come out mu times
-    their value; so integer forms, c and mult give integers.  Each pair
-    of words meets once, with its coalgebra.shuffle_coefficient.  out
-    may keep empty values.  Returns out."""
-    for u1, v1 in F.items():
-        odd = gdeg % 2 and word_degree(L, u1) % 2
-        for u2, v2 in G.items():
+def cup(f, g):
+    """Convolution product of two forms over one module: (f cup g)(w)
+    sums f(w1) g(w2) over the shuffle diagonal with the Koszul sign of
+    moving g past w1.  Each pair of words meets once, with its
+    coalgebra.shuffle_coefficient."""
+    L = f.L
+    if L is not g.L and L.sl_basis != g.L.sl_basis:
+        raise ValueError("forms over different modules")
+    mult = L.over.mult
+    out = {}
+    for u1, v1 in f.values.items():
+        odd = g.degree % 2 and word_degree(L, u1) % 2
+        for u2, v2 in g.values.items():
             m, w = shuffle_coefficient(L, u1, u2)
             if not m:
                 continue
-            m = -c * m if odd else c * m
+            m = -m if odd else m
             acc = out.setdefault(w, {})
             for a, x in v1.items():
                 for b, y in v2.items():
                     vec_axpy(acc, m * x * y, mult.get((a, b), {}))
-    return out
-
-
-def cup(f, g):
-    """Convolution product of two forms over one module (cup_axpy)."""
-    if f.L is not g.L and f.L.sl_basis != g.L.sl_basis:
-        raise ValueError("forms over different modules")
-    return FormTable(f.L, f.degree + g.degree, cup_axpy(
-        f.L, {}, 1, f.values, g.values, g.degree, f.L.over.mult))
+    return FormTable(L, f.degree + g.degree, out)
 
 
 class LevelTable:

@@ -27,8 +27,8 @@ Entries:
 
 from fractions import Fraction as Q
 
-from .algebra import (Derivation, exterior_algebra, graded_commutator,
-                      multiply, rational_algebra, truncated_polynomial)
+from .algebra import (exterior_algebra, graded_commutator, multiply,
+                      rational_algebra, truncated_polynomial)
 from .coalgebra import ModuleSpec, TruncationPolicy, coderivation_from_brackets
 from .forms import TwistingCochain
 from .graded import GradedBasis, LinearMap, ONE
@@ -80,11 +80,11 @@ def derivation_pair(A, base):
     generators, with commutator bracket and the action as anchor.
 
     base: list of (module generator label, algebra generator label,
-    Derivation); the bracket table comes from genuine graded commutators
-    decomposed through the values on the named algebra generators, one
-    commutator per unordered pair of basis elements (graded_commutator
-    checks that it is a derivation), the reverse pair by graded
-    antisymmetry.
+    derivation of A as a LinearMap on its basis); the bracket table comes
+    from genuine graded commutators decomposed through the values on the
+    named algebra generators, one commutator per unordered pair of basis
+    elements (graded_commutator checks that it is a derivation), the
+    reverse pair by graded antisymmetry.
     """
     L = ModuleSpec(A, GradedBasis([(x, d.degree) for x, _, d in base]))
     by_gen = {x: d for x, _, d in base}
@@ -98,9 +98,9 @@ def derivation_pair(A, base):
         s = -ONE if adeg[a] % 2 else ONE
         ent = {}
         for src in A.basis.labels:
-            for k, c in multiply(A, {a: ONE}, d0({src: ONE})).items():
+            for k, c in multiply(A, {a: ONE}, d0.column(src)).items():
                 ent[(k, src)] = s * c
-        return Derivation(A, adeg[a] + d0.degree, ent)
+        return LinearMap(A.basis, A.basis, adeg[a] + d0.degree, ent)
 
     labels = L.l_basis.labels
     ders = {label: as_derivation(label) for label in labels}
@@ -108,10 +108,10 @@ def derivation_pair(A, base):
     for i, g1 in enumerate(labels):
         for g2 in labels[i:]:
             d1, d2 = ders[g1], ders[g2]
-            c = graded_commutator(d1, d2)
+            c = graded_commutator(A, d1, d2)
             vec = {}
             for xl, dl, _ in base:
-                for al, co in c({dl: ONE}).items():
+                for al, co in c.column(dl).items():
                     s = -ONE if adeg[al] % 2 else ONE
                     vec[L.pair(al, xl)] = s * co
             vec = {k: v for k, v in vec.items() if v}
@@ -122,14 +122,14 @@ def derivation_pair(A, base):
                     s = ONE if (d1.degree % 2 and d2.degree % 2) else -ONE
                     table[(g2, g1)] = {k: s * v for k, v in vec.items()}
     partial = coderivation_from_brackets(L, {2: table})
-    t1 = {(label,): d.action for label, d in ders.items() if not d.is_zero()}
+    t1 = {(label,): d for label, d in ders.items() if not d.is_zero()}
     return ShLieRinehartData(L, partial, TwistingCochain(L, {1: t1}))
 
 
 def exterior_pair():
     A = exterior_algebra([("q", -1), ("r", -1)])
-    dq = Derivation(A, 1, {("1", "q"): ONE, ("r", "q.r"): ONE})
-    dr = Derivation(A, 1, {("1", "r"): ONE, ("q", "q.r"): -ONE})
+    dq = LinearMap(A.basis, A.basis, 1, {("1", "q"): ONE, ("r", "q.r"): ONE})
+    dr = LinearMap(A.basis, A.basis, 1, {("1", "r"): ONE, ("q", "q.r"): -ONE})
     return derivation_pair(A, [("u", "q", dq), ("v", "r", dr)]), \
         TruncationPolicy(4)
 

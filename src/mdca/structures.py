@@ -22,7 +22,7 @@ do not call these extenders, so they test them.
 from fractions import Fraction as Q
 
 from .graded import LinearMap, ONE, compose, vec_axpy, vec_scale, vec_sub
-from .algebra import Derivation, multiply
+from .algebra import leibniz_defects, multiply
 from .coalgebra import (Coderivation, antisymmetry_violations,
                         check_coalgebra_perturbation,
                         coderivation_from_brackets, normalize_word,
@@ -531,8 +531,7 @@ class QuasiLieRinehartData:
                 rep.append({"invariant": "pairing degree", "witness": g})
             rep += [{"invariant": "pairing value is a derivation",
                      "witness": (g,) + pair, "value": defect}
-                    for pair, defect in Derivation(
-                        A, op.degree, op).leibniz_defects()]
+                    for pair, defect in leibniz_defects(A, op)]
         for key, op in self.triple.items():
             if tuple(sorted(key)) != key or key[0] == key[1]:
                 rep.append({"invariant": "triple keyed by sorted distinct "
@@ -541,8 +540,7 @@ class QuasiLieRinehartData:
                 rep.append({"invariant": "triple degree", "witness": key})
             rep += [{"invariant": "triple value is a derivation",
                      "witness": key + pair, "value": defect}
-                    for pair, defect in Derivation(
-                        A, op.degree, op).leibniz_defects()]
+                    for pair, defect in leibniz_defects(A, op)]
             for al in A.basis.labels_of_degree(0):
                 if op.column(al):
                     rep.append({"invariant": "triple kills the degree "

@@ -67,7 +67,7 @@ def with_derivation_anchor(rng, L, t):
                 continue
             ent = maps.setdefault(j, {}).setdefault(w, {})
             scale = random_q(rng)
-            for pair, c in rng.choice(basis).action.entries.items():
+            for pair, c in rng.choice(basis).entries.items():
                 ent[pair] = ent.get(pair, 0) + scale * c
     return TwistingCochain(L, {j: nonzero({
         w: LinearMap(A.basis, A.basis, word_degree(L, w) - 1, ent)

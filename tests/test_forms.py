@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdca import forms
-from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
-                          graded_commutator, multiply, rational_algebra,
+from mdca.algebra import (AlgebraSpec, exterior_algebra, graded_commutator,
+                          leibniz_defects, multiply, rational_algebra,
                           truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets, word_basis,
@@ -67,7 +67,8 @@ def derivation_pair(A, base):
     """Module of derivations of A, free on the given generators, with the
     commutator bracket and the action itself as anchor.
 
-    base: list of (generator label, algebra generator label, Derivation);
+    base: list of (generator label, algebra generator label, derivation
+    as a LinearMap on the basis of A);
     the module bracket table is produced from genuine graded commutators,
     decomposed through the values on the algebra generators.
     """
@@ -83,17 +84,17 @@ def derivation_pair(A, base):
         s = -ONE if adeg[a] % 2 else ONE
         ent = {}
         for s_lbl in A.basis.labels:
-            for k, c in multiply(A, {a: ONE}, d0({s_lbl: ONE})).items():
+            for k, c in multiply(A, {a: ONE}, d0.column(s_lbl)).items():
                 ent[(k, s_lbl)] = s * c
-        return Derivation(A, adeg[a] + d0.degree, ent)
+        return LinearMap(A.basis, A.basis, adeg[a] + d0.degree, ent)
 
     table = {}
     for g1 in L.l_basis.labels:
         for g2 in L.l_basis.labels:
-            c = graded_commutator(as_derivation(g1), as_derivation(g2))
+            c = graded_commutator(A, as_derivation(g1), as_derivation(g2))
             vec = {}
             for xl, dl, _ in base:
-                for al, co in c({dl: ONE}).items():
+                for al, co in c.column(dl).items():
                     s = -ONE if adeg[al] % 2 else ONE
                     vec[L.pair(al, xl)] = s * co
             vec = {k: v for k, v in vec.items() if v}
@@ -104,7 +105,7 @@ def derivation_pair(A, base):
     for label in L.l_basis.labels:
         d = as_derivation(label)
         if not d.is_zero():
-            t1[(label,)] = d.action
+            t1[(label,)] = d
     return L, partial, TwistingCochain(L, {1: t1})
 
 
@@ -112,10 +113,10 @@ def exterior_pair():
     """A = exterior algebra on two degree -1 generators, module = its
     derivations, free of rank 2 on the two partial derivatives."""
     A = exterior_algebra([("q", -1), ("r", -1)])
-    dq = Derivation(A, 1, {("1", "q"): ONE, ("r", "q.r"): ONE})
-    dr = Derivation(A, 1, {("1", "r"): ONE, ("q", "q.r"): -ONE})
-    assert dq.leibniz_violations() == []
-    assert dr.leibniz_violations() == []
+    dq = LinearMap(A.basis, A.basis, 1, {("1", "q"): ONE, ("r", "q.r"): ONE})
+    dr = LinearMap(A.basis, A.basis, 1, {("1", "r"): ONE, ("q", "q.r"): -ONE})
+    assert leibniz_defects(A, dq) == []
+    assert leibniz_defects(A, dr) == []
     return derivation_pair(A, [("u", "q", dq), ("v", "r", dr)])
 
 
@@ -878,7 +879,7 @@ def test_cohomology_exterior_line_pair():
     # derivation module (free of rank 1 on d/dz): classically the
     # cohomology retracts onto the constants
     A = exterior_algebra([("z", -1)])
-    dz = Derivation(A, 1, {("1", "z"): ONE})
+    dz = LinearMap(A.basis, A.basis, 1, {("1", "z"): ONE})
     L, partial, t = derivation_pair(A, [("u", "z", dz)])
     ranks = cohomology_ranks(L, partial, t, TruncationPolicy(3))
     got = {d: r["rank"] for d, r in ranks.items()}
@@ -1076,7 +1077,7 @@ def perturbed(rng, sh):
             w = rng.choice(words_of_length(L, j))
             space = derivation_space(A, word_degree(L, w) - 1)
             if space:
-                op = rng.choice(space).action.scale(
+                op = rng.choice(space).scale(
                     Q(rng.randint(-2, 2), rng.randint(1, 2)))
                 old = maps.setdefault(j, {}).get(w)
                 maps[j][w] = op if old is None else old.add(op)

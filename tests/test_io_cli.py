@@ -16,8 +16,7 @@ from fractions import Fraction
 import pytest
 
 from mdca import cli, forms, structures
-from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
-                          rational_algebra)
+from mdca.algebra import AlgebraSpec, exterior_algebra, rational_algebra
 from mdca.coalgebra import ModuleSpec, TruncationPolicy
 from mdca.graded import GradedBasis, LinearMap
 from mdca.instances import (QUASI_PARAMS, build_quasi_sample,
@@ -28,7 +27,8 @@ from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
                              build_maurer_cartan, check_sh_lie_rinehart,
                              quasi_to_sh)
 from operator_reference import (quasi_model_disagreements,
-                                reference_jacobi_defect)
+                                reference_jacobi_defect,
+                                reference_leibniz_defect)
 
 
 # ------------------------------------------------------------- rationals
@@ -317,6 +317,19 @@ def test_broken_algebra_invariant():
     # drop associativity/unit law by corrupting the unit row
     doc["algebra"]["mult"] = [["1", "1", "1", "2"]]
     expect_error(doc, "algebra")
+
+
+def test_a_differential_that_breaks_leibniz_is_refused(tmp_path, capsys):
+    # d(1) = q: d(1 1) = q, but d(1) 1 + 1 d(1) = 2 q
+    data, policy = catalog_entry("exterior_pair")
+    doc = json.loads(emit_instance(data, policy))
+    doc["algebra"]["diff"] = [["q", "1", "1"]]
+    path = tmp_path / "bad_diff.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: algebra: invariant 'Leibniz rule of diff' fails at "
+        "('1', '1')\n")
 
 
 # --------------------------------------------------------------- the CLI
@@ -994,10 +1007,10 @@ def test_quasi_validation_values_are_leibniz_defects():
     for r in residuals:
         assert sorted(r) == ["axiom", "route", "value", "witness"]
         assert r["route"] == "quasi validation"
-    d = Derivation(A, 0, op)
     for r in derivation:
         assert r["witness"][0] == "1|x"
-        assert r["value"] == d.leibniz_defect(*r["witness"][1:]) != {}
+        assert r["value"] == reference_leibniz_defect(
+            A, op, *r["witness"][1:]) != {}
 
 
 def test_cohomology_reports_only_the_square_refusal(monkeypatch, capsys):

@@ -2,11 +2,10 @@
 
 coalgebra.splittings gives one triple per distinct pair of factors,
 coalgebra.shuffle_coefficient the coefficient of one pair in closed
-form, coalgebra.normalize_word counts inversions among odd generators,
-forms.cup_axpy runs on integers or Fractions alike, and
-Derivation.leibniz_violations runs on integer copies; each is compared
-here with the direct computation kept in operator_reference, or with
-the Fraction cup.
+form, coalgebra.normalize_word counts inversions among odd generators, and
+algebra.leibniz_defects runs on integer copies and divides back once;
+each is compared here with the direct computation kept in
+operator_reference.
 """
 
 from fractions import Fraction as Q
@@ -15,15 +14,15 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdca.algebra import (AlgebraSpec, Derivation, exterior_algebra,
+from mdca.algebra import (AlgebraSpec, exterior_algebra, leibniz_defects,
                           truncated_polynomial)
-from mdca.coalgebra import (ModuleSpec, normalize_word, shuffle_coefficient,
-                            splittings, word_degree, words_of_length)
-from mdca.forms import FormTable, cup, cup_axpy
-from mdca.graded import GradedBasis, vec_scale
+from mdca.coalgebra import (normalize_word, shuffle_coefficient, splittings,
+                            words_of_length)
+from mdca.graded import GradedBasis, LinearMap
 from mdca.instances import catalog_entry
 
-from operator_reference import (derivation_space, reference_leibniz_violations,
+from operator_reference import (derivation_space, reference_leibniz_defect,
+                                reference_leibniz_violations,
                                 reference_normalize_word,
                                 reference_splittings)
 
@@ -142,49 +141,14 @@ def test_integer_leibniz_violations_are_the_nonzero_defects(
         ent = {}
         for d in derivation_space(A, degree):
             c = Q(rnd.randint(-4, 4), rnd.randint(1, 6))
-            for k, v in d.action.entries.items():
+            for k, v in d.entries.items():
                 ent[k] = ent.get(k, 0) + c * v
-        d = Derivation(A, degree, ent)
-        assert d.leibniz_violations() == []
     else:
-        d = Derivation(A, degree, random_operator(A, degree, rnd))
-    assert d.leibniz_violations() == reference_leibniz_violations(d)
-
-
-# modules for the cup kernel; over scaled_truncated the structure
-# constants have the denominator mu = 3
-CUP_MODULES = {name: catalog_entry(name)[0].L
-               for name in ("exterior_pair", "quasi_sample", "truncated_poly")}
-CUP_MODULES["truncated, scaled"] = ModuleSpec(
-    scaled_truncated(), GradedBasis([("u", 0), ("v", 0)]))
-
-
-def random_int_form(L, rnd, max_len):
-    """(degree, values) of a form on words up to max_len with Python int
-    values, no zero among them."""
-    adeg = L.over.basis.degree
-    cells = [(w, a) for n in range(max_len + 1) for w in words_of_length(L, n)
-             for a in L.over.basis.labels]
-    w, a = rnd.choice(cells)
-    degree = adeg[a] - word_degree(L, w)
-    values = {}
-    for w, a in cells:
-        if adeg[a] - word_degree(L, w) == degree and rnd.random() < 0.5:
-            values.setdefault(w, {})[a] = rnd.choice([-3, -2, -1, 1, 2, 3])
-    return degree, values
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(CUP_MODULES)), st.integers(-3, 3),
-       st.randoms())
-def test_cup_axpy_on_integers_is_mu_times_the_fraction_cup(name, c, rnd):
-    L = CUP_MODULES[name]
-    A = L.over
-    (fdeg, F), (gdeg, G) = (random_int_form(L, rnd, 2) for _ in range(2))
-    got = cup_axpy(L, {}, c, F, G, gdeg, A.int_mult)
-    assert all(type(x) is int for v in got.values() for x in v.values())
-    want = cup(*(FormTable(L, d, {w: {a: Q(x) for a, x in v.items()}
-                                  for w, v in vals.items()})
-                 for d, vals in ((fdeg, F), (gdeg, G))))
-    assert {w: v for w, v in got.items() if v} == {
-        w: vec_scale(c * A.mu, v) for w, v in want.values.items() if c}
+        ent = random_operator(A, degree, rnd)
+    op = LinearMap(A.basis, A.basis, degree, ent)
+    got = leibniz_defects(A, op)
+    if derivation:
+        assert got == []
+    # the pairs and, divided back by mu * e, the Fraction defects
+    assert got == [(p, reference_leibniz_defect(A, op, *p))
+                   for p in reference_leibniz_violations(A, op)]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mdca import cli, forms, structures
-from mdca.algebra import (Derivation, exterior_algebra, graded_commutator,
-                          multiply, rational_algebra, truncated_polynomial)
+from mdca.algebra import (exterior_algebra, graded_commutator, multiply,
+                          rational_algebra, truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             check_coalgebra_perturbation,
                             coderivation_from_brackets, words_of_length)
@@ -59,8 +59,8 @@ def test_extended_bracket_matches_graded_commutators():
     # same cross-check in the graded case: the extension of the generator
     # commutators agrees with the table of honest operator commutators
     A = exterior_algebra([("q", -1), ("r", -1)])
-    dq = Derivation(A, 1, {("1", "q"): ONE, ("r", "q.r"): ONE})
-    dr = Derivation(A, 1, {("1", "r"): ONE, ("q", "q.r"): -ONE})
+    dq = LinearMap(A.basis, A.basis, 1, {("1", "q"): ONE, ("r", "q.r"): ONE})
+    dr = LinearMap(A.basis, A.basis, 1, {("1", "r"): ONE, ("q", "q.r"): -ONE})
     L, p_ref, t_ref = derivation_pair(A, [("u", "q", dq), ("v", "r", dr)])
     adeg = A.basis.degree
     by_gen = {"u": dq, "v": dr}
@@ -69,17 +69,16 @@ def test_extended_bracket_matches_graded_commutators():
         for x2 in ("u", "v"):
             if x2 < x1:
                 continue
-            c = graded_commutator(by_gen[x1], by_gen[x2])
+            c = graded_commutator(A, by_gen[x1], by_gen[x2])
             vec = {}
             for xl, dl in (("u", "q"), ("v", "r")):
-                for al, co in c({dl: ONE}).items():
+                for al, co in c.column(dl).items():
                     s = -ONE if adeg[al] % 2 else ONE
                     vec[L.pair(al, xl)] = s * co
             vec = {k: v for k, v in vec.items() if v}
             if vec:
                 gen_bracket[(x1, x2)] = vec
-    pairing = {x: d.action for x, d in by_gen.items()}
-    table = extend_bracket_table(L, pairing, gen_bracket)
+    table = extend_bracket_table(L, by_gen, gen_bracket)
     p = coderivation_from_brackets(L, {2: table}) if table else \
         Coderivation(L, {})
     assert p.cor == p_ref.cor
