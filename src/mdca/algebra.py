@@ -145,18 +145,6 @@ def leibniz_defects(A, op):
     return out
 
 
-def graded_commutator(A, d1, d2):
-    """[d1, d2] = d1 d2 - (-1)^(|d1||d2|) d2 d1 of two derivations of A,
-    again a derivation; ValueError where it breaks the Leibniz rule."""
-    sgn = -ONE if (d1.degree % 2 and d2.degree % 2) else ONE
-    out = compose(d1, d2).add(compose(d2, d1).scale(-sgn))
-    bad = leibniz_defects(A, out)
-    if bad:
-        raise ValueError("graded commutator is not a derivation: Leibniz "
-                         "fails on %r" % (bad[0][0],))
-    return out
-
-
 # --- convenience constructors used by the catalog and the tests ---
 
 def rational_algebra():

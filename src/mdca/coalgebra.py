@@ -174,6 +174,24 @@ def stripped_slots(L, word, start_degree):
         pre += L.sl_basis.degree[g]
 
 
+def linearity_defects(L, values, start_degree, times):
+    """Where a table of values breaks the module-linearity rule of
+    stripped_slots: yields (word, slot, a, value(word) - sign * a *
+    value(bare)), nonzero, on every canonical word of a length the table
+    has, in words_of_length order.
+
+    values: {canonical word: sparse vector}, absent words (and a bare
+    word that vanishes) valued zero; times(a, vector): the action of the
+    algebra basis element a on a value, supplied by the caller."""
+    for n in sorted({len(w) for w in values}):
+        for w in words_of_length(L, n):
+            for slot, a, sgn, bare in stripped_slots(L, w, start_degree):
+                defect = dict(values.get(w, {}))
+                vec_axpy(defect, -sgn, times(a, values.get(bare, {})))
+                if defect:
+                    yield w, slot, a, defect
+
+
 def word_degree(L, word):
     return sum(L.sl_basis.degree[g] for g in word)
 

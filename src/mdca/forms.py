@@ -43,11 +43,11 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 
 from .graded import (ONE, compose_axpy, denominator, int_multiple,
-                     rank_modulo, row_echelon, vec_axpy, vec_scale, vec_sub)
+                     rank_modulo, row_echelon, vec_axpy, vec_scale)
 from .algebra import leibniz_defects, multiply
-from .coalgebra import (TruncationPolicy, normalize_word, shuffle_coefficient,
-                        splittings, stripped_slots, word_basis, word_degree,
-                        words_of_length)
+from .coalgebra import (TruncationPolicy, linearity_defects, normalize_word,
+                        shuffle_coefficient, splittings, word_basis,
+                        word_degree)
 
 
 class FormTable:
@@ -128,10 +128,11 @@ class TwistingCochain:
 
     def level_table(self, partial):
         """The LevelTable (the integer copies, and D_j read off them) of
-        this family and the coderivation partial.  Built on first use and kept for one coderivation at a
-        time, for the life of this family; the table holds no reference
-        back to the family.  A table for another coderivation replaces
-        it and builds its own parts."""
+        this family and the coderivation partial.  Built on first use
+        and kept for one coderivation at a time, for the life of this
+        family; the table holds no reference back to the family.  A
+        table for another coderivation replaces it and builds its own
+        parts."""
         if self._table is None or self._table[0] is not partial:
             self._table = (partial, LevelTable(self.L, partial, self))
         return self._table[1]
@@ -348,31 +349,16 @@ def is_A_multilinear(f):
     (coalgebra.stripped_slots); a bare word that vanishes in the
     coalgebra forces the value zero.
 
-    Returns (verdict, witness); the witness names (word, slot, scalar).
+    Returns (verdict, witness, defect) from the first failure of
+    coalgebra.linearity_defects: the witness names (word, slot, scalar)
+    and the defect is f(word) - sign * a * f(bare) there.
     """
-    L = f.L
-    for n in f.support_lengths():
-        for w in words_of_length(L, n):
-            for slot, a, sgn, bare in stripped_slots(L, w, f.degree):
-                if f.values.get(w, {}) != stripped_value(f, a, sgn, bare):
-                    return False, {"word": w, "slot": slot, "scalar": a}
-    return True, None
-
-
-def stripped_value(f, a, sgn, bare):
-    """sign * a * f(bare): the value module-linearity asks of f on a word
-    with one slot stripped (coalgebra.stripped_slots)."""
-    return vec_scale(sgn, multiply(f.L.over, {a: ONE},
-                                   f.values.get(bare, {})))
-
-
-def multilinearity_defect(f, witness):
-    """f(w) - sign * a * f(bare) at the word and slot of a witness of
-    is_A_multilinear; nonzero exactly where the rule fails."""
-    w = witness["word"]
-    for slot, a, sgn, bare in stripped_slots(f.L, w, f.degree):
-        if slot == witness["slot"]:
-            return vec_sub(f.value(w), stripped_value(f, a, sgn, bare))
+    A = f.L.over
+    for w, slot, a, defect in linearity_defects(
+            f.L, f.values, f.degree,
+            lambda b, v: multiply(A, {b: ONE}, v)):
+        return False, {"word": w, "slot": slot, "scalar": a}, defect
+    return True, None, None
 
 
 def dual_monomials(L, max_len):
@@ -423,8 +409,8 @@ def descent_check(L, partial, t, j):
     on the generators.  Each generator is probed once: its image under
     build_D, tested by is_A_multilinear.  A failure is the descent
     residual of operator_route: route operators, axiom descent, witness
-    (j, generator name, witness of is_A_multilinear) and the
-    multilinearity_defect as value; "images" holds the images by
+    (j, generator name, witness of is_A_multilinear) and the defect
+    is_A_multilinear found there as value; "images" holds the images by
     generator key.  The report is kept with the LevelTable of (partial,
     t) (LevelTable.descent), so every caller on one structure reads the
     same report; callers only read it.
@@ -435,12 +421,11 @@ def descent_check(L, partial, t, j):
     rep = kept[j] = {"violations": [], "images": {}}
     for name, key, f in multilinear_generators(L, 1):
         g = rep["images"][key] = build_D(f, partial, t, j)
-        ok, wit = is_A_multilinear(g)
+        ok, wit, defect = is_A_multilinear(g)
         if not ok:
             rep["violations"].append({
                 "route": "operators", "axiom": "descent",
-                "witness": (j, name, wit),
-                "value": multilinearity_defect(g, wit)})
+                "witness": (j, name, wit), "value": defect})
     return rep
 
 

@@ -317,7 +317,8 @@ def rank_modulo(rows, ncols):
 
 
 def kernel_of_rows(rows, ncols):
-    """(rank, kernel basis as coefficient lists) of the matrix given by rows."""
+    """(rank, kernel basis as coefficient lists) of the matrix given by
+    rows."""
     rows = [list(row) for row in rows]
     piv_cols = row_echelon(rows, ncols)
     rank = len(piv_cols)

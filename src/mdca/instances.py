@@ -11,9 +11,11 @@ Entries:
   jacobi_violator  a deliberately broken bracket whose Jacobi sum on
                    (x, y, z) is -(x + y + z); shipped as a negative
                    control and expected to fail checks.
-  exterior_pair    derivations of an exterior algebra on two odd
-                   generators, with commutator bracket and the action
-                   itself as anchor.
+  exterior_pair    derivations of the exterior algebra on two odd
+                   generators q, r, free on d/dq and d/dr, with the action
+                   itself as anchor.  The generator brackets are zero
+                   (the partial derivatives commute); every other bracket
+                   comes from the anomaly law (extend_bracket_table).
   truncated_poly   derivations of Q[x]/(x^3), presented as a free rank-2
                    module on x d/dx and x^2 d/dx.  The honest derivation
                    module is not free (x^2 * x d/dx = x * x^2 d/dx), so
@@ -27,13 +29,10 @@ Entries:
 
 from fractions import Fraction as Q
 
-from .algebra import (exterior_algebra, graded_commutator, multiply,
-                      rational_algebra, truncated_polynomial)
-from .coalgebra import ModuleSpec, TruncationPolicy, coderivation_from_brackets
-from .forms import TwistingCochain
+from .algebra import exterior_algebra, rational_algebra, truncated_polynomial
+from .coalgebra import ModuleSpec, TruncationPolicy
 from .graded import GradedBasis, LinearMap, ONE
 from .structures import (LieRinehartData, QuasiLieRinehartData,
-                         ShLieRinehartData, extend_anchor_level,
                          extend_bracket_table)
 
 
@@ -75,62 +74,13 @@ def jacobi_violator():
     return LieRinehartData(L, table, {}), TruncationPolicy(4)
 
 
-def derivation_pair(A, base):
-    """Homotopy data for a module of derivations, free on the given
-    generators, with commutator bracket and the action as anchor.
-
-    base: list of (module generator label, algebra generator label,
-    derivation of A as a LinearMap on its basis); the bracket table comes
-    from genuine graded commutators decomposed through the values on the
-    named algebra generators, one commutator per unordered pair of basis
-    elements (graded_commutator checks that it is a derivation), the
-    reverse pair by graded antisymmetry.
-    """
-    L = ModuleSpec(A, GradedBasis([(x, d.degree) for x, _, d in base]))
-    by_gen = {x: d for x, _, d in base}
-    adeg = A.basis.degree
-
-    def as_derivation(label):
-        # the element a.x acts as (-1)^|a| a d_x: the sign of moving the
-        # scalar across a degree -1 operator family
-        a, x = L.split(label)
-        d0 = by_gen[x]
-        s = -ONE if adeg[a] % 2 else ONE
-        ent = {}
-        for src in A.basis.labels:
-            for k, c in multiply(A, {a: ONE}, d0.column(src)).items():
-                ent[(k, src)] = s * c
-        return LinearMap(A.basis, A.basis, adeg[a] + d0.degree, ent)
-
-    labels = L.l_basis.labels
-    ders = {label: as_derivation(label) for label in labels}
-    table = {}
-    for i, g1 in enumerate(labels):
-        for g2 in labels[i:]:
-            d1, d2 = ders[g1], ders[g2]
-            c = graded_commutator(A, d1, d2)
-            vec = {}
-            for xl, dl, _ in base:
-                for al, co in c.column(dl).items():
-                    s = -ONE if adeg[al] % 2 else ONE
-                    vec[L.pair(al, xl)] = s * co
-            vec = {k: v for k, v in vec.items() if v}
-            if vec:
-                table[(g1, g2)] = vec
-                if g2 != g1:
-                    # graded antisymmetry of the commutator
-                    s = ONE if (d1.degree % 2 and d2.degree % 2) else -ONE
-                    table[(g2, g1)] = {k: s * v for k, v in vec.items()}
-    partial = coderivation_from_brackets(L, {2: table})
-    t1 = {(label,): d for label, d in ders.items() if not d.is_zero()}
-    return ShLieRinehartData(L, partial, TwistingCochain(L, {1: t1}))
-
-
 def exterior_pair():
     A = exterior_algebra([("q", -1), ("r", -1)])
+    L = ModuleSpec(A, GradedBasis([("u", 1), ("v", 1)]))
     dq = LinearMap(A.basis, A.basis, 1, {("1", "q"): ONE, ("r", "q.r"): ONE})
     dr = LinearMap(A.basis, A.basis, 1, {("1", "r"): ONE, ("q", "q.r"): -ONE})
-    return derivation_pair(A, [("u", "q", dq), ("v", "r", dr)]), \
+    # the partial derivatives commute: every generator bracket is zero
+    return extend_bracket_table(L, {"u": dq, "v": dr}, {}).as_sh(), \
         TruncationPolicy(4)
 
 
@@ -141,11 +91,7 @@ def truncated_poly():
                             {("x", "x"): ONE, ("x^2", "x^2"): Q(2)}),
              "v": LinearMap(A.basis, A.basis, 0, {("x^2", "x"): ONE})}
     gen_bracket = {("u", "v"): {"1|v": ONE}}
-    table = extend_bracket_table(L, theta, gen_bracket)
-    anchor = {w[0]: op for w, op in
-              extend_anchor_level(L, {("u",): theta["u"],
-                                      ("v",): theta["v"]}, 1).items()}
-    return LieRinehartData(L, table, anchor), TruncationPolicy(4)
+    return extend_bracket_table(L, theta, gen_bracket), TruncationPolicy(4)
 
 
 # Parameters of quasi_sample; the triple is the unique solution of the
@@ -191,15 +137,14 @@ def build_quasi_sample(gen_bracket, lam, dmat, cs):
         if w:
             pairing_gens[g] = LinearMap(A.basis, A.basis, 0,
                                         {("th", "th"): Q(w)})
-    pairing = {w[0]: op for w, op in extend_anchor_level(
-        L, {(g,): op for g, op in pairing_gens.items()}, 1).items()}
-    bracket = extend_bracket_table(L, pairing_gens, gen_bracket)
+    lr = extend_bracket_table(L, pairing_gens, gen_bracket)
+    pairing = {w[0]: op for w, op in lr.anchor.maps.get(1, {}).items()}
     triple = {}
     for key, c in cs.items():
         if c:
             triple[key] = LinearMap(A.basis, A.basis, 1,
                                     {("1", "th"): Q(c)})
-    return QuasiLieRinehartData(L, bracket, pairing, triple)
+    return QuasiLieRinehartData(L, lr.bracket, pairing, triple)
 
 
 CATALOG = {

@@ -14,33 +14,35 @@ converted data is the Jacobi defect identity on the bare words.
 Values on laden words (some slot's algebra coefficient is not the unit)
 are built from the values on bare words by one law each: anchors and
 forms by module-linearity (extend_linearly, on coalgebra.stripped_slots),
-corestrictions by the anomaly law (extend_corestriction).  The checkers
-(anomaly_report, anchor_multilinearity_report, forms.is_A_multilinear)
-do not call these extenders, so they test them.
+corestrictions by the anomaly law (extend_corestriction).  Lie-Rinehart
+data from generator data has one builder, extend_bracket_table, which
+extends the anchor once and the bracket against it.  Each law has one
+checker: module-linearity is coalgebra.linearity_defects, read by
+anchor_multilinearity_report and forms.is_A_multilinear, and the anomaly
+law is anomaly_report.  The checkers do not call the extenders, so they
+test them.
 """
 
 from fractions import Fraction as Q
 
-from .graded import LinearMap, ONE, compose, vec_axpy, vec_scale, vec_sub
-from .algebra import leibniz_defects, multiply
+from .graded import LinearMap, ONE, vec_axpy, vec_scale, vec_sub
+from .algebra import leibniz_defects
 from .coalgebra import (Coderivation, antisymmetry_violations,
                         check_coalgebra_perturbation,
-                        coderivation_from_brackets, normalize_word,
-                        stripped_slots, suspension_sign, word_degree,
-                        words_of_length)
+                        coderivation_from_brackets, linearity_defects,
+                        normalize_word, stripped_slots, suspension_sign,
+                        word_degree, words_of_length)
 from .forms import (TwistingCochain, build_D, descent_check,
                     dual_one_forms, operator_route, twisting_residual)
 
 
-def mult_op(A, a_vec):
-    """Left multiplication by an element, as a linear map on A."""
-    degs = {A.basis.degree[k] for k in a_vec}
-    d = degs.pop() if degs else 0
-    ent = {}
-    for s in A.basis.labels:
-        for k, c in multiply(A, a_vec, {s: ONE}).items():
-            ent[(k, s)] = c
-    return LinearMap(A.basis, A.basis, d, ent)
+def left_multiple(A, a, entries):
+    """The entries {(target, source): c} of a times an operator on A with
+    the given entries, for an algebra basis element a."""
+    out = {}
+    for (k, src), c in entries.items():
+        vec_axpy(out, c, {(m, src): x for m, x in A.prod_basis(a, k).items()})
+    return out
 
 
 class LieRinehartData:
@@ -137,24 +139,16 @@ def anchor_multilinearity_report(L, t):
     """Each anchor level must satisfy the module-linearity rule of a
     degree -1 family (coalgebra.stripped_slots): the value on a word is
     the Koszul-signed coefficient of any slot times the value on the word
-    with that slot made bare, and zero when the bare word vanishes."""
+    with that slot made bare, and zero when the bare word vanishes.
+    Every failure of coalgebra.linearity_defects on the operators'
+    entries is one residual, its defect the value."""
     A = L.over
-    report = []
-    for j in t.levels():
-        for w in words_of_length(L, j):
-            op = t.value(j, w)
-            for slot, a, sgn, bare in stripped_slots(L, w, -1):
-                diff = dict(op.entries) if op is not None else {}
-                op2 = t.value(j, bare)
-                if op2 is not None:
-                    vec_axpy(diff, -sgn,
-                             compose(mult_op(A, {a: ONE}), op2).entries)
-                if diff:
-                    report.append({"route": "direct",
-                                   "axiom": "anchor module-linearity",
-                                   "witness": (j, w, slot, a),
-                                   "value": diff})
-    return report
+    values = {w: op.entries for table in t.maps.values()
+              for w, op in table.items()}
+    return [{"route": "direct", "axiom": "anchor module-linearity",
+             "witness": (len(w), w, slot, a), "value": defect}
+            for w, slot, a, defect in linearity_defects(
+                L, values, -1, lambda b, ent: left_multiple(A, b, ent))]
 
 
 def anomaly_report(L, partial, t, j):
@@ -414,8 +408,9 @@ def extend_anchor_level(L, base, j):
     canonical word of length j by the module-linearity rule of a degree
     -1 family (extend_linearly)."""
     A = L.over
-    table = extend_linearly(L, -1, base, j, lambda a, s, op: compose(
-        mult_op(A, {a: ONE}), op).scale(s))
+    table = extend_linearly(L, -1, base, j, lambda a, s, op: LinearMap(
+        A.basis, A.basis, A.basis.degree[a] + op.degree,
+        left_multiple(A, a, op.entries)).scale(s))
     return {w: op for w, op in table.items() if not op.is_zero()}
 
 
@@ -469,10 +464,11 @@ def extend_corestriction(L, anchor, bare, n):
 
 
 def extend_bracket_table(L, pairing, gen_bracket):
-    """Bracket table on the induced basis, one canonical order per pair,
-    from generator brackets and the level-1 anchor: the generator
-    brackets are suspended, extended by extend_corestriction and
-    desuspended.
+    """Lie-Rinehart data from generator data, by the two laws of laden
+    values: the anchor extends by module-linearity (extend_anchor_level),
+    and the generator brackets, suspended, extend by the anomaly law
+    against that anchor (extend_corestriction) and are desuspended into
+    a bracket table with one canonical order per pair.
 
     pairing: {generator name: operator on A}; gen_bracket: {(name, name):
     module element as an induced-basis vector}.
@@ -483,9 +479,10 @@ def extend_bracket_table(L, pairing, gen_bracket):
         for (x1, x2), v in gen_bracket.items()}}).cor.get(1, {})
     anchor = extend_anchor_level(
         L, {(x,): op for x, op in pairing.items()}, 1)
-    return {w: vec_scale(Q(suspension_sign(
-                [L.l_basis.degree[g] for g in w])), v)
-            for w, v in extend_corestriction(L, anchor, bare, 2).items()}
+    table = {w: vec_scale(Q(suspension_sign(
+                 [L.l_basis.degree[g] for g in w])), v)
+             for w, v in extend_corestriction(L, anchor, bare, 2).items()}
+    return LieRinehartData(L, table, {w[0]: op for w, op in anchor.items()})
 
 
 class QuasiLieRinehartData:

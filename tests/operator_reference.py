@@ -12,7 +12,8 @@ data on alternating forms) and the Jacobi defect identity of quasi data.
 So are the kernels' oracles: the Koszul sign of a permutation
 (koszul_sign), the shuffle diagonal by position subsets, word sorting
 by that sign, the Leibniz rule on Fractions, the derivations of an
-algebra solved from the Leibniz system (derivation_space), and the rank
+algebra solved from the Leibniz system (derivation_space) and their
+graded commutator (graded_commutator), and the rank
 modulo PRIME by Gaussian elimination on lists of residues
 (reference_rank_modulo).
 """
@@ -22,11 +23,11 @@ from itertools import combinations
 
 from mdca.coalgebra import (Coderivation, TruncationPolicy, normalize_word,
                             splittings, word_degree)
-from mdca.algebra import multiply
+from mdca.algebra import leibniz_defects, multiply
 from mdca.forms import (FormTable, ambient_basis_forms, constant_form,
                         dual_one_forms, generator_probes, live_levels)
-from mdca.graded import (PRIME, LinearMap, ONE, ZERO, kernel_of_rows,
-                         row_echelon, vec_axpy, vec_scale)
+from mdca.graded import (PRIME, LinearMap, ONE, ZERO, compose,
+                         kernel_of_rows, row_echelon, vec_axpy, vec_scale)
 from mdca.structures import extend_linearly, quasi_to_sh
 
 
@@ -524,6 +525,18 @@ def derivation_space(A, deg):
             if v[n]:
                 ent[(t, s)] = v[n]
         out.append(LinearMap(A.basis, A.basis, deg, ent))
+    return out
+
+
+def graded_commutator(A, d1, d2):
+    """[d1, d2] = d1 d2 - (-1)^(|d1||d2|) d2 d1 of two derivations of A,
+    again a derivation; ValueError where it breaks the Leibniz rule."""
+    sgn = -ONE if (d1.degree % 2 and d2.degree % 2) else ONE
+    out = compose(d1, d2).add(compose(d2, d1).scale(-sgn))
+    bad = leibniz_defects(A, out)
+    if bad:
+        raise ValueError("graded commutator is not a derivation: Leibniz "
+                         "fails on %r" % (bad[0][0],))
     return out
 
 

@@ -18,12 +18,11 @@ from mdca import cli
 from mdca.coalgebra import (ModuleSpec, TruncationPolicy,
                             check_coalgebra_perturbation,
                             coderivation_from_brackets, normalize_word,
-                            word_degree)
+                            word_degree, words_of_length)
 from mdca.forms import (FormTable, ambient_basis_forms, build_D,
                         cohomology_ranks, cup, descent_check,
                         dual_one_forms, is_A_multilinear,
-                        multilinear_generators, square_check,
-                        words_of_length)
+                        multilinear_generators, square_check)
 from mdca.graded import GradedBasis, ONE
 from mdca.instances import catalog_entry
 from mdca.structures import (LieRinehartData, build_maurer_cartan,
@@ -92,7 +91,7 @@ def test_level_one_descends_but_summands_do_not():
         bra, tt = reference_bra(f, sh.partial, 1), reference_t(f, sh.t, 1)
         assert bra.add(tt) == rep["images"][key]
         for half, g in (("bracket", bra), ("anchor", tt)):
-            ok, wit = is_A_multilinear(g)
+            ok, wit, _ = is_A_multilinear(g)
             if not ok:
                 failures[half].append(wit)
     assert failures["bracket"] and failures["anchor"]

@@ -6,12 +6,13 @@ from fractions import Fraction as Q
 import pytest
 
 import mdca
-from mdca.algebra import (AlgebraSpec, exterior_algebra, graded_commutator,
-                          leibniz_defects, multiply, rational_algebra,
-                          truncated_polynomial, validate_algebra)
+from mdca.algebra import (AlgebraSpec, exterior_algebra, leibniz_defects,
+                          multiply, rational_algebra, truncated_polynomial,
+                          validate_algebra)
 from mdca.graded import GradedBasis, LinearMap, ONE
 
-from operator_reference import derivation_space, reference_leibniz_violations
+from operator_reference import (derivation_space, graded_commutator,
+                                reference_leibniz_violations)
 
 
 def test_validate_rationals():

@@ -9,20 +9,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdca import forms
-from mdca.algebra import (AlgebraSpec, exterior_algebra, graded_commutator,
-                          leibniz_defects, multiply, rational_algebra,
-                          truncated_polynomial)
+from mdca.algebra import (AlgebraSpec, exterior_algebra, leibniz_defects,
+                          multiply, rational_algebra, truncated_polynomial)
 from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             coderivation_from_brackets, word_basis,
-                            word_degree)
+                            word_degree, words_of_length)
 from mdca.forms import (FormTable, SquareResidualError, TwistingCochain,
                         ambient_basis_forms, build_D, cohomology_ranks,
                         constant_form, cup, descent_check, dual_one_forms,
                         is_A_multilinear, multilinear_basis, operator_route,
                         multilinear_generators, square_check,
-                        twisting_residual, words_of_length)
+                        twisting_residual)
 from mdca.graded import (PRIME, GradedBasis, LinearMap, ONE, row_echelon,
-                         vec_axpy, vec_scale)
+                         vec_axpy, vec_scale, vec_sub)
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import emit_instance
 from mdca.structures import (LieRinehartData, ShLieRinehartData,
@@ -30,9 +29,11 @@ from mdca.structures import (LieRinehartData, ShLieRinehartData,
                              quasi_to_sh)
 
 from operator_reference import (anchor_apply, derivation_space, form_eval,
-                                koszul_sign, nonzero, reference_bra,
-                                reference_cohomology_ranks, reference_cup,
-                                reference_D, reference_leibniz_check,
+                                graded_commutator, koszul_sign, nonzero,
+                                reference_bra, reference_cohomology_ranks,
+                                reference_cup, reference_D,
+                                reference_leibniz_check,
+                                reference_normalize_word,
                                 reference_square_check, reference_t)
 
 
@@ -373,11 +374,9 @@ def test_anchor_on_constants_is_adjoint():
 def test_multilinearity_of_generators():
     for L in (SL2, exterior_pair()[0]):
         for al in L.over.basis.labels:
-            ok, _ = is_A_multilinear(constant_form(L, {al: ONE}))
-            assert ok
+            assert is_A_multilinear(constant_form(L, {al: ONE}))[0]
         for form in dual_one_forms(L).values():
-            ok, _ = is_A_multilinear(form)
-            assert ok
+            assert is_A_multilinear(form)[0]
 
 
 def test_multilinearity_failure_witnessed():
@@ -386,8 +385,11 @@ def test_multilinearity_failure_witnessed():
     vals = {w: dict(v) for w, v in eps.values.items()}
     vals[("q|u",)]["q"] += 1  # perturb a single value
     bad = FormTable(L, eps.degree, vals)
-    ok, wit = is_A_multilinear(bad)
-    assert not ok and wit["word"] is not None
+    ok, wit, defect = is_A_multilinear(bad)
+    assert not ok
+    # (q|u) is the first laden word; only its value moved, by 1 at q
+    assert wit == {"word": ("q|u",), "slot": 0, "scalar": "q"}
+    assert defect == {"q": 1}
 
 
 def oracle_case(name):
@@ -494,6 +496,55 @@ def test_descent_fails_for_non_multilinear_anchor():
     tbad = TwistingCochain(L, {1: bad})
     rep = descent_check(L, partial, tbad, 1)
     assert rep["violations"]
+
+
+def one_slot_defect(f, word, slot):
+    """f(word) - sign * a * f(bare), a the coefficient of the slot and
+    bare the word with that slot made bare: the sign moves a across the
+    form and the earlier slots, then sorts bare (reference_normalize_word,
+    a vanishing bare word valued zero)."""
+    L = f.L
+    A = L.over
+    a, x = L.split(word[slot])
+    pre = f.degree + word_degree(L, word[:slot])
+    s = -1 if A.basis.degree[a] % 2 and pre % 2 else 1
+    sgn, bare = reference_normalize_word(
+        L, word[:slot] + (L.pair(A.unit, x),) + word[slot + 1:])
+    return vec_sub(f.value(word), vec_scale(
+        Q(s * sgn), multiply(A, {a: ONE}, f.values.get(bare, {}))))
+
+
+def test_descent_residual_is_the_defect_of_a_perturbed_image(monkeypatch):
+    # one laden value of the level-1 image of a dual 1-form, nonzero
+    # before, moves by c: the descent residual is the defect at its
+    # witness, recomputed here from the definition, and that is +-c at
+    # one label
+    sh = quasi_to_sh(catalog_entry("quasi_sample")[0])
+    L, partial, t = sh.L, sh.partial, sh.t
+    unit, c = L.over.unit, Q(3)
+    eps = dual_one_forms(L)["x"]
+    real = forms.build_D
+    image = real(eps, partial, t, 1)
+    w0 = min(w for w in image.values
+             if any(L.split(g)[0] != unit for g in w))
+    b = min(image.values[w0])
+
+    def perturbed(f, partial, t, j):
+        out = real(f, partial, t, j)
+        if j == 1 and f == eps:
+            out = out.add(FormTable(L, out.degree, {w0: {b: c}}))
+        return out
+
+    monkeypatch.setattr(forms, "build_D", perturbed)
+    rep = descent_check(L, partial, t, 1)
+    (res,) = rep["violations"]
+    j, name, wit = res["witness"]
+    assert (j, name) == (1, "dual:x")
+    assert L.split(wit["word"][wit["slot"]])[0] == wit["scalar"]
+    want = one_slot_defect(rep["images"][("dual", ("x",))], wit["word"],
+                           wit["slot"])
+    assert res["value"] == want
+    assert list(want.values()) in ([c], [-c])
 
 
 # --------------------------------------------------- square and bigrading

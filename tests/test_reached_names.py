@@ -64,3 +64,39 @@ def test_every_name_the_scripts_import_exists(module, name):
     # a name that is neither an attribute nor a submodule fails to import
     if not hasattr(importlib.import_module(module), name):
         importlib.import_module("%s.%s" % (module, name))
+
+
+def referenced_names():
+    """Every name that code under src/, tools/ or perfbench/ reads: a
+    name in an expression, an attribute, or a name imported."""
+    out = set()
+    for top in ("src", "tools", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(
+                    encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    out.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    out.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    out |= {a.name for a in node.names}
+    return out
+
+
+def library_definitions():
+    """(module, name) of every top-level function and class of mdca."""
+    out = []
+    for path in sorted((ROOT / "src" / "mdca").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((path.stem, node.name))
+    return out
+
+
+def test_every_library_definition_is_reached():
+    # only what a verb, a tool or the benchmark reaches stays in the
+    # library; what only the tests reach lives beside them
+    defined = library_definitions()
+    assert ("forms", "build_D") in defined
+    reached = referenced_names()
+    assert [d for d in defined if d[1] not in reached] == []

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mdca import cli, forms, structures
-from mdca.algebra import (exterior_algebra, graded_commutator, multiply,
+from mdca.algebra import (exterior_algebra, leibniz_defects, multiply,
                           rational_algebra, truncated_polynomial)
-from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
-                            check_coalgebra_perturbation,
-                            coderivation_from_brackets, words_of_length)
+from mdca.coalgebra import (ModuleSpec, TruncationPolicy,
+                            check_coalgebra_perturbation, words_of_length)
 from mdca.forms import (SquareResidualError, TwistingCochain, build_D,
                         cohomology_ranks, cup, dual_one_forms,
                         multilinear_generators, square_check)
@@ -22,7 +21,7 @@ from mdca.structures import (DescentError, LieRinehartData,
                              check_sh_lie_rinehart, check_twisting_cochain,
                              extend_anchor_level, extend_bracket_table,
                              extract_structure, quasi_to_sh, table_residuals)
-from operator_reference import (quasi_model_disagreements,
+from operator_reference import (graded_commutator, quasi_model_disagreements,
                                 reference_jacobi_defect)
 
 from test_forms import (SL2, SL2_PARTIAL, SL2_TABLE, derivation_pair,
@@ -49,39 +48,61 @@ def test_extended_bracket_matches_ungraded_formula():
     # the recursive extension through the anomaly law must reproduce the
     # table built with the classical two-term formula
     L, theta, gen_bracket = tp2_generator_data()
-    table = extend_bracket_table(L, theta, gen_bracket)
-    p = coderivation_from_brackets(L, {2: table})
     _, p_ref, _ = tp2()
-    assert p.cor == p_ref.cor
+    assert extend_bracket_table(L, theta, gen_bracket).partial.cor == \
+        p_ref.cor
 
 
-def test_extended_bracket_matches_graded_commutators():
-    # same cross-check in the graded case: the extension of the generator
-    # commutators agrees with the table of honest operator commutators
-    A = exterior_algebra([("q", -1), ("r", -1)])
-    dq = LinearMap(A.basis, A.basis, 1, {("1", "q"): ONE, ("r", "q.r"): ONE})
-    dr = LinearMap(A.basis, A.basis, 1, {("1", "r"): ONE, ("q", "q.r"): -ONE})
-    L, p_ref, t_ref = derivation_pair(A, [("u", "q", dq), ("v", "r", dr)])
+def exterior_partials(n):
+    """The exterior algebra on n odd generators of degree -1 and its
+    partial derivatives: d/dg takes a word holding g to the word without
+    it, with the sign of moving g to the front."""
+    names = "qrs"[:n]
+    A = exterior_algebra([(x, -1) for x in names])
+    ders = {}
+    for x in names:
+        ent = {}
+        for label in A.basis.labels:
+            word = [] if label == A.unit else label.split(".")
+            if x in word:
+                i = word.index(x)
+                rest = ".".join(word[:i] + word[i + 1:]) or A.unit
+                ent[(rest, label)] = -ONE if i % 2 else ONE
+        ders[x] = LinearMap(A.basis, A.basis, 1, ent)
+    return A, ders
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extended_bracket_matches_graded_commutators(n):
+    # the graded case: the builder's anchor, and its extension of the
+    # generator commutators, agree with the honest action and the table
+    # of operator commutators on every ordered pair (derivation_pair), on
+    # the derivations of an exterior algebra, free on its partials
+    A, ders = exterior_partials(n)
+    base = [(m, x, ders[x]) for m, x in zip("uvw", sorted(ders))]
+    L, p_ref, t_ref = derivation_pair(A, base)
+    for _, _, d in base:
+        assert leibniz_defects(A, d) == []
     adeg = A.basis.degree
-    by_gen = {"u": dq, "v": dr}
+    by_gen = {m: d for m, _, d in base}
     gen_bracket = {}
-    for x1 in ("u", "v"):
-        for x2 in ("u", "v"):
+    for x1 in by_gen:
+        for x2 in by_gen:
             if x2 < x1:
                 continue
             c = graded_commutator(A, by_gen[x1], by_gen[x2])
             vec = {}
-            for xl, dl in (("u", "q"), ("v", "r")):
+            for xl, dl, _ in base:
                 for al, co in c.column(dl).items():
                     s = -ONE if adeg[al] % 2 else ONE
                     vec[L.pair(al, xl)] = s * co
             vec = {k: v for k, v in vec.items() if v}
             if vec:
                 gen_bracket[(x1, x2)] = vec
-    table = extend_bracket_table(L, by_gen, gen_bracket)
-    p = coderivation_from_brackets(L, {2: table}) if table else \
-        Coderivation(L, {})
-    assert p.cor == p_ref.cor
+    lr = extend_bracket_table(L, by_gen, gen_bracket)
+    assert lr.partial.cor == p_ref.cor
+    assert {w: op.entries for w, op in lr.anchor.maps[1].items()} == \
+        {w: op.entries for w, op in t_ref.maps[1].items()}
 
 
 def test_extended_anchor_matches_scaled_action():
@@ -99,12 +120,7 @@ def sl2_data():
 
 
 def tp2_data():
-    L, theta, gen_bracket = tp2_generator_data()
-    table = extend_bracket_table(L, theta, gen_bracket)
-    anchor = {w[0]: op for w, op in
-              extend_anchor_level(L, {("u",): theta["u"],
-                                      ("v",): theta["v"]}, 1).items()}
-    return LieRinehartData(L, table, anchor)
+    return extend_bracket_table(*tp2_generator_data())
 
 
 def test_check_lie_rinehart_passes():
@@ -152,12 +168,14 @@ def test_anchor_on_a_vanishing_bare_word_is_not_module_linear():
     assert anchor_multilinearity_report(L, sh.t) == []
     maps = {j: dict(tab) for j, tab in sh.t.maps.items()}
     w = ("th|x", "1|x")
+    assert w not in maps[2]
     extra = LinearMap(A.basis, A.basis, 0, {("th", "th"): ONE})
-    maps[2][w] = maps[2][w].add(extra) if w in maps[2] else extra
+    maps[2][w] = extra
     rep = anchor_multilinearity_report(L, TwistingCochain(L, maps))
-    assert rep
-    assert {r["witness"] for r in rep} == {(2, w, 0, "th")}
-    assert all(r["axiom"] == "anchor module-linearity" for r in rep)
+    assert [(r["axiom"], r["witness"]) for r in rep] == [
+        ("anchor module-linearity", (2, w, 0, "th"))]
+    # the bare word's value is zero, so the defect is the added operator
+    assert rep[0]["value"] == extra.entries
 
 
 def test_check_lie_rinehart_flags_broken_anomaly():

@@ -2,9 +2,11 @@
 
 For each input (every catalog entry by default, or the catalog NAMEs and
 instance file PATHs given) and for its emitted sh_lie_rinehart and mdca
-files (no mdca file where the input's tables do not descend), runs mdca
-check, roundtrip and cohomology at --W 2, 3 and 5 in process
-(mdca.cli.main).
+files, runs mdca check, roundtrip and cohomology at --W 2, 3 and 5 in
+process (mdca.cli.main).  An input the parser refuses, or quasi data
+that fails its own validation, is answered alone, as the command line
+never converts it; an input whose tables do not descend has no mdca
+file.
 Each run prints one line: the input, the verb and W, then a JSON object
 with the exit code, stdout without its elapsed: line, stderr, and the
 --json report without timing_seconds.  The output holds no timing, so
@@ -23,7 +25,7 @@ import tempfile
 
 from mdca import cli
 from mdca.instances import catalog_entry, catalog_names
-from mdca.io_json import emit_instance, parse_instance_text
+from mdca.io_json import InstanceError, emit_instance, parse_instance_text
 from mdca.structures import DescentError, build_maurer_cartan
 
 VERBS = ("check", "roundtrip", "cohomology")
@@ -32,15 +34,22 @@ WS = (2, 3, 5)
 
 def instance_texts(name):
     """(label, text) of the input and its sh and mdca emissions: an
-    instance file where name is a path to one, else the catalog entry;
-    the mdca tables are built at the input's own policy, and left out
-    where the input does not descend to them."""
+    instance file where name is a path to one, else the catalog entry.
+    The input comes alone where the parser refuses it or where it is quasi
+    data that fails its own validation (cli.validation_residuals); the
+    mdca tables are built at the input's own policy, and left out where
+    the input does not descend to them."""
     if os.path.isfile(name):
         with open(name, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = emit_instance(*catalog_entry(name))
-    inst = parse_instance_text(text)
+    try:
+        inst = parse_instance_text(text)
+    except InstanceError:
+        return [(name, text)]
+    if cli.validation_residuals(inst):
+        return [(name, text)]
     policy = inst.policy
     sh = cli.extracted(inst, policy)[0]
     texts = [(name, text), (name + ".sh", emit_instance(sh, policy))]
