@@ -4,8 +4,9 @@ Verbs:
   check      run the identity checks appropriate to the structure kind
   roundtrip  on mdca tables, extract the structure and require that it
              rebuilds every table exactly; on other input, build the
-             tables once, extract the structure back and require that it
-             equals the input.  This certifies build/extract/rebuild
+             tables once, at every level of the structure and every
+             level below W, extract the structure back and require that
+             it equals the input.  This certifies build/extract/rebuild
              agreement only, not the identities, which check certifies
   cohomology Betti numbers of the multilinear form complex in a window
   catalog    list the built-in examples or emit one as an instance file

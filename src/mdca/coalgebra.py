@@ -7,7 +7,8 @@ suspended module differential) included, is applied to a word one way:
 the cached extension of its corestriction (Coderivation.apply_level).
 All identities are checked up to a word-length truncation W; the
 perturbation identities run on an integer copy of the coderivation,
-every level times one integer s (Coderivation.scaled).
+every level times one integer s (Coderivation.scaled), which the
+structure's forms.LevelTable holds.
 """
 
 from fractions import Fraction as Q
@@ -40,18 +41,15 @@ class ModuleSpec:
         if diff_l is None:
             diff_l = LinearMap.zero(self.l_basis, self.l_basis, -1)
         self.diff_l = diff_l
-        # The differential on the suspension, transported label-wise.
-        # Because the module action on suspension labels is also the
-        # label-wise transport (with no sign), the two suspension twists
-        # cancel: the entries are those of the module differential.  Any
-        # extra sign here would make the level-0 differential of forms
-        # break module-multilinearity whenever the base algebra has a
-        # nonzero differential.
-        self.diff_sl = LinearMap(
-            self.sl_basis, self.sl_basis, -1, dict(diff_l.entries))
-        # the suspended differential as an arity-1 corestriction table
-        self.d0_table = {(g,): self.diff_sl.column(g)
-                         for g in self.sl_basis.labels}
+        # The differential on the suspension as an arity-1 corestriction
+        # table, transported label-wise: the columns of diff_l.  Because
+        # the module action on suspension labels is also the label-wise
+        # transport (with no sign), the two suspension twists cancel: the
+        # entries are those of the module differential.  Any extra sign
+        # here would make the level-0 differential of forms break
+        # module-multilinearity whenever the base algebra has a nonzero
+        # differential.
+        self.d0_table = {(g,): diff_l.column(g) for g in self.sl_basis.labels}
         # the denominators of level 0, the module and algebra
         # differentials; the one integer scale of a structure clears them
         # (forms.LevelTable)
@@ -308,9 +306,9 @@ class Coderivation:
     cor[j] maps canonical words of length j+1 to sL elements; the level-j
     part lowers word length by j.  The j = 0 part comes from the module
     differential and is not stored in cor: d0 is its corestriction
-    table, L.d0_table unless given (the integer copy of scaled gives
-    its multiple).  denominator is the least common denominator of every
-    level of cor.
+    table, L.d0_table unless given (the integer copy that scaled builds
+    gives its multiple).  denominator is the least common denominator of
+    every level of cor.
 
     The constructor only stores, dropping empty levels.  Its contract:
     every level j is at least 1; every key of cor[j] is a canonical
@@ -331,10 +329,6 @@ class Coderivation:
         # the corestriction tables are fixed after construction, so the
         # action on any one word can be cached
         self._apply_cache = {}
-        self._scaled = None
-
-    def levels(self):
-        return sorted(self.cor)
 
     def live(self, j):
         """False when level j is zero on every word: level 0 with a zero
@@ -369,17 +363,13 @@ class Coderivation:
         """The same coderivation on Python ints: every level, level 0
         (the module differential) included, times s, which must clear
         L.d0_denominator and the denominator of every level (else
-        int_multiple raises ValueError).  The direct route and the
-        LevelTable of the operator route evaluate on this copy, through
-        apply_level; it is built on first use and kept for one s at a
-        time, for the life of this coderivation."""
-        if self._scaled is None or self._scaled[0] != s:
-            self._scaled = (s, Coderivation(
-                self.L, {j: {w: int_multiple(s, v) for w, v in tab.items()}
-                         for j, tab in self.cor.items()},
-                {w: int_multiple(s, v)
-                 for w, v in self.L.d0_table.items() if v}))
-        return self._scaled[1]
+        int_multiple raises ValueError).  Built once per structure, as
+        the integer copy that forms.LevelTable holds and both routes
+        read."""
+        return Coderivation(
+            self.L, {j: {w: int_multiple(s, v) for w, v in tab.items()}
+                     for j, tab in self.cor.items()},
+            {w: int_multiple(s, v) for w, v in self.L.d0_table.items() if v})
 
 
 def check_coalgebra_perturbation(partial, L, policy, s):
@@ -394,16 +384,15 @@ def check_coalgebra_perturbation(partial, L, policy, s):
     factor makes its term zero on every word, so the residuals are those
     of the full sum.
 
-    The sum runs on the integer copy partial.scaled(s), where s clears
-    d0 and every level: the s of the structure's forms.LevelTable, so
-    that the anchor identities and the operator route share the one copy
-    (Coderivation.scaled keeps one).  Every term is a product of two
-    levels, so it comes out s**2 times its rational value, and so does
-    the sum: a residual is zero iff its integer one is, whatever the s,
-    and its value is divided back once.  The value is an sL element,
-    keyed by label.
+    partial is an integer copy of the coderivation, every level times s
+    (Coderivation.scaled): the callers pass the copy and the s that the
+    structure's forms.LevelTable holds, so that the anchor identities
+    and the operator route read the one copy.  Every term is a product
+    of two levels, so it comes out s**2 times its rational value, and so
+    does the sum: a residual is zero iff its integer one is, whatever
+    the s, and its value is divided back once.  The value is an sL
+    element, keyed by label.
     """
-    scaled = partial.scaled(s)
     scale = s * s
     report = []
     for j in range(1, policy.W):
@@ -414,7 +403,7 @@ def check_coalgebra_perturbation(partial, L, policy, s):
         for w in words_of_length(L, j + 1):
             res = {}
             for k in terms:
-                scaled.apply_level_vec(k, scaled.apply_level(j - k, w), res)
+                partial.apply_level_vec(k, partial.apply_level(j - k, w), res)
             if res:
                 report.append({"level": j, "word": w, "value": {
                     g: Q(c, scale) for (g,), c in res.items()}})

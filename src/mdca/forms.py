@@ -78,9 +78,6 @@ class FormTable:
     def support_lengths(self):
         return sorted({len(w) for w in self.values})
 
-    def value(self, word):
-        return dict(self.values.get(word, {}))
-
     def add(self, other):
         if self.degree != other.degree:
             raise ValueError("adding forms of different degrees")
@@ -123,9 +120,6 @@ class TwistingCochain:
             for c in op.entries.values())
         self._table = None
 
-    def levels(self):
-        return sorted(self.maps)
-
     def level_table(self, partial):
         """The LevelTable (the integer copies, and D_j read off them) of
         this family and the coderivation partial.  Built on first use
@@ -136,9 +130,6 @@ class TwistingCochain:
         if self._table is None or self._table[0] is not partial:
             self._table = (partial, LevelTable(self.L, partial, self))
         return self._table[1]
-
-    def value(self, j, word):
-        return self.maps.get(j, {}).get(word)
 
     def validation_report(self):
         """The anchor premise, as operator-route residuals: every anchor
@@ -211,13 +202,15 @@ class LevelTable:
     s is the least common multiple of L.d0_denominator and the
     denominators of the coderivation and the anchor family, so it clears
     every table.  partial is the coderivation times s
-    (Coderivation.scaled), diff the algebra differential and maps[j][w]
-    each anchor value times s, as integer columns (LinearMap.
-    int_columns).  Every identity is bilinear in these tables, so a term
-    of two tables comes out s**2 times its value and a term of one table
-    s times its value (mu * s with a product in A); the readers divide
-    back by that constant.  D_j of delta_(u,a) is the transpose of two
-    parts of data on the word u, which do not depend on the label a:
+    (Coderivation.scaled), the structure's one integer copy of it, which
+    the direct route reads too (check_coalgebra_perturbation); diff is
+    the algebra differential and maps[j][w] each anchor value times s,
+    as integer columns (LinearMap.int_columns).  Every identity is
+    bilinear in these tables, so a term of two tables comes out s**2
+    times its value and a term of one table s times its value (mu * s
+    with a product in A); the readers divide back by that constant.
+    D_j of delta_(u,a) is the transpose of two parts of data on the word
+    u, which do not depend on the label a:
       * the bracket part {w: coefficient of u in the scaled del_j(w)},
         with level 0 the word differential, in closed form: for each
         distinct generator g of u, with rest the other generators of u,
@@ -246,7 +239,7 @@ class LevelTable:
         self.L = L
         self.s = s = lcm(L.d0_denominator, partial.denominator,
                          t.denominator)
-        self.partial = partial.scaled(s)
+        self.partial = partial.scaled(self.s)
         self.diff = L.over.diff.int_columns(s)
         self.maps = {j: {w: op.int_columns(s) for w, op in tab.items()}
                      for j, tab in t.maps.items()}

@@ -89,14 +89,10 @@ class GradedBasis:
         self.degree = {lbl: d for lbl, d in self.gens}
         if len(self.degree) != len(self.gens):
             raise ValueError("duplicate labels in basis")
-        self.index = {lbl: i for i, (lbl, _) in enumerate(self.gens)}
 
     @property
     def labels(self):
         return [lbl for lbl, _ in self.gens]
-
-    def __len__(self):
-        return len(self.gens)
 
     def __eq__(self, other):
         return isinstance(other, GradedBasis) and self.gens == other.gens

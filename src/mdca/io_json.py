@@ -78,10 +78,10 @@ KINDS = ("lie_rinehart", "sh_lie_rinehart", "quasi", "mdca")
 
 
 class InstanceError(ValueError):
-    """Parse or validation failure, carrying the document locus."""
+    """Parse or validation failure, its message led by the document
+    locus."""
 
     def __init__(self, locus, message):
-        self.locus = locus
         super().__init__("%s: %s" % (locus, message))
 
 
@@ -542,7 +542,6 @@ class ParsedInstance:
         self.kind = kind
         self.data = data
         self.policy = policy
-        self.L = data.L
 
 
 def parse_instance_text(text, where="instance"):

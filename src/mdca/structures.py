@@ -91,13 +91,15 @@ def direct_route(L, partial, t, policy):
     every table times one s (the structure constants times mu), and
     divide each residual back by a constant (check_coalgebra_perturbation,
     forms.twisting_residual, anomaly_report).  The operator route reads
-    the same table, so each family has one integer copy.
+    the same table, so each family has one integer copy, and the
+    perturbation identities are handed the table's copy and its s.
     Module-linearity compares t_j(w) with a * t_j(bare), where only the
     second side has a product in A, so it stays on Fractions.
     """
     report = []
-    s = t.level_table(partial).s
-    for r in check_coalgebra_perturbation(partial, L, policy, s):
+    table = t.level_table(partial)
+    for r in check_coalgebra_perturbation(table.partial, L, policy,
+                                          table.s):
         report.append({"route": "direct",
                        "axiom": "bracket coderivation squares to zero",
                        "witness": (r["level"], r["word"]),
@@ -261,14 +263,18 @@ class DescentError(ValueError):
 def build_maurer_cartan(d, policy):
     """Generator tables of the level differentials on multilinear forms.
 
-    Refuses with DescentError when some level fails to preserve
-    module-multilinearity.  The tables are the images of the constants
-    and dual 1-forms computed by that descent check.
+    Builds every level of the structure (a level of the coderivation or
+    of the anchor family) and every level below W, so that extraction
+    gives the structure back whatever the W.  Refuses with DescentError
+    when some level fails to preserve module-multilinearity.  The tables
+    are the images of the constants and dual 1-forms computed by that
+    descent check.
     """
     L = d.L
     on_constants = {}
     on_duals = {}
-    for j in range(policy.W):
+    for j in sorted(set(d.partial.cor) | set(d.t.maps)
+                    | set(range(policy.W))):
         rep = descent_check(L, d.partial, d.t, j)
         if rep["violations"]:
             raise DescentError(rep["violations"][0])
@@ -284,11 +290,14 @@ def extract_structure(m):
     derivation Maurer-Cartan algebra over a free module: the inverse of
     build_maurer_cartan.
 
-    The level-j anchor is the adjoint of the action on constants; the
+    The level-j anchor is the adjoint of the action on constants, read
+    off the rows the constants' tables hold on words of length j; the
     level-j bracket corestriction is recovered from the action on the
     dual 1-forms after subtracting the anchor operator, through the dual
-    basis pairing.  Exact and total for a free module.  Whether the
-    extracted data rebuilds the tables is for table_residuals to say.
+    basis pairing, on words of length j + 1.  Rows on words of another
+    length are not read.  Exact and total for a free module.  Whether
+    the extracted data rebuilds the tables (those rows included) is for
+    table_residuals to say.
     """
     L = m.L
     A = L.over
@@ -297,17 +306,19 @@ def extract_structure(m):
     for j in m.levels():
         if j == 0:
             continue
+        consts = m.on_constants[j]
         table = {}
-        for w in words_of_length(L, j):
+        # the words of length j where some constant's table has a row,
+        # each with at least one nonzero entry, so no operator is zero
+        for w in sorted({w for f in consts.values() for w in f.values
+                         if len(w) == j}):
             wd = word_degree(L, w)
             ent = {}
             for al in A.basis.labels:
                 s = -ONE if (adeg[al] % 2 and wd % 2) else ONE
-                for bl, c in m.on_constants[j][al].value(w).items():
+                for bl, c in consts[al].values.get(w, {}).items():
                     ent[(bl, al)] = s * c
-            op = LinearMap(A.basis, A.basis, wd - 1, ent)
-            if not op.is_zero():
-                table[w] = op
+            table[w] = LinearMap(A.basis, A.basis, wd - 1, ent)
         if table:
             t_maps[j] = table
     t = TwistingCochain(L, t_maps)

@@ -64,7 +64,7 @@ def form_eval_vec(f, wvec):
 def anchor_apply(t, j, word, a_vec):
     """The level-j value of an anchor family on a canonical word, applied
     to an algebra element; zero where the family has no value."""
-    op = t.value(j, word)
+    op = t.maps.get(j, {}).get(word)
     return {} if op is None else op.apply(a_vec)
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,16 +246,20 @@ def test_d0_preserves_length_and_squares_to_zero():
         assert dd == {}
 
 
+def perturbation_report(partial, L, policy):
+    """check_coalgebra_perturbation on the integer copy of partial at
+    the least s that clears it and the word differential."""
+    s = lcm(L.d0_denominator, partial.denominator)
+    return check_coalgebra_perturbation(partial.scaled(s), L, policy, s)
+
+
 def test_perturbation_report_abelian():
     p = Coderivation(SL2, {})
-    assert check_coalgebra_perturbation(p, SL2, TruncationPolicy(4),
-                                        p.denominator) == []
+    assert perturbation_report(p, SL2, TruncationPolicy(4)) == []
 
 
 def test_perturbation_report_sl2():
-    p = sl2_partial()
-    assert check_coalgebra_perturbation(p, SL2, TruncationPolicy(4),
-                                        p.denominator) == []
+    assert perturbation_report(sl2_partial(), SL2, TruncationPolicy(4)) == []
 
 
 def jacobi_violator():
@@ -269,8 +274,7 @@ def jacobi_violator():
 
 def test_perturbation_report_jacobi_violator():
     L, p = jacobi_violator()
-    rep = check_coalgebra_perturbation(p, L, TruncationPolicy(4),
-                                       p.denominator)
+    rep = perturbation_report(p, L, TruncationPolicy(4))
     assert rep
     hits = [r for r in rep if r["word"] == (g("x"), g("y"), g("z"))]
     assert len(hits) == 1 and hits[0]["level"] == 2
@@ -317,8 +321,7 @@ def test_perturbation_levels_agree_with_every_word(name, W, seed):
                 vec[x] = vec.get(x, 0) + Q(rng.randint(-2, 2),
                                            rng.randint(1, 2))
     p = Coderivation(L, {j: nonzero(tab) for j, tab in cor.items()})
-    report = check_coalgebra_perturbation(p, L, TruncationPolicy(W),
-                                          p.denominator)
+    report = perturbation_report(p, L, TruncationPolicy(W))
     failing = set()
     for j in range(1, W):
         for w in word_basis(L, TruncationPolicy(W)):

@@ -257,7 +257,7 @@ def test_anchor_operator_matches_classical_formula():
 def test_cup_two_one_forms():
     duals = dual_one_forms(SL2)
     ef = cup(duals["e"], duals["f"])
-    assert ef.value((g("e"), g("f"))) == {"1": -ONE}
+    assert ef.values.get((g("e"), g("f")), {}) == {"1": -ONE}
     # general rule on a pair of arbitrary 1-forms
     rng = random.Random(3)
     a = random_form(rng, SL2, -1, 1)
@@ -365,8 +365,8 @@ def test_anchor_on_constants_is_adjoint():
         f = reference_t(constant_form(L, {al: ONE}), t, 1)
         for w in words_of_length(L, 1):
             s = -ONE if (ad % 2 and word_degree(L, w) % 2) else ONE
-            assert f.value(w) == vec_scale(s, anchor_apply(t, 1, w,
-                                                           {al: ONE}))
+            assert f.values.get(w, {}) == vec_scale(
+                s, anchor_apply(t, 1, w, {al: ONE}))
 
 
 # --------------------------------------------------------- multilinearity
@@ -510,7 +510,7 @@ def one_slot_defect(f, word, slot):
     s = -1 if A.basis.degree[a] % 2 and pre % 2 else 1
     sgn, bare = reference_normalize_word(
         L, word[:slot] + (L.pair(A.unit, x),) + word[slot + 1:])
-    return vec_sub(f.value(word), vec_scale(
+    return vec_sub(f.values.get(word, {}), vec_scale(
         Q(s * sgn), multiply(A, {a: ONE}, f.values.get(bare, {}))))
 
 
@@ -1034,7 +1034,7 @@ def test_residual_controls_operator_anticommutators():
                         reference_t(a, t, j - k), t, k))
                 rhs = residual_pairing(L, t, partial, j, a_label, words)
                 for w in words:
-                    assert lhs.value(w) == rhs.get(w, {})
+                    assert lhs.values.get(w, {}) == rhs.get(w, {})
 
 
 # ------------------------------------------------- full-ambient oracles

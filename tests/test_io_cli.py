@@ -608,23 +608,52 @@ def roundtrip_residuals(capsys, *argv):
     return code, json.loads(body)
 
 
-def test_roundtrip_names_the_level_and_word_of_a_difference(capsys):
-    # the build at W = 2 has levels 0 and 1 only, so extraction cannot
-    # give back quasi_sample's level-2 bracket and anchor
-    code, residuals = roundtrip_residuals(capsys, "catalog:quasi_sample",
-                                          "--W", "2")
+def test_roundtrip_names_the_level_and_word_of_a_difference(monkeypatch,
+                                                           capsys):
+    # an extraction that moves two entries of quasi_sample's level-2
+    # corestriction is caught at the first of them in sorted order: its
+    # level and word as witness, the extracted entry minus the given one
+    # as value
+    real = cli.extract_structure
+
+    def moving(m):
+        back = real(m)
+        level = back.partial.cor[2]
+        words = sorted(level)
+        for w in (words[-1], words[0]):
+            level[w][min(level[w])] += 1
+        return back
+
+    monkeypatch.setattr(cli, "extract_structure", moving)
+    code, residuals = roundtrip_residuals(capsys, "catalog:quasi_sample")
     assert code == 1
-    assert [(r["route"], r["axiom"]) for r in residuals] == [
-        ("roundtrip", "coderivation tables"), ("roundtrip", "anchor tables")]
-    for r in residuals:
-        assert sorted(r) == ["axiom", "route", "value", "witness"]
-        level, word = r["witness"]
-        assert level == 2 and len(word) == 3 - (r["axiom"] == "anchor tables")
-        assert r["value"]
-    sh = quasi_to_sh(catalog_entry("quasi_sample")[0])
-    level, word = residuals[0]["witness"]
-    want = sh.partial.cor[2][tuple(word)]
-    assert residuals[0]["value"] == {g: q_to_str(-c) for g, c in want.items()}
+    given = quasi_to_sh(catalog_entry("quasi_sample")[0]).partial.cor[2]
+    word = min(given)
+    assert residuals == [{"route": "roundtrip",
+                          "axiom": "coderivation tables",
+                          "witness": [2, list(word)],
+                          "value": {min(given[word]): "1"}}]
+
+
+@pytest.mark.parametrize("W", ["2", "3", "4", "5"])
+def test_each_format_of_quasi_sample_gets_the_same_verdict(W, tmp_path,
+                                                           capsys):
+    # quasi_sample has a level-2 bracket and anchor; roundtrip builds the
+    # levels of the structure as well as those below W, so the quasi
+    # data, its sh emission and its mdca emission pass check and
+    # roundtrip alike at every W
+    data, policy = catalog_entry("quasi_sample")
+    texts = {"quasi": emit_instance(data, policy),
+             "sh": emit_instance(quasi_to_sh(data), policy),
+             "mdca": json.dumps(emitted_mdca("quasi_sample"))}
+    exits = {}
+    for label, text in texts.items():
+        p = tmp_path / (label + ".json")
+        p.write_text(text)
+        exits[label] = tuple(cli.main([verb, str(p), "--W", W])
+                             for verb in ("check", "roundtrip"))
+    capsys.readouterr()
+    assert exits == {label: (0, 0) for label in texts}
 
 
 def test_elapsed_time_does_not_follow_the_wall_clock(monkeypatch, capsys,
@@ -695,6 +724,34 @@ def test_an_absent_level_counts_as_zero_tables(W, tmp_path, capsys):
         assert first["axiom"] == "table consistency"
         assert first["route"] == "extract"
         assert first["witness"]["witness"][0] == 0
+
+
+@pytest.mark.parametrize("side, name, row", [
+    # degree 2, as the table's row on 1|u, but a word of length 2 in a
+    # level-1 constants table, whose anchor rows have length 1
+    ("constants", "q", [["q.r|u", "1|u"], "1", "1"]),
+    # a word of length 1 in a level-1 dual table, whose corestriction
+    # rows have length 2
+    ("duals", "u", [["1|u"], "q", "1"]),
+])
+def test_extraction_ignores_rows_on_words_of_another_length(
+        side, name, row, tmp_path, capsys):
+    # extraction reads the level-j anchor off the words of length j and
+    # the level-j corestriction off the words of length j + 1, so the
+    # extracted data rebuilds the table without the added row, and that
+    # row is the one difference
+    doc = emitted_mdca("exterior_pair")
+    doc["structure"][side]["1"][name].append(row)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    flag = {"constants": "constants", "duals": "dual"}[side]
+    for verb in ("check", "roundtrip"):
+        assert cli.main([verb, str(p)]) == 1
+        assert printed_residuals(capsys.readouterr().out) == [{
+            "route": "extract", "axiom": "table consistency",
+            "witness": {"flag": "%s table not reproduced" % flag,
+                        "witness": [1, name]},
+            "value": [[row[0], {row[1]: row[2]}]]}]
 
 
 def test_consistent_tables_of_failing_data_round_trip(tmp_path, capsys):

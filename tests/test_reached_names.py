@@ -100,3 +100,52 @@ def test_every_library_definition_is_reached():
     assert ("forms", "build_D") in defined
     reached = referenced_names()
     assert [d for d in defined if d[1] not in reached] == []
+
+
+def read_attributes():
+    """Every attribute name that code under src/, tools/ or perfbench/
+    reads: an attribute in Load context, as in obj.name or obj.name()."""
+    out = set()
+    for top in ("src", "tools", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(
+                    encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    out.add(node.attr)
+    return out
+
+
+def library_members():
+    """(module, class, name) of every method of a class of mdca, dunder
+    methods left out, and of every attribute its __init__ stores on
+    self."""
+    out = set()
+    for path in sorted((ROOT / "src" / "mdca").glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                if not node.name.startswith("__"):
+                    out.add((path.stem, cls.name, node.name))
+                elif node.name == "__init__":
+                    out |= {(path.stem, cls.name, n.attr)
+                            for n in ast.walk(node)
+                            if isinstance(n, ast.Attribute)
+                            and isinstance(n.ctx, ast.Store)
+                            and isinstance(n.value, ast.Name)
+                            and n.value.id == "self"}
+    return sorted(out)
+
+
+def test_every_library_member_is_read():
+    # a method or a stored attribute that nothing reads is state kept for
+    # no reader.  The check is by name: a member whose name is also read
+    # on another object (levels, value, add, L) passes unseen
+    members = library_members()
+    assert ("graded", "LinearMap", "entries") in members
+    assert ("forms", "LevelTable", "apply") in members
+    read = read_attributes()
+    assert [m for m in members if m[2] not in read] == []

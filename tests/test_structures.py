@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mdca import cli, forms, structures
 from mdca.algebra import (exterior_algebra, leibniz_defects, multiply,
                           rational_algebra, truncated_polynomial)
-from mdca.coalgebra import (ModuleSpec, TruncationPolicy,
-                            check_coalgebra_perturbation, words_of_length)
+from mdca.coalgebra import ModuleSpec, TruncationPolicy, words_of_length
 from mdca.forms import (SquareResidualError, TwistingCochain, build_D,
                         cohomology_ranks, cup, dual_one_forms,
                         multilinear_generators, square_check)
@@ -24,6 +23,7 @@ from mdca.structures import (DescentError, LieRinehartData,
 from operator_reference import (graded_commutator, quasi_model_disagreements,
                                 reference_jacobi_defect)
 
+from test_coalgebra import perturbation_report
 from test_forms import (SL2, SL2_PARTIAL, SL2_TABLE, derivation_pair,
                         dg_anchor, exterior_pair, jacobi_violator, tp2)
 
@@ -379,8 +379,8 @@ def test_the_jacobi_oracle_is_the_level_two_perturbation_residual(q):
     # is there exactly where the oracle reports the triple
     partial = quasi_to_sh(q).partial
     bare = tuple(g(x) for x in QUASI_GENS)
-    residual = {r["word"]: r["value"] for r in check_coalgebra_perturbation(
-        partial, q.L, TruncationPolicy(3), partial.denominator)
+    residual = {r["word"]: r["value"] for r in perturbation_report(
+        partial, q.L, TruncationPolicy(3))
         if r["level"] == 2 and r["word"] == bare}
     oracle = reference_jacobi_defect(q)
     assert [r["triple"] for r in oracle] == \

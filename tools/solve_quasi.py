@@ -59,10 +59,10 @@ def residual_vector(q, W, affine_only=False):
     left out (twisting beyond level 3), so the rest is affine in them.
     """
     sh = quasi_to_sh(q)
-    s = sh.t.level_table(sh.partial).s
+    table = sh.t.level_table(sh.partial)
     vec = {}
-    for r in check_coalgebra_perturbation(sh.partial, q.L,
-                                          TruncationPolicy(W), s):
+    for r in check_coalgebra_perturbation(table.partial, q.L,
+                                          TruncationPolicy(W), table.s):
         for g, c in r["value"].items():
             vec[("p", r["level"], r["word"], g)] = c
     tW = min(W, 3) if affine_only else W
