@@ -37,11 +37,14 @@ bound from D squared to zero, "exact" where the exact row reduction ran.
 cohomology fails with exit 1 on
 mdca tables the extracted data does not rebuild, a non-derivation
 anchor, a D that does not square to zero, or a level that does not
-preserve multilinearity; the last three give a refused line and the
-operator-route residuals of check.
+preserve multilinearity; the last three are a forms.Refusal, and give
+its message as a refused line and its residuals, the operator-route
+residuals of check.  roundtrip of a build that does not descend (the
+same forms.Refusal) gives the first of them, with route roundtrip.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -50,15 +53,15 @@ import time
 from fractions import Fraction
 
 from .coalgebra import TruncationPolicy
-from .forms import SquareResidualError, cohomology_ranks
+from .forms import Refusal, cohomology_ranks
 from .graded import vec_sub
 from .instances import catalog_entry, catalog_names
 from .io_json import (InstanceError, emit_instance, parse_instance,
                       parse_instance_text, q_to_str)
-from .structures import (DescentError, LieRinehartData, MdcaStructure,
-                         QuasiLieRinehartData, build_maurer_cartan,
-                         check_lie_rinehart, check_sh_lie_rinehart,
-                         extract_structure, quasi_to_sh, table_residuals)
+from .structures import (LieRinehartData, MdcaStructure, QuasiLieRinehartData,
+                         build_maurer_cartan, check_lie_rinehart,
+                         check_sh_lie_rinehart, extract_structure,
+                         quasi_to_sh, table_residuals)
 
 
 ROUNDTRIP_SCOPE = ("build/extract/rebuild agreement only; the identities "
@@ -193,8 +196,8 @@ def run_roundtrip(inst, policy):
     sh = extracted(inst, policy)[0]
     try:
         m = build_maurer_cartan(sh, policy)
-    except DescentError as e:
-        return [dict(e.residual, route="roundtrip")]
+    except Refusal as e:
+        return [dict(e.residuals[0], route="roundtrip")]
     back = extract_structure(m)
 
     def anchor_tables(d):
@@ -224,7 +227,7 @@ def run_cohomology(inst, policy):
     try:
         ranks = cohomology_ranks(sh.L, sh.partial, sh.t, policy,
                                  certificates)
-    except SquareResidualError as e:
+    except Refusal as e:
         return e.residuals, {"refused": str(e)}
     # report in file degrees (upper convention)
     return [], {"betti": {str(-d): {"rank": r["rank"],
@@ -269,7 +272,10 @@ def glue_window(argv):
     return out
 
 
-def main(argv=None):
+@functools.cache
+def parser():
+    """The argument parser, built on the first call of main and kept: not
+    at import, which would add to every cold start that only loads."""
     p = argparse.ArgumentParser(prog="mdca", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
@@ -288,9 +294,12 @@ def main(argv=None):
     sp = sub.add_parser("catalog")
     sp.add_argument("action", choices=["list", "emit"])
     sp.add_argument("name", nargs="?")
+    return p
 
+
+def main(argv=None):
     try:
-        args = p.parse_args(glue_window(
+        args = parser().parse_args(glue_window(
             sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code else 0

@@ -143,14 +143,9 @@ class TwistingCochain:
                 for pair, defect in leibniz_defects(self.L.over, op)]
 
 
-def constant_form(L, a_vec):
-    """Length-0 form with the given homogeneous algebra value."""
-    a_vec = {a: c for a, c in a_vec.items() if c}
-    degs = {L.over.basis.degree[a] for a in a_vec}
-    if len(degs) > 1:
-        raise ValueError("constant form value must be homogeneous")
-    d = degs.pop() if degs else 0
-    return FormTable(L, d, {(): a_vec})
+def constant_form(L, al):
+    """Length-0 form with value the algebra basis element al."""
+    return FormTable(L, L.over.basis.degree[al], {(): {al: ONE}})
 
 
 def dual_one_forms(L):
@@ -386,7 +381,7 @@ def multilinear_generators(L, max_len):
     out = []
     for al in L.over.basis.labels:
         out.append(("const:" + al, ("const", al),
-                    constant_form(L, {al: ONE})))
+                    constant_form(L, al)))
     for key, g in dual_monomials(L, max_len):
         out.append(("dual:" + ".".join(key), ("dual", key), g))
     return out
@@ -514,11 +509,11 @@ def multilinear_basis(L, policy):
     monos = [((), None)] + dual_monomials(L, policy.W)
     out = []
     for al in L.over.basis.labels:
-        c = constant_form(L, {al: ONE})
+        c = constant_form(L, al)
         for key, form in monos:
+            # never zero: on its own bare word a monomial is a nonzero
+            # multiple of the unit, so c cup it is a nonzero multiple of al
             g = c if form is None else cup(c, form)
-            if g.is_zero():
-                continue
             out.append(("%s*%s" % (al, ".".join(key) or "1"), g))
     return out
 
@@ -542,8 +537,8 @@ def operator_route(L, partial, t, policy):
     return report
 
 
-# the refusal of cohomology_ranks for each operator_route axiom, formatted
-# with the witness of the first residual
+# the refusal message for each operator_route axiom, formatted with the
+# witness of the first residual (Refusal)
 REFUSALS = {
     "anchor value is a derivation": "anchor value is not a derivation: {0!r}",
     "square": "total differential does not square to zero within the "
@@ -552,14 +547,16 @@ REFUSALS = {
 }
 
 
-class SquareResidualError(ValueError):
-    """cohomology_ranks refuses: an anchor value is not a derivation of
-    A, D does not square to zero on the cup generators, or some level
-    does not preserve multilinearity on them.  residuals holds every
-    operator_route residual, in the schema check reports."""
+class Refusal(ValueError):
+    """The operator route shows that D is not a differential on the
+    multilinear forms, so cohomology_ranks (any operator_route residual)
+    or structures.build_maurer_cartan (descent residuals) gives no result.
+    residuals holds every residual given, in the schema check reports;
+    the message is the REFUSALS entry of the first."""
 
-    def __init__(self, message, residuals):
-        super().__init__(message)
+    def __init__(self, residuals):
+        first = residuals[0]
+        super().__init__(REFUSALS[first["axiom"]].format(first["witness"]))
         self.residuals = residuals
 
 
@@ -567,10 +564,10 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
     """Betti numbers over Q of the A-multilinear form complex, within the
     word-length truncation and optional degree window.
 
-    Refuses with every operator_route residual when the anchor premise
-    fails, D does not square to zero, or some level does not preserve
-    multilinearity; the message (REFUSALS) names the first of these that
-    fails.
+    Raises Refusal with every operator_route residual when the anchor
+    premise fails, D does not square to zero, or some level does not
+    preserve multilinearity; the message (REFUSALS) names the first of
+    these that fails.
     The row of a basis form f on words of length p is the sum of D_j f
     over the levels j < W with p + j <= W, over only the (word, label)
     columns some row of its degree hits.  The rows are read off the
@@ -601,9 +598,7 @@ def cohomology_ranks(L, partial, t, policy, certificates=None):
     """
     residuals = operator_route(L, partial, t, policy)
     if residuals:
-        first = residuals[0]
-        raise SquareResidualError(
-            REFUSALS[first["axiom"]].format(first["witness"]), residuals)
+        raise Refusal(residuals)
     W = policy.W
     live = live_levels(L, partial, t, W)
     table = t.level_table(partial)

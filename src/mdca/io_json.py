@@ -38,7 +38,8 @@ Parsing is where outside input is checked.  The tables of a file are
 the only ones the library does not build itself, so their checks live
 here and run once (forms.FormTable, coalgebra.Coderivation,
 forms.TwistingCochain and structures.QuasiLieRinehartData only store).
-Each failure names its row, table or level.
+Each failure names its row, table or level, and gives a degree in the
+file's convention.
   * mdca form tables: each is degree homogeneous, of the degree of D_j
     on its generator, zero rows included; a word that vanishes is
     dropped and a non-canonical one refused, naming the table.
@@ -351,8 +352,8 @@ def _word_key(L, w, length, degree, here, what):
         raise InstanceError(here, "%s on a word of length %d, expected %d"
                             % (what, len(w), length))
     if degree - word_degree(L, w) != -1:
-        raise InstanceError(here, "%s of degree %d, expected -1"
-                            % (what, degree - word_degree(L, w)))
+        raise InstanceError(here, "%s of degree %d, expected 1"
+                            % (what, word_degree(L, w) - degree))
     return _canonical(L, w, here, what)
 
 
@@ -410,7 +411,7 @@ def _parse_structure(doc, L):
                 d = ldeg[tgt] - ldeg[key[0]] - ldeg[key[1]]
                 if d:
                     raise InstanceError(here, "bracket of degree %d, "
-                                        "expected 0" % d)
+                                        "expected 0" % -d)
                 return key
 
             rows = sec.get("bracket", [])
@@ -492,11 +493,11 @@ def _parse_structure(doc, L):
                         raise InstanceError(locus,
                                             "unknown generator %r" % name)
                     base = gen_deg if key == "constants" else -gen_deg - 1
-                    # D_j has degree -1 at every level
+                    # D_j has degree -1 at every level (1 in file degrees)
                     if degs and degs != {base - 1}:
                         raise InstanceError(
                             here, "form of degree %d, expected %d"
-                            % (degs.pop(), base - 1))
+                            % (-degs.pop(), 1 - base))
                     # FormTable's contract: canonical nonvanishing words,
                     # no zero coefficient
                     side[level][name] = FormTable(L, base - 1, _nonzero({

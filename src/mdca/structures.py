@@ -32,7 +32,7 @@ from .coalgebra import (Coderivation, antisymmetry_violations,
                         coderivation_from_brackets, linearity_defects,
                         normalize_word, stripped_slots, suspension_sign,
                         word_degree, words_of_length)
-from .forms import (TwistingCochain, build_D, descent_check,
+from .forms import (Refusal, TwistingCochain, build_D, descent_check,
                     dual_one_forms, operator_route, twisting_residual)
 
 
@@ -248,27 +248,15 @@ class MdcaStructure:
         return sorted(self.on_constants)
 
 
-class DescentError(ValueError):
-    """build_maurer_cartan refuses: some level does not preserve
-    multilinearity.  residual is the first descent_check violation at
-    that level, in the schema of operator_route."""
-
-    def __init__(self, residual):
-        level, form, witness = residual["witness"]
-        super().__init__("level %d does not preserve multilinearity: %r"
-                         % (level, {"form": form, "witness": witness}))
-        self.residual = residual
-
-
 def build_maurer_cartan(d, policy):
     """Generator tables of the level differentials on multilinear forms.
 
     Builds every level of the structure (a level of the coderivation or
     of the anchor family) and every level below W, so that extraction
-    gives the structure back whatever the W.  Refuses with DescentError
-    when some level fails to preserve module-multilinearity.  The tables
-    are the images of the constants and dual 1-forms computed by that
-    descent check.
+    gives the structure back whatever the W.  Raises forms.Refusal with
+    the descent residuals of the first level that fails to preserve
+    module-multilinearity.  The tables are the images of the constants
+    and dual 1-forms computed by that descent check.
     """
     L = d.L
     on_constants = {}
@@ -277,7 +265,7 @@ def build_maurer_cartan(d, policy):
                     | set(range(policy.W))):
         rep = descent_check(L, d.partial, d.t, j)
         if rep["violations"]:
-            raise DescentError(rep["violations"][0])
+            raise Refusal(rep["violations"])
         im = rep["images"]
         on_constants[j] = {al: im[("const", al)]
                            for al in L.over.basis.labels}

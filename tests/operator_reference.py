@@ -253,7 +253,7 @@ def reference_cohomology_ranks(L, partial, t, policy):
         monomials = monomials + level
     by_degree = {}
     for al in L.over.basis.labels:
-        c = constant_form(L, {al: ONE})
+        c = constant_form(L, al)
         for _, m in monomials:
             f = c if m is None else reference_cup(c, m)
             if not f.is_zero():

@@ -203,7 +203,7 @@ def fixture_files(tmp_path):
     duals = dual_one_forms(L)
     m = MdcaStructure(
         L,
-        {j: {al: build_D(constant_form(L, {al: ONE}), partial, t, j)
+        {j: {al: build_D(constant_form(L, al), partial, t, j)
              for al in L.over.basis.labels} for j in range(policy.W)},
         {j: {xl: build_D(eps, partial, t, j) for xl, eps in duals.items()}
          for j in range(policy.W)})

@@ -5,6 +5,7 @@ mdca files and every table of the format, parse error loci, exit codes
 of every verb, and the pinned machine-derived quasi instance.
 """
 
+import argparse
 import functools
 import itertools
 import json
@@ -434,6 +435,37 @@ def test_unreadable_input_exits_2_with_stdout_closed(tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_a_second_call_of_main_builds_no_parser(monkeypatch, capsys):
+    # the parser is built once per process, so a second call builds none
+    assert cli.main(["catalog", "list"]) == 0
+    counts = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: counts.append(1)
+                        or init(self, *a, **k))
+    assert cli.main(["check", "catalog:sl2", "--W", "2"]) == 0
+    assert counts == []
+    capsys.readouterr()
+
+
+def test_a_cold_start_that_only_loads_builds_no_parser():
+    # the cold start of every call (import, then cli.load) stays free of
+    # parser construction: a parser built at import would add to it
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    probe = ("import argparse\n"
+             "counts = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = (lambda self, *a, **k:\n"
+             "    counts.append(1) or init(self, *a, **k))\n"
+             "import mdca.cli\n"
+             "mdca.cli.load('catalog:sl2', 'auto')\n"
+             "print(len(counts))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
+
+
 def test_catalog_verbs(capsys):
     assert cli.main(["catalog", "list"]) == 0
     names = capsys.readouterr().out.split()
@@ -555,12 +587,12 @@ def test_emitted_mdca_files_run_every_verb(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, rows, fragment", [
-    # D_1 of the dual 1-form of e has degree -2, not -1
-    ("e", [[["1|e"], "1", "1"]], "form of degree -1, expected -2"),
+    # in file degrees, D_1 of the dual 1-form of e has degree 2, not 1
+    ("e", [[["1|e"], "1", "1"]], "form of degree 1, expected 2"),
     ("w", [], "unknown generator 'w'"),
     # the degree checks read zero rows too
     ("e", [[["1|e"], "1", "0"]],
-     "structure.duals[1].e: form of degree -1, expected -2"),
+     "structure.duals[1].e: form of degree 1, expected 2"),
     ("e", [[["1|h", "1|e"], "1", "2"]], "structure.duals[1].e: form "
      "table keyed by a non-canonical word ('1|h', '1|e')"),
 ])
@@ -879,9 +911,9 @@ def test_non_canonical_corestriction_keys_exit_2(name, tmp_path, capsys):
      "1"),
     ("coderivations", "1", [["q.r|u", "1|u"], "1|u", "1"],
      "structure.coderivations[1][{n}]: corestriction of degree 0, "
-     "expected -1"),
+     "expected 1"),
     ("twisting", "1", [["1|u"], "q", "q", "1"],
-     "structure.twisting[1][{n}]: anchor of degree -2, expected -1"),
+     "structure.twisting[1][{n}]: anchor of degree 2, expected 1"),
 ])
 def test_sh_rows_that_break_the_table_contract_exit_2(
         section, level, row, fragment, tmp_path, capsys):
@@ -900,9 +932,9 @@ def test_sh_rows_that_break_the_table_contract_exit_2(
 
 @pytest.mark.parametrize("section, row, fragment", [
     ("bracket", ["q|u", "q|v", "1|u", "1"],
-     "structure.bracket[0]: bracket of degree 1, expected 0"),
+     "structure.bracket[0]: bracket of degree -1, expected 0"),
     ("anchor", ["1|u", "q", "q", "1"],
-     "structure.anchor[0]: anchor of degree -2, expected -1"),
+     "structure.anchor[0]: anchor of degree 2, expected 1"),
 ])
 def test_lie_rinehart_rows_of_the_wrong_degree_exit_2(section, row, fragment,
                                                       tmp_path, capsys):

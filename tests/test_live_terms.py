@@ -30,10 +30,9 @@ from mdca.coalgebra import (Coderivation, ModuleSpec, TruncationPolicy,
                             check_coalgebra_perturbation,
                             coderivation_from_brackets, normalize_word,
                             splittings, word_degree, words_of_length)
-from mdca.forms import (FormTable, LevelTable, SquareResidualError,
-                        TwistingCochain, build_D, cohomology_ranks, cup,
-                        descent_check, multilinear_basis,
-                        operator_route, square_check)
+from mdca.forms import (FormTable, LevelTable, Refusal, TwistingCochain,
+                        build_D, cohomology_ranks, cup, descent_check,
+                        multilinear_basis, operator_route, square_check)
 from mdca.graded import (GradedBasis, LinearMap, ONE, compose, denominator,
                          vec_axpy, vec_sub)
 from mdca.instances import (QUASI_PARAMS, build_quasi_sample,
@@ -837,7 +836,7 @@ def scale_answers(L, partial, t, policy):
     certificates = {}
     try:
         betti = cohomology_ranks(L, partial, t, policy, certificates)
-    except SquareResidualError as e:
+    except Refusal as e:
         betti = (str(e), e.residuals)
     return (direct_route(L, partial, t, policy),
             operator_route(L, partial, t, policy),

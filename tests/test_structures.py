@@ -7,15 +7,14 @@ from mdca import cli, forms, structures
 from mdca.algebra import (exterior_algebra, leibniz_defects, multiply,
                           rational_algebra, truncated_polynomial)
 from mdca.coalgebra import ModuleSpec, TruncationPolicy, words_of_length
-from mdca.forms import (SquareResidualError, TwistingCochain, build_D,
-                        cohomology_ranks, cup, dual_one_forms,
+from mdca.forms import (Refusal, TwistingCochain, build_D,
+                        cohomology_ranks, cup, descent_check, dual_one_forms,
                         multilinear_generators, square_check)
 from mdca.graded import GradedBasis, LinearMap, ONE, vec_axpy
 from mdca.instances import QUASI_PARAMS, build_quasi_sample, catalog_entry
 from mdca.io_json import ParsedInstance, emit_instance
-from mdca.structures import (DescentError, LieRinehartData,
-                             QuasiLieRinehartData, ShLieRinehartData,
-                             anchor_multilinearity_report,
+from mdca.structures import (LieRinehartData, QuasiLieRinehartData,
+                             ShLieRinehartData, anchor_multilinearity_report,
                              build_maurer_cartan, check_lie_rinehart,
                              check_sh_lie_rinehart, check_twisting_cochain,
                              extend_anchor_level, extend_bracket_table,
@@ -266,8 +265,19 @@ def test_build_refuses_non_multilinear_anchor():
     t1[("x|u",)] = t1[("x|u",)].add(
         LinearMap(L.over.basis, L.over.basis, 0, {("x", "x"): ONE}))
     bad = ShLieRinehartData(L, partial, TwistingCochain(L, {1: t1}))
-    with pytest.raises(ValueError):
-        build_maurer_cartan(bad, TruncationPolicy(2))
+    policy = TruncationPolicy(2)
+    with pytest.raises(Refusal) as e:
+        build_maurer_cartan(bad, policy)
+    # the descent residuals of the first level that fails, all of them
+    reports = [descent_check(L, partial, bad.t, j)["violations"]
+               for j in range(policy.W)]
+    first = next(v for v in reports if v)
+    assert e.value.residuals == first
+    assert str(e.value) == forms.REFUSALS["descent"].format(
+        first[0]["witness"])
+    # cohomology refuses the same data with the same type
+    with pytest.raises(Refusal):
+        cohomology_ranks(L, partial, bad.t, policy)
 
 
 def test_extraction_flags_tampered_structure():
@@ -357,7 +367,7 @@ def descended(q, policy):
     assume(q.validation_report() == [])
     try:
         return build_maurer_cartan(quasi_to_sh(q), policy)
-    except DescentError:
+    except Refusal:
         assume(False)
 
 
@@ -554,7 +564,7 @@ def test_operator_route_names_a_non_derivation_anchor():
 def test_cohomology_refuses_a_non_derivation_anchor(tmp_path, capsys):
     d = non_derivation_anchor()
     sh = d.as_sh()
-    with pytest.raises(SquareResidualError, match="not a derivation"):
+    with pytest.raises(Refusal, match="not a derivation"):
         cohomology_ranks(sh.L, sh.partial, sh.t, TruncationPolicy(3))
     p = tmp_path / "n.json"
     p.write_text(emit_instance(d, TruncationPolicy(3)))

@@ -24,9 +24,10 @@ import sys
 import tempfile
 
 from mdca import cli
+from mdca.forms import Refusal
 from mdca.instances import catalog_entry, catalog_names
 from mdca.io_json import InstanceError, emit_instance, parse_instance_text
-from mdca.structures import DescentError, build_maurer_cartan
+from mdca.structures import build_maurer_cartan
 
 VERBS = ("check", "roundtrip", "cohomology")
 WS = (2, 3, 5)
@@ -55,7 +56,7 @@ def instance_texts(name):
     texts = [(name, text), (name + ".sh", emit_instance(sh, policy))]
     try:
         m = build_maurer_cartan(sh, policy)
-    except DescentError:
+    except Refusal:
         return texts
     return texts + [(name + ".mdca", emit_instance(m, policy))]
 
