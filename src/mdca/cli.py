@@ -170,13 +170,16 @@ def run_check(inst, policy):
 def first_difference(got, want):
     """(level, word, got minus want) at the first (level, word), in
     sorted order, where two level tables {j: {word: {key: value}}}
-    differ; None where they agree.  An absent entry counts as zero."""
+    differ; None where they agree.  An absent entry counts as zero.
+    The tables hold no zero coefficient, so two entries differ exactly
+    when their difference is nonzero: entries are compared, and only the
+    first pair that differs is subtracted."""
     for j in sorted(set(got) | set(want)):
         a, b = got.get(j, {}), want.get(j, {})
         for w in sorted(set(a) | set(b)):
-            diff = vec_sub(a.get(w, {}), b.get(w, {}))
-            if diff:
-                return j, w, diff
+            u, v = a.get(w, {}), b.get(w, {})
+            if u != v:
+                return j, w, vec_sub(u, v)
     return None
 
 

@@ -40,6 +40,12 @@ SLOT_BUDGET = ((1 << SLOT_BITS) - PRIME) // (PRIME - 1) ** 2
 
 
 def vec_scale(c, u):
+    """c times u, as a new dict; a sign c = +-1 copies or negates the
+    entries instead of multiplying them."""
+    if c == 1:
+        return dict(u)
+    if c == -1:
+        return {k: -x for k, x in u.items()}
     if not c:
         return {}
     return {k: c * x for k, x in u.items()}

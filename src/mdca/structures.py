@@ -95,6 +95,11 @@ def direct_route(L, partial, t, policy):
     perturbation identities are handed the table's copy and its s.
     Module-linearity compares t_j(w) with a * t_j(bare), where only the
     second side has a product in A, so it stays on Fractions.
+
+    A must satisfy the unit law (algebra.validate_algebra, which the
+    parser runs): anomaly_report evaluates the unit row only where the
+    anchor moves the unit, so an A built by hand that breaks the law
+    gets no residual from that row.
     """
     report = []
     table = t.level_table(partial)
@@ -163,32 +168,51 @@ def anomaly_report(L, partial, t, j):
     their least common denominator.  Every term has one table (the
     corestriction or the anchor) and one product in A, so it comes out
     mu * s times its rational value; the residual is divided back once.
+
+    No value is computed twice.  Each product a * g of an algebra basis
+    element and a generator is made once per call, and for each word w
+    the corestriction on w + [g] is read once per generator g; a times
+    cor(w, g2) is summed from those products.  The unit row rests on
+    the unit law, which algebra.validate_algebra certifies wherever A is
+    parsed: at a = 1 both sides hold mu * cor(w, g2), so the row can
+    fail only through the unit column of the anchor value on w, and it
+    is evaluated only where that column is nonzero.
     """
     A = L.over
     adeg = A.basis.degree
+    unit = A.unit
     table = t.level_table(partial)
     scaled, mult = table.partial, A.int_mult
     scale = A.mu * table.s
     anchor = table.maps.get(j, {})
+    labels = A.basis.labels
+    gens = L.l_basis.labels
+    times = {al: {g: L.a_times_sl({al: 1}, {g: 1}, mult) for g in gens}
+             for al in labels}
     report = []
     for w in words_of_length(L, j):
         op = anchor.get(w, {})
+        rows = [al for al in labels if al != unit or unit in op]
+        if not rows:
+            continue
+        cor = {g: apply_corestriction_args(L, scaled, j, w + (g,))
+               for g in gens}
         # Koszul exponent of moving the scalar out of the last slot: its
         # degree times (degree -1 of the family plus the earlier slots)
-        sl_sum = sum(L.sl_degree(gl) for gl in w)
-        for al in A.basis.labels:
-            for g2 in L.l_basis.labels:
+        even = not sum(L.sl_degree(gl) for gl in w) % 2
+        for al in rows:
+            prod = times[al]
+            col = op.get(al, {})
+            s = -1 if even and adeg[al] % 2 else 1
+            for g2 in gens:
                 lhs = {}
-                for gl, c in L.a_times_sl({al: 1}, {g2: 1}, mult).items():
-                    vec_axpy(lhs, c, apply_corestriction_args(
-                        L, scaled, j, list(w) + [gl]))
+                for gl, c in prod[g2].items():
+                    vec_axpy(lhs, c, cor[gl])
                 rhs = {}
-                for bl, c in op.get(al, {}).items():
-                    vec_axpy(rhs, c, L.a_times_sl({bl: 1}, {g2: 1}, mult))
-                s = -1 if ((sl_sum + 1) % 2 and adeg[al] % 2) else 1
-                vec_axpy(rhs, s, L.a_times_sl(
-                    {al: 1}, apply_corestriction_args(
-                        L, scaled, j, list(w) + [g2]), mult))
+                for bl, c in col.items():
+                    vec_axpy(rhs, c, times[bl][g2])
+                for h, c in cor[g2].items():
+                    vec_axpy(rhs, s * c, prod[h])
                 if lhs != rhs:
                     report.append({"route": "direct",
                                    "axiom": "bracket anomaly law",
@@ -219,7 +243,8 @@ def check_sh_lie_rinehart(d, policy):
     builds the differential operators on forms and runs the operator
     route (operator_route: the anchor premise, then the square and
     descent checks on the cup generators).  The two verdicts must
-    agree; disagreement is itself reported.
+    agree; disagreement is itself reported.  As for direct_route, the
+    algebra of d.L must have passed algebra.validate_algebra.
     """
     direct = direct_route(d.L, d.partial, d.t, policy)
     indirect = operator_route(d.L, d.partial, d.t, policy)
@@ -303,9 +328,9 @@ def extract_structure(m):
             wd = word_degree(L, w)
             ent = {}
             for al in A.basis.labels:
-                s = -ONE if (adeg[al] % 2 and wd % 2) else ONE
+                odd = adeg[al] % 2 and wd % 2
                 for bl, c in consts[al].values.get(w, {}).items():
-                    ent[(bl, al)] = s * c
+                    ent[(bl, al)] = -c if odd else c
             table[w] = LinearMap(A.basis, A.basis, wd - 1, ent)
         if table:
             t_maps[j] = table
@@ -322,16 +347,17 @@ def extract_structure(m):
         for xl, eps in duals.items():
             phi = m.on_duals[j][xl].add(
                 build_D(eps, no_brackets, t, j).scale(-ONE))
-            s = -ONE if (eps.degree + 1) % 2 else ONE
             # each (w, g) is reached once, from the nonzero value of
-            # phi on w at the label of g, so no coefficient is zero
+            # phi on w at the label of g, so no coefficient is zero; the
+            # Koszul sign flips every coefficient of an even dual and the
+            # odd ones of an odd dual
             for w, val in phi.values.items():
                 if len(w) != j + 1:
                     continue
                 vec = level.setdefault(w, {})
                 for bl, c in val.items():
-                    s2 = -ONE if (adeg[bl] % 2 and eps.degree % 2) else ONE
-                    vec[L.pair(bl, xl)] = s * s2 * c
+                    flip = not eps.degree % 2 or adeg[bl] % 2
+                    vec[L.pair(bl, xl)] = -c if flip else c
         if level:
             cor[j] = level
     return ShLieRinehartData(L, Coderivation(L, cor), t)

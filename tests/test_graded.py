@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from mdca import graded
 from mdca.graded import (ONE, PRIME, ZERO, GradedBasis, LinearMap, compose,
                          kernel_of_rows, rank_modulo, row_echelon, vec_axpy,
-                         vec_sub)
+                         vec_scale, vec_sub)
 
 from operator_reference import koszul_sign, reference_rank_modulo
 
@@ -189,6 +189,17 @@ def test_exact_arithmetic_round_trip(t):
     assert a.denominator > 0
     from math import gcd
     assert gcd(abs(a.numerator), a.denominator) == 1
+
+
+@pytest.mark.parametrize("c", [1, -1, ONE, -ONE, 2, Q(-1, 2)])
+@pytest.mark.parametrize("u", [{"a": 3, "b": -2},
+                               {"a": Q(3, 4), "b": Q(-5, 3)}])
+def test_a_sign_copies_or_negates_what_a_product_would_give(c, u):
+    # vec_scale takes a sign +-1 without a product; the entries must be
+    # those of the product, in a new dict
+    scaled = vec_scale(c, u)
+    assert scaled == {k: c * x for k, x in u.items()}
+    assert scaled is not u
 
 
 def test_kernel_of_rows_deterministic():

@@ -667,6 +667,28 @@ def test_roundtrip_names_the_level_and_word_of_a_difference(monkeypatch,
                           "value": {min(given[word]): "1"}}]
 
 
+def test_first_difference_subtracts_only_the_first_pair_that_differs(
+        monkeypatch):
+    calls = []
+    real = cli.vec_sub
+
+    def counting(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(cli, "vec_sub", counting)
+    one = Fraction(1)
+    got = {1: {("a",): {"x": one}, ("b",): {"x": one}},
+           2: {("c",): {"y": one}}}
+    want = {1: {("a",): {"x": one}, ("b",): {"x": 2 * one}}}
+    assert cli.first_difference(got, want) == (1, ("b",), {"x": -one})
+    assert calls == [({"x": one}, {"x": 2 * one})]
+    assert cli.first_difference(got, got) is None
+    assert len(calls) == 1
+    # an absent word counts as zero
+    assert cli.first_difference(got, {}) == (1, ("a",), {"x": one})
+
+
 @pytest.mark.parametrize("W", ["2", "3", "4", "5"])
 def test_each_format_of_quasi_sample_gets_the_same_verdict(W, tmp_path,
                                                            capsys):

@@ -16,8 +16,11 @@ answers; one that does not is refused.
 """
 
 import gc
+import importlib.util
+import pathlib
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -300,6 +303,113 @@ def test_anomaly_residuals_equal_the_all_terms_oracle(name, seed):
     for j in anomaly_levels(partial, t):
         assert anomaly_report(L, partial, t, j) == anomaly_oracle(
             L, partial, t, j)
+
+
+def unit_column_anchor():
+    """exterior_pair with 1 added to the anchor value on q|u at the unit,
+    so that t(q|u)(1) = 1: the one anchor value with a unit column."""
+    d = catalog_entry("exterior_pair")[0]
+    L, A = d.L, d.L.over
+    maps = {j: dict(tab) for j, tab in d.t.maps.items()}
+    op = maps[1][("q|u",)]
+    maps[1][("q|u",)] = LinearMap(A.basis, A.basis, op.degree,
+                                  {**op.entries, ("1", "1"): ONE})
+    return ShLieRinehartData(L, d.partial, TwistingCochain(L, maps))
+
+
+def test_the_unit_row_fails_where_the_anchor_moves_the_unit():
+    sh = unit_column_anchor()
+    L, partial, t = sh.L, sh.partial, sh.t
+    for j in anomaly_levels(partial, t):
+        assert anomaly_report(L, partial, t, j) == anomaly_oracle(
+            L, partial, t, j)
+    # at a = 1 both sides hold mu * cor(w, g2); what is left is
+    # -t(q|u)(1) g2 = -g2, on every generator g2
+    assert anomaly_report(L, partial, t, 1) == [
+        {"route": "direct", "axiom": "bracket anomaly law",
+         "witness": (1, ("q|u",), "1", g2), "value": {g2: -ONE}}
+        for g2 in L.l_basis.labels]
+
+
+def test_check_fails_the_unit_column_anchor_on_every_route():
+    sh = unit_column_anchor()
+    inst = parse_instance_text(emit_instance(sh, TruncationPolicy(4)))
+    report = cli.run_check(inst, inst.policy)
+    assert report == check_sh_lie_rinehart(sh, TruncationPolicy(4))
+    assert Counter((r["route"], r["axiom"]) for r in report) == {
+        ("direct", "anchor twisting identity"): 4,
+        ("direct", "anchor module-linearity"): 1,
+        ("direct", "bracket anomaly law"): 8,
+        ("operators", "anchor value is a derivation"): 7,
+        ("operators", "square"): 32,
+        ("operators", "descent"): 3}
+    direct = [(r["axiom"], r["witness"], r["value"]) for r in report
+              if r["route"] == "direct"]
+    assert direct[:5] == [
+        ("anchor twisting identity", (2, ("q.r|u", "1|v")),
+         {("1", "1"): -ONE}),
+        ("anchor twisting identity", (2, ("q|u", "1|u")),
+         {("1", "q"): -ONE}),
+        ("anchor twisting identity", (2, ("q|u", "1|v")),
+         {("1", "r"): -ONE}),
+        ("anchor twisting identity", (2, ("q|v", "r|u")),
+         {("1", "1"): -ONE}),
+        ("anchor module-linearity", (1, ("q|u",), 0, "q"),
+         {("1", "1"): ONE})]
+    assert [r for r in report if r["axiom"] == "bracket anomaly law"] == (
+        anomaly_report(sh.L, sh.partial, sh.t, 1))
+
+
+def seeded_gl3():
+    """gl3 in the basis perfbench/gen.py draws from seed 1."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench/gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return parse_instance_text(gen.instance_text("gl3", 1, 3)).data
+
+
+def counted_anomaly_report(monkeypatch, L, partial, t, j):
+    """(report, calls of a_times_sl, {args: corestriction reads})."""
+    products, reads = [0], Counter()
+    times = ModuleSpec.a_times_sl
+    cor = structures.apply_corestriction_args
+
+    def counting_times(self, *args):
+        products[0] += 1
+        return times(self, *args)
+
+    def counting_cor(L, partial, j, args):
+        reads[tuple(args)] += 1
+        return cor(L, partial, j, args)
+
+    with monkeypatch.context() as m:
+        m.setattr(ModuleSpec, "a_times_sl", counting_times)
+        m.setattr(structures, "apply_corestriction_args", counting_cor)
+        report = anomaly_report(L, partial, t, j)
+    return report, products[0], reads
+
+
+@pytest.mark.parametrize("name", ["sl2", "seeded gl3", "exterior_pair"])
+def test_the_anomaly_law_makes_each_value_once(name, monkeypatch):
+    if name == "seeded gl3":
+        sh = seeded_gl3().as_sh()
+    else:
+        sh = catalog_homotopy(name)
+    L, partial, t = sh.L, sh.partial, sh.t
+    A = L.over
+    gens = L.l_basis.labels
+    # over Q with no anchor every row is the unit row, and it holds in
+    # closed form: no corestriction is read
+    rational = A.basis.labels == [A.unit] and not t.maps
+    assert rational == (name in ("sl2", "seeded gl3"))
+    for j in anomaly_levels(partial, t):
+        report, products, reads = counted_anomaly_report(
+            monkeypatch, L, partial, t, j)
+        assert report == anomaly_oracle(L, partial, t, j)
+        assert products == len(A.basis.labels) * len(gens)
+        assert reads == (Counter() if rational else Counter(
+            w + (g,) for w in words_of_length(L, j) for g in gens))
 
 
 def witnesses(sh):
