@@ -2,9 +2,13 @@
 
 Words are canonically sorted multisets of suspension generators; the
 shuffle diagonal, coderivation extensions and the coderivation of a
-bracket table live here.  Every level of a coderivation, level 0 (the
-suspended module differential) included, is applied to a word one way:
-the cached extension of its corestriction (Coderivation.apply_level).
+bracket table live here.  Where a level of a coderivation, level 0 (the
+suspended module differential) included, is applied to a word, it is
+applied one way: the cached extension of its corestriction
+(Coderivation.apply_level).  The perturbation identities apply no level
+to a word: they read the corestriction tables straight from the
+splittings of each witness word and sum in packed integers
+(check_coalgebra_perturbation), so they leave that cache empty.
 All identities are checked up to a word-length truncation W; the
 perturbation identities run on an integer copy of the coderivation,
 every level times one integer s (Coderivation.scaled), which the
@@ -16,7 +20,8 @@ from itertools import chain, combinations_with_replacement, groupby
 from math import comb
 
 from .graded import (GradedBasis, LinearMap, ONE, compose, denominator,
-                     int_multiple, vec_axpy, vec_scale)
+                     int_multiple, vec_axpy, vec_pack, vec_scale,
+                     vec_unpack)
 
 SEP = "|"  # joins an algebra label and a module generator label
 
@@ -353,12 +358,6 @@ class Coderivation:
                 self.L, self.corestriction(j), j + 1, word)
         return hit
 
-    def apply_level_vec(self, j, wvec, out):
-        """out += the level-j part on the word vector wvec; returns out."""
-        for w, c in wvec.items():
-            vec_axpy(out, c, self.apply_level(j, w))
-        return out
-
     def scaled(self, s):
         """The same coderivation on Python ints: every level, level 0
         (the module differential) included, times s, which must clear
@@ -392,21 +391,78 @@ def check_coalgebra_perturbation(partial, L, policy, s):
     does the sum: a residual is zero iff its integer one is, whatever
     the s, and its value is divided back once.  The value is an sL
     element, keyed by label.
+
+    No level is applied to a whole word.  On a word of length j + 1 the
+    term del^k del^(j-k) sums, over the splittings (m, w1, w2) of the
+    word with w1 of length j - k + 1, m * c times the outer value
+    del^k(g w2) for each entry c g of the corestriction on w1; g w2 has
+    length k + 1, where del^k is its corestriction value.  Those values
+    are packed into Python ints (graded.vec_pack), a slot of b bits per
+    label of sL, and the row {g: +-packed value on g w2} of every w2 is
+    read off the keys of level k once, with the Koszul sign of sorting
+    g w2.  So each entry c costs one multiply-add, and no word is
+    sorted.  The slot is wide enough for every residual entry: with M_k
+    the largest |entry| of a level-k value and N_i the largest sum of
+    |entries| of one level-i value, the splittings of a word of length
+    j + 1 with w2 of length k count C(j + 1, k) position subsets in
+    all, so every entry of the level-j residual is at most
+        B_j = sum over the terms k of C(j + 1, k) * N_(j-k) * M_k,
+    and b = (the largest B_j).bit_length() + 1 holds it in the balanced
+    range of graded.vec_unpack.  The packed sum is then 0 exactly when
+    the residual is zero, and a nonzero one decodes exactly.
     """
-    scale = s * s
-    report = []
+    plan = {}
     for j in range(1, policy.W):
         terms = [k for k in range(j + 1)
                  if partial.live(k) and partial.live(j - k)]
-        if not terms:
-            continue
+        if terms:
+            plan[j] = terms
+    # k is a term of level j iff j - k is: the outer levels are the inner
+    tables = {k: partial.corestriction(k)
+              for terms in plan.values() for k in terms}
+    # M_k and N_k of the bound B_j
+    top = {k: max((abs(c) for v in tab.values() for c in v.values()),
+                  default=0) for k, tab in tables.items()}
+    mass = {k: max((sum(map(abs, v.values())) for v in tab.values()),
+                   default=0) for k, tab in tables.items()}
+    bits = max((sum(comb(j + 1, k) * mass[j - k] * top[k] for k in terms)
+                for j, terms in plan.items()), default=0).bit_length() + 1
+    labels = L.sl_basis.labels
+    offset = {g: bits * i for i, g in enumerate(labels)}
+    deg = L.sl_basis.degree
+    # rows[k, w2][g]: the packed level-k value on the word of g w2 times
+    # the sign of sorting g w2 into it, read off each key of level k, one
+    # distinct generator g at a time; an odd g passes the odd generators
+    # before it
+    rows = {}
+    for k, tab in tables.items():
+        for wc, v in tab.items():
+            x = vec_pack(v, offset)
+            odd = 0
+            for i, g in enumerate(wc):
+                if not i or g != wc[i - 1]:
+                    rest = wc[:i] + wc[i + 1:]
+                    row = rows.get((k, rest))
+                    if row is None:
+                        row = rows[k, rest] = dict.fromkeys(labels, 0)
+                    row[g] = -x if deg[g] % 2 and odd % 2 else x
+                odd += deg[g] % 2
+    scale = s * s
+    report = []
+    for j, terms in plan.items():
         for w in words_of_length(L, j + 1):
-            res = {}
+            acc = 0
             for k in terms:
-                partial.apply_level_vec(k, partial.apply_level(j - k, w), res)
-            if res:
+                inner = tables[j - k]
+                for m, w1, w2 in splittings(L, w, j - k + 1):
+                    val = inner.get(w1)
+                    row = rows.get((k, w2))
+                    if val and row:
+                        acc += m * sum(c * row[g] for g, c in val.items())
+            if acc:
                 report.append({"level": j, "word": w, "value": {
-                    g: Q(c, scale) for (g,), c in res.items()}})
+                    g: Q(c, scale)
+                    for g, c in vec_unpack(acc, labels, bits).items()}})
     return report
 
 

@@ -69,6 +69,35 @@ def vec_sub(u, v):
     return vec_axpy(dict(u), -1, v)
 
 
+def vec_pack(u, offset):
+    """An integer vector as one Python int, the sum of u[k] * 2**offset[k].
+    Packing is linear, so a sum of multiples of packed vectors is the
+    packed sum, in one big-integer multiply-add per vector."""
+    return sum(x << offset[k] for k, x in u.items())
+
+
+def vec_unpack(x, labels, bits):
+    """The vector that vec_pack packed into x with labels[i] at offset
+    bits * i, given every entry in the balanced range -2**(bits - 1) to
+    2**(bits - 1) - 1.  In that range the entries are unique: slot by
+    slot from the lowest, the low bits of x give an entry, and a
+    negative one borrows 1 from the slot above.  So x is 0 exactly when
+    every entry is."""
+    full = 1 << bits
+    half = full >> 1
+    out = {}
+    for k in labels:
+        if not x:
+            break
+        c = x & full - 1
+        if c >= half:
+            c -= full
+        if c:
+            out[k] = c
+        x = (x - c) >> bits
+    return out
+
+
 def denominator(coeffs):
     """Least common denominator of an iterable of rationals (1 if empty)."""
     return lcm(*{c.denominator for c in coeffs})

@@ -9,7 +9,9 @@ product over every splitting and the cohomology ranks from an exact
 reduction of every degree are here for the same reason, and so are the
 paper's quasi illustration (D_1 and D_2 read straight from the quasi
 data on alternating forms) and the Jacobi defect identity of quasi data.
-So are the kernels' oracles: the Koszul sign of a permutation
+So are the perturbation identities from their definition, each level
+extended to whole words (reference_perturbation_value).  So are the
+kernels' oracles: the Koszul sign of a permutation
 (koszul_sign), the shuffle diagonal by position subsets, word sorting
 by that sign, the Leibniz rule on Fractions, the derivations of an
 algebra solved from the Leibniz system (derivation_space) and their
@@ -22,7 +24,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 from mdca.coalgebra import (Coderivation, TruncationPolicy, normalize_word,
-                            splittings, word_degree)
+                            splittings, word_degree, words_of_length)
 from mdca.algebra import leibniz_defects, multiply
 from mdca.forms import (FormTable, ambient_basis_forms, constant_form,
                         dual_one_forms, generator_probes, live_levels)
@@ -139,6 +141,33 @@ def hom_differential(f):
 def reference_D(f, partial, t, j):
     """Level-j differential: bracket plus anchor operator."""
     return reference_bra(f, partial, j).add(reference_t(f, t, j))
+
+
+def reference_perturbation_value(partial, j, word):
+    """The level-j part of the square of the coderivation on one word,
+    from the definition, in Fraction arithmetic on the given
+    coderivation: level j - k extended to the word
+    (Coderivation.apply_level), then level k extended to each word of
+    that image, accumulated over every k = 0..j.  {word: coefficient}."""
+    res = {}
+    for k in range(j + 1):
+        for w2, c in partial.apply_level(j - k, word).items():
+            vec_axpy(res, c, partial.apply_level(k, w2))
+    return res
+
+
+def reference_perturbation_residuals(partial, L, W):
+    """The residuals of coalgebra.check_coalgebra_perturbation from the
+    definition (reference_perturbation_value): every level j < W on
+    every word of length j + 1, values keyed by label."""
+    report = []
+    for j in range(1, W):
+        for w in words_of_length(L, j + 1):
+            res = reference_perturbation_value(partial, j, w)
+            if res:
+                report.append({"level": j, "word": w, "value": {
+                    g: c for (g,), c in res.items()}})
+    return report
 
 
 def reference_square_check(L, partial, t, W, max_len=1):

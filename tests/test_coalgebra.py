@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import lcm
 
 import pytest
@@ -16,7 +16,9 @@ from mdca.graded import GradedBasis, LinearMap, ONE, ZERO, vec_axpy
 from mdca.instances import catalog_entry
 from mdca.structures import quasi_to_sh
 
-from operator_reference import koszul_sign, nonzero
+from operator_reference import (koszul_sign, nonzero,
+                                reference_perturbation_residuals,
+                                reference_perturbation_value)
 
 
 QQ = rational_algebra()
@@ -325,13 +327,90 @@ def test_perturbation_levels_agree_with_every_word(name, W, seed):
     failing = set()
     for j in range(1, W):
         for w in word_basis(L, TruncationPolicy(W)):
-            res = {}
-            for k in range(j + 1):
-                p.apply_level_vec(k, p.apply_level(j - k, w), res)
-            if res:
+            if reference_perturbation_value(p, j, w):
                 failing.add(j)
     assert {r["level"] for r in report} == failing
     assert all(len(r["word"]) == r["level"] + 1 for r in report)
+
+
+def big_q(rng):
+    return Q(rng.randint(-2**80, 2**80), rng.randint(1, 2**20))
+
+
+def perturbed_big(name, rng, W):
+    """A perturbed copy of a PERTURBED entry: entries up to 2**80 with
+    denominators up to 2**20 added at levels 1..W-1, and to the module
+    differential where the degrees allow one, so that level 0 is live
+    there too."""
+    L0, base = PERTURBED[name]
+    deg = L0.l_basis.degree
+    pairs = [(x, y) for x in L0.l_basis.labels for y in L0.l_basis.labels
+             if deg[x] == deg[y] - 1]
+    entries = dict(L0.diff_l.entries)
+    for pair in rng.sample(pairs, min(len(pairs), rng.randint(0, 3))):
+        entries[pair] = entries.get(pair, 0) + big_q(rng)
+    L = ModuleSpec(L0.over, L0.a_basis, LinearMap(
+        L0.l_basis, L0.l_basis, -1, {k: c for k, c in entries.items() if c}))
+    cor = {}
+    if rng.random() < 0.5:
+        cor = {j: {w: dict(v) for w, v in tab.items()}
+               for j, tab in base.items()}
+    for j in range(1, W):
+        for _ in range(rng.randint(0, 3)):
+            w = rng.choice(words_of_length(L, j + 1))
+            targets = [x for x in L.sl_basis.labels
+                       if L.sl_degree(x) == word_degree(L, w) - 1]
+            if targets:
+                vec = cor.setdefault(j, {}).setdefault(w, {})
+                x = rng.choice(targets)
+                vec[x] = vec.get(x, 0) + big_q(rng)
+    return L, Coderivation(L, {j: nonzero(tab) for j, tab in cor.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PERTURBED)), st.sampled_from([3, 4, 5]),
+       st.integers(0, 2**32 - 1))
+def test_packed_residuals_equal_the_definition_on_large_entries(name, W,
+                                                                 seed):
+    # the packed sums against every term applied to whole words, on
+    # Fractions: the same levels, words and values, entry for entry
+    L, p = perturbed_big(name, random.Random(seed), W)
+    assert (perturbation_report(p, L, TruncationPolicy(W))
+            == reference_perturbation_residuals(p, L, W))
+
+
+def test_a_residual_entry_at_the_bound_decodes_exactly():
+    # [[a,b],c], [[b,c],a] and [[c,a],b] each land on d through two
+    # one-entry values of size M, so for some choice of signs the
+    # residual on the word (a, b, c) is +-3 M**2 at d: the bound
+    # C(3, 1) * N_1 * M_1 that the slot width is taken from
+    M = 2**40 + 3
+    L = module([(x, 0) for x in "abcdefg"])
+    outer = [(("c", "e"), "d"), (("a", "f"), "d"), (("b", "g"), "d")]
+    found = set()
+    for signs in product((1, -1), repeat=3):
+        cor = {(g("a"), g("b")): {g("e"): Q(M)},
+               (g("b"), g("c")): {g("f"): Q(M)},
+               (g("a"), g("c")): {g("g"): Q(M)}}
+        for ((x, y), z), sign in zip(outer, signs):
+            cor[g(x), g(y)] = {g(z): Q(sign * M)}
+        p = Coderivation(L, {1: cor})
+        report = perturbation_report(p, L, TruncationPolicy(3))
+        assert report == reference_perturbation_residuals(p, L, 3)
+        found |= {c for r in report if r["word"] == (g("a"), g("b"), g("c"))
+                  for c in r["value"].values()}
+    assert {3 * M * M, -3 * M * M} <= found
+
+
+def test_the_perturbation_identities_fill_no_level_cache():
+    # the corestriction tables are read straight from the splittings,
+    # so no level is applied to a word and cached
+    for name, (L, base) in PERTURBED.items():
+        p = Coderivation(L, base)
+        s = lcm(L.d0_denominator, p.denominator)
+        scaled = p.scaled(s)
+        check_coalgebra_perturbation(scaled, L, TruncationPolicy(5), s)
+        assert scaled._apply_cache == {}
 
 
 def brackets_from_coderivation(partial, n):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from mdca import graded
 from mdca.graded import (ONE, PRIME, ZERO, GradedBasis, LinearMap, compose,
                          kernel_of_rows, rank_modulo, row_echelon, vec_axpy,
-                         vec_scale, vec_sub)
+                         vec_pack, vec_scale, vec_sub, vec_unpack)
 
 from operator_reference import koszul_sign, reference_rank_modulo
 
@@ -427,3 +427,60 @@ def test_the_slot_budget_is_the_most_updates_a_slot_holds():
     assert PRIME < 2 ** 25 and budget == 2 ** 14
     assert PRIME - 1 + budget * (PRIME - 1) ** 2 < top
     assert PRIME - 1 + (budget + 1) * (PRIME - 1) ** 2 >= top
+
+
+# ------------------------------------------------------- packed vectors
+
+def packed(u, labels, bits):
+    return vec_pack(u, {k: bits * i for i, k in enumerate(labels)})
+
+
+@pytest.mark.parametrize("bits", [2, 3, 8, 63, 64, 65, 200])
+@pytest.mark.parametrize("first", [1, -1])
+def test_opposite_entries_at_the_edge_of_adjacent_slots_decode(bits, first):
+    # +-(2**(bits - 1) - 1) in every slot, the signs alternating, so each
+    # negative slot borrows from a full positive neighbour
+    edge = (1 << bits - 1) - 1
+    labels = ["a", "b", "c", "d", "e"]
+    u = {k: edge * first * (-1) ** i for i, k in enumerate(labels)}
+    x = packed(u, labels, bits)
+    assert x
+    assert vec_unpack(x, labels, bits) == u
+    # a zero slot between them, and the edge in the top slot alone
+    u = {"a": -edge * first, "c": edge * first}
+    assert vec_unpack(packed(u, labels, bits), labels, bits) == u
+    assert vec_unpack(packed({"e": -edge}, labels, bits), labels,
+                      bits) == {"e": -edge}
+
+
+def balanced_vector(draw, labels, bits):
+    edge = (1 << bits - 1) - 1
+    entry = st.one_of(st.integers(-edge, edge),
+                      st.sampled_from([edge, -edge, 1, -1]))
+    return {k: c for k in labels
+            if (c := draw(st.one_of(st.just(0), entry)))}
+
+
+@st.composite
+def balanced_vectors(draw):
+    bits = draw(st.integers(2, 90))
+    labels = ["g%d" % i for i in range(draw(st.integers(1, 8)))]
+    return balanced_vector(draw, labels, bits), labels, bits
+
+
+@given(balanced_vectors())
+def test_a_packed_vector_is_zero_exactly_when_every_entry_is(case):
+    u, labels, bits = case
+    x = packed(u, labels, bits)
+    assert (x == 0) == (not u)
+    assert vec_unpack(x, labels, bits) == u
+
+
+@given(balanced_vectors(), st.data(), st.integers(-7, 7))
+def test_packing_is_linear(case, data, m):
+    # a multiply-add of packed vectors is the packed sum: |u + m v| is
+    # below 8 times the edge, so 3 more bits hold it
+    u, labels, bits = case
+    v = balanced_vector(data.draw, labels, bits)
+    x = packed(u, labels, bits + 3) + m * packed(v, labels, bits + 3)
+    assert vec_unpack(x, labels, bits + 3) == vec_axpy(dict(u), m, v)

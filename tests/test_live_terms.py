@@ -49,6 +49,7 @@ from mdca.structures import (LieRinehartData, MdcaStructure,
                              table_residuals)
 from operator_reference import (nonzero, reference_bra, reference_D,
                                 reference_leibniz_check,
+                                reference_perturbation_residuals,
                                 reference_square_check, reference_t)
 from test_coalgebra import perturbation_report
 from test_forms import (TABLE_CASES, change_of_basis, dg_anchor, inverse,
@@ -63,23 +64,6 @@ def catalog_homotopy(name):
 
 
 # ------------------------------------------------------ all-terms oracles
-
-def all_terms_perturbation(partial, L, W):
-    """Residuals of sum_k del^k del^(j-k) over every k = 0..j, on the
-    words of length j + 1, for every level j < W; values keyed by
-    label."""
-    report = []
-    for j in range(1, W):
-        for w in words_of_length(L, j + 1):
-            res = {}
-            for k in range(j + 1):
-                partial.apply_level_vec(k, partial.apply_level(j - k, w),
-                                        res)
-            if res:
-                report.append({"level": j, "word": w, "value": {
-                    g: c for (g,), c in res.items()}})
-    return report
-
 
 def all_terms_twisting_residual(L, t, partial, j, word):
     """The level-j twisting residual with every term evaluated: every
@@ -284,7 +268,7 @@ def anomaly_levels(partial, t):
 def test_perturbation_residuals_equal_the_all_terms_oracle(name, W, seed):
     L, partial, _ = perturbed(random.Random(seed), ALL_CASES[name])
     assert (perturbation_report(partial, L, TruncationPolicy(W))
-            == all_terms_perturbation(partial, L, W))
+            == reference_perturbation_residuals(partial, L, W))
 
 
 @settings(max_examples=40, deadline=None)
@@ -461,11 +445,18 @@ def test_the_perturbed_data_fail_every_identity(name):
 def test_apply_level_runs_only_at_live_levels(name, verb, monkeypatch,
                                               capsys):
     # a Lie algebra has only level 1; every other level is zero.  The
-    # direct route reads a level through Coderivation.apply_level, the
-    # operator route through the bracket parts of its LevelTable
+    # perturbation identities read a level's corestriction table
+    # (Coderivation.corestriction), the twisting identity applies a level
+    # through Coderivation.apply_level, and the operator route reads the
+    # bracket parts of its LevelTable
     calls = []
+    real_cor = Coderivation.corestriction
     real_apply = Coderivation.apply_level
     real_part = LevelTable._bracket_part
+
+    def reading_table(self, j):
+        calls.append((j, self.live(j)))
+        return real_cor(self, j)
 
     def applying(self, j, word):
         calls.append((j, self.live(j)))
@@ -475,6 +466,7 @@ def test_apply_level_runs_only_at_live_levels(name, verb, monkeypatch,
         calls.append((j, self.partial.live(j)))
         return real_part(self, j, u)
 
+    monkeypatch.setattr(Coderivation, "corestriction", reading_table)
     monkeypatch.setattr(Coderivation, "apply_level", applying)
     monkeypatch.setattr(LevelTable, "_bracket_part", reading)
     assert cli.main([verb, "catalog:" + name, "--W", "5"]) == 0
@@ -988,7 +980,7 @@ def test_direct_route_perturbation_residuals_on_the_shared_scale(name, seed):
             "value": r["value"]}
            for r in direct_route(L, partial, t, TruncationPolicy(3))
            if r["axiom"] == "bracket coderivation squares to zero"]
-    assert got == all_terms_perturbation(partial, L, 3)
+    assert got == reference_perturbation_residuals(partial, L, 3)
 
 
 # ------------------------------------------------------- memory lifetime
